@@ -95,7 +95,7 @@ def sample(input_path: str, n: int, seed: int, out_path: str) -> None:
     records = list(read_records(input_path))
     subset = sample_subset(records, n, seed)
     write_records(out_path, subset)
-    manifest = write_manifest(out_path, seed=seed)
+    manifest = write_manifest(out_path, subset, seed=seed)
     click.echo(f"[sample] wrote {out_path} ({manifest.records} records, sha256 {manifest.sha256[:12]}...)")
 
 
@@ -119,10 +119,11 @@ def validate(input_path: str, taxonomy_path: str | None, strict: bool) -> None:
     per_source: dict[str, int] = {}
     per_type: dict[str, int] = {}
     seen_ids: set[str] = set()
-    for rec in read_records(input_path):
+    # read_records rejects blank lines, so the record number is the line number.
+    for lineno, rec in enumerate(read_records(input_path), 1):
         n_records += 1
         if rec.id in seen_ids:
-            raise RecordError(f"duplicate record id {rec.id!r}")
+            raise RecordError(f"{Path(input_path).name}:{lineno}: duplicate record id {rec.id!r}")
         seen_ids.add(rec.id)
         per_source[rec.source] = per_source.get(rec.source, 0) + 1
         n_orphans += count_orphan_continuations(rec.labels)

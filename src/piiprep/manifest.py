@@ -1,21 +1,25 @@
 """Reproducibility manifests for written artifacts.
 
 A manifest records everything needed to check an artifact byte-for-byte and
-content-wise: SHA-256 over the exact bytes, record/span/type/source counts,
-orphan-continuation count, the seed and config digest that produced it, and
-the RNG scheme. Manifests deliberately contain no timestamps or absolute
-paths, so re-running a pipeline yields byte-identical manifests.
+content-wise: SHA-256 over the exact bytes on disk, record/span/type/source
+counts and the orphan-continuation count of the records written, the seed and
+config digest that produced it, and the RNG scheme. Manifests deliberately
+contain no timestamps or absolute paths, so re-running a pipeline yields
+byte-identical manifests.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Iterable
 
 from piiprep.biospan import count_orphan_continuations, extract_span_tuples
-from piiprep.records import read_records
+from piiprep.records import Record
+from piiprep.records import read_records  # noqa: F401  kept only for perfbench/spans.py's tracer
 
 __all__ = ["GENERATOR_NAME", "Manifest", "sha256_file", "build_manifest", "write_manifest"]
 
@@ -56,33 +60,35 @@ class Manifest:
 
 def build_manifest(
     artifact_path: str | Path,
+    records: Iterable[Record],
     *,
     seed: int | None = None,
     config_digest: str | None = None,
 ) -> Manifest:
-    """Scan an artifact and compute its manifest."""
+    """Manifest of an artifact just written from records.
+
+    The counts come from the records as they were written, the hash from the
+    bytes on disk, so the artifact is never read back and parsed again.
+    """
     path = Path(artifact_path)
-    per_source: dict[str, int] = {}
-    per_type_b: dict[str, int] = {}
+    per_source: Counter[str] = Counter()
+    label_counts: Counter[str] = Counter()
     span_types: set[str] = set()
-    n_records = 0
     n_spans = 0
     n_orphans = 0
-    for rec in read_records(path):
-        n_records += 1
-        per_source[rec.source] = per_source.get(rec.source, 0) + 1
-        n_orphans += count_orphan_continuations(rec.labels)
-        for _, _, typ in extract_span_tuples(rec.labels):
-            n_spans += 1
-            span_types.add(typ)
-        for lab in rec.labels:
-            if lab.startswith("B-"):
-                t = lab[2:]
-                per_type_b[t] = per_type_b.get(t, 0) + 1
+    for rec in records:
+        labels = rec.labels
+        per_source[rec.source] += 1
+        label_counts.update(labels)
+        n_orphans += count_orphan_continuations(labels)
+        spans = extract_span_tuples(labels)
+        n_spans += len(spans)
+        span_types.update(typ for _, _, typ in spans)
+    per_type_b = {lab[2:]: n for lab, n in label_counts.items() if lab.startswith("B-")}
     return Manifest(
         artifact=path.name,
         sha256=sha256_file(path),
-        records=n_records,
+        records=sum(per_source.values()),
         gold_spans=n_spans,
         entity_types=len(span_types),
         sources=len(per_source),
@@ -96,13 +102,14 @@ def build_manifest(
 
 def write_manifest(
     artifact_path: str | Path,
+    records: Iterable[Record],
     *,
     seed: int | None = None,
     config_digest: str | None = None,
 ) -> Manifest:
     """Compute and write <artifact>.manifest.json next to the artifact."""
     path = Path(artifact_path)
-    manifest = build_manifest(path, seed=seed, config_digest=config_digest)
+    manifest = build_manifest(path, records, seed=seed, config_digest=config_digest)
     out = path.with_name(path.name + ".manifest.json")
     out.write_text(manifest.to_json(), encoding="utf-8")
     return manifest

@@ -18,6 +18,7 @@ import hashlib
 import json
 import logging
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -38,7 +39,6 @@ logger = logging.getLogger(__name__)
 __all__ = [
     "SourceSpec",
     "PipelineConfig",
-    "SourceStats",
     "PrepareResult",
     "sub_rng",
     "consolidate",
@@ -48,7 +48,6 @@ __all__ = [
     "stratified_split",
     "sample_subset",
     "prepend_source_token",
-    "collect_stats",
     "run_prepare",
 ]
 
@@ -198,27 +197,6 @@ def sub_rng(seed: int, operation: str, name: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-@dataclass
-class SourceStats:
-    records: int = 0
-    tokens: int = 0
-    b_mentions: dict[str, int] = field(default_factory=dict)
-
-
-def collect_stats(records: Iterable[Record]) -> dict[str, SourceStats]:
-    """Per-source record/token/mention tallies, keyed in first-seen order."""
-    stats: dict[str, SourceStats] = {}
-    for rec in records:
-        st = stats.setdefault(rec.source, SourceStats())
-        st.records += 1
-        st.tokens += len(rec.tokens)
-        for lab in rec.labels:
-            if lab.startswith("B-"):
-                t = lab[2:]
-                st.b_mentions[t] = st.b_mentions.get(t, 0) + 1
-    return stats
-
-
 def _iter_source_lines(spec: SourceSpec) -> Iterable[tuple[int, str]]:
     with spec.path.open("r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
@@ -234,10 +212,13 @@ def consolidate(
     """Read all sources in declaration order into one stamped record stream.
 
     Returns the records plus per-source counters: kept, dropped (span-free
-    lines) and errors (only counted above zero under on_error=skip/log).
+    lines) and errors (only counted above zero under on_error=skip/log). A
+    record whose id an earlier record, of any source, already took is an
+    error like a malformed line.
     """
     out: list[Record] = []
     report: dict[str, dict[str, int]] = {}
+    seen_ids: set[str] = set()
     for spec in config.sources:
         kept = dropped = errors = 0
         for lineno, line in _iter_source_lines(spec):
@@ -264,6 +245,10 @@ def consolidate(
                     rec = ingest_record(
                         text, spec.name, space, rec_id, unknown_types=config.unknown_types
                     )
+                if rec is not None and rec.id in seen_ids:
+                    raise RecordError(
+                        f"{spec.path.name}:{lineno}: duplicate record id {rec.id!r}"
+                    )
             except Exception as e:
                 if config.on_error == "fail":
                     raise
@@ -275,6 +260,7 @@ def consolidate(
                 dropped += 1
             else:
                 out.append(rec)
+                seen_ids.add(rec.id)
                 kept += 1
         report[spec.name] = {"kept": kept, "dropped": dropped, "errors": errors}
     return out, report
@@ -345,25 +331,25 @@ def filter_rare_labels(
     """Rewrite labels of types with fewer than threshold B- mentions to O.
 
     Two passes: count corpus-wide B- mentions per type, then rewrite. Records
-    are never dropped, so token and record counts are unchanged. Returns the
-    new records and the sorted list of removed types.
+    are never dropped, so token and record counts are unchanged. A record
+    without a rare label is passed through as the same object; only records
+    with one are rebuilt. Returns the records and the sorted list of removed
+    types.
     """
-    counts: dict[str, int] = {}
+    label_counts: Counter[str] = Counter()
     for rec in records:
-        for lab in rec.labels:
-            if lab.startswith("B-"):
-                t = lab[2:]
-                counts[t] = counts.get(t, 0) + 1
-    rare = {t for t, c in counts.items() if c < threshold}
+        label_counts.update(rec.labels)
+    rare = {lab[2:] for lab, c in label_counts.items() if lab.startswith("B-") and c < threshold}
     if not rare:
         return list(records), []
+    rare_labels = {f"{prefix}-{t}" for t in rare for prefix in "BI"}
     out = []
     for rec in records:
-        labels = [
-            "O" if lab != "O" and lab[2:] in rare else lab
-            for lab in rec.labels
-        ]
-        out.append(Record(id=rec.id, tokens=list(rec.tokens), labels=labels, source=rec.source))
+        if rare_labels.isdisjoint(rec.labels):
+            out.append(rec)
+            continue
+        labels = ["O" if lab in rare_labels else lab for lab in rec.labels]
+        out.append(Record(id=rec.id, tokens=rec.tokens, labels=labels, source=rec.source))
     return out, sorted(rare)
 
 
@@ -467,7 +453,7 @@ def run_prepare(config: PipelineConfig) -> PrepareResult:
     for name, recs in splits.items():
         path = config.output_dir / f"{name}.jsonl"
         write_records(path, recs)
-        manifests[name] = write_manifest(path, seed=config.seed, config_digest=digest)
+        manifests[name] = write_manifest(path, recs, seed=config.seed, config_digest=digest)
         paths[name] = path
     steps.append(("split", {name: len(recs) for name, recs in splits.items()}))
     return PrepareResult(

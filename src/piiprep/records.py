@@ -44,7 +44,11 @@ class Record:
             )
         if not self.tokens:
             raise RecordError(f"record {self.id}: empty token sequence")
-        for lab in self.labels:
+        for i, (tok, lab) in enumerate(zip(self.tokens, self.labels)):
+            if type(tok) is not str:
+                raise RecordError(f"record {self.id}: token {i} is not a string: {tok!r}")
+            if type(lab) is not str:
+                raise RecordError(f"record {self.id}: label {i} is not a string: {lab!r}")
             try:
                 parse_bio_label(lab)
             except LabelError as e:
@@ -73,12 +77,10 @@ def parse_record_line(line: str, lineno: int, path: str = "<stream>") -> Record:
     missing = {"id", "tokens", "labels", "source"} - set(obj)
     if missing:
         raise RecordError(f"{path}:{lineno}: missing field(s) {sorted(missing)}")
-    rec = Record(
-        id=obj["id"],
-        tokens=list(obj["tokens"]),
-        labels=list(obj["labels"]),
-        source=obj["source"],
-    )
+    for key in ("tokens", "labels"):
+        if type(obj[key]) is not list:
+            raise RecordError(f"{path}:{lineno}: {key} must be a JSON array")
+    rec = Record(id=obj["id"], tokens=obj["tokens"], labels=obj["labels"], source=obj["source"])
     try:
         rec.validate()
     except RecordError as e:

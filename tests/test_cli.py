@@ -88,6 +88,26 @@ class TestPrepare:
         )
         assert manifest["seed"] == 9
 
+    def test_ids_shared_across_sources_are_data_error(self, runner, tmp_path):
+        src = tmp_path / "sources"
+        src.mkdir()
+        for name in ("a", "b"):
+            write_artifact(src / f"{name}.jsonl", [(f"r{i}", ["B-NAME"], name) for i in range(20)])
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(
+            "sources:\n"
+            "  - name: a\n"
+            "    path: sources/a.jsonl\n"
+            "  - name: b\n"
+            "    path: sources/b.jsonl\n"
+            "rare_label_threshold: 0\n",
+            encoding="utf-8",
+        )
+        result = runner.invoke(main, ["prepare", "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert "b.jsonl:1: duplicate record id 'r0'" in result.output
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_is_io_error(self, runner, tmp_path):
         result = runner.invoke(main, ["prepare", "--config", str(tmp_path / "nope.yaml")])
         assert result.exit_code == 3
@@ -149,10 +169,10 @@ class TestValidate:
 
     def test_duplicate_id_rejected(self, runner, tmp_path):
         p = tmp_path / "art.jsonl"
-        write_artifact(p, [("r1", ["O"], "a"), ("r1", ["O"], "a")])
+        write_artifact(p, [("r1", ["O"], "a"), ("r2", ["O"], "a"), ("r1", ["O"], "a")])
         result = runner.invoke(main, ["validate", "--input", str(p)])
         assert result.exit_code == 1
-        assert "duplicate" in result.output
+        assert "art.jsonl:3: duplicate record id 'r1'" in result.output
 
     def test_type_outside_taxonomy_rejected(self, runner, tmp_path):
         p = tmp_path / "art.jsonl"

@@ -12,7 +12,6 @@ from piiprep.pipeline import (
     PipelineConfig,
     SourceSpec,
     cap_source,
-    collect_stats,
     consolidate,
     filter_rare_labels,
     prepend_source_token,
@@ -23,6 +22,8 @@ from piiprep.pipeline import (
     sub_rng,
 )
 from piiprep.records import Record, read_records
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def mk(i: int, source: str, typ: str | None = "NAME") -> Record:
@@ -178,6 +179,14 @@ class TestFilterRareLabels:
         filter_rare_labels([rec], 10)
         assert rec.labels == before
 
+    def test_only_records_with_rare_labels_are_rebuilt(self):
+        records = [mk(i, "s", "NAME") for i in range(3)] + [mk(9, "s", "IBAN")]
+        out, removed = filter_rare_labels(records, 2)
+        assert removed == ["IBAN"]
+        assert all(o is r for o, r in zip(out[:3], records[:3]))
+        assert out[3] is not records[3]
+        assert out[3].labels == ["O", "O", "O"]
+
     def test_zero_threshold_is_a_no_op(self):
         records = [mk(0, "s", "IBAN")]
         out, removed = filter_rare_labels(records, 0)
@@ -260,16 +269,6 @@ class TestPrependSourceToken:
         rec = mk(0, "wiki")
         prepend_source_token([rec], ["wiki"])
         assert len(rec.tokens) == 3
-
-
-class TestCollectStats:
-    def test_counts(self):
-        records = [mk(0, "a", "NAME"), mk(1, "a", "IBAN"), mk(0, "b", None)]
-        stats = collect_stats(records)
-        assert stats["a"].records == 2
-        assert stats["a"].tokens == 6
-        assert stats["a"].b_mentions == {"NAME": 1, "IBAN": 1}
-        assert stats["b"].b_mentions == {}
 
 
 def write_config(tmp_path: Path, body: str) -> Path:
@@ -406,6 +405,21 @@ class TestConsolidate:
         assert report["s"]["errors"] == 1
         assert any("unclosed" in m for m in caplog.messages)
 
+    @pytest.mark.parametrize("policy", ["skip", "log"])
+    def test_duplicate_id_across_sources_counted_as_error(self, tmp_path, policy):
+        pa, pb = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        for p, src in ((pa, "a"), (pb, "b")):
+            write_jsonl_source(p, [
+                Record(id=f"r{i}", tokens=["x"], labels=["B-NAME"], source=src)
+                for i in range(20)
+            ])
+        cfg = self.make_config(
+            tmp_path, sources=[SourceSpec("a", pa), SourceSpec("b", pb)], on_error=policy
+        )
+        records, report = consolidate(cfg, canonical_space())
+        assert [r.source for r in records] == ["a"] * 20
+        assert report["b"] == {"kept": 0, "dropped": 0, "errors": 20}
+
     def test_declaration_order_defines_stream_order(self, tmp_path):
         pa, pb = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         write_jsonl_source(pa, [Record(id="a1", tokens=["x"], labels=["B-NAME"], source="a")])
@@ -473,6 +487,14 @@ class TestRunPrepare:
         run_prepare(cfg)
         train_b = (tmp_path / "out" / "train.jsonl").read_bytes()
         assert train_a != train_b
+
+    def test_demo_config_reproduces_committed_outputs(self, tmp_path):
+        cfg = PipelineConfig.from_file(REPO / "demo" / "config.yaml")
+        cfg.output_dir = tmp_path
+        run_prepare(cfg)
+        committed = {p.name: p.read_bytes() for p in (REPO / "demo" / "out").iterdir()}
+        assert len(committed) == 6
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == committed
 
     def test_manifest_carries_config_digest_and_seed(self, tmp_path):
         cfg = PipelineConfig.from_file(self.build_demo(tmp_path))

@@ -2,6 +2,9 @@ import hashlib
 import json
 
 import pytest
+from conftest import bio_spans_oracle, orphan_oracle
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from piiprep.errors import RecordError
 from piiprep.manifest import (
@@ -64,6 +67,30 @@ class TestWireFormat:
         with pytest.raises(RecordError, match="object"):
             parse_record_line("[1, 2]", 1)
 
+    def test_tokens_not_an_array_rejected(self):
+        line = '{"id":"x","tokens":"xy","labels":["O","O"],"source":"s"}'
+        with pytest.raises(RecordError, match=r"^f\.jsonl:4: tokens must be a JSON array$"):
+            parse_record_line(line, 4, "f.jsonl")
+
+    def test_labels_not_an_array_rejected(self):
+        line = '{"id":"x","tokens":["a"],"labels":"O","source":"s"}'
+        with pytest.raises(RecordError, match=r"^f\.jsonl:5: labels must be a JSON array$"):
+            parse_record_line(line, 5, "f.jsonl")
+
+    def test_non_string_token_rejected(self):
+        line = '{"id":"x","tokens":["a",5],"labels":["O","O"],"source":"s"}'
+        with pytest.raises(
+            RecordError, match=r"^f\.jsonl:6: record x: token 1 is not a string: 5$"
+        ):
+            parse_record_line(line, 6, "f.jsonl")
+
+    def test_non_string_label_rejected(self):
+        line = '{"id":"x","tokens":["a"],"labels":[5],"source":"s"}'
+        with pytest.raises(
+            RecordError, match=r"^f\.jsonl:7: record x: label 0 is not a string: 5$"
+        ):
+            parse_record_line(line, 7, "f.jsonl")
+
 
 class TestFileIo:
     def test_write_then_read(self, tmp_path):
@@ -97,20 +124,65 @@ class TestSha256File:
         assert sha256_file(p) == hashlib.sha256(b"").hexdigest()
 
 
+ARTIFACT_RECORDS = [
+    Record(id="a1", tokens=["x", "y"], labels=["B-NAME", "I-NAME"], source="a"),
+    Record(id="a2", tokens=["x"], labels=["O"], source="a"),
+    Record(id="b1", tokens=["x", "y"], labels=["O", "I-URL"], source="b"),
+]
+
+
+def manifest_from_file(path) -> dict:
+    """Manifest counts recomputed from the written file's lines alone."""
+    per_source: dict[str, int] = {}
+    per_type_b: dict[str, int] = {}
+    types: set[str] = set()
+    n_records = n_spans = n_orphans = 0
+    # Split on "\n" only: str.splitlines would also cut at U+0085 or U+2028 in a token.
+    for line in path.read_text(encoding="utf-8").split("\n")[:-1]:
+        obj = json.loads(line)
+        n_records += 1
+        per_source[obj["source"]] = per_source.get(obj["source"], 0) + 1
+        spans = bio_spans_oracle(obj["labels"])
+        n_spans += len(spans)
+        types.update(t for _, _, t in spans)
+        n_orphans += orphan_oracle(obj["labels"])
+        for lab in obj["labels"]:
+            if lab.startswith("B-"):
+                per_type_b[lab[2:]] = per_type_b.get(lab[2:], 0) + 1
+    return {
+        "records": n_records,
+        "gold_spans": n_spans,
+        "entity_types": len(types),
+        "sources": len(per_source),
+        "per_source_records": dict(sorted(per_source.items())),
+        "per_type_b_mentions": dict(sorted(per_type_b.items())),
+        "orphan_continuations": n_orphans,
+    }
+
+
+_tokens = st.text(st.characters(blacklist_categories=("Cs",)), max_size=4)
+_labels = st.sampled_from(["O", "B-NAME", "I-NAME", "B-CITY", "I-CITY", "B-STRAßE", "I-STRAßE"])
+_records = st.lists(
+    st.tuples(
+        st.lists(st.tuples(_tokens, _labels), min_size=1, max_size=8),
+        st.sampled_from(["a", "b", "zürich", "東京"]),
+    ),
+    max_size=12,
+).map(lambda rows: [
+    Record(id=f"r{i}", tokens=[t for t, _ in pairs], labels=[lab for _, lab in pairs], source=src)
+    for i, (pairs, src) in enumerate(rows)
+])
+
+
 class TestManifest:
-    def write_artifact(self, tmp_path):
-        records = [
-            Record(id="a1", tokens=["x", "y"], labels=["B-NAME", "I-NAME"], source="a"),
-            Record(id="a2", tokens=["x"], labels=["O"], source="a"),
-            Record(id="b1", tokens=["x", "y"], labels=["O", "I-URL"], source="b"),
-        ]
-        p = tmp_path / "art.jsonl"
-        write_records(p, records)
+    def write_artifact(self, dir_path):
+        p = dir_path / "art.jsonl"
+        write_records(p, ARTIFACT_RECORDS)
         return p
 
     def test_counts(self, tmp_path):
         p = self.write_artifact(tmp_path)
-        m = build_manifest(p, seed=3, config_digest="abc")
+        m = build_manifest(p, ARTIFACT_RECORDS, seed=3, config_digest="abc")
         assert m.artifact == "art.jsonl"
         assert m.records == 3
         assert m.gold_spans == 2  # NAME span + orphan URL span
@@ -124,32 +196,41 @@ class TestManifest:
 
     def test_no_timestamps_or_absolute_paths(self, tmp_path):
         p = self.write_artifact(tmp_path)
-        text = write_manifest(p).to_json()
+        text = write_manifest(p, ARTIFACT_RECORDS).to_json()
         assert str(tmp_path) not in text
         assert "time" not in text.lower()
         assert "date" not in text.lower()
 
     def test_json_round_trip(self, tmp_path):
         p = self.write_artifact(tmp_path)
-        m = build_manifest(p, seed=1, config_digest="d")
+        m = build_manifest(p, ARTIFACT_RECORDS, seed=1, config_digest="d")
         assert Manifest.from_json(m.to_json()) == m
 
     def test_write_manifest_places_sidecar(self, tmp_path):
         p = self.write_artifact(tmp_path)
-        m = write_manifest(p)
+        m = write_manifest(p, ARTIFACT_RECORDS)
         sidecar = tmp_path / "art.jsonl.manifest.json"
         assert sidecar.exists()
         assert Manifest.from_json(sidecar.read_text(encoding="utf-8")) == m
 
     def test_sha_matches_artifact_bytes(self, tmp_path):
         p = self.write_artifact(tmp_path)
-        m = build_manifest(p)
+        m = build_manifest(p, ARTIFACT_RECORDS)
         assert m.sha256 == hashlib.sha256(p.read_bytes()).hexdigest()
 
     def test_identical_content_gives_identical_manifest(self, tmp_path):
         p1 = self.write_artifact(tmp_path)
         sub = tmp_path / "sub"
         sub.mkdir()
-        p2 = sub / "art.jsonl"
-        p2.write_bytes(p1.read_bytes())
-        assert build_manifest(p1) == build_manifest(p2)
+        p2 = self.write_artifact(sub)
+        assert build_manifest(p1, ARTIFACT_RECORDS) == build_manifest(p2, ARTIFACT_RECORDS)
+
+    @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(records=_records)
+    def test_tallies_agree_with_the_written_file(self, tmp_path, records):
+        p = tmp_path / "prop.jsonl"
+        write_records(p, records)
+        m = write_manifest(p, records, seed=7)
+        expected = manifest_from_file(p)
+        assert {k: getattr(m, k) for k in expected} == expected
+        assert m.sha256 == hashlib.sha256(p.read_bytes()).hexdigest()
