@@ -12,6 +12,9 @@ _purespans and summarised here:
   dropped, so annotation glitches still count as mentions.
 - O and end-of-sequence close the running span. Spans are half-open token
   intervals [start, end).
+
+check_labels names the first bad entry of a label list with the same message
+whichever kernel is active; callers use it when a kernel has raised.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import os
 from typing import Iterable, NamedTuple, Sequence
 
+from piiprep._purespans import check_labels
 from piiprep.labelspace import LabelSpace, parse_bio_label
 
 if os.environ.get("PIIPREP_PURE_PYTHON"):
@@ -34,6 +38,7 @@ __all__ = [
     "extract_spans",
     "extract_span_tuples",
     "count_orphan_continuations",
+    "check_labels",
     "count_orphans_in_corpus",
     "normalize_bio",
     "project_to_coarse",

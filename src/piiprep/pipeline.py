@@ -32,7 +32,7 @@ from piiprep.errors import ConfigError, RecordError
 from piiprep.ingest import ingest_record
 from piiprep.labelspace import LabelSpace, load_taxonomy
 from piiprep.manifest import Manifest, write_manifest
-from piiprep.records import Record, parse_record_line, write_records
+from piiprep.records import Record, check_utf8, parse_record_line, write_records
 
 logger = logging.getLogger(__name__)
 
@@ -245,6 +245,11 @@ def consolidate(
                     rec = ingest_record(
                         text, spec.name, space, rec_id, unknown_types=config.unknown_types
                     )
+                    if rec is not None and "\\u" in line:
+                        try:
+                            check_utf8(rec)
+                        except RecordError as e:
+                            raise RecordError(f"{spec.path.name}:{lineno}: {e}") from None
                 if rec is not None and rec.id in seen_ids:
                     raise RecordError(
                         f"{spec.path.name}:{lineno}: duplicate record id {rec.id!r}"

@@ -19,6 +19,7 @@ __all__ = [
     "Record",
     "record_to_line",
     "parse_record_line",
+    "check_utf8",
     "read_records",
     "write_records",
 ]
@@ -71,6 +72,8 @@ def parse_record_line(line: str, lineno: int, path: str = "<stream>") -> Record:
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as e:
+        if not line.strip():
+            raise RecordError(f"{path}:{lineno}: blank line") from None
         raise RecordError(f"{path}:{lineno}: malformed JSON: {e.msg}") from None
     if not isinstance(obj, dict):
         raise RecordError(f"{path}:{lineno}: expected a JSON object")
@@ -83,18 +86,35 @@ def parse_record_line(line: str, lineno: int, path: str = "<stream>") -> Record:
     rec = Record(id=obj["id"], tokens=obj["tokens"], labels=obj["labels"], source=obj["source"])
     try:
         rec.validate()
+        # Only a \u escape can decode to a lone UTF-16 surrogate.
+        if "\\u" in line:
+            check_utf8(rec)
     except RecordError as e:
         raise RecordError(f"{path}:{lineno}: {e}") from None
     return rec
 
 
+def check_utf8(rec: Record) -> None:
+    """Reject a string that UTF-8 cannot encode: one holding a lone surrogate.
+
+    JSON can spell such a string ("\\ud800"), but write_records could not
+    write it.
+    """
+    fields = [("record id", rec.id), (f"record {rec.id}: source", rec.source)]
+    fields += ((f"record {rec.id}: token {i}", tok) for i, tok in enumerate(rec.tokens))
+    fields += ((f"record {rec.id}: label {i}", lab) for i, lab in enumerate(rec.labels))
+    for name, value in fields:
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise RecordError(f"{name} holds a lone UTF-16 surrogate: {value!r}") from None
+
+
 def read_records(path: str | Path) -> Iterator[Record]:
-    """Stream records out of a JSONL artifact."""
+    """Stream records out of a JSONL artifact; a blank line is an error."""
     path = Path(path)
     with path.open("r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
-            if not line.strip():
-                raise RecordError(f"{path.name}:{lineno}: blank line in artifact")
             yield parse_record_line(line, lineno, path.name)
 
 

@@ -15,8 +15,8 @@ from itertools import islice
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
-from piiprep.biospan import extract_span_tuples
-from piiprep.errors import AlignmentError, RecordError
+from piiprep.biospan import check_labels, extract_span_tuples
+from piiprep.errors import AlignmentError, LabelError, RecordError
 from piiprep.labelspace import LabelSpace
 
 __all__ = [
@@ -39,12 +39,6 @@ class TypeCounters:
     def __init__(self) -> None:
         self.counts: dict[str, list[int]] = {}  # type -> [tp, pred, gold]
 
-    def _bucket(self, typ: str) -> list[int]:
-        b = self.counts.get(typ)
-        if b is None:
-            b = self.counts[typ] = [0, 0, 0]
-        return b
-
     def add_pair(self, gold_labels: Sequence[str], pred_labels: Sequence[str]) -> None:
         """Score one aligned sequence pair into these counters."""
         if len(gold_labels) != len(pred_labels):
@@ -52,20 +46,33 @@ class TypeCounters:
                 f"sequence length mismatch: {len(gold_labels)} gold vs "
                 f"{len(pred_labels)} predicted labels"
             )
-        gold = extract_span_tuples(list(gold_labels))
-        pred = extract_span_tuples(list(pred_labels))
+        # The compiled kernel takes lists only; decoded JSON already is one.
+        if type(gold_labels) is not list:
+            gold_labels = list(gold_labels)
+        if type(pred_labels) is not list:
+            pred_labels = list(pred_labels)
+        gold = extract_span_tuples(gold_labels)
+        pred = extract_span_tuples(pred_labels)
+        counts = self.counts
+        get = counts.get
+        for _, _, typ in gold:
+            b = get(typ)
+            if b is None:
+                b = counts[typ] = [0, 0, 0]
+            b[2] += 1
         gold_set = set(gold)
-        for span in gold:
-            self._bucket(span[2])[2] += 1
         for span in pred:
-            b = self._bucket(span[2])
+            typ = span[2]
+            b = get(typ)
+            if b is None:
+                b = counts[typ] = [0, 0, 0]
             b[1] += 1
             if span in gold_set:
                 b[0] += 1
 
     def merge_in(self, other: "TypeCounters") -> None:
         for typ, (tp, pred, gold) in other.counts.items():
-            b = self._bucket(typ)
+            b = self.counts.setdefault(typ, [0, 0, 0])
             b[0] += tp
             b[1] += pred
             b[2] += gold
@@ -234,10 +241,33 @@ def _parse_scored_line(line: str, lineno: int, path: str) -> tuple[str, list[str
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as e:
+        if not line.strip():
+            raise RecordError(f"{path}:{lineno}: blank line") from None
         raise RecordError(f"{path}:{lineno}: malformed JSON: {e.msg}") from None
     if not isinstance(obj, dict) or "id" not in obj or "labels" not in obj:
         raise RecordError(f"{path}:{lineno}: expected an object with 'id' and 'labels'")
-    return obj["id"], obj["labels"]
+    labels = obj["labels"]
+    if type(labels) is not list:
+        raise RecordError(f"{path}:{lineno}: labels must be a JSON array")
+    return obj["id"], labels
+
+
+def _raise_label_error(path: str, lineno: int, rid: str, labels: list) -> None:
+    """Raise a located RecordError if labels hold a non-string or malformed label.
+
+    Called only after add_pair has raised, so well-formed input pays nothing
+    for it, and the message does not depend on which kernel raised.
+    """
+    try:
+        check_labels(labels)
+    except LabelError as e:
+        raise RecordError(f"{path}:{lineno}: record {rid}: {e}") from None
+
+
+def _line_of(path: Path, rid: str) -> int:
+    """Line number of the record with this id in a file already read in full."""
+    with path.open("r", encoding="utf-8") as f:
+        return next(n for n, line in enumerate(f, 1) if json.loads(line)["id"] == rid)
 
 
 def _chunked_lines(f: IO[str], size: int) -> Iterable[list[str]]:
@@ -260,7 +290,8 @@ def stream_score(
     By default the two files must list the same record ids in the same
     order; any divergence raises an alignment error naming the id. With
     unordered=True the prediction file is indexed by id first (trading the
-    memory bound for alignment freedom).
+    memory bound for alignment freedom). In both modes a blank line in
+    either file is an error, as in read_records.
     """
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
@@ -274,8 +305,6 @@ def stream_score(
         index: dict[str, list[str]] = {}
         with pred_path.open("r", encoding="utf-8") as pf:
             for lineno, line in enumerate(pf, 1):
-                if not line.strip():
-                    continue
                 rid, labels = _parse_scored_line(line, lineno, pred_path.name)
                 if rid in index:
                     raise RecordError(f"{pred_path.name}:{lineno}: duplicate prediction id {rid!r}")
@@ -287,7 +316,15 @@ def stream_score(
                     rid, gold_labels = _parse_scored_line(line, lineno, gold_path.name)
                     if rid not in index:
                         raise AlignmentError(f"no prediction for gold record {rid!r}")
-                    counters.add_pair(gold_labels, index.pop(rid))
+                    pred_labels = index.pop(rid)
+                    try:
+                        counters.add_pair(gold_labels, pred_labels)
+                    except (LabelError, TypeError):
+                        _raise_label_error(gold_path.name, lineno, rid, gold_labels)
+                        _raise_label_error(
+                            pred_path.name, _line_of(pred_path, rid), rid, pred_labels
+                        )
+                        raise
                     records += 1
                 chunks += 1
         if index:
@@ -301,17 +338,11 @@ def stream_score(
         gold_blocks = _chunked_lines(gf, chunk_size)
         pred_blocks = _chunked_lines(pf, chunk_size)
         while True:
-            gblock = next(gold_blocks, None)
-            pblock = next(pred_blocks, None)
-            if gblock is None and pblock is None:
+            gblock = next(gold_blocks, [])
+            pblock = next(pred_blocks, [])
+            if not gblock and not pblock:
                 break
-            if gblock is None or pblock is None or len(gblock) != len(pblock):
-                glen = records + (len(gblock) if gblock else 0)
-                plen = records + (len(pblock) if pblock else 0)
-                raise AlignmentError(
-                    f"record count mismatch: {gold_path.name} has at least {glen} "
-                    f"records, {pred_path.name} has at least {plen}"
-                )
+            before = records
             for gline, pline in zip(gblock, pblock):
                 lineno = records + 1
                 gid, gold_labels = _parse_scored_line(gline, lineno, gold_path.name)
@@ -325,6 +356,25 @@ def stream_score(
                     counters.add_pair(gold_labels, pred_labels)
                 except AlignmentError as e:
                     raise AlignmentError(f"record {gid!r}: {e}") from None
+                except (LabelError, TypeError):
+                    _raise_label_error(gold_path.name, lineno, gid, gold_labels)
+                    _raise_label_error(pred_path.name, lineno, gid, pred_labels)
+                    raise
                 records += 1
+            if len(gblock) != len(pblock):
+                # The longer file's extra lines: a blank one is reported as
+                # such (a trailing empty line, say), not as a count mismatch.
+                name, extra = (
+                    (gold_path.name, gblock) if len(gblock) > len(pblock)
+                    else (pred_path.name, pblock)
+                )
+                for lineno, line in enumerate(extra[records - before:], records + 1):
+                    if not line.strip():
+                        raise RecordError(f"{name}:{lineno}: blank line")
+                raise AlignmentError(
+                    f"record count mismatch: {gold_path.name} has at least "
+                    f"{before + len(gblock)} records, {pred_path.name} has at least "
+                    f"{before + len(pblock)}"
+                )
             chunks += 1
     return StreamResult(counters, records, chunks)

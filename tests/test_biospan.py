@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,9 +17,10 @@ from conftest import (
     orphan_oracle,
     random_bio_labels,
 )
-from piiprep import biospan
+from piiprep import _purespans, biospan
 from piiprep.biospan import (
     Span,
+    check_labels,
     count_orphans_in_corpus,
     extract_spans,
     normalize_bio,
@@ -70,6 +72,25 @@ class TestExtractSpanTuples:
         with pytest.raises(LabelError, match="position 1"):
             kernel.extract_span_tuples(["O", bad])
 
+    @pytest.mark.parametrize("bad", ["b-NAME", "B_NAME", "X-NAME", "B-"])
+    def test_malformed_label_raises_at_every_occurrence(self, kernel, bad):
+        # The well-formed labels of the same type are seen (and, in the pure
+        # kernel, cached) first; each occurrence of the bad one still raises
+        # with its own position, in this sequence and in the next.
+        assert kernel.extract_span_tuples(["B-NAME", "I-NAME"]) == [(0, 2, "NAME")]
+        for labels, position in (
+            (["B-NAME", bad], 1),
+            (["B-NAME", "I-NAME", "O", bad], 3),
+            ([bad, "B-NAME"], 0),
+        ):
+            for fn in (kernel.extract_span_tuples, kernel.count_orphan_continuations):
+                for _ in range(2):
+                    with pytest.raises(
+                        LabelError,
+                        match=rf"^malformed BIO label at position {position}: {bad!r}$",
+                    ):
+                        fn(labels)
+
     @settings(max_examples=300)
     @given(labels=label_lists)
     def test_agrees_with_oracle(self, kernel, labels):
@@ -111,6 +132,41 @@ class TestOrphanCount:
     @given(labels=label_lists)
     def test_agrees_with_oracle(self, kernel, labels):
         assert kernel.count_orphan_continuations(labels) == orphan_oracle(labels)
+
+
+class TestLabelCache:
+    """The pure kernel's label cache; see _purespans."""
+
+    def test_malformed_labels_are_never_cached(self):
+        for bad in ("X-NAME", "b-NAME", "B"):
+            with pytest.raises(LabelError):
+                _purespans.extract_span_tuples(["B-NAME", bad])
+            assert bad not in _purespans._LABELS
+
+    def test_cache_stays_bounded_and_results_stay_right(self):
+        limit = _purespans._CACHE_MAX
+        labels = [f"{'BI'[i % 2]}-T{i // 2}" for i in range(limit + 1000)]
+        for chunk in (labels[:limit // 2], labels, labels[limit:], labels[: limit + 7]):
+            assert _purespans.extract_span_tuples(chunk) == bio_spans_oracle(chunk)
+            assert len(_purespans._LABELS) <= limit
+            assert _purespans.count_orphan_continuations(chunk) == orphan_oracle(chunk)
+            assert len(_purespans._LABELS) <= limit
+
+    @pytest.mark.parametrize("bad", [5, None, 1.5, ["B-NAME"], {"B": "NAME"}])
+    def test_non_string_label_raises_label_error(self, bad):
+        for fn in (
+            _purespans.extract_span_tuples,
+            _purespans.count_orphan_continuations,
+            check_labels,
+        ):
+            message = f"^label 2 is not a string: {re.escape(repr(bad))}$"
+            with pytest.raises(LabelError, match=message):
+                fn(["B-NAME", "O", bad, "B-NAME"])
+
+    def test_check_labels_names_the_first_bad_entry(self):
+        check_labels(["O", "B-NAME", "I-NAME"])
+        with pytest.raises(LabelError, match=r"^malformed BIO label at position 1: 'Z-A'$"):
+            check_labels(["O", "Z-A", 5])
 
 
 @needs_c_build

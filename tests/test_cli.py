@@ -108,6 +108,38 @@ class TestPrepare:
         assert "b.jsonl:1: duplicate record id 'r0'" in result.output
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "fmt, line, message",
+        [
+            ("jsonl",
+             r'{"id":"r1","tokens":["\ud800"],"labels":["B-NAME"],"source":"a"}',
+             r"a.jsonl:2: record r1: token 0 holds a lone UTF-16 surrogate: '\ud800'"),
+            ("xml-jsonl",
+             r'{"text":"Call <PHONE>1\ud800</PHONE> now"}',
+             r"a.jsonl:2: record a-000002: token 1 holds a lone UTF-16 surrogate: '1\ud800'"),
+        ],
+        ids=["jsonl", "xml-jsonl"],
+    )
+    def test_lone_surrogate_is_data_error(self, runner, tmp_path, fmt, line, message):
+        good = {
+            "jsonl": '{"id":"r0","tokens":["x"],"labels":["B-NAME"],"source":"a"}',
+            "xml-jsonl": '{"text":"Call <PHONE>12</PHONE> now"}',
+        }[fmt]
+        (tmp_path / "a.jsonl").write_text(f"{good}\n{line}\n", encoding="utf-8")
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(
+            "sources:\n"
+            "  - name: a\n"
+            "    path: a.jsonl\n"
+            f"    format: {fmt}\n"
+            "rare_label_threshold: 0\n",
+            encoding="utf-8",
+        )
+        result = runner.invoke(main, ["prepare", "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert result.output == f"Error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_is_io_error(self, runner, tmp_path):
         result = runner.invoke(main, ["prepare", "--config", str(tmp_path / "nope.yaml")])
         assert result.exit_code == 3
@@ -249,6 +281,38 @@ class TestScore:
         short.write_text('{"id": "r0", "labels": ["O", "O", "O"]}\n', encoding="utf-8")
         result = runner.invoke(main, ["score", "--gold", str(g), "--pred", str(short)])
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize("mode", [[], ["--unordered"]], ids=["ordered", "unordered"])
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            ('"OOO"', "p.jsonl:2: labels must be a JSON array"),
+            ('["O",5,"O"]', "p.jsonl:2: record r1: label 1 is not a string: 5"),
+            ('["O","X-A","O"]', "p.jsonl:2: record r1: malformed BIO label at position 1: 'X-A'"),
+        ],
+        ids=["not-an-array", "not-a-string", "malformed"],
+    )
+    def test_bad_prediction_labels_are_data_error(self, runner, pair, mode, labels, message):
+        g, p = pair
+        lines = p.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[1] = '{"id": "r1", "labels": %s}\n' % labels
+        p.write_text("".join(lines), encoding="utf-8")
+        result = runner.invoke(main, ["score", "--gold", str(g), "--pred", str(p), *mode])
+        assert result.exit_code == 1
+        assert result.output == f"Error: {message}\n"
+
+    @pytest.mark.parametrize("mode", [[], ["--unordered"]], ids=["ordered", "unordered"])
+    def test_blank_line_is_data_error(self, runner, pair, mode):
+        g, p = pair
+        with p.open("a", encoding="utf-8") as f:
+            f.write("\n")
+        result = runner.invoke(main, ["score", "--gold", str(g), "--pred", str(p), *mode])
+        assert result.exit_code == 1
+        assert result.output == "Error: p.jsonl:9: blank line\n"
+        # The same file as gold: blank lines are rejected in both files.
+        result = runner.invoke(main, ["score", "--gold", str(p), "--pred", str(g), *mode])
+        assert result.exit_code == 1
+        assert result.output == "Error: p.jsonl:9: blank line\n"
 
     def test_missing_pred_file_is_io_error(self, runner, pair, tmp_path):
         g, _ = pair

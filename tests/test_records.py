@@ -91,6 +91,36 @@ class TestWireFormat:
         ):
             parse_record_line(line, 7, "f.jsonl")
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ('"id":"x","tokens":["a","\\ud800"],"labels":["O","O"],"source":"s"',
+             "record x: token 1 holds a lone UTF-16 surrogate: '\\ud800'"),
+            ('"id":"x","tokens":["a"],"labels":["B-\\udfff"],"source":"s"',
+             "record x: label 0 holds a lone UTF-16 surrogate: 'B-\\udfff'"),
+            ('"id":"x\\ud800","tokens":["a"],"labels":["O"],"source":"s"',
+             "record id holds a lone UTF-16 surrogate: 'x\\ud800'"),
+            ('"id":"x","tokens":["a"],"labels":["O"],"source":"s\\udc00"',
+             "record x: source holds a lone UTF-16 surrogate: 's\\udc00'"),
+        ],
+        ids=["token", "label", "id", "source"],
+    )
+    def test_lone_surrogate_rejected(self, fields, message):
+        with pytest.raises(RecordError) as info:
+            parse_record_line("{" + fields + "}\n", 8, "f.jsonl")
+        assert str(info.value) == "f.jsonl:8: " + message
+
+    def test_escapes_that_decode_to_valid_text_accepted(self):
+        # A surrogate pair is one astral character; "\\u" after an escaped
+        # backslash is no escape at all.
+        line = (
+            r'{"id":"x","tokens":["\ud83d\ude00","\\u00e9","\u00e9"],'
+            r'"labels":["O","O","O"],"source":"s"}'
+        )
+        r = parse_record_line(line, 1)
+        assert r.tokens == ["\U0001f600", "\\u00e9", "\u00e9"]
+        assert parse_record_line(record_to_line(r), 1) == r
+
 
 class TestFileIo:
     def test_write_then_read(self, tmp_path):
@@ -102,7 +132,7 @@ class TestFileIo:
     def test_blank_line_rejected(self, tmp_path):
         p = tmp_path / "a.jsonl"
         p.write_text(record_to_line(rec()) + "\n" + record_to_line(rec(2)), encoding="utf-8")
-        with pytest.raises(RecordError, match="blank line"):
+        with pytest.raises(RecordError, match=r"^a\.jsonl:2: blank line$"):
             list(read_records(p))
 
     def test_error_names_file_and_line(self, tmp_path):

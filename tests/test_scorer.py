@@ -1,10 +1,12 @@
 import json
 import random
+from collections import UserList
 from pathlib import Path
 
 import pytest
 
-from conftest import random_bio_labels, score_corpus_oracle
+from conftest import KERNELS, random_bio_labels, score_corpus_oracle
+from piiprep import scorer
 from piiprep.errors import AlignmentError, RecordError
 from piiprep.scorer import (
     MetricsReport,
@@ -279,3 +281,103 @@ class TestStreamScore:
         write_scored(p, [("r1", ["O"]), ("r1", ["O"])])
         with pytest.raises(RecordError, match="duplicate"):
             stream_score(g, p, unordered=True)
+
+
+@pytest.mark.parametrize("unordered", [False, True], ids=["ordered", "unordered"])
+@pytest.mark.parametrize("kernel", KERNELS, indirect=True)
+class TestScoredFileContract:
+    """Bad labels and blank lines in either file, under both kernels and modes."""
+
+    @pytest.fixture(autouse=True)
+    def use_kernel(self, kernel, monkeypatch):
+        monkeypatch.setattr(scorer, "extract_span_tuples", kernel.extract_span_tuples)
+
+    @staticmethod
+    def files(tmp_path, gold_lines, pred_lines):
+        g, p = tmp_path / "g.jsonl", tmp_path / "p.jsonl"
+        g.write_text("".join(gold_lines), encoding="utf-8")
+        p.write_text("".join(pred_lines), encoding="utf-8")
+        return g, p
+
+    GOOD = [
+        '{"id":"r0","labels":["B-A","O"]}\n',
+        '{"id":"r1","labels":["O","B-A"]}\n',
+    ]
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            ('"OO"', "p.jsonl:2: labels must be a JSON array"),
+            ('{"0":"O"}', "p.jsonl:2: labels must be a JSON array"),
+            ('["O",5]', "p.jsonl:2: record r1: label 1 is not a string: 5"),
+            ('[null,"O"]', "p.jsonl:2: record r1: label 0 is not a string: None"),
+            ('["O",["B-A"]]', "p.jsonl:2: record r1: label 1 is not a string: ['B-A']"),
+            ('["O","X-A"]', "p.jsonl:2: record r1: malformed BIO label at position 1: 'X-A'"),
+            ('["b-A","B-A"]', "p.jsonl:2: record r1: malformed BIO label at position 0: 'b-A'"),
+        ],
+        ids=["string", "object", "int", "null", "array", "malformed", "lowercase"],
+    )
+    def test_bad_prediction_labels(self, tmp_path, unordered, labels, message):
+        pred = [self.GOOD[0], '{"id":"r1","labels":%s}\n' % labels]
+        g, p = self.files(tmp_path, self.GOOD, pred)
+        with pytest.raises(RecordError) as info:
+            stream_score(g, p, unordered=unordered)
+        assert str(info.value) == message
+
+    def test_bad_gold_label(self, tmp_path, unordered):
+        gold = [self.GOOD[0], '{"id":"r1","labels":["O",7]}\n']
+        g, p = self.files(tmp_path, gold, self.GOOD)
+        with pytest.raises(RecordError) as info:
+            stream_score(g, p, unordered=unordered)
+        assert str(info.value) == "g.jsonl:2: record r1: label 1 is not a string: 7"
+
+    def test_bad_prediction_located_out_of_order(self, tmp_path, unordered):
+        # Predictions listed in another order: the error names the line the
+        # bad prediction is on (ordered mode stops at the id mismatch first).
+        pred = ['{"id":"r1","labels":["O","I-"]}\n', self.GOOD[0]]
+        g, p = self.files(tmp_path, self.GOOD, pred)
+        if unordered:
+            with pytest.raises(RecordError) as info:
+                stream_score(g, p, unordered=True)
+            assert str(info.value) == (
+                "p.jsonl:1: record r1: malformed BIO label at position 1: 'I-'"
+            )
+        else:
+            with pytest.raises(AlignmentError, match="record order mismatch at line 1"):
+                stream_score(g, p)
+
+    @pytest.mark.parametrize(
+        "gold_extra, pred_extra, message",
+        [
+            ([], ["\n"], "p.jsonl:3: blank line"),
+            ([], ["  \n"], "p.jsonl:3: blank line"),
+            (["\n"], [], "g.jsonl:3: blank line"),
+        ],
+        ids=["trailing-pred", "whitespace-pred", "trailing-gold"],
+    )
+    def test_trailing_blank_line(self, tmp_path, unordered, gold_extra, pred_extra, message):
+        g, p = self.files(tmp_path, self.GOOD + gold_extra, self.GOOD + pred_extra)
+        with pytest.raises(RecordError) as info:
+            stream_score(g, p, unordered=unordered, chunk_size=2)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("which", ["g", "p"])
+    def test_blank_line_inside(self, tmp_path, unordered, which):
+        lines = [self.GOOD[0], "\n", self.GOOD[1]]
+        g, p = self.files(
+            tmp_path,
+            lines if which == "g" else self.GOOD,
+            lines if which == "p" else self.GOOD,
+        )
+        with pytest.raises(RecordError) as info:
+            stream_score(g, p, unordered=unordered)
+        assert str(info.value) == f"{which}.jsonl:2: blank line"
+
+
+class TestAddPair:
+    def test_any_sequence_type_scores_like_a_list(self):
+        gold, pred = ["B-A", "I-A", "O", "B-B"], ["B-A", "I-A", "B-B", "I-B"]
+        expected = score_pair(gold, pred)
+        assert expected.counts == {"A": [1, 1, 1], "B": [0, 1, 1]}
+        assert score_pair(tuple(gold), tuple(pred)) == expected
+        assert score_pair(UserList(gold), pred) == expected
