@@ -129,7 +129,10 @@ def validate(input_path: str, taxonomy_path: str | None, strict: bool) -> None:
         n_orphans += count_orphan_continuations(rec.labels)
         for _, _, typ in extract_span_tuples(rec.labels):
             if typ not in space:
-                raise RecordError(f"record {rec.id}: entity type {typ!r} not in taxonomy")
+                raise RecordError(
+                    f"{Path(input_path).name}:{lineno}: record {rec.id}: "
+                    f"entity type {typ!r} not in taxonomy"
+                )
             n_spans += 1
             per_type[typ] = per_type.get(typ, 0) + 1
     summary = {

@@ -14,6 +14,7 @@ first with B- and the rest with I-.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from typing import NamedTuple, Sequence
 
 from piiprep.errors import SpanError, TagError
@@ -124,9 +125,14 @@ def char_spans_to_bio(
     """Project character spans onto whitespace tokens as BIO labels.
 
     A token is part of a span when their character intervals overlap by at
-    least one character, so partially tagged tokens are still marked.
+    least one character, so partially tagged tokens are still marked. Tokens
+    are disjoint and in text order, so those overlapping [start, end) are the
+    ones after the last token ending at or before start and before the first
+    token starting at or after end; bisection finds both.
     """
     tokens = tokenize_with_offsets(text)
+    starts = [tok.start for tok in tokens]
+    ends = [tok.end for tok in tokens]
     labels = ["O"] * len(tokens)
     ordered = sorted(spans, key=lambda s: (s.start, s.end))
     for prev, cur in zip(ordered, ordered[1:]):
@@ -135,11 +141,7 @@ def char_spans_to_bio(
     for span in ordered:
         if not (0 <= span.start < span.end <= len(text)):
             raise SpanError(f"span {span} does not fit text of length {len(text)}")
-        hit = [
-            i
-            for i, tok in enumerate(tokens)
-            if tok.start < span.end and span.start < tok.end
-        ]
+        hit = range(bisect_right(ends, span.start), bisect_left(starts, span.end))
         if not hit:
             raise SpanError(f"span {span} covers no token (whitespace-only region)")
         for j, i in enumerate(hit):

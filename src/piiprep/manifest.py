@@ -17,9 +17,11 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable
 
-from piiprep.biospan import count_orphan_continuations, extract_span_tuples
+from piiprep.biospan import count_orphan_continuations
 from piiprep.records import Record
-from piiprep.records import read_records  # noqa: F401  kept only for perfbench/spans.py's tracer
+# Neither is called here; perfbench/spans.py's tracer wraps both by these names.
+from piiprep.biospan import extract_span_tuples  # noqa: F401
+from piiprep.records import read_records  # noqa: F401
 
 __all__ = ["GENERATOR_NAME", "Manifest", "sha256_file", "build_manifest", "write_manifest"]
 
@@ -68,28 +70,28 @@ def build_manifest(
     """Manifest of an artifact just written from records.
 
     The counts come from the records as they were written, the hash from the
-    bytes on disk, so the artifact is never read back and parsed again.
+    bytes on disk, so the artifact is never read back and parsed again. Spans
+    are not extracted: every span opens at a B- label or at an orphan I-
+    label, so gold_spans is the B- mentions plus the orphans; every non-O
+    token lies in a span of its own type, so entity_types is the number of
+    distinct types among non-O labels.
     """
     path = Path(artifact_path)
     per_source: Counter[str] = Counter()
     label_counts: Counter[str] = Counter()
-    span_types: set[str] = set()
-    n_spans = 0
     n_orphans = 0
     for rec in records:
         labels = rec.labels
         per_source[rec.source] += 1
         label_counts.update(labels)
         n_orphans += count_orphan_continuations(labels)
-        spans = extract_span_tuples(labels)
-        n_spans += len(spans)
-        span_types.update(typ for _, _, typ in spans)
     per_type_b = {lab[2:]: n for lab, n in label_counts.items() if lab.startswith("B-")}
+    span_types = {lab[2:] for lab in label_counts if lab != "O"}
     return Manifest(
         artifact=path.name,
         sha256=sha256_file(path),
         records=sum(per_source.values()),
-        gold_spans=n_spans,
+        gold_spans=sum(per_type_b.values()) + n_orphans,
         entity_types=len(span_types),
         sources=len(per_source),
         per_source_records=dict(sorted(per_source.items())),

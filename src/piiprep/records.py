@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from piiprep._purespans import _CACHE_MAX
 from piiprep.errors import LabelError, RecordError
 from piiprep.labelspace import parse_bio_label
 
@@ -23,6 +24,17 @@ __all__ = [
     "read_records",
     "write_records",
 ]
+
+# Labels Record.validate has already found well-formed (O included). A corpus
+# has at most 2n+1 distinct labels, so nearly every record passes the check
+# with three C-level set calls instead of a parse per token. Only labels that
+# passed the per-token loop are added, and the set is emptied when it reaches
+# _CACHE_MAX, so it stays bounded whatever the input. The span kernel's label
+# dict is not reused: it holds only non-O labels, so testing a whole record
+# against it would mean building a set per record.
+_VALID_LABELS: set[str] = set()
+_STR = frozenset((str,))
+_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
 
 
 @dataclass
@@ -45,6 +57,14 @@ class Record:
             )
         if not self.tokens:
             raise RecordError(f"record {self.id}: empty token sequence")
+        # Fast path: every entry exactly a str (a str subclass fails the
+        # per-token check below) and every label already known to be valid.
+        if (
+            _STR.issuperset(map(type, self.tokens))
+            and _STR.issuperset(map(type, self.labels))
+            and _VALID_LABELS.issuperset(self.labels)
+        ):
+            return
         for i, (tok, lab) in enumerate(zip(self.tokens, self.labels)):
             if type(tok) is not str:
                 raise RecordError(f"record {self.id}: token {i} is not a string: {tok!r}")
@@ -54,6 +74,10 @@ class Record:
                 parse_bio_label(lab)
             except LabelError as e:
                 raise RecordError(f"record {self.id}: {e}") from None
+        for lab in set(self.labels).difference(_VALID_LABELS):
+            if len(_VALID_LABELS) >= _CACHE_MAX:
+                _VALID_LABELS.clear()
+            _VALID_LABELS.add(lab)
 
 
 def record_to_line(record: Record) -> str:
@@ -64,7 +88,7 @@ def record_to_line(record: Record) -> str:
         "labels": record.labels,
         "source": record.source,
     }
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n"
+    return _ENCODER.encode(obj) + "\n"
 
 
 def parse_record_line(line: str, lineno: int, path: str = "<stream>") -> Record:

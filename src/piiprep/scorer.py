@@ -246,10 +246,13 @@ def _parse_scored_line(line: str, lineno: int, path: str) -> tuple[str, list[str
         raise RecordError(f"{path}:{lineno}: malformed JSON: {e.msg}") from None
     if not isinstance(obj, dict) or "id" not in obj or "labels" not in obj:
         raise RecordError(f"{path}:{lineno}: expected an object with 'id' and 'labels'")
+    rid = obj["id"]
+    if type(rid) is not str or not rid:
+        raise RecordError(f"{path}:{lineno}: record id must be a non-empty string, got {rid!r}")
     labels = obj["labels"]
     if type(labels) is not list:
         raise RecordError(f"{path}:{lineno}: labels must be a JSON array")
-    return obj["id"], labels
+    return rid, labels
 
 
 def _raise_label_error(path: str, lineno: int, rid: str, labels: list) -> None:
@@ -319,6 +322,8 @@ def stream_score(
                     pred_labels = index.pop(rid)
                     try:
                         counters.add_pair(gold_labels, pred_labels)
+                    except AlignmentError as e:
+                        raise AlignmentError(f"record {rid!r}: {e}") from None
                     except (LabelError, TypeError):
                         _raise_label_error(gold_path.name, lineno, rid, gold_labels)
                         _raise_label_error(

@@ -208,10 +208,12 @@ class TestValidate:
 
     def test_type_outside_taxonomy_rejected(self, runner, tmp_path):
         p = tmp_path / "art.jsonl"
-        write_artifact(p, [("r1", ["B-WIDGET"], "a")])
+        write_artifact(p, [("r0", ["B-NAME"], "a"), ("r1", ["B-WIDGET"], "a")])
         result = runner.invoke(main, ["validate", "--input", str(p)])
         assert result.exit_code == 1
-        assert "WIDGET" in result.output
+        assert result.output == (
+            "Error: art.jsonl:2: record r1: entity type 'WIDGET' not in taxonomy\n"
+        )
 
     def test_custom_taxonomy_accepts_its_types(self, runner, tmp_path):
         p = tmp_path / "art.jsonl"
@@ -300,6 +302,34 @@ class TestScore:
         result = runner.invoke(main, ["score", "--gold", str(g), "--pred", str(p), *mode])
         assert result.exit_code == 1
         assert result.output == f"Error: {message}\n"
+
+    @pytest.mark.parametrize("mode", [[], ["--unordered"]], ids=["ordered", "unordered"])
+    @pytest.mark.parametrize("rid, shown", [('["r1"]', "['r1']"), ("5", "5")], ids=["array", "number"])
+    def test_bad_id_is_data_error(self, runner, pair, mode, rid, shown):
+        g, p = pair
+        lines = p.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[1] = '{"id": %s, "labels": ["B-NAME", "O", "O"]}\n' % rid
+        p.write_text("".join(lines), encoding="utf-8")
+        message = f"record id must be a non-empty string, got {shown}"
+        result = runner.invoke(main, ["score", "--gold", str(g), "--pred", str(p), *mode])
+        assert result.exit_code == 1
+        assert result.output == f"Error: p.jsonl:2: {message}\n"
+        # The same file as gold: ids are held to the rule in both files.
+        result = runner.invoke(main, ["score", "--gold", str(p), "--pred", str(g), *mode])
+        assert result.exit_code == 1
+        assert result.output == f"Error: p.jsonl:2: {message}\n"
+
+    @pytest.mark.parametrize("mode", [[], ["--unordered"]], ids=["ordered", "unordered"])
+    def test_length_mismatch_is_located(self, runner, pair, mode):
+        g, p = pair
+        lines = p.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[1] = '{"id": "r1", "labels": ["B-NAME", "O"]}\n'
+        p.write_text("".join(lines), encoding="utf-8")
+        result = runner.invoke(main, ["score", "--gold", str(g), "--pred", str(p), *mode])
+        assert result.exit_code == 1
+        assert result.output == (
+            "Error: record 'r1': sequence length mismatch: 3 gold vs 2 predicted labels\n"
+        )
 
     @pytest.mark.parametrize("mode", [[], ["--unordered"]], ids=["ordered", "unordered"])
     def test_blank_line_is_data_error(self, runner, pair, mode):

@@ -152,6 +152,80 @@ class TestCharSpansToBio:
             assert (labels[i] != "O") == bool(chars)
 
 
+def brute_force_bio(text: str, spans) -> tuple[list[str], list[str]]:
+    """char_spans_to_bio with every token tested against every span."""
+    tokens = tokenize_with_offsets(text)
+    labels = ["O"] * len(tokens)
+    ordered = sorted(spans, key=lambda s: (s.start, s.end))
+    for prev, cur in zip(ordered, ordered[1:]):
+        if prev.end > cur.start:
+            raise SpanError(f"overlapping spans: {prev} and {cur}")
+    for span in ordered:
+        if not (0 <= span.start < span.end <= len(text)):
+            raise SpanError(f"span {span} does not fit text of length {len(text)}")
+        hit = [i for i, tok in enumerate(tokens) if tok.start < span.end and span.start < tok.end]
+        if not hit:
+            raise SpanError(f"span {span} covers no token (whitespace-only region)")
+        for j, i in enumerate(hit):
+            if labels[i] != "O":
+                raise SpanError(f"span {span} conflicts with another span on token {i}")
+            labels[i] = ("B-" if j == 0 else "I-") + span.entity
+    return [t.text for t in tokens], labels
+
+
+def projection(text, spans):
+    try:
+        return brute_force_bio(text, spans), None
+    except SpanError as e:
+        return None, str(e)
+
+
+# Runs of ASCII and Unicode whitespace (NBSP, em space, ideographic space,
+# line separator) between words of varied length.
+_gaps = st.text(alphabet=" \t\n\u00a0\u2003\u3000\u2028", min_size=0, max_size=4)
+_words = st.text(alphabet="abé東", min_size=1, max_size=5)
+
+
+@st.composite
+def text_and_spans(draw):
+    parts = draw(st.lists(st.tuples(_gaps, _words), min_size=0, max_size=8))
+    text = "".join(g + w for g, w in parts) + draw(_gaps)
+    n = len(text)
+    if draw(st.booleans()):
+        # Disjoint spans from sorted cut points: they may cover part of a
+        # token, only whitespace, or touch the same token twice.
+        cuts = sorted(draw(st.lists(st.integers(0, n), max_size=8, unique=True)))
+        bounds = list(zip(cuts[::2], cuts[1::2]))
+    else:
+        # Arbitrary spans: overlapping, empty or out of range ones too.
+        bounds = draw(st.lists(st.tuples(st.integers(-1, n + 1), st.integers(-1, n + 1)), max_size=4))
+    entities = st.sampled_from(["NAME", "CITY"])
+    return text, [CharSpan(s, e, draw(entities)) for s, e in bounds]
+
+
+class TestBisectProjection:
+    @settings(max_examples=500)
+    @given(text_and_spans())
+    def test_agrees_with_brute_force_overlap(self, case):
+        text, spans = case
+        expected, error = projection(text, spans)
+        if error is None:
+            assert char_spans_to_bio(text, spans) == expected
+        else:
+            with pytest.raises(SpanError) as info:
+                char_spans_to_bio(text, spans)
+            assert str(info.value) == error
+
+    def test_whitespace_runs_and_partial_tokens(self):
+        text = "ab \u00a0\u3000cd\u2003ef  gh"
+        # "b" (end of ab) through "c" (start of cd); then only the "f" of ef.
+        spans = [CharSpan(1, 6, "NAME"), CharSpan(9, 10, "CITY")]
+        assert char_spans_to_bio(text, spans) == (
+            ["ab", "cd", "ef", "gh"], ["B-NAME", "I-NAME", "B-CITY", "O"],
+        )
+        assert char_spans_to_bio(text, spans) == brute_force_bio(text, spans)
+
+
 class TestIngestRecord:
     def test_full_round_trip(self, canonical_space):
         rec = ingest_record(

@@ -6,7 +6,10 @@ from conftest import bio_spans_oracle, orphan_oracle
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from piiprep.errors import RecordError
+from piiprep import records as records_module
+from piiprep._purespans import _CACHE_MAX
+from piiprep.errors import LabelError, RecordError
+from piiprep.labelspace import parse_bio_label
 from piiprep.manifest import (
     GENERATOR_NAME,
     Manifest,
@@ -120,6 +123,103 @@ class TestWireFormat:
         r = parse_record_line(line, 1)
         assert r.tokens == ["\U0001f600", "\\u00e9", "\u00e9"]
         assert parse_record_line(record_to_line(r), 1) == r
+
+
+def seed_validate(rec: Record) -> None:
+    """Record.validate as it was before its fast path: a check per token."""
+    if not rec.id or not isinstance(rec.id, str):
+        raise RecordError(f"record id must be a non-empty string, got {rec.id!r}")
+    if not rec.source or not isinstance(rec.source, str):
+        raise RecordError(f"record {rec.id}: source must be a non-empty string")
+    if len(rec.tokens) != len(rec.labels):
+        raise RecordError(f"record {rec.id}: {len(rec.tokens)} tokens vs {len(rec.labels)} labels")
+    if not rec.tokens:
+        raise RecordError(f"record {rec.id}: empty token sequence")
+    for i, (tok, lab) in enumerate(zip(rec.tokens, rec.labels)):
+        if type(tok) is not str:
+            raise RecordError(f"record {rec.id}: token {i} is not a string: {tok!r}")
+        if type(lab) is not str:
+            raise RecordError(f"record {rec.id}: label {i} is not a string: {lab!r}")
+        try:
+            parse_bio_label(lab)
+        except LabelError as e:
+            raise RecordError(f"record {rec.id}: {e}") from None
+
+
+def outcome(check, rec: Record) -> str | None:
+    try:
+        check(rec)
+    except RecordError as e:
+        return str(e)
+    return None
+
+
+class Str(str):
+    """A str subclass: equal to, and hashing like, the str it wraps."""
+
+
+VALID_LABELS = ["O", "B-A", "I-A", "B-NAME", "I-NAME", "B-STRAßE", "I-STRAßE"]
+BAD_TOKENS = [5, None, 1.5, ["a"], {"a": 1}, Str("a"), Str("")]
+BAD_LABELS = [
+    5, None, ["B-A"], {"B-A": 1}, Str("B-A"), Str("O"),
+    "X-A", "B-", "b-A", "BA", "", "I_A", "o", "B-A ",
+]
+
+
+@st.composite
+def faulty_records(draw):
+    """A record of valid tokens and labels with bad entries at random positions."""
+    n = draw(st.integers(1, 8))
+    tokens = draw(st.lists(st.text(max_size=3), min_size=n, max_size=n))
+    labels = draw(st.lists(st.sampled_from(VALID_LABELS), min_size=n, max_size=n))
+    positions = st.integers(0, n - 1)
+    for i, bad in draw(st.lists(st.tuples(positions, st.sampled_from(BAD_TOKENS)), max_size=2)):
+        tokens[i] = bad
+    for i, bad in draw(st.lists(st.tuples(positions, st.sampled_from(BAD_LABELS)), max_size=2)):
+        labels[i] = bad
+    return Record(id="x", tokens=tokens, labels=labels, source="s")
+
+
+class TestValidateFastPath:
+    """Record.validate checks each distinct label once; its verdicts are the seed's."""
+
+    @pytest.mark.parametrize("cache", ["warm", "cleared"])
+    @settings(max_examples=300)
+    @given(batch=st.lists(faulty_records(), min_size=1, max_size=6))
+    def test_same_verdict_and_message_as_the_per_token_loop(self, cache, batch):
+        if cache == "cleared":
+            records_module._VALID_LABELS.clear()
+        else:
+            Record(id="w", tokens=["t"] * len(VALID_LABELS), labels=VALID_LABELS, source="s").validate()
+        for rec in batch:
+            assert outcome(Record.validate, rec) == outcome(seed_validate, rec)
+        # Only labels the loop found valid are ever remembered.
+        for lab in records_module._VALID_LABELS:
+            assert type(lab) is str
+            parse_bio_label(lab)
+
+    def test_str_subclass_rejected_after_its_value_was_cached(self):
+        rec(labels=["B-A", "O"]).validate()
+        assert "B-A" in records_module._VALID_LABELS
+        bad = Record(id="x", tokens=["a", Str("b")], labels=["B-A", "O"], source="s")
+        with pytest.raises(RecordError, match=r"^record x: token 1 is not a string: 'b'$"):
+            bad.validate()
+        bad = Record(id="x", tokens=["a", "b"], labels=["O", Str("B-A")], source="s")
+        with pytest.raises(RecordError, match=r"^record x: label 1 is not a string: 'B-A'$"):
+            bad.validate()
+
+    def test_set_stays_within_its_bound(self):
+        records_module._VALID_LABELS.clear()
+        for i in range(_CACHE_MAX + 1000):
+            Record(id="x", tokens=["a", "b"], labels=[f"B-T{i}", "O"], source="s").validate()
+            assert len(records_module._VALID_LABELS) <= _CACHE_MAX
+        many = [f"I-U{i}" for i in range(_CACHE_MAX + 10)]
+        Record(id="y", tokens=["a"] * len(many), labels=many, source="s").validate()
+        assert len(records_module._VALID_LABELS) <= _CACHE_MAX
+        # After being emptied, valid labels still pass and bad ones still fail.
+        rec(labels=["B-NAME", "O"]).validate()
+        with pytest.raises(RecordError, match=r"^record x: malformed BIO label: 'X-1'$"):
+            Record(id="x", tokens=["a"], labels=["X-1"], source="s").validate()
 
 
 class TestFileIo:
@@ -254,6 +354,23 @@ class TestManifest:
         sub.mkdir()
         p2 = self.write_artifact(sub)
         assert build_manifest(p1, ARTIFACT_RECORDS) == build_manifest(p2, ARTIFACT_RECORDS)
+
+    def test_type_seen_only_as_orphan_continuations(self, tmp_path):
+        # URL never has a B- label: each run of I-URL after another type or
+        # O opens a span of its own, and URL still counts as a type.
+        records = [
+            Record(id="a", tokens=list("abcd"), labels=["I-URL", "I-URL", "O", "I-URL"], source="s"),
+            Record(id="b", tokens=list("abc"), labels=["B-NAME", "I-URL", "I-NAME"], source="s"),
+        ]
+        p = tmp_path / "orphans.jsonl"
+        write_records(p, records)
+        m = build_manifest(p, records)
+        assert m.per_type_b_mentions == {"NAME": 1}
+        assert m.orphan_continuations == 4
+        assert m.gold_spans == 5
+        assert m.entity_types == 2
+        expected = manifest_from_file(p)
+        assert {k: getattr(m, k) for k in expected} == expected
 
     @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(records=_records)

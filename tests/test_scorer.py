@@ -347,6 +347,34 @@ class TestScoredFileContract:
                 stream_score(g, p)
 
     @pytest.mark.parametrize(
+        "rid, shown",
+        [('["r1"]', "['r1']"), ("5", "5"), ('""', "''"), ("null", "None")],
+        ids=["array", "number", "empty", "null"],
+    )
+    @pytest.mark.parametrize("which", ["g", "p"])
+    def test_bad_id(self, tmp_path, unordered, which, rid, shown):
+        lines = [self.GOOD[0], '{"id":%s,"labels":["O","B-A"]}\n' % rid]
+        g, p = self.files(
+            tmp_path,
+            lines if which == "g" else self.GOOD,
+            lines if which == "p" else self.GOOD,
+        )
+        with pytest.raises(RecordError) as info:
+            stream_score(g, p, unordered=unordered)
+        assert str(info.value) == (
+            f"{which}.jsonl:2: record id must be a non-empty string, got {shown}"
+        )
+
+    def test_length_mismatch_names_the_record(self, tmp_path, unordered):
+        pred = [self.GOOD[0], '{"id":"r1","labels":["O"]}\n']
+        g, p = self.files(tmp_path, self.GOOD, pred)
+        with pytest.raises(AlignmentError) as info:
+            stream_score(g, p, unordered=unordered)
+        assert str(info.value) == (
+            "record 'r1': sequence length mismatch: 2 gold vs 1 predicted labels"
+        )
+
+    @pytest.mark.parametrize(
         "gold_extra, pred_extra, message",
         [
             ([], ["\n"], "p.jsonl:3: blank line"),
