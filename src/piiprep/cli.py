@@ -154,6 +154,8 @@ def validate(input_path: str, taxonomy_path: str | None, strict: bool) -> None:
 @click.option("--chunk-size", type=int, default=5000, show_default=True)
 @click.option("--out", "out_path", default=None, help="Report JSON path (default: stdout).")
 @click.option("--csv", "csv_path", default=None, help="Also write a per-type CSV here.")
+@click.option("--taxonomy", "taxonomy_path", default=None,
+              help="Taxonomy for the CSV's group column; defaults to the built-in canonical one.")
 @click.option("--unordered", is_flag=True, help="Align by id instead of requiring same order.")
 @click.option("--system", "system", default=None, help="System name stored in the report.")
 @click.option("--category", default=None, help="System category stored in the report.")
@@ -164,6 +166,7 @@ def score(
     chunk_size: int,
     out_path: str | None,
     csv_path: str | None,
+    taxonomy_path: str | None,
     unordered: bool,
     system: str | None,
     category: str | None,
@@ -171,6 +174,7 @@ def score(
     """Span-level exact-match scoring of predictions against gold."""
     if chunk_size < 1:
         raise click.UsageError(f"--chunk-size must be >= 1, got {chunk_size}")
+    space = load_taxonomy(taxonomy_path) if taxonomy_path is not None else None
     result = stream_score(gold_path, pred_path, chunk_size=chunk_size, unordered=unordered)
     report = finalize(
         result.counters,
@@ -188,9 +192,11 @@ def score(
     else:
         click.echo(text, nl=False)
     if csv_path:
-        from piiprep.fixtures import canonical_space
+        if space is None:
+            from piiprep.fixtures import canonical_space
 
-        Path(csv_path).write_text(report.to_csv(canonical_space()), encoding="utf-8")
+            space = canonical_space()
+        Path(csv_path).write_text(report.to_csv(space), encoding="utf-8")
 
 
 @main.command()

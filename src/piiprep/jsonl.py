@@ -1,0 +1,57 @@
+"""Reading line files: one binary reader and one exact, fast JSON decoder.
+
+Artifacts, gold and prediction files and prepare's sources are all read
+through iter_lines, and their JSON lines decoded through decode_json_line.
+The module is kept apart from records so that importing the scorer does not
+build the Record dataclass.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+from typing import Iterator
+
+from piiprep.errors import RecordError
+
+__all__ = ["iter_lines", "decode_json_line"]
+
+_SCAN_ONCE = json.JSONDecoder().scan_once
+
+
+def iter_lines(path: str | Path) -> Iterator[tuple[int, int, str]]:
+    """Yield (line number, byte offset, text) for each line of a file.
+
+    The file is read in binary and split after each newline byte (so a
+    "\\r\\n" ending stays on the line). Each line, newline included, is
+    decoded as UTF-8 on its own, so an undecodable line fails with its
+    location instead of with the block it was read in.
+    """
+    path = Path(path)
+    offset = 0
+    with path.open("rb") as f:
+        for lineno, raw in enumerate(f, 1):
+            try:
+                text = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise RecordError(f"{path.name}:{lineno}: not valid UTF-8") from None
+            yield lineno, offset, text
+            offset += len(raw)
+
+
+def decode_json_line(text: str):
+    """Exactly json.loads(text), faster on a line holding one bare JSON value.
+
+    The scanner is called directly when the value starts the line and ends
+    it, or ends just before a final newline. Anything else (leading or
+    trailing whitespace, a BOM, extra data, no value at all) goes through
+    json.loads, so results and errors are json.loads's own.
+    """
+    try:
+        obj, end = _SCAN_ONCE(text, 0)
+    except StopIteration:
+        return json.loads(text)
+    n = len(text)
+    if end == n or (end == n - 1 and text[end] == "\n"):
+        return obj
+    return json.loads(text)

@@ -30,6 +30,7 @@ from piiprep.allocation import allocate_fractions, largest_remainder_allocate
 from piiprep.biospan import extract_span_tuples
 from piiprep.errors import ConfigError, RecordError
 from piiprep.ingest import ingest_record
+from piiprep.jsonl import decode_json_line, iter_lines
 from piiprep.labelspace import LabelSpace, load_taxonomy
 from piiprep.manifest import Manifest, write_manifest
 from piiprep.records import Record, check_utf8, parse_record_line, write_records
@@ -198,11 +199,10 @@ def sub_rng(seed: int, operation: str, name: str) -> random.Random:
 
 
 def _iter_source_lines(spec: SourceSpec) -> Iterable[tuple[int, str]]:
-    with spec.path.open("r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if line.strip():
-                yield lineno, line
+    for lineno, _, line in iter_lines(spec.path):
+        line = line.rstrip("\r\n")
+        if line.strip():
+            yield lineno, line
 
 
 def consolidate(
@@ -230,7 +230,7 @@ def consolidate(
                 else:
                     if spec.format == "xml-jsonl":
                         try:
-                            obj = json.loads(line)
+                            obj = decode_json_line(line)
                         except json.JSONDecodeError as e:
                             raise RecordError(
                                 f"{spec.path.name}:{lineno}: malformed JSON: {e.msg}"

@@ -14,6 +14,7 @@ from typing import Iterable, Iterator
 
 from piiprep._purespans import _CACHE_MAX
 from piiprep.errors import LabelError, RecordError
+from piiprep.jsonl import decode_json_line, iter_lines
 from piiprep.labelspace import parse_bio_label
 
 __all__ = [
@@ -94,7 +95,7 @@ def record_to_line(record: Record) -> str:
 def parse_record_line(line: str, lineno: int, path: str = "<stream>") -> Record:
     """Parse one JSONL line into a Record, with a location-tagged error."""
     try:
-        obj = json.loads(line)
+        obj = decode_json_line(line)
     except json.JSONDecodeError as e:
         if not line.strip():
             raise RecordError(f"{path}:{lineno}: blank line") from None
@@ -136,10 +137,9 @@ def check_utf8(rec: Record) -> None:
 
 def read_records(path: str | Path) -> Iterator[Record]:
     """Stream records out of a JSONL artifact; a blank line is an error."""
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            yield parse_record_line(line, lineno, path.name)
+    name = Path(path).name
+    for lineno, _, line in iter_lines(path):
+        yield parse_record_line(line, lineno, name)
 
 
 def write_records(path: str | Path, records: Iterable[Record]) -> int:

@@ -4,19 +4,24 @@ A predicted span counts as a true positive only when its token start, token
 end and entity type all match a gold span. Counters accumulate per type and
 merge associatively, so a corpus can be scored in chunks of any size with
 bit-identical results; memory stays bounded by the label space plus one
-chunk, independent of corpus length.
+chunk, independent of corpus length. Unordered scoring adds an index of
+prediction byte offsets, a few hundred bytes per record.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import stat
 from dataclasses import dataclass
 from itertools import islice
+from operator import itemgetter
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from piiprep.biospan import check_labels, extract_span_tuples
 from piiprep.errors import AlignmentError, LabelError, RecordError
+from piiprep.jsonl import decode_json_line, iter_lines
 from piiprep.labelspace import LabelSpace
 
 __all__ = [
@@ -239,7 +244,7 @@ class StreamResult:
 
 def _parse_scored_line(line: str, lineno: int, path: str) -> tuple[str, list[str]]:
     try:
-        obj = json.loads(line)
+        obj = decode_json_line(line)
     except json.JSONDecodeError as e:
         if not line.strip():
             raise RecordError(f"{path}:{lineno}: blank line") from None
@@ -267,15 +272,38 @@ def _raise_label_error(path: str, lineno: int, rid: str, labels: list) -> None:
         raise RecordError(f"{path}:{lineno}: record {rid}: {e}") from None
 
 
-def _line_of(path: Path, rid: str) -> int:
-    """Line number of the record with this id in a file already read in full."""
-    with path.open("r", encoding="utf-8") as f:
-        return next(n for n, line in enumerate(f, 1) if json.loads(line)["id"] == rid)
+def _line_at(fd: int, offset: int) -> int:
+    """Number of the line that starts at this byte offset of an open file."""
+    lineno, pos = 1, 0
+    while pos < offset:
+        block = os.pread(fd, min(1 << 20, offset - pos), pos)
+        if not block:
+            break
+        lineno += block.count(b"\n")
+        pos += len(block)
+    return lineno
 
 
-def _chunked_lines(f: IO[str], size: int) -> Iterable[list[str]]:
+def _read_back(fd: int, offset: int, length: int, rid: str, path: str) -> list:
+    """Labels of the prediction line indexed for rid at this offset.
+
+    The line was fully checked when it was indexed; one that no longer
+    decodes to the same id means the file changed between the two passes.
+    """
+    try:
+        got, labels = _parse_scored_line(os.pread(fd, length, offset).decode("utf-8"), 0, path)
+    except (UnicodeDecodeError, RecordError):
+        got = None
+    if got != rid:
+        raise RecordError(f"{path}:{_line_at(fd, offset)}: prediction file changed while scoring")
+    return labels
+
+
+def _chunked_lines(path: Path, size: int) -> Iterable[list[str]]:
+    """The text of a file's lines in blocks of at most size lines."""
+    lines = map(itemgetter(2), iter_lines(path))
     while True:
-        block = list(islice(f, size))
+        block = list(islice(lines, size))
         if not block:
             return
         yield block
@@ -292,43 +320,49 @@ def stream_score(
 
     By default the two files must list the same record ids in the same
     order; any divergence raises an alignment error naming the id. With
-    unordered=True the prediction file is indexed by id first (trading the
-    memory bound for alignment freedom). In both modes a blank line in
-    either file is an error, as in read_records.
+    unordered=True every prediction line is checked and indexed first as
+    id -> (byte offset, length), and read back from the file when its gold
+    record arrives: memory grows by the index (about 200 bytes per
+    prediction), not by the labels. In both modes a blank line in either
+    file is an error, as in read_records.
     """
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     gold_path = Path(gold_path)
     pred_path = Path(pred_path)
+    gname, pname = gold_path.name, pred_path.name
     counters = TypeCounters()
     records = 0
     chunks = 0
 
     if unordered:
-        index: dict[str, list[str]] = {}
-        with pred_path.open("r", encoding="utf-8") as pf:
-            for lineno, line in enumerate(pf, 1):
-                rid, labels = _parse_scored_line(line, lineno, pred_path.name)
-                if rid in index:
-                    raise RecordError(f"{pred_path.name}:{lineno}: duplicate prediction id {rid!r}")
-                index[rid] = labels
-        with gold_path.open("r", encoding="utf-8") as gf:
-            for block in _chunked_lines(gf, chunk_size):
+        index: dict[str, tuple[int, int]] = {}
+        for lineno, offset, line in iter_lines(pred_path):
+            rid, _ = _parse_scored_line(line, lineno, pname)
+            if rid in index:
+                raise RecordError(f"{pname}:{lineno}: duplicate prediction id {rid!r}")
+            index[rid] = (offset, len(line.encode("utf-8")))
+        # A pipe could be read once only; opening a named one again would hang.
+        if not stat.S_ISREG(os.stat(pred_path).st_mode):
+            raise RecordError(f"{pname}: unordered scoring reads predictions twice, "
+                              "so they must be in a regular file")
+        with pred_path.open("rb") as pf:
+            fd = pf.fileno()
+            for block in _chunked_lines(gold_path, chunk_size):
                 for line in block:
                     lineno = records + 1
-                    rid, gold_labels = _parse_scored_line(line, lineno, gold_path.name)
-                    if rid not in index:
+                    rid, gold_labels = _parse_scored_line(line, lineno, gname)
+                    loc = index.pop(rid, None)
+                    if loc is None:
                         raise AlignmentError(f"no prediction for gold record {rid!r}")
-                    pred_labels = index.pop(rid)
+                    pred_labels = _read_back(fd, *loc, rid, pname)
                     try:
                         counters.add_pair(gold_labels, pred_labels)
                     except AlignmentError as e:
                         raise AlignmentError(f"record {rid!r}: {e}") from None
                     except (LabelError, TypeError):
-                        _raise_label_error(gold_path.name, lineno, rid, gold_labels)
-                        _raise_label_error(
-                            pred_path.name, _line_of(pred_path, rid), rid, pred_labels
-                        )
+                        _raise_label_error(gname, lineno, rid, gold_labels)
+                        _raise_label_error(pname, _line_at(fd, loc[0]), rid, pred_labels)
                         raise
                     records += 1
                 chunks += 1
@@ -337,49 +371,43 @@ def stream_score(
             raise AlignmentError(f"prediction id {leftover!r} has no gold record")
         return StreamResult(counters, records, chunks)
 
-    with gold_path.open("r", encoding="utf-8") as gf, pred_path.open(
-        "r", encoding="utf-8"
-    ) as pf:
-        gold_blocks = _chunked_lines(gf, chunk_size)
-        pred_blocks = _chunked_lines(pf, chunk_size)
-        while True:
-            gblock = next(gold_blocks, [])
-            pblock = next(pred_blocks, [])
-            if not gblock and not pblock:
-                break
-            before = records
-            for gline, pline in zip(gblock, pblock):
-                lineno = records + 1
-                gid, gold_labels = _parse_scored_line(gline, lineno, gold_path.name)
-                pid, pred_labels = _parse_scored_line(pline, lineno, pred_path.name)
-                if gid != pid:
-                    raise AlignmentError(
-                        f"record order mismatch at line {lineno}: gold id {gid!r} "
-                        f"vs prediction id {pid!r}"
-                    )
-                try:
-                    counters.add_pair(gold_labels, pred_labels)
-                except AlignmentError as e:
-                    raise AlignmentError(f"record {gid!r}: {e}") from None
-                except (LabelError, TypeError):
-                    _raise_label_error(gold_path.name, lineno, gid, gold_labels)
-                    _raise_label_error(pred_path.name, lineno, gid, pred_labels)
-                    raise
-                records += 1
-            if len(gblock) != len(pblock):
-                # The longer file's extra lines: a blank one is reported as
-                # such (a trailing empty line, say), not as a count mismatch.
-                name, extra = (
-                    (gold_path.name, gblock) if len(gblock) > len(pblock)
-                    else (pred_path.name, pblock)
-                )
-                for lineno, line in enumerate(extra[records - before:], records + 1):
-                    if not line.strip():
-                        raise RecordError(f"{name}:{lineno}: blank line")
+    gold_blocks = _chunked_lines(gold_path, chunk_size)
+    pred_blocks = _chunked_lines(pred_path, chunk_size)
+    while True:
+        gblock = next(gold_blocks, [])
+        pblock = next(pred_blocks, [])
+        if not gblock and not pblock:
+            break
+        before = records
+        for gline, pline in zip(gblock, pblock):
+            lineno = records + 1
+            gid, gold_labels = _parse_scored_line(gline, lineno, gname)
+            pid, pred_labels = _parse_scored_line(pline, lineno, pname)
+            if gid != pid:
                 raise AlignmentError(
-                    f"record count mismatch: {gold_path.name} has at least "
-                    f"{before + len(gblock)} records, {pred_path.name} has at least "
-                    f"{before + len(pblock)}"
+                    f"record order mismatch at line {lineno}: gold id {gid!r} "
+                    f"vs prediction id {pid!r}"
                 )
-            chunks += 1
+            try:
+                counters.add_pair(gold_labels, pred_labels)
+            except AlignmentError as e:
+                raise AlignmentError(f"record {gid!r}: {e}") from None
+            except (LabelError, TypeError):
+                _raise_label_error(gname, lineno, gid, gold_labels)
+                _raise_label_error(pname, lineno, gid, pred_labels)
+                raise
+            records += 1
+        if len(gblock) != len(pblock):
+            # The longer file's extra lines: a blank one is reported as
+            # such (a trailing empty line, say), not as a count mismatch.
+            name, extra = (gname, gblock) if len(gblock) > len(pblock) else (pname, pblock)
+            for lineno, line in enumerate(extra[records - before:], records + 1):
+                if not line.strip():
+                    raise RecordError(f"{name}:{lineno}: blank line")
+            raise AlignmentError(
+                f"record count mismatch: {gname} has at least "
+                f"{before + len(gblock)} records, {pname} has at least "
+                f"{before + len(pblock)}"
+            )
+        chunks += 1
     return StreamResult(counters, records, chunks)

@@ -14,6 +14,13 @@ def runner():
     return CliRunner()
 
 
+def break_line_2(path: Path) -> None:
+    """Put a byte that is not UTF-8 at the start of the file's second line."""
+    lines = path.read_bytes().split(b"\n")
+    lines[1] = b"\xff" + lines[1]
+    path.write_bytes(b"\n".join(lines))
+
+
 def write_artifact(path: Path, rows) -> None:
     write_records(path, [
         Record(id=rid, tokens=["t"] * len(labels), labels=labels, source=src)
@@ -140,6 +147,33 @@ class TestPrepare:
         assert result.output == f"Error: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "fmt, good",
+        [
+            ("jsonl", '{"id":"r0","tokens":["x"],"labels":["B-NAME"],"source":"a"}'),
+            ("xml", "Call <PHONE>12</PHONE> now"),
+            ("xml-jsonl", '{"text":"Call <PHONE>12</PHONE> now"}'),
+        ],
+        ids=["jsonl", "xml", "xml-jsonl"],
+    )
+    def test_invalid_utf8_is_data_error(self, runner, tmp_path, fmt, good):
+        src = tmp_path / "a.src"
+        src.write_text(f"{good}\n{good}\n{good}\n", encoding="utf-8")
+        break_line_2(src)
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(
+            "sources:\n"
+            "  - name: a\n"
+            "    path: a.src\n"
+            f"    format: {fmt}\n"
+            "rare_label_threshold: 0\n",
+            encoding="utf-8",
+        )
+        result = runner.invoke(main, ["prepare", "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert result.output == "Error: a.src:2: not valid UTF-8\n"
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_is_io_error(self, runner, tmp_path):
         result = runner.invoke(main, ["prepare", "--config", str(tmp_path / "nope.yaml")])
         assert result.exit_code == 3
@@ -174,6 +208,16 @@ class TestSample:
             "--out", str(tmp_path / "x.jsonl"),
         ])
         assert result.exit_code == 2
+
+    def test_invalid_utf8_is_data_error(self, runner, artifact, tmp_path):
+        break_line_2(artifact)
+        result = runner.invoke(main, [
+            "sample", "--input", str(artifact), "--n", "5",
+            "--out", str(tmp_path / "x.jsonl"),
+        ])
+        assert result.exit_code == 1
+        assert result.output == "Error: art.jsonl:2: not valid UTF-8\n"
+        assert not (tmp_path / "x.jsonl").exists()
 
     def test_oversized_n_is_data_error(self, runner, artifact, tmp_path):
         result = runner.invoke(main, [
@@ -214,6 +258,14 @@ class TestValidate:
         assert result.output == (
             "Error: art.jsonl:2: record r1: entity type 'WIDGET' not in taxonomy\n"
         )
+
+    def test_invalid_utf8_is_data_error(self, runner, tmp_path):
+        p = tmp_path / "art.jsonl"
+        write_artifact(p, [("r0", ["B-NAME"], "a"), ("r1", ["O"], "a"), ("r2", ["O"], "a")])
+        break_line_2(p)
+        result = runner.invoke(main, ["validate", "--input", str(p)])
+        assert result.exit_code == 1
+        assert result.output == "Error: art.jsonl:2: not valid UTF-8\n"
 
     def test_custom_taxonomy_accepts_its_types(self, runner, tmp_path):
         p = tmp_path / "art.jsonl"
@@ -343,6 +395,35 @@ class TestScore:
         result = runner.invoke(main, ["score", "--gold", str(p), "--pred", str(g), *mode])
         assert result.exit_code == 1
         assert result.output == "Error: p.jsonl:9: blank line\n"
+
+    @pytest.mark.parametrize("mode", [[], ["--unordered"]], ids=["ordered", "unordered"])
+    @pytest.mark.parametrize("which", ["g", "p"])
+    def test_invalid_utf8_is_data_error(self, runner, pair, mode, which):
+        g, p = pair
+        break_line_2(g if which == "g" else p)
+        result = runner.invoke(main, ["score", "--gold", str(g), "--pred", str(p), *mode])
+        assert result.exit_code == 1
+        assert result.output == f"Error: {which}.jsonl:2: not valid UTF-8\n"
+
+    def test_csv_groups_from_custom_taxonomy(self, runner, tmp_path):
+        g, p = tmp_path / "g.jsonl", tmp_path / "p.jsonl"
+        write_artifact(g, [("r0", ["B-WIDGET", "O", "B-NAME"], "s")])
+        p.write_text('{"id": "r0", "labels": ["B-WIDGET", "O", "O"]}\n', encoding="utf-8")
+        tax = tmp_path / "tax.tsv"
+        # NAME is in the canonical taxonomy too, under another group.
+        tax.write_text("WIDGET\tNETWORK\nNAME\tMISC\n", encoding="utf-8")
+        csv_out = tmp_path / "report.csv"
+        result = runner.invoke(main, [
+            "score", "--gold", str(g), "--pred", str(p),
+            "--out", str(tmp_path / "report.json"),
+            "--csv", str(csv_out), "--taxonomy", str(tax),
+        ])
+        assert result.exit_code == 0, result.output
+        assert csv_out.read_text(encoding="utf-8") == (
+            "type,group,support,precision,recall,f1\n"
+            "NAME,MISC,1,0.000000,0.000000,0.000000\n"
+            "WIDGET,NETWORK,1,1.000000,1.000000,1.000000\n"
+        )
 
     def test_missing_pred_file_is_io_error(self, runner, pair, tmp_path):
         g, _ = pair

@@ -379,6 +379,26 @@ class TestConsolidate:
         records, _ = consolidate(cfg, canonical_space())
         assert records[0].labels == ["O", "B-PHONE"]
 
+    @pytest.mark.parametrize(
+        "fmt, lines",
+        [
+            ("jsonl", ['{"id":"r1","tokens":["x","y"],"labels":["B-NAME","O"],"source":"s"}']),
+            ("xml", ["Call <PHONE>123</PHONE>", "", "  <NAME>Ana</NAME> rang  "]),
+            ("xml-jsonl", ['{"text":"Ring <PHONE>42</PHONE>"}', '{"text":"<NAME>Bo</NAME>"}']),
+        ],
+        ids=["jsonl", "xml", "xml-jsonl"],
+    )
+    def test_crlf_source_reads_like_lf(self, tmp_path, fmt, lines):
+        read = {}
+        for ending in ("\n", "\r\n"):
+            p = tmp_path / f"{len(ending)}.src"
+            p.write_bytes("".join(line + ending for line in lines).encode("utf-8"))
+            cfg = self.make_config(tmp_path, sources=[SourceSpec("s", p, fmt)])
+            records, report = consolidate(cfg, canonical_space())
+            read[ending] = [vars(r) for r in records], report
+        assert read["\r\n"] == read["\n"]
+        assert read["\n"][0]
+
     def test_on_error_fail_raises(self, tmp_path):
         p = tmp_path / "bad.jsonl"
         p.write_text("not json\n", encoding="utf-8")

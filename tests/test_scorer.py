@@ -1,5 +1,7 @@
 import json
+import os
 import random
+import tracemalloc
 from collections import UserList
 from pathlib import Path
 
@@ -409,3 +411,104 @@ class TestAddPair:
         assert expected.counts == {"A": [1, 1, 1], "B": [0, 1, 1]}
         assert score_pair(tuple(gold), tuple(pred)) == expected
         assert score_pair(UserList(gold), pred) == expected
+
+
+class TestUnorderedReadBack:
+    """--unordered indexes prediction offsets and reads each line back."""
+
+    GOLD = [(f"r{i}", ["B-A", "O"]) for i in range(4)]
+    # r0 is read back from line 2 and r1 from line 3.
+    PRED = [GOLD[3], GOLD[0], GOLD[1], GOLD[2]]
+
+    @staticmethod
+    def truncate_in_line_3(p: Path) -> None:
+        data = p.read_bytes()
+        cut = data.index(b"\n", data.index(b"\n") + 1) + 5
+        p.write_bytes(data[:cut])
+
+    @staticmethod
+    def rewrite_id_in_line_3(p: Path) -> None:
+        p.write_bytes(p.read_bytes().replace(b'"r1"', b'"r9"'))
+
+    @staticmethod
+    def garble_line_3(p: Path) -> None:
+        p.write_bytes(p.read_bytes().replace(b'"r1"', b'"r\xff"'))
+
+    @pytest.mark.parametrize(
+        "change", ["truncate_in_line_3", "rewrite_id_in_line_3", "garble_line_3"]
+    )
+    def test_file_changed_while_scoring(self, tmp_path, monkeypatch, change):
+        g, p = tmp_path / "g.jsonl", tmp_path / "p.jsonl"
+        write_scored(g, self.GOLD)
+        write_scored(p, self.PRED)
+        real_add_pair = TypeCounters.add_pair
+        pairs = []
+
+        def add_pair(counters, gold_labels, pred_labels):
+            if not pairs:
+                getattr(self, change)(p)
+            pairs.append(gold_labels)
+            real_add_pair(counters, gold_labels, pred_labels)
+
+        monkeypatch.setattr(TypeCounters, "add_pair", add_pair)
+        with pytest.raises(RecordError) as info:
+            stream_score(g, p, unordered=True)
+        assert str(info.value) == "p.jsonl:3: prediction file changed while scoring"
+        assert len(pairs) == 1
+
+    def test_predictions_from_a_pipe_rejected(self, tmp_path):
+        g = tmp_path / "g.jsonl"
+        write_scored(g, self.GOLD)
+        r, w = os.pipe()
+        try:
+            os.write(w, "".join(json.dumps({"id": i, "labels": l}) + "\n"
+                                for i, l in self.PRED).encode("utf-8"))
+            os.close(w)
+            with pytest.raises(RecordError) as info:
+                stream_score(g, f"/dev/fd/{r}", unordered=True)
+            assert str(info.value) == (
+                f"{r}: unordered scoring reads predictions twice, so they must be in a regular file"
+            )
+            assert stream_score(g, g, unordered=True).records == len(self.GOLD)
+        finally:
+            os.close(r)
+
+    def test_bad_label_line_found_from_the_offset(self, tmp_path):
+        g, p = tmp_path / "g.jsonl", tmp_path / "p.jsonl"
+        write_scored(g, self.GOLD)
+        pred = [(rid, ["B-A", "O"] if rid != "r2" else ["B-A", "I-"]) for rid, _ in self.PRED]
+        write_scored(p, pred)
+        with pytest.raises(RecordError) as info:
+            stream_score(g, p, unordered=True)
+        assert str(info.value) == "p.jsonl:4: record r2: malformed BIO label at position 1: 'I-'"
+
+
+def test_unordered_memory_per_record(tmp_path):
+    """--unordered holds an index entry per prediction, not its labels.
+
+    50,000 shuffled predictions of 40 labels each: the traced peak stays at
+    or under 400 bytes per record (about 275 here), where keeping every
+    decoded label list costs about 1,800.
+    """
+    n, width, per_record = 50_000, 40, 400
+    rng = random.Random(12)
+    pool = [random_bio_labels(rng, TYPES, width) for _ in range(500)]
+    gold = [(f"r{i:06d}", rng.choice(pool)) for i in range(n)]
+    pred = [(rid, labels if rng.random() < 0.7 else rng.choice(pool)) for rid, labels in gold]
+    g, p, ps = tmp_path / "g.jsonl", tmp_path / "p.jsonl", tmp_path / "ps.jsonl"
+    write_scored(g, gold)
+    write_scored(p, pred)
+    rng.shuffle(pred)
+    write_scored(ps, pred)
+    del gold, pred, pool
+
+    ordered = stream_score(g, p)
+    tracemalloc.start()
+    try:
+        unordered = stream_score(g, ps, unordered=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert unordered.records == n
+    assert unordered.counters == ordered.counters
+    assert peak <= per_record * n, f"peak {peak} bytes is {peak / n:.0f} bytes per record"
