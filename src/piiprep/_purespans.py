@@ -1,7 +1,7 @@
 """Pure-Python span kernels.
 
-Twin of the compiled module _speedups; biospan picks one of the two at import
-time. Any semantic change here must be mirrored there.
+Twin of the compiled module _speedups; biospan uses this one when _speedups
+cannot be imported. Any semantic change here must be mirrored there.
 
 Span semantics: a span is a maximal half-open token interval of one entity
 type. B-X always opens a new span. I-X continues a running span of the same

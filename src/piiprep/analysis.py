@@ -10,11 +10,13 @@ magnitude but keeps the sign, so a reader can always tell who won.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from piiprep.errors import AnalysisError
+from piiprep.jsonl import read_text
 
 __all__ = [
     "EntityRow",
@@ -53,6 +55,11 @@ class EntityRow:
             raise AnalysisError(f"row {self.entity}: no F1 column for system {system!r}") from None
 
 
+def _csv_rows(path: Path) -> csv.DictReader:
+    """A CSV file's rows, with newlines read as a file opened with newline=""."""
+    return csv.DictReader(io.StringIO(read_text(path), newline=""))
+
+
 def load_entity_rows(path: str | Path) -> list[EntityRow]:
     """Read an entity,group,support,f1_<system>... CSV into rows.
 
@@ -60,31 +67,30 @@ def load_entity_rows(path: str | Path) -> list[EntityRow]:
     deltas behave identically however many digits the file carries.
     """
     path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames is None:
-            raise AnalysisError(f"{path.name}: empty file")
-        systems = [c[3:] for c in reader.fieldnames if c.startswith("f1_")]
-        required = {"entity", "group", "support"}
-        if not required <= set(reader.fieldnames) or not systems:
-            raise AnalysisError(
-                f"{path.name}: need columns entity,group,support and at least one f1_<system>"
-            )
-        rows: list[EntityRow] = []
-        seen: set[str] = set()
-        for i, rec in enumerate(reader, 2):
-            entity = rec["entity"].strip()
-            if entity in seen:
-                raise AnalysisError(f"{path.name}:{i}: duplicate entity {entity!r}")
-            seen.add(entity)
-            try:
-                support = int(rec["support"])
-                f1 = {s: round(float(rec[f"f1_{s}"]), _F1_PRECISION) for s in systems}
-            except ValueError as e:
-                raise AnalysisError(f"{path.name}:{i}: {e}") from None
-            if support < 0:
-                raise AnalysisError(f"{path.name}:{i}: negative support")
-            rows.append(EntityRow(entity=entity, group=rec["group"].strip(), support=support, f1=f1))
+    reader = _csv_rows(path)
+    if reader.fieldnames is None:
+        raise AnalysisError(f"{path.name}: empty file")
+    systems = [c[3:] for c in reader.fieldnames if c.startswith("f1_")]
+    required = {"entity", "group", "support"}
+    if not required <= set(reader.fieldnames) or not systems:
+        raise AnalysisError(
+            f"{path.name}: need columns entity,group,support and at least one f1_<system>"
+        )
+    rows: list[EntityRow] = []
+    seen: set[str] = set()
+    for i, rec in enumerate(reader, 2):
+        entity = rec["entity"].strip()
+        if entity in seen:
+            raise AnalysisError(f"{path.name}:{i}: duplicate entity {entity!r}")
+        seen.add(entity)
+        try:
+            support = int(rec["support"])
+            f1 = {s: round(float(rec[f"f1_{s}"]), _F1_PRECISION) for s in systems}
+        except ValueError as e:
+            raise AnalysisError(f"{path.name}:{i}: {e}") from None
+        if support < 0:
+            raise AnalysisError(f"{path.name}:{i}: negative support")
+        rows.append(EntityRow(entity=entity, group=rec["group"].strip(), support=support, f1=f1))
     if not rows:
         raise AnalysisError(f"{path.name}: no data rows")
     return rows
@@ -363,24 +369,23 @@ def load_system_table(path: str | Path) -> list[SystemEntry]:
     """Read a system,category,f1,precision,recall CSV."""
     path = Path(path)
     out: list[SystemEntry] = []
-    with path.open("r", encoding="utf-8", newline="") as f:
-        reader = csv.DictReader(f)
-        need = {"system", "category", "f1", "precision", "recall"}
-        if reader.fieldnames is None or not need <= set(reader.fieldnames):
-            raise AnalysisError(f"{path.name}: need columns {sorted(need)}")
-        for i, rec in enumerate(reader, 2):
-            try:
-                out.append(
-                    SystemEntry(
-                        system=rec["system"].strip(),
-                        category=rec["category"].strip(),
-                        f1=float(rec["f1"]),
-                        precision=float(rec["precision"]),
-                        recall=float(rec["recall"]),
-                    )
+    reader = _csv_rows(path)
+    need = {"system", "category", "f1", "precision", "recall"}
+    if reader.fieldnames is None or not need <= set(reader.fieldnames):
+        raise AnalysisError(f"{path.name}: need columns {sorted(need)}")
+    for i, rec in enumerate(reader, 2):
+        try:
+            out.append(
+                SystemEntry(
+                    system=rec["system"].strip(),
+                    category=rec["category"].strip(),
+                    f1=float(rec["f1"]),
+                    precision=float(rec["precision"]),
+                    recall=float(rec["recall"]),
                 )
-            except ValueError as e:
-                raise AnalysisError(f"{path.name}:{i}: {e}") from None
+            )
+        except ValueError as e:
+            raise AnalysisError(f"{path.name}:{i}: {e}") from None
     if not out:
         raise AnalysisError(f"{path.name}: no data rows")
     return out

@@ -2,9 +2,9 @@
 
 The hot loops (span extraction, orphan counting) live in a small kernel that
 exists twice: compiled (_speedups, Cython) and pure Python (_purespans). The
-compiled one is preferred when importable; set PIIPREP_PURE_PYTHON=1 to force
-the fallback. Both twins implement the same semantics, documented in
-_purespans and summarised here:
+compiled one is used when it can be imported, the pure one otherwise. Both
+twins implement the same semantics, documented in _purespans and summarised
+here:
 
 - B-X opens a new span at its token.
 - I-X continues a running span of type X. An orphan I-X (at sequence start,
@@ -19,19 +19,15 @@ whichever kernel is active; callers use it when a kernel has raised.
 
 from __future__ import annotations
 
-import os
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from piiprep._purespans import check_labels
 from piiprep.labelspace import LabelSpace, parse_bio_label
 
-if os.environ.get("PIIPREP_PURE_PYTHON"):
-    from piiprep import _purespans as _kernel
-else:
-    try:
-        from piiprep import _speedups as _kernel  # type: ignore[no-redef]
-    except ImportError:
-        from piiprep import _purespans as _kernel  # type: ignore[no-redef]
+try:
+    from piiprep import _speedups as _kernel
+except ImportError:
+    from piiprep import _purespans as _kernel  # type: ignore[no-redef]
 
 __all__ = [
     "Span",
@@ -39,7 +35,6 @@ __all__ = [
     "extract_span_tuples",
     "count_orphan_continuations",
     "check_labels",
-    "count_orphans_in_corpus",
     "normalize_bio",
     "project_to_coarse",
     "active_kernel",
@@ -71,11 +66,6 @@ def extract_spans(labels: Sequence[str]) -> list[Span]:
     [Span(start=0, end=1, entity='A'), Span(start=1, end=3, entity='B')]
     """
     return [Span(*t) for t in extract_span_tuples(list(labels))]
-
-
-def count_orphans_in_corpus(sequences: Iterable[Sequence[str]]) -> int:
-    """Total orphan continuations across many sequences."""
-    return sum(count_orphan_continuations(list(seq)) for seq in sequences)
 
 
 def normalize_bio(labels: Sequence[str]) -> list[str]:

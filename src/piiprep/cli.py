@@ -24,7 +24,8 @@ from piiprep.analysis import (
     SystemEntry,
 )
 from piiprep.biospan import count_orphan_continuations, extract_span_tuples
-from piiprep.errors import RecordError, ToolkitError
+from piiprep.errors import AnalysisError, RecordError, ToolkitError
+from piiprep.jsonl import read_text
 from piiprep.labelspace import load_taxonomy
 from piiprep.manifest import sha256_file, write_manifest
 from piiprep.pipeline import PipelineConfig, run_prepare, sample_subset
@@ -199,6 +200,26 @@ def score(
         Path(csv_path).write_text(report.to_csv(space), encoding="utf-8")
 
 
+def _read_report(path: Path) -> MetricsReport:
+    """A score report written by `piiprep score`, or a located data error."""
+    try:
+        obj = json.loads(read_text(path))
+    except json.JSONDecodeError as e:
+        raise AnalysisError(f"{path.name}:{e.lineno}: malformed JSON: {e.msg}") from None
+    if not isinstance(obj, dict):
+        raise AnalysisError(f"{path.name}: a score report must be a JSON object")
+    try:
+        report = MetricsReport.from_dict(obj)
+    except KeyError as e:
+        raise AnalysisError(f"{path.name}: score report has no {e.args[0]!r}") from None
+    except (AttributeError, TypeError):
+        raise AnalysisError(f"{path.name}: malformed score report") from None
+    micro = (report.micro_precision, report.micro_recall, report.micro_f1)
+    if not all(type(v) in (int, float) for v in micro):
+        raise AnalysisError(f"{path.name}: micro scores must be numbers")
+    return report
+
+
 @main.command()
 @click.option("--table", "table_path", default=None,
               help="CSV of systems (system,category,f1,precision,recall).")
@@ -214,7 +235,7 @@ def compare(table_path: str | None, report_paths: tuple[str, ...], fmt: str, out
     if table_path:
         entries.extend(load_system_table(table_path))
     for rp in report_paths:
-        report = MetricsReport.from_dict(json.loads(Path(rp).read_text(encoding="utf-8")))
+        report = _read_report(Path(rp))
         entries.append(
             SystemEntry(
                 system=report.system or Path(rp).stem,

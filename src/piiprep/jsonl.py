@@ -2,8 +2,10 @@
 
 Artifacts, gold and prediction files and prepare's sources are all read
 through iter_lines, and their JSON lines decoded through decode_json_line.
-The module is kept apart from records so that importing the scorer does not
-build the Record dataclass.
+Files parsed whole (a config, a taxonomy, a results table, a score report)
+are read through it too, so a byte that is not UTF-8 is reported the same
+way everywhere. The module is kept apart from records so that importing the
+scorer does not build the Record dataclass.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Iterator
 
 from piiprep.errors import RecordError
 
-__all__ = ["iter_lines", "decode_json_line"]
+__all__ = ["iter_lines", "read_text", "decode_json_line"]
 
 _SCAN_ONCE = json.JSONDecoder().scan_once
 
@@ -37,6 +39,11 @@ def iter_lines(path: str | Path) -> Iterator[tuple[int, int, str]]:
                 raise RecordError(f"{path.name}:{lineno}: not valid UTF-8") from None
             yield lineno, offset, text
             offset += len(raw)
+
+
+def read_text(path: str | Path) -> str:
+    """The whole text of a file, decoded line by line through iter_lines."""
+    return "".join(text for _, _, text in iter_lines(path))
 
 
 def decode_json_line(text: str):

@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
 from piiprep.errors import LabelError, TaxonomyError
+from piiprep.jsonl import iter_lines
 
 __all__ = [
     "CANONICAL_GROUPS",
@@ -24,7 +25,6 @@ __all__ = [
     "LabelSpace",
     "build_label_space",
     "parse_bio_label",
-    "format_bio_label",
     "load_taxonomy",
 ]
 
@@ -66,15 +66,6 @@ def parse_bio_label(text: str) -> BioLabel:
     raise LabelError(f"malformed BIO label: {text!r}")
 
 
-def format_bio_label(label: BioLabel) -> str:
-    """Inverse of parse_bio_label for well-formed labels."""
-    if label.prefix == "O":
-        return "O"
-    if label.prefix in ("B", "I") and label.entity:
-        return f"{label.prefix}-{label.entity}"
-    raise LabelError(f"cannot format BIO label: {label!r}")
-
-
 @dataclass(frozen=True)
 class LabelSpace:
     """Immutable fine/coarse label inventory for one taxonomy."""
@@ -107,14 +98,6 @@ class LabelSpace:
 
     def __contains__(self, entity_type: str) -> bool:
         return entity_type in self.coarse_map
-
-    @property
-    def fine_index(self) -> dict[str, int]:
-        return {lab: i for i, lab in enumerate(self.fine_labels)}
-
-    @property
-    def coarse_index(self) -> dict[str, int]:
-        return {lab: i for i, lab in enumerate(self.coarse_labels)}
 
 
 def build_label_space(types: Iterable[str], coarse_map: Mapping[str, str]) -> LabelSpace:
@@ -156,7 +139,8 @@ def load_taxonomy(path: str | Path) -> LabelSpace:
     types: list[str] = []
     coarse_map: dict[str, str] = {}
     path = Path(path)
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, _, raw in iter_lines(path):
+        raw = raw.rstrip("\r\n")
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -55,10 +55,6 @@ class Manifest:
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "Manifest":
-        return cls(**json.loads(text))
-
 
 def build_manifest(
     artifact_path: str | Path,

@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from piiprep.errors import LabelError
 
 __all__ = ["LossWeights", "token_weight", "weighted_cross_entropy", "combined_loss"]
@@ -40,8 +38,22 @@ def token_weight(label: str, weights: LossWeights = LossWeights()) -> float:
     return weights.outside if label == "O" else weights.entity
 
 
+def _shape(x: object) -> tuple[int, ...]:
+    """Shape of a nested sequence, read down its first entries."""
+    dims: list[int] = []
+    while not isinstance(x, str):
+        try:
+            dims.append(len(x))
+        except TypeError:
+            break
+        if not dims[-1]:
+            break
+        x = x[0]
+    return tuple(dims)
+
+
 def weighted_cross_entropy(
-    distributions: Sequence[Sequence[float]] | np.ndarray,
+    distributions: Sequence[Sequence[float]],
     gold_labels: Sequence[str],
     vocabulary: Sequence[str],
     weights: LossWeights = LossWeights(),
@@ -51,36 +63,43 @@ def weighted_cross_entropy(
     """Mean weighted negative log-likelihood of the gold labels.
 
     distributions is one probability vector per token over the vocabulary
-    (any label order, as long as it matches the vectors). Rows must be
-    non-negative and sum to 1. An empty sequence scores 0.
+    (any label order, as long as it matches the vectors), as nested
+    sequences or a 2-D numpy array. Rows must be non-negative and sum to 1.
+    An empty sequence scores 0.
     """
-    probs = np.asarray(distributions, dtype=np.float64)
     n = len(gold_labels)
-    if n == 0 and probs.size == 0:
+    try:
+        probs = [[float(p) for p in row] for row in distributions]
+    except TypeError:  # not two levels deep: a row is a number or holds rows
+        probs = None
+    if n == 0 and probs is not None and not any(probs):
         return 0.0
-    if probs.ndim != 2 or probs.shape[0] != n:
+    if probs is None or len(probs) != n:
         raise ValueError(
-            f"expected {n} distributions, got array of shape {probs.shape}"
+            f"expected {n} distributions, got array of shape {_shape(distributions)}"
         )
-    if probs.shape[1] != len(vocabulary):
-        raise ValueError(
-            f"distribution width {probs.shape[1]} does not match "
-            f"vocabulary size {len(vocabulary)}"
-        )
-    if np.any(probs < 0):
+    for row in probs:
+        if len(row) != len(vocabulary):
+            raise ValueError(
+                f"distribution width {len(row)} does not match "
+                f"vocabulary size {len(vocabulary)}"
+            )
+    if any(p < 0 for row in probs for p in row):
         raise ValueError("distributions must be non-negative")
-    sums = probs.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > 1e-6):
-        worst = int(np.argmax(np.abs(sums - 1.0)))
+    sums = [sum(row) for row in probs]
+    off = [abs(t - 1.0) for t in sums]
+    if any(d > 1e-6 for d in off):
+        worst = off.index(max(off))
         raise ValueError(f"distribution {worst} sums to {sums[worst]!r}, expected 1")
     index = {lab: i for i, lab in enumerate(vocabulary)}
     try:
         cols = [index[lab] for lab in gold_labels]
     except KeyError as e:
         raise LabelError(f"gold label {e.args[0]!r} not in vocabulary") from None
-    picked = np.maximum(probs[np.arange(n), cols], floor)
-    w = np.array([token_weight(lab, weights) for lab in gold_labels])
-    return float(np.mean(w * -np.log(picked)))
+    return sum(
+        token_weight(lab, weights) * -math.log(max(row[col], floor))
+        for lab, row, col in zip(gold_labels, probs, cols)
+    ) / n
 
 
 def combined_loss(fine_loss: float, coarse_loss: float, coarse_weight: float = 0.3) -> float:

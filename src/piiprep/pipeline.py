@@ -30,7 +30,7 @@ from piiprep.allocation import allocate_fractions, largest_remainder_allocate
 from piiprep.biospan import extract_span_tuples
 from piiprep.errors import ConfigError, RecordError
 from piiprep.ingest import ingest_record
-from piiprep.jsonl import decode_json_line, iter_lines
+from piiprep.jsonl import decode_json_line, iter_lines, read_text
 from piiprep.labelspace import LabelSpace, load_taxonomy
 from piiprep.manifest import Manifest, write_manifest
 from piiprep.records import Record, check_utf8, parse_record_line, write_records
@@ -84,7 +84,7 @@ class PipelineConfig:
     def from_file(cls, path: str | Path) -> "PipelineConfig":
         path = Path(path)
         try:
-            data = yaml.safe_load(path.read_text(encoding="utf-8"))
+            data = yaml.safe_load(read_text(path))
         except yaml.YAMLError as e:
             raise ConfigError(f"{path.name}: not valid YAML: {e}") from None
         if not isinstance(data, dict):

@@ -1,10 +1,10 @@
 """Streaming span-level exact-match scoring.
 
 A predicted span counts as a true positive only when its token start, token
-end and entity type all match a gold span. Counters accumulate per type and
-merge associatively, so a corpus can be scored in chunks of any size with
-bit-identical results; memory stays bounded by the label space plus one
-chunk, independent of corpus length. Unordered scoring adds an index of
+end and entity type all match a gold span. Counters are integer sums per
+type, so a corpus scored in chunks of any size gives bit-identical results;
+memory stays bounded by the label space plus one chunk, independent of
+corpus length. Unordered scoring adds an index of
 prediction byte offsets, a few hundred bytes per record.
 """
 
@@ -29,10 +29,8 @@ __all__ = [
     "TypeMetrics",
     "MetricsReport",
     "StreamResult",
-    "score_pair",
     "stream_score",
     "finalize",
-    "merge",
 ]
 
 
@@ -75,13 +73,6 @@ class TypeCounters:
             if span in gold_set:
                 b[0] += 1
 
-    def merge_in(self, other: "TypeCounters") -> None:
-        for typ, (tp, pred, gold) in other.counts.items():
-            b = self.counts.setdefault(typ, [0, 0, 0])
-            b[0] += tp
-            b[1] += pred
-            b[2] += gold
-
     def total(self) -> tuple[int, int, int]:
         tp = sum(b[0] for b in self.counts.values())
         pred = sum(b[1] for b in self.counts.values())
@@ -95,21 +86,6 @@ class TypeCounters:
 
     def __repr__(self) -> str:
         return f"TypeCounters({self.counts!r})"
-
-
-def score_pair(gold_labels: Sequence[str], pred_labels: Sequence[str]) -> TypeCounters:
-    """Counters for a single aligned gold/prediction pair."""
-    c = TypeCounters()
-    c.add_pair(gold_labels, pred_labels)
-    return c
-
-
-def merge(a: TypeCounters, b: TypeCounters) -> TypeCounters:
-    """Commutative, associative counter merge; inputs are left untouched."""
-    out = TypeCounters()
-    out.merge_in(a)
-    out.merge_in(b)
-    return out
 
 
 def _prf(tp: int, pred: int, gold: int) -> tuple[float, float, float]:

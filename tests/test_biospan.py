@@ -21,7 +21,6 @@ from piiprep import _purespans, biospan
 from piiprep.biospan import (
     Span,
     check_labels,
-    count_orphans_in_corpus,
     extract_spans,
     normalize_bio,
     project_to_coarse,
@@ -183,26 +182,19 @@ def test_both_kernels_ship(speedups_build, request):
 @needs_c_build
 def test_pure_python_override(speedups_build):
     # The child imports the sources under test with the session-built
-    # extension beside them, so both kernels are available to choose from.
+    # extension beside them: biospan must pick the compiled kernel.
     code = (
         "import sys, piiprep; piiprep.__path__.insert(0, sys.argv[1]); "
         "from piiprep.biospan import active_kernel; print(active_kernel())"
     )
-    env = {k: v for k, v in os.environ.items() if k != "PIIPREP_PURE_PYTHON"}
-    env["PYTHONPATH"] = str(Path(piiprep.__file__).resolve().parent.parent)
-
-    def child_kernel(**extra: str) -> str:
-        out = subprocess.run(
-            [sys.executable, "-c", code, str(speedups_build / "piiprep")],
-            env={**env, **extra},
-            capture_output=True,
-            text=True,
-        )
-        assert out.returncode == 0, out.stderr
-        return out.stdout.strip()
-
-    assert child_kernel() == "cython"
-    assert child_kernel(PIIPREP_PURE_PYTHON="1") == "python"
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(speedups_build / "piiprep")],
+        env={**os.environ, "PYTHONPATH": str(Path(piiprep.__file__).resolve().parent.parent)},
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "cython"
 
 
 class TestWrappers:
@@ -210,9 +202,6 @@ class TestWrappers:
         spans = extract_spans(["B-NAME", "I-NAME"])
         assert spans == [Span(0, 2, "NAME")]
         assert spans[0].entity == "NAME"
-
-    def test_count_orphans_in_corpus(self):
-        assert count_orphans_in_corpus([["I-A", "O", "I-A"], ["B-A", "I-B"]]) == 3
 
 
 class TestNormalizeBio:

@@ -5,7 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from piiprep.cli import main
-from piiprep.fixtures import system_results_path, entity_results_path
+from piiprep.fixtures import entity_results_path, system_results_path, taxonomy_path
 from piiprep.records import Record, write_records
 
 
@@ -499,6 +499,49 @@ class TestAnalyze:
             "--format", "pdf",
         ])
         assert result.exit_code == 2
+
+
+_REPORT = json.dumps({
+    "system": "s", "category": None,
+    "micro": {"precision": 0.5, "recall": 0.5, "f1": 0.5},
+    "per_type": {}, "records": 1, "chunks": 1,
+}, indent=2)
+
+
+@pytest.mark.parametrize("argv, text, broken, message", [
+    pytest.param(["validate", "--input", "{art}", "--taxonomy", "{f}"],
+                 taxonomy_path().read_text(encoding="utf-8"), True,
+                 "in.txt:2: not valid UTF-8", id="validate-taxonomy"),
+    pytest.param(["prepare", "--config", "{f}"],
+                 "sources:\n  - name: a\n    path: a.jsonl\n", True,
+                 "in.txt:2: not valid UTF-8", id="prepare-config"),
+    pytest.param(["compare", "--table", "{f}"],
+                 system_results_path().read_text(encoding="utf-8"), True,
+                 "in.txt:2: not valid UTF-8", id="compare-table"),
+    pytest.param(["analyze", "--rows", "{f}", "--a", "direct", "--b", "sch"],
+                 entity_results_path().read_text(encoding="utf-8"), True,
+                 "in.txt:2: not valid UTF-8", id="analyze-rows"),
+    pytest.param(["compare", "--reports", "{f}"], _REPORT, True,
+                 "in.txt:2: not valid UTF-8", id="compare-reports-utf8"),
+    pytest.param(["compare", "--reports", "{f}"], "{\n  micro\n}\n", False,
+                 "in.txt:2: malformed JSON: Expecting property name enclosed in double quotes",
+                 id="compare-reports-not-json"),
+    pytest.param(["compare", "--reports", "{f}"], "{}\n", False,
+                 "in.txt: score report has no 'micro'", id="compare-reports-empty-object"),
+    pytest.param(["compare", "--reports", "{f}"], "[1]\n", False,
+                 "in.txt: a score report must be a JSON object", id="compare-reports-array"),
+    pytest.param(["compare", "--reports", "{f}"], _REPORT.replace("0.5", '"x"'), False,
+                 "in.txt: micro scores must be numbers", id="compare-reports-text-score"),
+])
+def test_bad_input_file_is_located_data_error(runner, tmp_path, argv, text, broken, message):
+    art, f = tmp_path / "art.jsonl", tmp_path / "in.txt"
+    write_artifact(art, [("r1", ["B-NAME"], "a")])
+    f.write_text(text, encoding="utf-8")
+    if broken:
+        break_line_2(f)
+    result = runner.invoke(main, [a.format(art=art, f=f) for a in argv])
+    assert result.exit_code == 1
+    assert result.output == f"Error: {message}\n"
 
 
 class TestHash:

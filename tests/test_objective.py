@@ -1,7 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import piiprep
 
 from piiprep.errors import LabelError
 from piiprep.objective import (
@@ -121,3 +127,16 @@ class TestCombinedLoss:
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             combined_loss(float("nan"), 0.0)
+
+
+def test_package_runs_without_numpy():
+    # A fresh interpreter, so no test module has imported numpy before.
+    code = "import sys, piiprep.cli, piiprep.objective; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(Path(piiprep.__file__).resolve().parent.parent)},
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

@@ -334,14 +334,14 @@ class TestManifest:
     def test_json_round_trip(self, tmp_path):
         p = self.write_artifact(tmp_path)
         m = build_manifest(p, ARTIFACT_RECORDS, seed=1, config_digest="d")
-        assert Manifest.from_json(m.to_json()) == m
+        assert Manifest(**json.loads(m.to_json())) == m
 
     def test_write_manifest_places_sidecar(self, tmp_path):
         p = self.write_artifact(tmp_path)
         m = write_manifest(p, ARTIFACT_RECORDS)
         sidecar = tmp_path / "art.jsonl.manifest.json"
         assert sidecar.exists()
-        assert Manifest.from_json(sidecar.read_text(encoding="utf-8")) == m
+        assert sidecar.read_text(encoding="utf-8") == m.to_json()
 
     def test_sha_matches_artifact_bytes(self, tmp_path):
         p = self.write_artifact(tmp_path)

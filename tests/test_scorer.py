@@ -14,8 +14,6 @@ from piiprep.scorer import (
     MetricsReport,
     TypeCounters,
     finalize,
-    merge,
-    score_pair,
     stream_score,
 )
 
@@ -45,85 +43,35 @@ def perturb(rng: random.Random, labels: list[str]) -> list[str]:
 
 class TestScorePair:
     def test_exact_match_counts_tp(self):
-        c = score_pair(["B-NAME", "I-NAME", "O"], ["B-NAME", "I-NAME", "O"])
+        c = TypeCounters()
+        c.add_pair(["B-NAME", "I-NAME", "O"], ["B-NAME", "I-NAME", "O"])
         assert c.counts == {"NAME": [1, 1, 1]}
 
     def test_boundary_miss_is_not_tp(self):
         # prediction clips the span by one token: same type, wrong end
-        c = score_pair(["B-NAME", "I-NAME", "O"], ["B-NAME", "O", "O"])
+        c = TypeCounters()
+        c.add_pair(["B-NAME", "I-NAME", "O"], ["B-NAME", "O", "O"])
         assert c.counts == {"NAME": [0, 1, 1]}
 
     def test_type_miss_is_not_tp(self):
-        c = score_pair(["B-NAME", "O"], ["B-CITY", "O"])
+        c = TypeCounters()
+        c.add_pair(["B-NAME", "O"], ["B-CITY", "O"])
         assert c.counts == {"NAME": [0, 0, 1], "CITY": [0, 1, 0]}
 
     def test_foreign_predicted_type_appears_with_zero_gold(self):
-        c = score_pair(["O", "O"], ["B-URL", "I-URL"])
+        c = TypeCounters()
+        c.add_pair(["O", "O"], ["B-URL", "I-URL"])
         assert c.counts == {"URL": [0, 1, 0]}
 
     def test_length_mismatch_raises(self):
         with pytest.raises(AlignmentError, match="length mismatch"):
-            score_pair(["O"], ["O", "O"])
+            TypeCounters().add_pair(["O"], ["O", "O"])
 
     def test_spans_touching_both_ends(self):
-        c = score_pair(["B-NAME", "O", "B-URL"], ["B-NAME", "O", "B-URL"])
+        c = TypeCounters()
+        c.add_pair(["B-NAME", "O", "B-URL"], ["B-NAME", "O", "B-URL"])
         assert c.counts["NAME"] == [1, 1, 1]
         assert c.counts["URL"] == [1, 1, 1]
-
-
-class TestMerge:
-    def pairs(self, rng, n):
-        out = []
-        for _ in range(n):
-            g = random_bio_labels(rng, TYPES, rng.randint(0, 20))
-            out.append((g, perturb(rng, g)))
-        return out
-
-    def test_identity(self):
-        c = score_pair(["B-NAME"], ["B-NAME"])
-        assert merge(c, TypeCounters()) == c
-        assert merge(TypeCounters(), c) == c
-
-    def test_commutative(self):
-        rng = random.Random(1)
-        a = TypeCounters()
-        b = TypeCounters()
-        for g, p in self.pairs(rng, 30):
-            a.add_pair(g, p)
-        for g, p in self.pairs(rng, 30):
-            b.add_pair(g, p)
-        assert merge(a, b) == merge(b, a)
-
-    def test_associative(self):
-        rng = random.Random(2)
-        cs = []
-        for _ in range(3):
-            c = TypeCounters()
-            for g, p in self.pairs(rng, 15):
-                c.add_pair(g, p)
-            cs.append(c)
-        a, b, c = cs
-        assert merge(merge(a, b), c) == merge(a, merge(b, c))
-
-    def test_merge_leaves_inputs_alone(self):
-        a = score_pair(["B-NAME"], ["B-NAME"])
-        before = {t: list(v) for t, v in a.counts.items()}
-        merge(a, a)
-        assert a.counts == before
-
-    def test_split_anywhere_equals_one_shot(self):
-        rng = random.Random(3)
-        pairs = self.pairs(rng, 50)
-        whole = TypeCounters()
-        for g, p in pairs:
-            whole.add_pair(g, p)
-        for cut in [0, 1, 7, 25, 49, 50]:
-            left, right = TypeCounters(), TypeCounters()
-            for g, p in pairs[:cut]:
-                left.add_pair(g, p)
-            for g, p in pairs[cut:]:
-                right.add_pair(g, p)
-            assert merge(left, right) == whole
 
 
 class TestFinalize:
@@ -132,14 +80,16 @@ class TestFinalize:
         assert (r.micro_precision, r.micro_recall, r.micro_f1) == (0.0, 0.0, 0.0)
 
     def test_no_predictions_zero_precision(self):
-        c = score_pair(["B-NAME"], ["O"])
+        c = TypeCounters()
+        c.add_pair(["B-NAME"], ["O"])
         r = finalize(c)
         assert r.micro_precision == 0.0
         assert r.micro_recall == 0.0
         assert r.per_type["NAME"].support == 1
 
     def test_no_gold_zero_recall(self):
-        c = score_pair(["O"], ["B-NAME"])
+        c = TypeCounters()
+        c.add_pair(["O"], ["B-NAME"])
         r = finalize(c)
         assert r.micro_recall == 0.0
         assert r.per_type["NAME"].predicted == 1
@@ -154,13 +104,15 @@ class TestFinalize:
         assert r.micro_f1 == pytest.approx(2 * 0.63 * 0.7 / (0.63 + 0.7))
 
     def test_report_round_trips_through_json(self):
-        c = score_pair(["B-NAME", "O", "B-URL"], ["B-NAME", "O", "B-CITY"])
+        c = TypeCounters()
+        c.add_pair(["B-NAME", "O", "B-URL"], ["B-NAME", "O", "B-CITY"])
         r = finalize(c, records=1, chunks=1, system="demo", category="test")
         back = MetricsReport.from_dict(json.loads(r.to_json()))
         assert back == r
 
     def test_csv_shape(self, canonical_space):
-        c = score_pair(["B-IBAN"], ["B-IBAN"])
+        c = TypeCounters()
+        c.add_pair(["B-IBAN"], ["B-IBAN"])
         text = finalize(c).to_csv(canonical_space)
         lines = text.strip().split("\n")
         assert lines[0] == "type,group,support,precision,recall,f1"
@@ -407,10 +359,13 @@ class TestScoredFileContract:
 class TestAddPair:
     def test_any_sequence_type_scores_like_a_list(self):
         gold, pred = ["B-A", "I-A", "O", "B-B"], ["B-A", "I-A", "B-B", "I-B"]
-        expected = score_pair(gold, pred)
+        expected, from_tuples, from_userlist = TypeCounters(), TypeCounters(), TypeCounters()
+        expected.add_pair(gold, pred)
+        from_tuples.add_pair(tuple(gold), tuple(pred))
+        from_userlist.add_pair(UserList(gold), pred)
         assert expected.counts == {"A": [1, 1, 1], "B": [0, 1, 1]}
-        assert score_pair(tuple(gold), tuple(pred)) == expected
-        assert score_pair(UserList(gold), pred) == expected
+        assert from_tuples == expected
+        assert from_userlist == expected
 
 
 class TestUnorderedReadBack:
