@@ -1,9 +1,9 @@
 """Largest-remainder apportionment with deterministic tie-breaking.
 
 All quotas are exact rationals (fractions.Fraction), which keeps results
-platform-stable and makes the per-bucket cap provably non-binding whenever
-the target does not exceed the total. The cap handling stays in place as a
-defensive path and is exercised directly by tests.
+platform-stable. Apportioning counts proportionally never gives a bucket more
+than its count: a quota target*c/total is at most c, and a bucket gets its
+extra unit only when its remainder is above 0, so floor + 1 <= c.
 """
 
 from __future__ import annotations
@@ -20,48 +20,30 @@ def apportion(
     quotas: Sequence[Fraction],
     target: int,
     *,
-    caps: Sequence[int | None] | None = None,
     tie_weights: Sequence[int] | None = None,
 ) -> list[int]:
     """Round exact quotas to integers summing to target.
 
     Each bucket gets floor(quota); the remaining units go to the largest
     fractional remainders. Ties break by larger tie_weight, then lower index,
-    so callers control the final tie order through input ordering. A bucket
-    never exceeds its cap; units that a capped bucket cannot take spill to
-    the next candidates in the same order.
+    so callers control the final tie order through input ordering.
     """
     n = len(quotas)
-    caps = list(caps) if caps is not None else [None] * n
     weights = list(tie_weights) if tie_weights is not None else [0] * n
-    if len(caps) != n or len(weights) != n:
-        raise AllocationError("quotas, caps and tie_weights must have equal length")
+    if len(weights) != n:
+        raise AllocationError("quotas and tie_weights must have equal length")
     if sum(quotas) != target:
         raise AllocationError(f"quotas sum to {sum(quotas)}, expected {target}")
 
     if any(q < 0 for q in quotas):
         raise AllocationError("negative quota")
 
-    base = [int(q) for q in quotas]  # floor, quotas are non-negative
-    remainders = [q - b for q, b in zip(quotas, base)]
-    result = [b if c is None else min(b, c) for b, c in zip(base, caps)]
-    extras = target - sum(result)
+    result = [int(q) for q in quotas]  # floor, quotas are non-negative
+    remainders = [q - b for q, b in zip(quotas, result)]
     order = sorted(range(n), key=lambda i: (-remainders[i], -weights[i], i))
-    # One unit per bucket per round, in tie order. Without caps a single
-    # round always suffices (every remainder is below 1); with binding caps
-    # later rounds spill the leftovers to whoever still has room.
-    while extras > 0:
-        progressed = False
-        for i in order:
-            if extras == 0:
-                break
-            cap = caps[i]
-            if cap is None or result[i] < cap:
-                result[i] += 1
-                extras -= 1
-                progressed = True
-        if not progressed:
-            raise AllocationError(f"caps leave {extras} unit(s) unallocatable")
+    # Every remainder is below 1, so fewer than n units are left over.
+    for i in order[: target - sum(result)]:
+        result[i] += 1
     return result
 
 
@@ -88,12 +70,7 @@ def largest_remainder_allocate(counts: Mapping[str, int], target_total: int) -> 
         return {}
     names = sorted(counts)  # lexicographic order realises the name tie-break
     quotas = [Fraction(target_total * counts[n], total) if total else Fraction(0) for n in names]
-    alloc = apportion(
-        quotas,
-        target_total,
-        caps=[counts[n] for n in names],
-        tie_weights=[counts[n] for n in names],
-    )
+    alloc = apportion(quotas, target_total, tie_weights=[counts[n] for n in names])
     by_name = dict(zip(names, alloc))
     return {name: by_name[name] for name in counts}
 

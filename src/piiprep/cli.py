@@ -152,7 +152,8 @@ def validate(input_path: str, taxonomy_path: str | None, strict: bool) -> None:
 @main.command()
 @click.option("--gold", "gold_path", required=True, help="Gold artifact (JSONL).")
 @click.option("--pred", "pred_path", required=True, help="Predictions (JSONL with id+labels).")
-@click.option("--chunk-size", type=int, default=5000, show_default=True)
+@click.option("--chunk-size", type=int, default=5000, show_default=True,
+              help="Records per chunk in the report's chunks count; scoring reads one line at a time.")
 @click.option("--out", "out_path", default=None, help="Report JSON path (default: stdout).")
 @click.option("--csv", "csv_path", default=None, help="Also write a per-type CSV here.")
 @click.option("--taxonomy", "taxonomy_path", default=None,

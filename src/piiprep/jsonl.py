@@ -1,10 +1,10 @@
 """Reading line files: one binary reader and one exact, fast JSON decoder.
 
 Artifacts, gold and prediction files and prepare's sources are all read
-through iter_lines, and their JSON lines decoded through decode_json_line.
+through iter_lines, and their JSON lines decoded through decode_located_line.
 Files parsed whole (a config, a taxonomy, a results table, a score report)
-are read through it too, so a byte that is not UTF-8 is reported the same
-way everywhere. The module is kept apart from records so that importing the
+are read through iter_lines too, so a byte that is not UTF-8 is reported the
+same way everywhere. The module is kept apart from records so that importing the
 scorer does not build the Record dataclass.
 """
 
@@ -16,7 +16,7 @@ from typing import Iterator
 
 from piiprep.errors import RecordError
 
-__all__ = ["iter_lines", "read_text", "decode_json_line"]
+__all__ = ["iter_lines", "read_text", "decode_json_line", "decode_located_line"]
 
 _SCAN_ONCE = json.JSONDecoder().scan_once
 
@@ -62,3 +62,13 @@ def decode_json_line(text: str):
     if end == n or (end == n - 1 and text[end] == "\n"):
         return obj
     return json.loads(text)
+
+
+def decode_located_line(text: str, lineno: int, name: str):
+    """decode_json_line(text), failing with a RecordError located at name:lineno."""
+    try:
+        return decode_json_line(text)
+    except json.JSONDecodeError as e:
+        if not text.strip():
+            raise RecordError(f"{name}:{lineno}: blank line") from None
+        raise RecordError(f"{name}:{lineno}: malformed JSON: {e.msg}") from None

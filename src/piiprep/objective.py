@@ -87,7 +87,9 @@ def weighted_cross_entropy(
     if any(p < 0 for row in probs for p in row):
         raise ValueError("distributions must be non-negative")
     sums = [sum(row) for row in probs]
-    off = [abs(t - 1.0) for t in sums]
+    # A NaN sum would pass "d > 1e-6" (NaN fails every comparison), so it
+    # counts as infinitely far from 1.
+    off = [math.inf if math.isnan(t) else abs(t - 1.0) for t in sums]
     if any(d > 1e-6 for d in off):
         worst = off.index(max(off))
         raise ValueError(f"distribution {worst} sums to {sums[worst]!r}, expected 1")

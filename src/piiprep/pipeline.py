@@ -30,7 +30,7 @@ from piiprep.allocation import allocate_fractions, largest_remainder_allocate
 from piiprep.biospan import extract_span_tuples
 from piiprep.errors import ConfigError, RecordError
 from piiprep.ingest import ingest_record
-from piiprep.jsonl import decode_json_line, iter_lines, read_text
+from piiprep.jsonl import decode_located_line, iter_lines, read_text
 from piiprep.labelspace import LabelSpace, load_taxonomy
 from piiprep.manifest import Manifest, write_manifest
 from piiprep.records import Record, check_utf8, parse_record_line, write_records
@@ -229,12 +229,7 @@ def consolidate(
                     rec.source = spec.name  # stamp, whatever the file said
                 else:
                     if spec.format == "xml-jsonl":
-                        try:
-                            obj = decode_json_line(line)
-                        except json.JSONDecodeError as e:
-                            raise RecordError(
-                                f"{spec.path.name}:{lineno}: malformed JSON: {e.msg}"
-                            ) from None
+                        obj = decode_located_line(line, lineno, spec.path.name)
                         if not isinstance(obj, dict) or "text" not in obj:
                             raise RecordError(
                                 f"{spec.path.name}:{lineno}: expected an object with a 'text' field"

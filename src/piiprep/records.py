@@ -14,7 +14,7 @@ from typing import Iterable, Iterator
 
 from piiprep._purespans import _CACHE_MAX
 from piiprep.errors import LabelError, RecordError
-from piiprep.jsonl import decode_json_line, iter_lines
+from piiprep.jsonl import decode_located_line, iter_lines
 from piiprep.labelspace import parse_bio_label
 
 __all__ = [
@@ -94,12 +94,7 @@ def record_to_line(record: Record) -> str:
 
 def parse_record_line(line: str, lineno: int, path: str = "<stream>") -> Record:
     """Parse one JSONL line into a Record, with a location-tagged error."""
-    try:
-        obj = decode_json_line(line)
-    except json.JSONDecodeError as e:
-        if not line.strip():
-            raise RecordError(f"{path}:{lineno}: blank line") from None
-        raise RecordError(f"{path}:{lineno}: malformed JSON: {e.msg}") from None
+    obj = decode_located_line(line, lineno, path)
     if not isinstance(obj, dict):
         raise RecordError(f"{path}:{lineno}: expected a JSON object")
     missing = {"id", "tokens", "labels", "source"} - set(obj)

@@ -2,10 +2,10 @@
 
 A predicted span counts as a true positive only when its token start, token
 end and entity type all match a gold span. Counters are integer sums per
-type, so a corpus scored in chunks of any size gives bit-identical results;
-memory stays bounded by the label space plus one chunk, independent of
-corpus length. Unordered scoring adds an index of
-prediction byte offsets, a few hundred bytes per record.
+type, and both files are read one line at a time, so memory stays bounded
+by the label space plus one record pair, independent of corpus length.
+Unordered scoring adds an index of prediction byte offsets, a few hundred
+bytes per record.
 """
 
 from __future__ import annotations
@@ -14,14 +14,14 @@ import json
 import os
 import stat
 from dataclasses import dataclass
-from itertools import islice
-from operator import itemgetter
+from functools import partial
+from itertools import zip_longest
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from piiprep.biospan import check_labels, extract_span_tuples
 from piiprep.errors import AlignmentError, LabelError, RecordError
-from piiprep.jsonl import decode_json_line, iter_lines
+from piiprep.jsonl import decode_located_line, iter_lines
 from piiprep.labelspace import LabelSpace
 
 __all__ = [
@@ -219,12 +219,7 @@ class StreamResult:
 
 
 def _parse_scored_line(line: str, lineno: int, path: str) -> tuple[str, list[str]]:
-    try:
-        obj = decode_json_line(line)
-    except json.JSONDecodeError as e:
-        if not line.strip():
-            raise RecordError(f"{path}:{lineno}: blank line") from None
-        raise RecordError(f"{path}:{lineno}: malformed JSON: {e.msg}") from None
+    obj = decode_located_line(line, lineno, path)
     if not isinstance(obj, dict) or "id" not in obj or "labels" not in obj:
         raise RecordError(f"{path}:{lineno}: expected an object with 'id' and 'labels'")
     rid = obj["id"]
@@ -275,14 +270,62 @@ def _read_back(fd: int, offset: int, length: int, rid: str, path: str) -> list:
     return labels
 
 
-def _chunked_lines(path: Path, size: int) -> Iterable[list[str]]:
-    """The text of a file's lines in blocks of at most size lines."""
-    lines = map(itemgetter(2), iter_lines(path))
-    while True:
-        block = list(islice(lines, size))
-        if not block:
-            return
-        yield block
+# A pair source yields (gold line, id, gold labels, prediction labels, a callable
+# giving the prediction line, only called for a label error) one at a time.
+_Pairs = Iterator[tuple[int, str, list, list, Callable[[], int]]]
+
+
+def _ordered_pairs(gold_path: Path, pred_path: Path) -> _Pairs:
+    """Pairs of two files that list the same ids in the same order."""
+    gname, pname = gold_path.name, pred_path.name
+    for g, p in zip_longest(iter_lines(gold_path), iter_lines(pred_path)):
+        if g is None or p is None:
+            # The longer file's next line: a blank one is reported as such
+            # (a trailing empty line, say), not as a count mismatch.
+            name, (lineno, _, line) = (gname, g) if p is None else (pname, p)
+            if not line.strip():
+                raise RecordError(f"{name}:{lineno}: blank line")
+            raise AlignmentError(
+                f"record count mismatch: {gname} has at least "
+                f"{lineno if g else lineno - 1} records, {pname} has at least "
+                f"{lineno if p else lineno - 1}"
+            )
+        lineno = g[0]
+        gid, gold_labels = _parse_scored_line(g[2], lineno, gname)
+        pid, pred_labels = _parse_scored_line(p[2], lineno, pname)
+        if gid != pid:
+            raise AlignmentError(
+                f"record order mismatch at line {lineno}: gold id {gid!r} "
+                f"vs prediction id {pid!r}"
+            )
+        yield lineno, gid, gold_labels, pred_labels, partial(int, lineno)
+
+
+def _indexed_pairs(gold_path: Path, pred_path: Path) -> _Pairs:
+    """Pairs matched by id: predictions indexed by offset, then read back."""
+    gname, pname = gold_path.name, pred_path.name
+    index: dict[str, tuple[int, int]] = {}
+    for lineno, offset, line in iter_lines(pred_path):
+        rid, _ = _parse_scored_line(line, lineno, pname)
+        if rid in index:
+            raise RecordError(f"{pname}:{lineno}: duplicate prediction id {rid!r}")
+        index[rid] = (offset, len(line.encode("utf-8")))
+    # A pipe could be read once only; opening a named one again would hang.
+    if not stat.S_ISREG(os.stat(pred_path).st_mode):
+        raise RecordError(f"{pname}: unordered scoring reads predictions twice, "
+                          "so they must be in a regular file")
+    with pred_path.open("rb") as pf:
+        fd = pf.fileno()
+        for lineno, _, line in iter_lines(gold_path):
+            rid, gold_labels = _parse_scored_line(line, lineno, gname)
+            loc = index.pop(rid, None)
+            if loc is None:
+                raise AlignmentError(f"no prediction for gold record {rid!r}")
+            pred_labels = _read_back(fd, *loc, rid, pname)
+            yield lineno, rid, gold_labels, pred_labels, partial(_line_at, fd, loc[0])
+    if index:
+        leftover = next(iter(index))
+        raise AlignmentError(f"prediction id {leftover!r} has no gold record")
 
 
 def stream_score(
@@ -292,7 +335,7 @@ def stream_score(
     chunk_size: int = 5000,
     unordered: bool = False,
 ) -> StreamResult:
-    """Score a prediction file against a gold artifact, chunk by chunk.
+    """Score a prediction file against a gold artifact, one pair at a time.
 
     By default the two files must list the same record ids in the same
     order; any divergence raises an alignment error naming the id. With
@@ -300,7 +343,8 @@ def stream_score(
     id -> (byte offset, length), and read back from the file when its gold
     record arrives: memory grows by the index (about 200 bytes per
     prediction), not by the labels. In both modes a blank line in either
-    file is an error, as in read_records.
+    file is an error, as in read_records. chunk_size only sets the reported
+    chunk count, ceil(records / chunk_size).
     """
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
@@ -309,81 +353,15 @@ def stream_score(
     gname, pname = gold_path.name, pred_path.name
     counters = TypeCounters()
     records = 0
-    chunks = 0
-
-    if unordered:
-        index: dict[str, tuple[int, int]] = {}
-        for lineno, offset, line in iter_lines(pred_path):
-            rid, _ = _parse_scored_line(line, lineno, pname)
-            if rid in index:
-                raise RecordError(f"{pname}:{lineno}: duplicate prediction id {rid!r}")
-            index[rid] = (offset, len(line.encode("utf-8")))
-        # A pipe could be read once only; opening a named one again would hang.
-        if not stat.S_ISREG(os.stat(pred_path).st_mode):
-            raise RecordError(f"{pname}: unordered scoring reads predictions twice, "
-                              "so they must be in a regular file")
-        with pred_path.open("rb") as pf:
-            fd = pf.fileno()
-            for block in _chunked_lines(gold_path, chunk_size):
-                for line in block:
-                    lineno = records + 1
-                    rid, gold_labels = _parse_scored_line(line, lineno, gname)
-                    loc = index.pop(rid, None)
-                    if loc is None:
-                        raise AlignmentError(f"no prediction for gold record {rid!r}")
-                    pred_labels = _read_back(fd, *loc, rid, pname)
-                    try:
-                        counters.add_pair(gold_labels, pred_labels)
-                    except AlignmentError as e:
-                        raise AlignmentError(f"record {rid!r}: {e}") from None
-                    except (LabelError, TypeError):
-                        _raise_label_error(gname, lineno, rid, gold_labels)
-                        _raise_label_error(pname, _line_at(fd, loc[0]), rid, pred_labels)
-                        raise
-                    records += 1
-                chunks += 1
-        if index:
-            leftover = next(iter(index))
-            raise AlignmentError(f"prediction id {leftover!r} has no gold record")
-        return StreamResult(counters, records, chunks)
-
-    gold_blocks = _chunked_lines(gold_path, chunk_size)
-    pred_blocks = _chunked_lines(pred_path, chunk_size)
-    while True:
-        gblock = next(gold_blocks, [])
-        pblock = next(pred_blocks, [])
-        if not gblock and not pblock:
-            break
-        before = records
-        for gline, pline in zip(gblock, pblock):
-            lineno = records + 1
-            gid, gold_labels = _parse_scored_line(gline, lineno, gname)
-            pid, pred_labels = _parse_scored_line(pline, lineno, pname)
-            if gid != pid:
-                raise AlignmentError(
-                    f"record order mismatch at line {lineno}: gold id {gid!r} "
-                    f"vs prediction id {pid!r}"
-                )
-            try:
-                counters.add_pair(gold_labels, pred_labels)
-            except AlignmentError as e:
-                raise AlignmentError(f"record {gid!r}: {e}") from None
-            except (LabelError, TypeError):
-                _raise_label_error(gname, lineno, gid, gold_labels)
-                _raise_label_error(pname, lineno, gid, pred_labels)
-                raise
-            records += 1
-        if len(gblock) != len(pblock):
-            # The longer file's extra lines: a blank one is reported as
-            # such (a trailing empty line, say), not as a count mismatch.
-            name, extra = (gname, gblock) if len(gblock) > len(pblock) else (pname, pblock)
-            for lineno, line in enumerate(extra[records - before:], records + 1):
-                if not line.strip():
-                    raise RecordError(f"{name}:{lineno}: blank line")
-            raise AlignmentError(
-                f"record count mismatch: {gname} has at least "
-                f"{before + len(gblock)} records, {pname} has at least "
-                f"{before + len(pblock)}"
-            )
-        chunks += 1
-    return StreamResult(counters, records, chunks)
+    pairs = (_indexed_pairs if unordered else _ordered_pairs)(gold_path, pred_path)
+    for lineno, rid, gold_labels, pred_labels, pred_line in pairs:
+        try:
+            counters.add_pair(gold_labels, pred_labels)
+        except AlignmentError as e:
+            raise AlignmentError(f"record {rid!r}: {e}") from None
+        except (LabelError, TypeError):
+            _raise_label_error(gname, lineno, rid, gold_labels)
+            _raise_label_error(pname, pred_line(), rid, pred_labels)
+            raise
+        records += 1
+    return StreamResult(counters, records, (records + chunk_size - 1) // chunk_size)

@@ -8,10 +8,10 @@ from piiprep.errors import AllocationError
 
 
 def reference_apportion(quotas: list[Fraction], target: int) -> list[int]:
-    """Uncapped reference: floors, then +1 to the k largest remainders.
+    """Reference: floors, then +1 to the k largest remainders.
 
-    Expressed via explicit (remainder, index) ranking rather than the
-    round-robin in the library, so agreement is a real check.
+    Ranks by floor - quota (the negated remainder) with its own integer
+    floors, so agreement is a real check.
     """
     floors = [q.numerator // q.denominator for q in quotas]
     k = target - sum(floors)
@@ -35,7 +35,7 @@ class TestApportion:
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(AllocationError, match="equal length"):
-            apportion([Fraction(1)], 1, caps=[1, 2])
+            apportion([Fraction(1)], 1, tie_weights=[1, 2])
 
     def test_tie_breaks_by_weight_then_index(self):
         # two equal remainders of 1/2; the heavier bucket gets the unit
@@ -43,19 +43,6 @@ class TestApportion:
         assert apportion(quotas, 1, tie_weights=[1, 5]) == [0, 1]
         assert apportion(quotas, 1, tie_weights=[5, 1]) == [1, 0]
         assert apportion(quotas, 1) == [1, 0]  # equal weight: lower index
-
-    def test_cap_spills_to_next_candidate(self):
-        quotas = [Fraction(3, 2), Fraction(3, 2), Fraction(1)]
-        assert apportion(quotas, 4, caps=[1, None, None]) == [1, 2, 1]
-
-    def test_cap_below_floor_spills_the_difference(self):
-        quotas = [Fraction(3), Fraction(1)]
-        assert apportion(quotas, 4, caps=[1, None]) == [1, 3]
-
-    def test_unfillable_caps_raise(self):
-        quotas = [Fraction(2), Fraction(2)]
-        with pytest.raises(AllocationError, match="unallocatable"):
-            apportion(quotas, 4, caps=[1, 1])
 
     def test_agrees_with_reference_on_random_instances(self):
         rng = random.Random(8123)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from piiprep.errors import RecordError
-from piiprep.jsonl import decode_json_line, iter_lines
+from piiprep.jsonl import decode_json_line, decode_located_line, iter_lines
 
 
 def outcome(loads, text):
@@ -67,6 +67,18 @@ class TestDecodeJsonLine:
     )
     def test_worked_examples(self, text):
         assert outcome(decode_json_line, text) == outcome(json.loads, text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("\n", "a.jsonl:3: blank line"),
+         ("  \t\r\n", "a.jsonl:3: blank line"),
+         ("[1,\n", "a.jsonl:3: malformed JSON: Expecting value")],
+        ids=["newline", "whitespace", "truncated"],
+    )
+    def test_located_errors(self, text, message):
+        with pytest.raises(RecordError) as info:
+            decode_located_line(text, 3, "a.jsonl")
+        assert str(info.value) == message
 
 
 class TestIterLines:

@@ -89,8 +89,9 @@ class TestWeightedCrossEntropy:
             weighted_cross_entropy([[1.5, -0.5, 0.0]], ["O"], self.VOCAB)
 
     def test_rows_must_sum_to_one(self):
-        with pytest.raises(ValueError, match="sums to"):
-            weighted_cross_entropy([[0.5, 0.2, 0.2]], ["O"], self.VOCAB)
+        for row in ([0.5, 0.2, 0.2], [math.nan, 0.5, 0.5]):
+            with pytest.raises(ValueError, match="sums to"):
+                weighted_cross_entropy([row], ["O"], self.VOCAB)
 
     def test_near_one_sums_tolerated(self):
         row = [1 / 3 + 1e-8, 1 / 3, 1 / 3 - 1e-8]

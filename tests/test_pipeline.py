@@ -379,6 +379,14 @@ class TestConsolidate:
         records, _ = consolidate(cfg, canonical_space())
         assert records[0].labels == ["O", "B-PHONE"]
 
+    def test_xml_jsonl_malformed_line_is_located(self, tmp_path):
+        p = tmp_path / "c.jsonl"
+        p.write_text('{"text": "Ring <PHONE>42</PHONE>"}\n{"text": \n', encoding="utf-8")
+        cfg = self.make_config(tmp_path, sources=[SourceSpec("wrapped", p, "xml-jsonl")])
+        with pytest.raises(RecordError) as info:
+            consolidate(cfg, canonical_space())
+        assert str(info.value) == "c.jsonl:2: malformed JSON: Expecting value"
+
     @pytest.mark.parametrize(
         "fmt, lines",
         [

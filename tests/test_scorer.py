@@ -356,6 +356,55 @@ class TestScoredFileContract:
         assert str(info.value) == f"{which}.jsonl:2: blank line"
 
 
+def scored_line(rid: str) -> bytes:
+    return b'{"id":"%s","labels":["B-A","O"]}\n' % rid.encode()
+
+
+GOOD_LINES = [scored_line(f"r{i}") for i in range(10)]
+
+
+@pytest.mark.parametrize("chunk_size", [1, 4, 5000])
+@pytest.mark.parametrize(
+    "gold, pred, unordered, message",
+    [
+        (
+            GOOD_LINES[:2] + [b"\xff\n"] + GOOD_LINES[3:6],
+            GOOD_LINES[:1] + [b"not json\n"] + GOOD_LINES[2:6],
+            False,
+            "p.jsonl:2: malformed JSON: Expecting value",
+        ),
+        (
+            GOOD_LINES[:9],
+            GOOD_LINES[:6],
+            False,
+            "record count mismatch: g.jsonl has at least 7 records, p.jsonl has at least 6",
+        ),
+        (
+            GOOD_LINES[:10] + [b"\n"],
+            GOOD_LINES[:9],
+            False,
+            "record count mismatch: g.jsonl has at least 10 records, p.jsonl has at least 9",
+        ),
+        (
+            GOOD_LINES[:1] + [scored_line("zz"), b"\xff\n"] + GOOD_LINES[3:6],
+            GOOD_LINES[:6],
+            True,
+            "no prediction for gold record 'zz'",
+        ),
+    ],
+    ids=["bad-pred-before-bad-gold-byte", "short-pred", "extra-then-blank", "unordered-missing"],
+)
+def test_first_error_does_not_depend_on_chunk_size(
+    tmp_path, chunk_size, gold, pred, unordered, message
+):
+    g, p = tmp_path / "g.jsonl", tmp_path / "p.jsonl"
+    g.write_bytes(b"".join(gold))
+    p.write_bytes(b"".join(pred))
+    with pytest.raises((RecordError, AlignmentError)) as info:
+        stream_score(g, p, chunk_size=chunk_size, unordered=unordered)
+    assert str(info.value) == message
+
+
 class TestAddPair:
     def test_any_sequence_type_scores_like_a_list(self):
         gold, pred = ["B-A", "I-A", "O", "B-B"], ["B-A", "I-A", "B-B", "I-B"]
@@ -443,9 +492,11 @@ def test_unordered_memory_per_record(tmp_path):
 
     50,000 shuffled predictions of 40 labels each: the traced peak stays at
     or under 400 bytes per record (about 275 here), where keeping every
-    decoded label list costs about 1,800.
+    decoded label list costs about 1,800. Ordered scoring of the same files
+    holds one line of each at a time, so its peak stays under 256 KB
+    whatever the record count (buffering 5,000 lines of each took about 6 MB).
     """
-    n, width, per_record = 50_000, 40, 400
+    n, width, per_record, ordered_peak = 50_000, 40, 400, 256 * 1024
     rng = random.Random(12)
     pool = [random_bio_labels(rng, TYPES, width) for _ in range(500)]
     gold = [(f"r{i:06d}", rng.choice(pool)) for i in range(n)]
@@ -457,13 +508,17 @@ def test_unordered_memory_per_record(tmp_path):
     write_scored(ps, pred)
     del gold, pred, pool
 
-    ordered = stream_score(g, p)
-    tracemalloc.start()
-    try:
-        unordered = stream_score(g, ps, unordered=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    def traced(*args, **kwargs):
+        tracemalloc.start()
+        try:
+            return stream_score(*args, **kwargs), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    ordered, peak = traced(g, p)
+    assert ordered.records == n
+    assert peak <= ordered_peak, f"ordered peak {peak} bytes"
+    unordered, peak = traced(g, ps, unordered=True)
     assert unordered.records == n
     assert unordered.counters == ordered.counters
     assert peak <= per_record * n, f"peak {peak} bytes is {peak / n:.0f} bytes per record"
