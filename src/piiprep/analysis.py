@@ -12,8 +12,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 from piiprep.errors import AnalysisError
 from piiprep.jsonl import read_text
@@ -55,9 +57,36 @@ class EntityRow:
             raise AnalysisError(f"row {self.entity}: no F1 column for system {system!r}") from None
 
 
-def _csv_rows(path: Path) -> csv.DictReader:
-    """A CSV file's rows, with newlines read as a file opened with newline=""."""
-    return csv.DictReader(io.StringIO(read_text(path), newline=""))
+def _csv_rows(path: Path) -> tuple[list[str] | None, Iterator[tuple[int, dict[str, str]]]]:
+    """A CSV file's header, or None, and its data rows as (line, {column: cell}).
+
+    Newlines are read as in a file opened with newline="". Blank lines are
+    skipped, as csv.DictReader skips them; a row whose cell count is not the
+    header's fails at the line it ends on.
+    """
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    header = next((cells for cells in reader if cells), None)
+
+    def rows() -> Iterator[tuple[int, dict[str, str]]]:
+        for cells in reader:
+            if not cells:
+                continue
+            if len(cells) != len(header):
+                raise AnalysisError(
+                    f"{path.name}:{reader.line_num}: "
+                    f"expected {len(header)} fields, got {len(cells)}"
+                )
+            yield reader.line_num, dict(zip(header, cells))
+
+    return header, rows()
+
+
+def _score(cell: str) -> float:
+    """An F1, precision or recall cell as a float; NaN and infinities are errors."""
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"score must be a finite number, got {cell!r}")
+    return value
 
 
 def load_entity_rows(path: str | Path) -> list[EntityRow]:
@@ -67,25 +96,25 @@ def load_entity_rows(path: str | Path) -> list[EntityRow]:
     deltas behave identically however many digits the file carries.
     """
     path = Path(path)
-    reader = _csv_rows(path)
-    if reader.fieldnames is None:
+    header, reader = _csv_rows(path)
+    if header is None:
         raise AnalysisError(f"{path.name}: empty file")
-    systems = [c[3:] for c in reader.fieldnames if c.startswith("f1_")]
+    systems = [c[3:] for c in header if c.startswith("f1_")]
     required = {"entity", "group", "support"}
-    if not required <= set(reader.fieldnames) or not systems:
+    if not required <= set(header) or not systems:
         raise AnalysisError(
             f"{path.name}: need columns entity,group,support and at least one f1_<system>"
         )
     rows: list[EntityRow] = []
     seen: set[str] = set()
-    for i, rec in enumerate(reader, 2):
+    for i, rec in reader:
         entity = rec["entity"].strip()
         if entity in seen:
             raise AnalysisError(f"{path.name}:{i}: duplicate entity {entity!r}")
         seen.add(entity)
         try:
             support = int(rec["support"])
-            f1 = {s: round(float(rec[f"f1_{s}"]), _F1_PRECISION) for s in systems}
+            f1 = {s: round(_score(rec[f"f1_{s}"]), _F1_PRECISION) for s in systems}
         except ValueError as e:
             raise AnalysisError(f"{path.name}:{i}: {e}") from None
         if support < 0:
@@ -369,19 +398,19 @@ def load_system_table(path: str | Path) -> list[SystemEntry]:
     """Read a system,category,f1,precision,recall CSV."""
     path = Path(path)
     out: list[SystemEntry] = []
-    reader = _csv_rows(path)
+    header, reader = _csv_rows(path)
     need = {"system", "category", "f1", "precision", "recall"}
-    if reader.fieldnames is None or not need <= set(reader.fieldnames):
+    if header is None or not need <= set(header):
         raise AnalysisError(f"{path.name}: need columns {sorted(need)}")
-    for i, rec in enumerate(reader, 2):
+    for i, rec in reader:
         try:
             out.append(
                 SystemEntry(
                     system=rec["system"].strip(),
                     category=rec["category"].strip(),
-                    f1=float(rec["f1"]),
-                    precision=float(rec["precision"]),
-                    recall=float(rec["recall"]),
+                    f1=_score(rec["f1"]),
+                    precision=_score(rec["precision"]),
+                    recall=_score(rec["recall"]),
                 )
             )
         except ValueError as e:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -23,11 +24,10 @@ from piiprep.analysis import (
     load_system_table,
     SystemEntry,
 )
-from piiprep.biospan import count_orphan_continuations, extract_span_tuples
 from piiprep.errors import AnalysisError, RecordError, ToolkitError
 from piiprep.jsonl import read_text
 from piiprep.labelspace import load_taxonomy
-from piiprep.manifest import sha256_file, write_manifest
+from piiprep.manifest import sha256_file, tally, write_manifest
 from piiprep.pipeline import PipelineConfig, run_prepare, sample_subset
 from piiprep.records import read_records, write_records
 from piiprep.scorer import MetricsReport, finalize, stream_score
@@ -114,37 +114,26 @@ def validate(input_path: str, taxonomy_path: str | None, strict: bool) -> None:
         from piiprep.fixtures import canonical_space
 
         space = canonical_space()
-    n_records = 0
-    n_spans = 0
-    n_orphans = 0
-    per_source: dict[str, int] = {}
-    per_type: dict[str, int] = {}
-    seen_ids: set[str] = set()
-    # read_records rejects blank lines, so the record number is the line number.
-    for lineno, rec in enumerate(read_records(input_path), 1):
-        n_records += 1
-        if rec.id in seen_ids:
-            raise RecordError(f"{Path(input_path).name}:{lineno}: duplicate record id {rec.id!r}")
-        seen_ids.add(rec.id)
-        per_source[rec.source] = per_source.get(rec.source, 0) + 1
-        n_orphans += count_orphan_continuations(rec.labels)
-        for _, _, typ in extract_span_tuples(rec.labels):
-            if typ not in space:
-                raise RecordError(
-                    f"{Path(input_path).name}:{lineno}: record {rec.id}: "
-                    f"entity type {typ!r} not in taxonomy"
-                )
-            n_spans += 1
-            per_type[typ] = per_type.get(typ, 0) + 1
-    summary = {
-        "records": n_records,
-        "gold_spans": n_spans,
-        "entity_types": len(per_type),
-        "sources": dict(sorted(per_source.items())),
-        "per_type_spans": dict(sorted(per_type.items())),
-        "orphan_continuations": n_orphans,
-    }
+    known: set[str] = set()  # O and the labels whose type is in the taxonomy
+
+    def checked(records):
+        # read_records rejects blank lines, so the record number is the line number.
+        for lineno, rec in enumerate(records, 1):
+            for lab in rec.labels:
+                if lab not in known:
+                    if lab != "O" and lab[2:] not in space:
+                        raise RecordError(
+                            f"{Path(input_path).name}:{lineno}: record {rec.id}: "
+                            f"entity type {lab[2:]!r} not in taxonomy"
+                        )
+                    known.add(lab)
+            yield rec
+
+    summary = tally(checked(read_records(input_path)))
+    # Report the per-source dict under "sources", in that key's place.
+    summary["sources"] = summary.pop("per_source_records")
     click.echo(json.dumps(summary, indent=2, ensure_ascii=False))
+    n_orphans = summary["orphan_continuations"]
     if strict and n_orphans:
         raise click.ClickException(f"{n_orphans} orphan continuation(s) under --strict")
 
@@ -216,7 +205,7 @@ def _read_report(path: Path) -> MetricsReport:
     except (AttributeError, TypeError):
         raise AnalysisError(f"{path.name}: malformed score report") from None
     micro = (report.micro_precision, report.micro_recall, report.micro_f1)
-    if not all(type(v) in (int, float) for v in micro):
+    if not all(type(v) in (int, float) and math.isfinite(v) for v in micro):
         raise AnalysisError(f"{path.name}: micro scores must be numbers")
     return report
 

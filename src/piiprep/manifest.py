@@ -23,7 +23,7 @@ from piiprep.records import Record
 from piiprep.biospan import extract_span_tuples  # noqa: F401
 from piiprep.records import read_records  # noqa: F401
 
-__all__ = ["GENERATOR_NAME", "Manifest", "sha256_file", "build_manifest", "write_manifest"]
+__all__ = ["GENERATOR_NAME", "Manifest", "sha256_file", "tally", "build_manifest", "write_manifest"]
 
 GENERATOR_NAME = "mt19937/sha256-subseed"
 
@@ -65,14 +65,22 @@ def build_manifest(
 ) -> Manifest:
     """Manifest of an artifact just written from records.
 
-    The counts come from the records as they were written, the hash from the
-    bytes on disk, so the artifact is never read back and parsed again. Spans
-    are not extracted: every span opens at a B- label or at an orphan I-
-    label, so gold_spans is the B- mentions plus the orphans; every non-O
+    The counts are tallied from the records as they were written, the hash
+    taken over the bytes on disk, so the artifact is never read back.
+    """
+    path = Path(artifact_path)
+    return Manifest(artifact=path.name, sha256=sha256_file(path), **tally(records),
+                    seed=seed, config_digest=config_digest)
+
+
+def tally(records: Iterable[Record]) -> dict:
+    """The count fields of a Manifest, in one pass over records.
+
+    Spans are not extracted: every span opens at a B- label or at an orphan
+    I- label, so gold_spans is the B- mentions plus the orphans; every non-O
     token lies in a span of its own type, so entity_types is the number of
     distinct types among non-O labels.
     """
-    path = Path(artifact_path)
     per_source: Counter[str] = Counter()
     label_counts: Counter[str] = Counter()
     n_orphans = 0
@@ -83,19 +91,15 @@ def build_manifest(
         n_orphans += count_orphan_continuations(labels)
     per_type_b = {lab[2:]: n for lab, n in label_counts.items() if lab.startswith("B-")}
     span_types = {lab[2:] for lab in label_counts if lab != "O"}
-    return Manifest(
-        artifact=path.name,
-        sha256=sha256_file(path),
-        records=sum(per_source.values()),
-        gold_spans=sum(per_type_b.values()) + n_orphans,
-        entity_types=len(span_types),
-        sources=len(per_source),
-        per_source_records=dict(sorted(per_source.items())),
-        per_type_b_mentions=dict(sorted(per_type_b.items())),
-        orphan_continuations=n_orphans,
-        seed=seed,
-        config_digest=config_digest,
-    )
+    return {
+        "records": sum(per_source.values()),
+        "gold_spans": sum(per_type_b.values()) + n_orphans,
+        "entity_types": len(span_types),
+        "sources": len(per_source),
+        "per_source_records": dict(sorted(per_source.items())),
+        "per_type_b_mentions": dict(sorted(per_type_b.items())),
+        "orphan_continuations": n_orphans,
+    }
 
 
 def write_manifest(

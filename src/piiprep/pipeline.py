@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -61,6 +62,24 @@ class SourceSpec:
     name: str
     path: Path
     format: str = "jsonl"
+
+
+# What each config value must be, for _typed. A bool is not an integer or a
+# number here, though Python treats it as one.
+_KINDS = {
+    "an integer": lambda v: type(v) is int,
+    "a finite number": lambda v: type(v) in (int, float) and math.isfinite(v),
+    "true or false": lambda v: type(v) is bool,
+    "a string": lambda v: isinstance(v, str),
+    "a mapping": lambda v: isinstance(v, dict),
+}
+
+
+def _typed(path: Path, key: str, value, kind: str):
+    """value, or a ConfigError naming the key when value is not of the _KINDS kind."""
+    if not _KINDS[kind](value):
+        raise ConfigError(f"{path.name}: {key} must be {kind}, got {value!r}")
+    return value
 
 
 @dataclass
@@ -110,29 +129,45 @@ class PipelineConfig:
                     f"{path.name}: sources[{i}].format must be one of {_FORMATS}, got {fmt!r}"
                 )
             # Relative source paths resolve against the config file location.
-            p = Path(s["path"])
+            p = Path(_typed(path, f"sources[{i}].path", s["path"], "a string"))
             if not p.is_absolute():
                 p = path.parent / p
-            sources.append(SourceSpec(name=str(s["name"]), path=p, format=fmt))
+            name = _typed(path, f"sources[{i}].name", s["name"], "a string")
+            sources.append(SourceSpec(name=name, path=p, format=fmt))
         names = [s.name for s in sources]
         if len(set(names)) != len(names):
             raise ConfigError(f"{path.name}: duplicate source names")
-        reb = data.get("rebalance") or {}
+        reb = _typed(path, "rebalance", data.get("rebalance") or {}, "a mapping")
         if reb and (set(reb) != {"source", "target_fraction"}):
             raise ConfigError(f"{path.name}: rebalance needs 'source' and 'target_fraction'")
+        if reb:
+            _typed(path, "rebalance.target_fraction", reb["target_fraction"], "a finite number")
+        fractions = _typed(path, "split_fractions", data.get(
+            "split_fractions", {"train": 0.8, "val": 0.1, "test": 0.1}), "a mapping")
+        caps = _typed(path, "caps", data.get("caps") or {}, "a mapping")
+        taxonomy = data.get("taxonomy")
         cfg = cls(
             sources=sources,
-            seed=int(data.get("seed", 0)),
-            output_dir=Path(data.get("output_dir", "out")),
-            split_fractions=dict(data.get("split_fractions", {"train": 0.8, "val": 0.1, "test": 0.1})),
+            seed=_typed(path, "seed", data.get("seed", 0), "an integer"),
+            output_dir=Path(_typed(path, "output_dir", data.get("output_dir", "out"), "a string")),
+            split_fractions={
+                _typed(path, "split name", k, "a string"):
+                _typed(path, f"split_fractions.{k}", v, "a finite number")
+                for k, v in fractions.items()
+            },
             rebalance_source=reb.get("source"),
             rebalance_fraction=float(reb["target_fraction"]) if reb else None,
-            caps={str(k): int(v) for k, v in (data.get("caps") or {}).items()},
-            rare_label_threshold=int(data.get("rare_label_threshold", 100)),
+            caps={str(k): _typed(path, f"caps.{k}", v, "an integer") for k, v in caps.items()},
+            rare_label_threshold=_typed(
+                path, "rare_label_threshold", data.get("rare_label_threshold", 100), "an integer"
+            ),
             on_error=str(data.get("on_error", "fail")),
             unknown_types=str(data.get("unknown_types", "error")),
-            prepend_source_token=bool(data.get("prepend_source_token", False)),
-            taxonomy=Path(data["taxonomy"]) if data.get("taxonomy") else None,
+            prepend_source_token=_typed(
+                path, "prepend_source_token", data.get("prepend_source_token", False),
+                "true or false",
+            ),
+            taxonomy=Path(_typed(path, "taxonomy", taxonomy, "a string")) if taxonomy else None,
         )
         if not cfg.output_dir.is_absolute():
             cfg.output_dir = path.parent / cfg.output_dir

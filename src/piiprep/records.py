@@ -131,10 +131,15 @@ def check_utf8(rec: Record) -> None:
 
 
 def read_records(path: str | Path) -> Iterator[Record]:
-    """Stream records out of a JSONL artifact; a blank line is an error."""
+    """Stream records out of a JSONL artifact; a blank line or a repeated id is an error."""
     name = Path(path).name
+    seen_ids: set[str] = set()
     for lineno, _, line in iter_lines(path):
-        yield parse_record_line(line, lineno, name)
+        rec = parse_record_line(line, lineno, name)
+        if rec.id in seen_ids:
+            raise RecordError(f"{name}:{lineno}: duplicate record id {rec.id!r}")
+        seen_ids.add(rec.id)
+        yield rec
 
 
 def write_records(path: str | Path, records: Iterable[Record]) -> int:

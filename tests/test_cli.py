@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from conftest import REPO
 from piiprep.cli import main
 from piiprep.fixtures import entity_results_path, system_results_path, taxonomy_path
 from piiprep.records import Record, write_records
@@ -74,6 +75,9 @@ class TestExitCodes:
 
     def test_success_is_0(self, runner):
         assert runner.invoke(main, ["--version"]).exit_code == 0
+
+
+_SOURCE = "sources:\n  - {name: a, path: a.jsonl}\n"
 
 
 class TestPrepare:
@@ -184,6 +188,43 @@ class TestPrepare:
         result = runner.invoke(main, ["prepare", "--config", str(cfg)])
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize("text, message", [
+        (_SOURCE + "seed: abc\n", "seed must be an integer, got 'abc'"),
+        (_SOURCE + "seed: 1.5\n", "seed must be an integer, got 1.5"),
+        (_SOURCE + "seed: true\n", "seed must be an integer, got True"),
+        (_SOURCE + "rare_label_threshold: [1]\n",
+         "rare_label_threshold must be an integer, got [1]"),
+        (_SOURCE + "caps: {a: x}\n", "caps.a must be an integer, got 'x'"),
+        (_SOURCE + "caps: [1]\n", "caps must be a mapping, got [1]"),
+        (_SOURCE + "split_fractions: {train: abc}\n",
+         "split_fractions.train must be a finite number, got 'abc'"),
+        (_SOURCE + "split_fractions: {train: .nan}\n",
+         "split_fractions.train must be a finite number, got nan"),
+        (_SOURCE + "split_fractions: [1]\n", "split_fractions must be a mapping, got [1]"),
+        (_SOURCE + "split_fractions: {1: 1}\n", "split name must be a string, got 1"),
+        (_SOURCE + "rebalance: {source: a, target_fraction: x}\n",
+         "rebalance.target_fraction must be a finite number, got 'x'"),
+        (_SOURCE + "rebalance: 5\n", "rebalance must be a mapping, got 5"),
+        (_SOURCE + 'prepend_source_token: "false"\n',
+         "prepend_source_token must be true or false, got 'false'"),
+        (_SOURCE + "output_dir: 5\n", "output_dir must be a string, got 5"),
+        (_SOURCE + "taxonomy: 5\n", "taxonomy must be a string, got 5"),
+        ("sources:\n  - {name: a, path: 5}\n", "sources[0].path must be a string, got 5"),
+        ("sources:\n  - {name: [a], path: a.jsonl}\n", "sources[0].name must be a string, got ['a']"),
+    ], ids=[
+        "seed-text", "seed-float", "seed-bool", "threshold-list", "cap-text", "caps-list",
+        "fraction-text", "fraction-nan", "fractions-list", "split-name-int", "rebalance-text",
+        "rebalance-int", "prepend-text", "output-dir-int", "taxonomy-int", "source-path-int",
+        "source-name-list",
+    ])
+    def test_wrongly_typed_config_value_is_data_error(self, runner, tmp_path, text, message):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(text, encoding="utf-8")
+        result = runner.invoke(main, ["prepare", "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert result.output == f"Error: c.yaml: {message}\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestSample:
     @pytest.fixture
@@ -217,6 +258,16 @@ class TestSample:
         ])
         assert result.exit_code == 1
         assert result.output == "Error: art.jsonl:2: not valid UTF-8\n"
+        assert not (tmp_path / "x.jsonl").exists()
+
+    def test_duplicate_id_is_data_error(self, runner, tmp_path):
+        art = tmp_path / "art.jsonl"
+        write_artifact(art, [("r1", ["O"], "a"), ("r2", ["O"], "a"), ("r1", ["O"], "a")])
+        result = runner.invoke(main, [
+            "sample", "--input", str(art), "--n", "2", "--out", str(tmp_path / "x.jsonl"),
+        ])
+        assert result.exit_code == 1
+        assert result.output == "Error: art.jsonl:3: duplicate record id 'r1'\n"
         assert not (tmp_path / "x.jsonl").exists()
 
     def test_oversized_n_is_data_error(self, runner, artifact, tmp_path):
@@ -285,6 +336,28 @@ class TestValidate:
         assert json.loads(relaxed.output)["orphan_continuations"] == 1
         strict = runner.invoke(main, ["validate", "--input", str(p), "--strict"])
         assert strict.exit_code == 1
+
+
+    @pytest.mark.parametrize("split", ["train", "val", "test"])
+    def test_counts_equal_the_sidecar_manifest(self, runner, split):
+        artifact = REPO / "demo" / "out" / f"{split}.jsonl"
+        result = runner.invoke(main, ["validate", "--input", str(artifact)])
+        assert result.exit_code == 0, result.output
+        summary = json.loads(result.output)
+        manifest = json.loads(artifact.with_name(artifact.name + ".manifest.json").read_text())
+        for key in ("records", "gold_spans", "entity_types", "per_type_b_mentions",
+                    "orphan_continuations"):
+            assert summary[key] == manifest[key], key
+        assert summary["sources"] == manifest["per_source_records"]
+
+    def test_type_only_in_orphan_continuations_rejected(self, runner, tmp_path):
+        p = tmp_path / "art.jsonl"
+        write_artifact(p, [("r0", ["B-NAME"], "a"), ("r1", ["O", "I-WIDGET", "I-WIDGET"], "a")])
+        result = runner.invoke(main, ["validate", "--input", str(p)])
+        assert result.exit_code == 1
+        assert result.output == (
+            "Error: art.jsonl:2: record r1: entity type 'WIDGET' not in taxonomy\n"
+        )
 
 
 class TestScore:
@@ -532,6 +605,29 @@ _REPORT = json.dumps({
                  "in.txt: a score report must be a JSON object", id="compare-reports-array"),
     pytest.param(["compare", "--reports", "{f}"], _REPORT.replace("0.5", '"x"'), False,
                  "in.txt: micro scores must be numbers", id="compare-reports-text-score"),
+    pytest.param(["compare", "--reports", "{f}"], _REPORT.replace('"f1": 0.5', '"f1": NaN'),
+                 False, "in.txt: micro scores must be numbers", id="compare-reports-nan-score"),
+    pytest.param(["compare", "--reports", "{f}"],
+                 _REPORT.replace('"recall": 0.5', '"recall": -Infinity'), False,
+                 "in.txt: micro scores must be numbers", id="compare-reports-infinite-score"),
+    pytest.param(["compare", "--table", "{f}"],
+                 "system,category,f1,precision,recall\nA,B,0.5,0.5,0.5\nC,D,0.5\n", False,
+                 "in.txt:3: expected 5 fields, got 3", id="compare-table-short-row"),
+    pytest.param(["compare", "--table", "{f}"],
+                 "system,category,f1,precision,recall\nA,B,0.5,0.5,0.5,0.5\n", False,
+                 "in.txt:2: expected 5 fields, got 6", id="compare-table-long-row"),
+    pytest.param(["compare", "--table", "{f}"],
+                 "system,category,f1,precision,recall\nA,B,nan,0.5,0.5\n", False,
+                 "in.txt:2: score must be a finite number, got 'nan'", id="compare-table-nan"),
+    pytest.param(["analyze", "--rows", "{f}", "--a", "direct", "--b", "sch"],
+                 "entity,group,support,f1_direct,f1_sch\nX,G,3,0.5\n", False,
+                 "in.txt:2: expected 5 fields, got 4", id="analyze-rows-short-row"),
+    pytest.param(["analyze", "--rows", "{f}", "--a", "direct", "--b", "sch"],
+                 "entity,group,support,f1_direct,f1_sch\nX,G,3,0.5,0.5,\n", False,
+                 "in.txt:2: expected 5 fields, got 6", id="analyze-rows-long-row"),
+    pytest.param(["analyze", "--rows", "{f}", "--a", "direct", "--b", "sch"],
+                 "entity,group,support,f1_direct,f1_sch\nX,G,3,0.5,inf\n", False,
+                 "in.txt:2: score must be a finite number, got 'inf'", id="analyze-rows-inf"),
 ])
 def test_bad_input_file_is_located_data_error(runner, tmp_path, argv, text, broken, message):
     art, f = tmp_path / "art.jsonl", tmp_path / "in.txt"
