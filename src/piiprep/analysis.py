@@ -295,20 +295,7 @@ def _report_dict(report: AnalysisReport) -> dict:
         "system_a": report.system_a,
         "system_b": report.system_b,
         "entities": report.entity_count,
-        "groups": [
-            {
-                "group": g.group,
-                "support": g.support,
-                "f1_a": g.f1_a,
-                "f1_b": g.f1_b,
-                "delta": g.delta,
-                "wins_a": g.wins_a,
-                "wins_b": g.wins_b,
-                "ties": g.ties,
-                "entities": g.entities,
-            }
-            for g in report.groups
-        ],
+        "groups": [vars(g) for g in report.groups],
         "winners": {
             "wins_a": report.winners.wins_a,
             "wins_b": report.winners.wins_b,

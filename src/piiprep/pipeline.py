@@ -29,7 +29,7 @@ import yaml
 
 from piiprep.allocation import allocate_fractions, largest_remainder_allocate
 from piiprep.biospan import extract_span_tuples
-from piiprep.errors import ConfigError, RecordError
+from piiprep.errors import ConfigError, RecordError, ToolkitError
 from piiprep.ingest import ingest_record
 from piiprep.jsonl import decode_located_line, iter_lines, read_text
 from piiprep.labelspace import LabelSpace, load_taxonomy
@@ -65,20 +65,35 @@ class SourceSpec:
 
 
 # What each config value must be, for _typed. A bool is not an integer or a
-# number here, though Python treats it as one.
+# number here, though Python treats it as one. A value is compared as given:
+# nothing is coerced first.
 _KINDS = {
     "an integer": lambda v: type(v) is int,
     "a finite number": lambda v: type(v) in (int, float) and math.isfinite(v),
     "true or false": lambda v: type(v) is bool,
     "a string": lambda v: isinstance(v, str),
     "a mapping": lambda v: isinstance(v, dict),
+    f"one of {_FORMATS}": lambda v: v in _FORMATS,
+    f"one of {_POLICIES}": lambda v: v in _POLICIES,
+    "'error' or 'drop'": lambda v: v in ("error", "drop"),
+}
+
+# The config keys that set one field each, with the kind their value must be.
+_FIELD_KINDS = {
+    "seed": "an integer",
+    "output_dir": "a string",
+    "rare_label_threshold": "an integer",
+    "on_error": f"one of {_POLICIES}",
+    "unknown_types": "'error' or 'drop'",
+    "prepend_source_token": "true or false",
+    "taxonomy": "a string",
 }
 
 
-def _typed(path: Path, key: str, value, kind: str):
+def _typed(key: str, value, kind: str):
     """value, or a ConfigError naming the key when value is not of the _KINDS kind."""
     if not _KINDS[kind](value):
-        raise ConfigError(f"{path.name}: {key} must be {kind}, got {value!r}")
+        raise ConfigError(f"{key} must be {kind}, got {value!r}")
     return value
 
 
@@ -101,106 +116,85 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
+        """Read a config file and check all of it, before any source is read.
+
+        Only the keys the file sets are passed on, so the field defaults above
+        fill in the rest; an absent key and a null value both mean "not set".
+        Relative paths resolve against the file's directory. Every error is a
+        ConfigError that starts with the file's name.
+        """
         path = Path(path)
         try:
             data = yaml.safe_load(read_text(path))
+            if not isinstance(data, dict):
+                raise ConfigError("config root must be a mapping")
+            unknown = set(data) - {"sources", "rebalance", "caps", "split_fractions", *_FIELD_KINDS}
+            if unknown:
+                raise ConfigError(f"unknown config key(s): {sorted(unknown, key=str)}")
+            given = {k: v for k, v in data.items() if v is not None}
+            if not isinstance(given.get("sources"), list) or not given["sources"]:
+                raise ConfigError("'sources' must be a non-empty list")
+            sources = []
+            for i, s in enumerate(given["sources"]):
+                if not isinstance(s, dict) or "name" not in s or "path" not in s:
+                    raise ConfigError(f"sources[{i}] needs 'name' and 'path'")
+                spec_path = path.parent / _typed(f"sources[{i}].path", s["path"], "a string")
+                spec = SourceSpec(_typed(f"sources[{i}].name", s["name"], "a string"), spec_path)
+                if s.get("format") is not None:
+                    spec.format = _typed(f"sources[{i}].format", s["format"], f"one of {_FORMATS}")
+                sources.append(spec)
+            names = [s.name for s in sources]
+            if len(set(names)) != len(names):
+                raise ConfigError("duplicate source names")
+            kwargs = {
+                k: _typed(k, v, _FIELD_KINDS[k]) for k, v in given.items() if k in _FIELD_KINDS
+            }
+            if "rebalance" in given:
+                reb = _typed("rebalance", given["rebalance"], "a mapping")
+                if set(reb) != {"source", "target_fraction"}:
+                    raise ConfigError("rebalance needs 'source' and 'target_fraction'")
+                source, fraction = reb["source"], reb["target_fraction"]
+                if source is None:
+                    raise ConfigError("rebalance needs both a source and a target fraction")
+                if not 0 <= _typed("rebalance.target_fraction", fraction, "a finite number") < 1:
+                    raise ConfigError("rebalance target_fraction must lie in [0, 1)")
+                if source not in names:
+                    raise ConfigError(f"rebalance source {source!r} not declared")
+                kwargs.update(rebalance_source=source, rebalance_fraction=float(fraction))
+            if "caps" in given:
+                raw = _typed("caps", given["caps"], "a mapping")
+                kwargs["caps"] = {str(k): _typed(f"caps.{k}", v, "an integer") for k, v in raw.items()}
+                for name, cap in kwargs["caps"].items():
+                    if cap < 0:
+                        raise ConfigError(f"cap for {name!r} must be >= 0")
+                    if name not in names:
+                        raise ConfigError(f"cap names undeclared source {name!r}")
+            if "split_fractions" in given:
+                raw = _typed("split_fractions", given["split_fractions"], "a mapping")
+                kwargs["split_fractions"] = fractions = {
+                    _typed("split name", k, "a string"):
+                    _typed(f"split_fractions.{k}", v, "a finite number")
+                    for k, v in raw.items()
+                }
+                if not fractions:
+                    raise ConfigError("split_fractions must not be empty")
+                for name, v in fractions.items():
+                    if v < 0:
+                        raise ConfigError(f"split_fractions.{name} must not be negative, got {v}")
+                got = sum(Fraction(str(v)) for v in fractions.values())
+                if got != 1:
+                    raise ConfigError(f"split fractions must sum to 1, got {float(got)}")
+            config = cls(sources=sources, **kwargs)
+            if config.rare_label_threshold < 0:
+                raise ConfigError("rare_label_threshold must be >= 0")
         except yaml.YAMLError as e:
             raise ConfigError(f"{path.name}: not valid YAML: {e}") from None
-        if not isinstance(data, dict):
-            raise ConfigError(f"{path.name}: config root must be a mapping")
-        known = {
-            "sources", "seed", "output_dir", "split_fractions", "rebalance",
-            "caps", "rare_label_threshold", "on_error", "unknown_types",
-            "prepend_source_token", "taxonomy",
-        }
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"{path.name}: unknown config key(s): {sorted(unknown)}")
-        raw_sources = data.get("sources")
-        if not raw_sources or not isinstance(raw_sources, list):
-            raise ConfigError(f"{path.name}: 'sources' must be a non-empty list")
-        sources = []
-        for i, s in enumerate(raw_sources):
-            if not isinstance(s, dict) or "name" not in s or "path" not in s:
-                raise ConfigError(f"{path.name}: sources[{i}] needs 'name' and 'path'")
-            fmt = s.get("format", "jsonl")
-            if fmt not in _FORMATS:
-                raise ConfigError(
-                    f"{path.name}: sources[{i}].format must be one of {_FORMATS}, got {fmt!r}"
-                )
-            # Relative source paths resolve against the config file location.
-            p = Path(_typed(path, f"sources[{i}].path", s["path"], "a string"))
-            if not p.is_absolute():
-                p = path.parent / p
-            name = _typed(path, f"sources[{i}].name", s["name"], "a string")
-            sources.append(SourceSpec(name=name, path=p, format=fmt))
-        names = [s.name for s in sources]
-        if len(set(names)) != len(names):
-            raise ConfigError(f"{path.name}: duplicate source names")
-        reb = _typed(path, "rebalance", data.get("rebalance") or {}, "a mapping")
-        if reb and (set(reb) != {"source", "target_fraction"}):
-            raise ConfigError(f"{path.name}: rebalance needs 'source' and 'target_fraction'")
-        if reb:
-            _typed(path, "rebalance.target_fraction", reb["target_fraction"], "a finite number")
-        fractions = _typed(path, "split_fractions", data.get(
-            "split_fractions", {"train": 0.8, "val": 0.1, "test": 0.1}), "a mapping")
-        caps = _typed(path, "caps", data.get("caps") or {}, "a mapping")
-        taxonomy = data.get("taxonomy")
-        cfg = cls(
-            sources=sources,
-            seed=_typed(path, "seed", data.get("seed", 0), "an integer"),
-            output_dir=Path(_typed(path, "output_dir", data.get("output_dir", "out"), "a string")),
-            split_fractions={
-                _typed(path, "split name", k, "a string"):
-                _typed(path, f"split_fractions.{k}", v, "a finite number")
-                for k, v in fractions.items()
-            },
-            rebalance_source=reb.get("source"),
-            rebalance_fraction=float(reb["target_fraction"]) if reb else None,
-            caps={str(k): _typed(path, f"caps.{k}", v, "an integer") for k, v in caps.items()},
-            rare_label_threshold=_typed(
-                path, "rare_label_threshold", data.get("rare_label_threshold", 100), "an integer"
-            ),
-            on_error=str(data.get("on_error", "fail")),
-            unknown_types=str(data.get("unknown_types", "error")),
-            prepend_source_token=_typed(
-                path, "prepend_source_token", data.get("prepend_source_token", False),
-                "true or false",
-            ),
-            taxonomy=Path(_typed(path, "taxonomy", taxonomy, "a string")) if taxonomy else None,
-        )
-        if not cfg.output_dir.is_absolute():
-            cfg.output_dir = path.parent / cfg.output_dir
-        if cfg.taxonomy is not None and not cfg.taxonomy.is_absolute():
-            cfg.taxonomy = path.parent / cfg.taxonomy
-        cfg.validate()
-        return cfg
-
-    def validate(self) -> None:
-        if self.on_error not in _POLICIES:
-            raise ConfigError(f"on_error must be one of {_POLICIES}, got {self.on_error!r}")
-        if self.unknown_types not in ("error", "drop"):
-            raise ConfigError(f"unknown_types must be 'error' or 'drop', got {self.unknown_types!r}")
-        if self.rare_label_threshold < 0:
-            raise ConfigError("rare_label_threshold must be >= 0")
-        if (self.rebalance_source is None) != (self.rebalance_fraction is None):
-            raise ConfigError("rebalance needs both a source and a target fraction")
-        if self.rebalance_fraction is not None and not 0 <= self.rebalance_fraction < 1:
-            raise ConfigError("rebalance target_fraction must lie in [0, 1)")
-        for name, cap in self.caps.items():
-            if cap < 0:
-                raise ConfigError(f"cap for {name!r} must be >= 0")
-        if not self.split_fractions:
-            raise ConfigError("split_fractions must not be empty")
-        got = sum(Fraction(str(f)) for f in self.split_fractions.values())
-        if got != 1:
-            raise ConfigError(f"split fractions must sum to 1, got {float(got)}")
-        known = {s.name for s in self.sources}
-        if self.rebalance_source is not None and self.rebalance_source not in known:
-            raise ConfigError(f"rebalance source {self.rebalance_source!r} not declared")
-        for name in self.caps:
-            if name not in known:
-                raise ConfigError(f"cap names undeclared source {name!r}")
+        except ConfigError as e:
+            raise ConfigError(f"{path.name}: {e}") from None
+        config.output_dir = path.parent / config.output_dir
+        if config.taxonomy is not None:
+            config.taxonomy = path.parent / config.taxonomy
+        return config
 
     def load_space(self) -> LabelSpace:
         if self.taxonomy is not None:
@@ -249,47 +243,50 @@ def consolidate(
     Returns the records plus per-source counters: kept, dropped (span-free
     lines) and errors (only counted above zero under on_error=skip/log). A
     record whose id an earlier record, of any source, already took is an
-    error like a malformed line.
+    error like a malformed line. Every error names its file and line.
     """
     out: list[Record] = []
     report: dict[str, dict[str, int]] = {}
     seen_ids: set[str] = set()
     for spec in config.sources:
+        name = spec.path.name
         kept = dropped = errors = 0
         for lineno, line in _iter_source_lines(spec):
-            rec_id = f"{spec.name}-{lineno:06d}"
             try:
                 if spec.format == "jsonl":
-                    rec = parse_record_line(line, lineno, spec.path.name)
+                    rec = parse_record_line(line, lineno, name)
                     rec.source = spec.name  # stamp, whatever the file said
                 else:
+                    text = line
                     if spec.format == "xml-jsonl":
-                        obj = decode_located_line(line, lineno, spec.path.name)
+                        obj = decode_located_line(line, lineno, name)
                         if not isinstance(obj, dict) or "text" not in obj:
                             raise RecordError(
-                                f"{spec.path.name}:{lineno}: expected an object with a 'text' field"
+                                f"{name}:{lineno}: expected an object with a 'text' field"
                             )
                         text = obj["text"]
-                    else:
-                        text = line
-                    rec = ingest_record(
-                        text, spec.name, space, rec_id, unknown_types=config.unknown_types
-                    )
-                    if rec is not None and "\\u" in line:
-                        try:
+                        if not isinstance(text, str):
+                            raise RecordError(
+                                f"{name}:{lineno}: text must be a string, got {text!r}"
+                            )
+                    try:
+                        rec = ingest_record(
+                            text, spec.name, space, f"{spec.name}-{lineno:06d}",
+                            unknown_types=config.unknown_types,
+                        )
+                        # Only a \u escape can decode to a lone UTF-16 surrogate.
+                        if rec is not None and spec.format == "xml-jsonl" and "\\u" in line:
                             check_utf8(rec)
-                        except RecordError as e:
-                            raise RecordError(f"{spec.path.name}:{lineno}: {e}") from None
+                    except ToolkitError as e:
+                        raise type(e)(f"{name}:{lineno}: {e}") from None
                 if rec is not None and rec.id in seen_ids:
-                    raise RecordError(
-                        f"{spec.path.name}:{lineno}: duplicate record id {rec.id!r}"
-                    )
-            except Exception as e:
+                    raise RecordError(f"{name}:{lineno}: duplicate record id {rec.id!r}")
+            except ToolkitError as e:
                 if config.on_error == "fail":
                     raise
                 errors += 1
                 if config.on_error == "log":
-                    logger.warning("skipping %s:%d: %s", spec.path.name, lineno, e)
+                    logger.warning("skipping %s", e)
                 continue
             if rec is None:
                 dropped += 1

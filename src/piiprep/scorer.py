@@ -125,17 +125,7 @@ class MetricsReport:
                 "recall": self.micro_recall,
                 "f1": self.micro_f1,
             },
-            "per_type": {
-                t: {
-                    "precision": m.precision,
-                    "recall": m.recall,
-                    "f1": m.f1,
-                    "support": m.support,
-                    "predicted": m.predicted,
-                    "tp": m.tp,
-                }
-                for t, m in sorted(self.per_type.items())
-            },
+            "per_type": {t: vars(m) for t, m in sorted(self.per_type.items())},
             "records": self.records,
             "chunks": self.chunks,
         }

@@ -1,4 +1,5 @@
 import json
+import logging
 from pathlib import Path
 
 import pytest
@@ -78,6 +79,14 @@ class TestExitCodes:
 
 
 _SOURCE = "sources:\n  - {name: a, path: a.jsonl}\n"
+
+# One malformed second line per source format, and the error it gets.
+_BAD_SOURCE_LINE = pytest.mark.parametrize("fmt, line, message", [
+    ("jsonl", '{"id":"r1"}', "missing field(s) ['labels', 'source', 'tokens']"),
+    ("xml", "Call <PHONE>12 now", "unclosed tag <PHONE>"),
+    ("xml-jsonl", '{"text":"Call <PHONE>12 now"}', "unclosed tag <PHONE>"),
+    ("xml-jsonl", '{"text": 5}', "text must be a string, got 5"),
+], ids=["jsonl", "xml", "xml-jsonl", "xml-jsonl-text-int"])
 
 
 class TestPrepare:
@@ -224,6 +233,79 @@ class TestPrepare:
         assert result.exit_code == 1
         assert result.output == f"Error: c.yaml: {message}\n"
         assert not (tmp_path / "out").exists()
+
+    # a.jsonl does not exist: reading it would be an I/O error (exit 3), so a
+    # data error here shows that the config is checked before any source.
+    @pytest.mark.parametrize("text, message", [
+        (_SOURCE + "on_error: 5\n", "on_error must be one of ('fail', 'skip', 'log'), got 5"),
+        (_SOURCE + "unknown_types: keep\n",
+         "unknown_types must be 'error' or 'drop', got 'keep'"),
+        (_SOURCE + "rare_label_threshold: -1\n", "rare_label_threshold must be >= 0"),
+        (_SOURCE + "rebalance: {source: null, target_fraction: 0.1}\n",
+         "rebalance needs both a source and a target fraction"),
+        (_SOURCE + "rebalance: {source: a, target_fraction: 1}\n",
+         "rebalance target_fraction must lie in [0, 1)"),
+        (_SOURCE + "caps: {a: -1}\n", "cap for 'a' must be >= 0"),
+        (_SOURCE + "split_fractions: {}\n", "split_fractions must not be empty"),
+        (_SOURCE + "split_fractions: {train: 0.8, test: 0.1}\n",
+         "split fractions must sum to 1, got 0.9"),
+        (_SOURCE + "rebalance: {source: ghost, target_fraction: 0.1}\n",
+         "rebalance source 'ghost' not declared"),
+        (_SOURCE + "caps: {ghost: 5}\n", "cap names undeclared source 'ghost'"),
+        (_SOURCE + "split_fractions: {train: 1.5, val: -0.5}\n",
+         "split_fractions.val must not be negative, got -0.5"),
+        (_SOURCE + "taxonomy: 0\n", "taxonomy must be a string, got 0"),
+        (_SOURCE + "rebalance: 0\n", "rebalance must be a mapping, got 0"),
+        (_SOURCE + "1: x\ntpyo: y\n", "unknown config key(s): [1, 'tpyo']"),
+    ], ids=[
+        "on-error", "unknown-types", "threshold-negative", "rebalance-no-source",
+        "rebalance-fraction-range", "cap-negative", "fractions-empty", "fractions-sum",
+        "rebalance-undeclared", "cap-undeclared", "fraction-negative", "taxonomy-zero",
+        "rebalance-zero", "unknown-keys-mixed",
+    ])
+    def test_config_rule_is_located_before_any_source_is_read(
+        self, runner, tmp_path, text, message
+    ):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(text, encoding="utf-8")
+        result = runner.invoke(main, ["prepare", "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert result.output == f"Error: c.yaml: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def _bad_source(self, tmp_path, fmt, line, policy):
+        good = {
+            "jsonl": '{"id":"r0","tokens":["x"],"labels":["B-NAME"],"source":"a"}',
+            "xml": "Call <PHONE>12</PHONE> now",
+            "xml-jsonl": '{"text":"Call <PHONE>12</PHONE> now"}',
+        }[fmt]
+        (tmp_path / "a.src").write_text(f"{good}\n{line}\n", encoding="utf-8")
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(
+            f"sources:\n  - {{name: a, path: a.src, format: {fmt}}}\n"
+            f"on_error: {policy}\nrare_label_threshold: 0\n",
+            encoding="utf-8",
+        )
+        return cfg
+
+    @_BAD_SOURCE_LINE
+    def test_bad_source_line_fails_located(self, runner, tmp_path, fmt, line, message):
+        cfg = self._bad_source(tmp_path, fmt, line, "fail")
+        result = runner.invoke(main, ["prepare", "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert result.output == f"Error: a.src:2: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @_BAD_SOURCE_LINE
+    def test_bad_source_line_is_logged_located_once(
+        self, runner, tmp_path, caplog, fmt, line, message
+    ):
+        cfg = self._bad_source(tmp_path, fmt, line, "log")
+        with caplog.at_level(logging.WARNING, logger="piiprep.pipeline"):
+            result = runner.invoke(main, ["prepare", "--config", str(cfg)])
+        assert result.exit_code == 0, result.output
+        assert caplog.messages == [f"skipping a.src:2: {message}"]
+        assert "[prepare] a: kept 1, dropped 0 span-free, 1 errors" in result.output
 
 
 class TestSample:

@@ -339,6 +339,31 @@ class TestPipelineConfig:
         assert d1 != d3
 
 
+# Digests computed before the config reader was rewritten to check in one
+# pass. Every manifest carries its config's digest, so these must not move.
+_SOURCES = "sources:\n  - {name: a, path: a.jsonl}\n  - {name: b, path: b.xml, format: xml}\n"
+
+
+@pytest.mark.parametrize("body, digest", [
+    (None, "52ca75fc5f77b03542d534b301c537540f54e71d05cfd1f2b765aaeb75c48008"),
+    (_SOURCES, "149c55330c44856f117e2ce3345dfcfbc940e8588ce4828a806e91fe7f173c69"),
+    (_SOURCES + "rebalance: {source: b, target_fraction: 0}\n",
+     "cc5c65ca3e20b5f40ab60fd96657fceaca571c10ce0d20d07fedb9b48495ad75"),
+    (_SOURCES + "caps: {a: 10, b: 0}\nseed: 7\n",
+     "f6281db1f99050fb69d7fd4b76dcc940c79d3f21a032090c1d562f8cf6e59b00"),
+    (_SOURCES + "taxonomy: tax/custom.tsv\nunknown_types: drop\non_error: log\n",
+     "49d334cf862c7ef1b4c770e8932fa0ea6d5a052a68051585ce9ad95b0c053c1b"),
+    (_SOURCES + "prepend_source_token: true\nrare_label_threshold: 0\n",
+     "9e2872cddd9e7e1138b8331bf6b051e58b16c5675a4ed11625d66e2d47989d69"),
+    (_SOURCES + "split_fractions: {train: 1, test: 0}\n",
+     "0b1070c346b694532b02068e501324e63d4de16d2b5ad36dfd5fd94ef926b7c0"),
+], ids=["demo", "defaults", "rebalance-int-zero", "caps-no-rebalance", "taxonomy",
+        "prepend", "int-fractions"])
+def test_config_digest_is_pinned(tmp_path, body, digest):
+    path = REPO / "demo" / "config.yaml" if body is None else write_config(tmp_path, body)
+    assert PipelineConfig.from_file(path).digest() == digest
+
+
 class TestConsolidate:
     def make_config(self, tmp_path, **kw) -> PipelineConfig:
         defaults = dict(sources=[], seed=0, output_dir=tmp_path / "out")
