@@ -97,6 +97,13 @@ def _typed(key: str, value, kind: str):
     return value
 
 
+def _path(key: str, value) -> str:
+    """value as a path string; an empty one would name the config's own directory."""
+    if not _typed(key, value, "a string"):
+        raise ConfigError(f"{key} must not be empty")
+    return value
+
+
 @dataclass
 class PipelineConfig:
     sources: list[SourceSpec]
@@ -138,7 +145,7 @@ class PipelineConfig:
             for i, s in enumerate(given["sources"]):
                 if not isinstance(s, dict) or "name" not in s or "path" not in s:
                     raise ConfigError(f"sources[{i}] needs 'name' and 'path'")
-                spec_path = path.parent / _typed(f"sources[{i}].path", s["path"], "a string")
+                spec_path = path.parent / _path(f"sources[{i}].path", s["path"])
                 spec = SourceSpec(_typed(f"sources[{i}].name", s["name"], "a string"), spec_path)
                 if s.get("format") is not None:
                     spec.format = _typed(f"sources[{i}].format", s["format"], f"one of {_FORMATS}")
@@ -149,6 +156,8 @@ class PipelineConfig:
             kwargs = {
                 k: _typed(k, v, _FIELD_KINDS[k]) for k, v in given.items() if k in _FIELD_KINDS
             }
+            if "taxonomy" in kwargs:
+                _path("taxonomy", kwargs["taxonomy"])
             if "rebalance" in given:
                 reb = _typed("rebalance", given["rebalance"], "a mapping")
                 if set(reb) != {"source", "target_fraction"}:

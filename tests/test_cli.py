@@ -257,11 +257,13 @@ class TestPrepare:
         (_SOURCE + "taxonomy: 0\n", "taxonomy must be a string, got 0"),
         (_SOURCE + "rebalance: 0\n", "rebalance must be a mapping, got 0"),
         (_SOURCE + "1: x\ntpyo: y\n", "unknown config key(s): [1, 'tpyo']"),
+        (_SOURCE + 'taxonomy: ""\n', "taxonomy must not be empty"),
+        ("sources:\n  - {name: a, path: ''}\n", "sources[0].path must not be empty"),
     ], ids=[
         "on-error", "unknown-types", "threshold-negative", "rebalance-no-source",
         "rebalance-fraction-range", "cap-negative", "fractions-empty", "fractions-sum",
         "rebalance-undeclared", "cap-undeclared", "fraction-negative", "taxonomy-zero",
-        "rebalance-zero", "unknown-keys-mixed",
+        "rebalance-zero", "unknown-keys-mixed", "taxonomy-empty", "source-path-empty",
     ])
     def test_config_rule_is_located_before_any_source_is_read(
         self, runner, tmp_path, text, message

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import KERNELS, random_bio_labels, score_corpus_oracle
-from piiprep import scorer
+from piiprep import predindex, scorer
 from piiprep.errors import AlignmentError, RecordError
 from piiprep.scorer import (
     MetricsReport,
@@ -487,16 +487,123 @@ class TestUnorderedReadBack:
         assert str(info.value) == "p.jsonl:4: record r2: malformed BIO label at position 1: 'I-'"
 
 
+# Hashes that make ids collide: all of them, or each third of them in one
+# of three runs spread over the sorted index.
+COLLIDING_HASHES = {
+    "constant": lambda rid: 12345,
+    "three-runs": lambda rid: (hash(rid) % 3 - 1) << 61,
+}
+
+
+class TestHashCollisions:
+    """--unordered gives the same counters and errors however ids collide."""
+
+    GOLD = [(f"r{i}", ["B-A", "O"]) for i in range(6)]
+    # r0 is read back from line 2 and r1 from line 3.
+    PRED = [GOLD[4], GOLD[0], GOLD[1], GOLD[5], GOLD[3], GOLD[2]]
+
+    @staticmethod
+    def outcomes(g: Path, p: Path, monkeypatch, before_pair=None, hashes=COLLIDING_HASHES) -> dict:
+        """The counters or error of --unordered scoring under the real hash and these."""
+        real_add_pair = TypeCounters.add_pair
+
+        def add_pair(counters, gold_labels, pred_labels):
+            if before_pair is not None:
+                before_pair(p)
+            real_add_pair(counters, gold_labels, pred_labels)
+
+        monkeypatch.setattr(TypeCounters, "add_pair", add_pair)
+        data = p.read_bytes()
+        results = {}
+        for name, id_hash in {"real": hash, **hashes}.items():
+            p.write_bytes(data)
+            with monkeypatch.context() as m:
+                m.setattr(predindex, "_id_hash", id_hash)
+                try:
+                    results[name] = stream_score(g, p, unordered=True).counters
+                except (RecordError, AlignmentError) as e:
+                    results[name] = f"{type(e).__name__}: {e}"
+        return results
+
+    def test_counters_match_ordered_scoring(self, tmp_path, monkeypatch):
+        rng = random.Random(13)
+        gold_rows = random_corpus(rng, 60)
+        pred_rows = [(rid, perturb(rng, labels)) for rid, labels in gold_rows]
+        g, p, ps = tmp_path / "g.jsonl", tmp_path / "p.jsonl", tmp_path / "ps.jsonl"
+        write_scored(g, gold_rows)
+        write_scored(p, pred_rows)
+        rng.shuffle(pred_rows)
+        write_scored(ps, pred_rows)
+        ordered = stream_score(g, p).counters
+        assert self.outcomes(g, ps, monkeypatch) == dict.fromkeys(
+            ["real", *COLLIDING_HASHES], ordered
+        )
+
+    @staticmethod
+    def truncate_in_line_3(p: Path) -> None:
+        data = p.read_bytes()
+        p.write_bytes(data[: data.index(b"\n", data.index(b"\n") + 1) + 5])
+
+    # A rewritten id that hashes like the old one cannot be told from a
+    # collision, so only changes that break the line are compared here.
+    @pytest.mark.parametrize(
+        "pred, before_pair, message",
+        [
+            (PRED[:3] + [GOLD[0]] + PRED[3:], None,
+             "RecordError: p.jsonl:4: duplicate prediction id 'r0'"),
+            (PRED[:4] + PRED[5:], None,
+             "AlignmentError: no prediction for gold record 'r3'"),
+            (PRED + [("r9", ["O", "O"])], None,
+             "AlignmentError: prediction id 'r9' has no gold record"),
+            (PRED, truncate_in_line_3,
+             "RecordError: p.jsonl:3: prediction file changed while scoring"),
+        ],
+        ids=["duplicate", "missing-prediction", "no-gold-record", "file-changed"],
+    )
+    def test_errors_match_the_real_hash(self, tmp_path, monkeypatch, pred, before_pair, message):
+        g, p = tmp_path / "g.jsonl", tmp_path / "p.jsonl"
+        write_scored(g, self.GOLD)
+        write_scored(p, pred)
+        assert self.outcomes(g, p, monkeypatch, before_pair) == dict.fromkeys(
+            ["real", *COLLIDING_HASHES], message
+        )
+
+    def test_duplicate_on_the_earliest_later_line(self, tmp_path, monkeypatch):
+        # a is on lines 1 and 5, b on lines 2 and 3: line 3 repeats an id first.
+        g, p = tmp_path / "g.jsonl", tmp_path / "p.jsonl"
+        write_scored(g, [("a", ["O"]), ("b", ["O"]), ("c", ["O"])])
+        write_scored(p, [("a", ["O"]), ("b", ["O"]), ("b", ["O"]), ("c", ["O"]), ("a", ["O"])])
+        # The index sorts a's rows before b's, or after them.
+        hashes = {
+            **COLLIDING_HASHES,
+            "a-first": lambda rid: ord(rid) << 50,
+            "b-first": lambda rid: -ord(rid) << 50,
+        }
+        assert self.outcomes(g, p, monkeypatch, hashes=hashes) == dict.fromkeys(
+            ["real", *hashes], "RecordError: p.jsonl:3: duplicate prediction id 'b'"
+        )
+        # Duplicates are looked for once every line is checked, so a later
+        # malformed line is reported first.
+        with p.open("a", encoding="utf-8") as f:
+            f.write("not json\n")
+        with pytest.raises(RecordError) as info:
+            stream_score(g, p, unordered=True)
+        assert str(info.value) == "p.jsonl:6: malformed JSON: Expecting value"
+
+
 def test_unordered_memory_per_record(tmp_path):
     """--unordered holds an index entry per prediction, not its labels.
 
     50,000 shuffled predictions of 40 labels each: the traced peak stays at
-    or under 400 bytes per record (about 275 here), where keeping every
-    decoded label list costs about 1,800. Ordered scoring of the same files
-    holds one line of each at a time, so its peak stays under 256 KB
-    whatever the record count (buffering 5,000 lines of each took about 6 MB).
+    or under 128 bytes per record (about 20 here: 17.5 for the index and the
+    rest while it is sorted), and under the older bound of 400, where
+    keeping every decoded label list costs about 1,800. Ordered scoring of
+    the same files holds one line of each at a time, so its peak stays under
+    256 KB whatever the record count (buffering 5,000 lines of each took
+    about 6 MB).
     """
     n, width, per_record, ordered_peak = 50_000, 40, 400, 256 * 1024
+    tight_per_record = 128
     rng = random.Random(12)
     pool = [random_bio_labels(rng, TYPES, width) for _ in range(500)]
     gold = [(f"r{i:06d}", rng.choice(pool)) for i in range(n)]
@@ -522,3 +629,4 @@ def test_unordered_memory_per_record(tmp_path):
     assert unordered.records == n
     assert unordered.counters == ordered.counters
     assert peak <= per_record * n, f"peak {peak} bytes is {peak / n:.0f} bytes per record"
+    assert peak <= tight_per_record * n, f"peak {peak} bytes is {peak / n:.0f} bytes per record"
