@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 from pathlib import Path
@@ -733,3 +734,42 @@ class TestHash:
         digest, name = result.output.split()
         assert len(digest) == 64
         assert name == str(p)
+
+
+_DEMO_TEST = str(REPO / "demo" / "out" / "test.jsonl")
+_ANALYZE = ["analyze", "--rows", str(entity_results_path()), "--a", "direct", "--b", "sch",
+            "--out", "{out}", "--format"]
+_COMPARE = ["compare", "--table", str(system_results_path()), "--out", "{out}", "--format"]
+
+
+# The SHA-256 of every table output on the packaged and demo inputs, taken
+# before the tables shared one renderer: rendering must keep these bytes.
+@pytest.mark.parametrize("argv, digest", [
+    pytest.param([*_ANALYZE, "markdown"],
+                 "36b5f6197e1c5a3305aac8d9e61bfc2c6819935f91ad2a275d9d937cc74f1634",
+                 id="analyze-markdown"),
+    pytest.param([*_ANALYZE, "csv"],
+                 "c4a3da4a824bb2958ce257abba9f920dc31b2543ca0a0bcc1676965814ccd564",
+                 id="analyze-csv"),
+    pytest.param([*_ANALYZE, "json"],
+                 "69c7f4fb00f4ceb735566702746c8895e6e3578f02fe2f3c689e2fe4e8dbc53e",
+                 id="analyze-json"),
+    pytest.param([*_COMPARE, "markdown"],
+                 "c482d41a351bd65138ba8bc84a8fa6f91765e1c33739cd7804f13a80fd44b429",
+                 id="compare-markdown"),
+    pytest.param([*_COMPARE, "csv"],
+                 "b6c15aaadb24e07d424893743dcc7053844b73bc94fc30db5a0b4b3ff1dc4423",
+                 id="compare-csv"),
+    pytest.param([*_COMPARE, "json"],
+                 "5779c6405c93a956679b5636542883640b255fdc2dcbc1fcd081d86e79cceaa2",
+                 id="compare-json"),
+    pytest.param(["score", "--gold", _DEMO_TEST, "--pred", _DEMO_TEST, "--csv", "{out}",
+                  "--taxonomy", str(taxonomy_path())],
+                 "e02548a0a9e9e96ed31d4459def47479563135521d6dbad0ede0f2a2383f9c40",
+                 id="score-csv"),
+])
+def test_table_bytes_are_pinned(runner, tmp_path, argv, digest):
+    out = tmp_path / "table"
+    result = runner.invoke(main, [a.format(out=out) for a in argv])
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
