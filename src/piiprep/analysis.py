@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator, Mapping
 
 from piiprep.errors import AnalysisError
 from piiprep.jsonl import read_text
@@ -38,6 +38,8 @@ __all__ = [
     "load_system_table",
     "compare_systems",
     "emit_comparison",
+    "TYPE_COLUMNS",
+    "render_table",
 ]
 
 _F1_PRECISION = 4  # published per-entity scores carry four decimals
@@ -62,10 +64,13 @@ def _csv_rows(path: Path) -> tuple[list[str] | None, Iterator[tuple[int, dict[st
 
     Newlines are read as in a file opened with newline="". Blank lines are
     skipped, as csv.DictReader skips them; a row whose cell count is not the
-    header's fails at the line it ends on.
+    header's fails at the line it ends on, and so does a repeated column name.
     """
     reader = csv.reader(io.StringIO(read_text(path), newline=""))
     header = next((cells for cells in reader if cells), None)
+    for i, name in enumerate(header or ()):
+        if name in header[:i]:
+            raise AnalysisError(f"{path.name}:{reader.line_num}: duplicate column {name!r}")
 
     def rows() -> Iterator[tuple[int, dict[str, str]]]:
         for cells in reader:
@@ -79,6 +84,40 @@ def _csv_rows(path: Path) -> tuple[list[str] | None, Iterator[tuple[int, dict[st
             yield reader.line_num, dict(zip(header, cells))
 
     return header, rows()
+
+
+# A table column: its key, which names the row's value and is the CSV header,
+# its markdown header and the format spec of its cells ("" for text).
+Column = tuple[str, str, str]
+
+# score --csv's per-type table; a row is {"type": ..., "group": ..., **vars(metrics)}.
+TYPE_COLUMNS: list[Column] = [
+    ("type", "Type", ""), ("group", "Group", ""), ("support", "Support", "d"),
+    ("precision", "P", ".6f"), ("recall", "R", ".6f"), ("f1", "F1", ".6f"),
+]
+
+
+def render_table(columns: list[Column], rows: Iterable[Mapping], fmt: str) -> str:
+    """A table as CSV, which csv.reader reads back, or as markdown.
+
+    Markdown left-aligns text columns, right-aligns the others and escapes
+    | as \\| in headers and cells.
+    """
+    cells = ([format(row[key], spec) for key, _, spec in columns] for row in rows)
+    if fmt == "csv":
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(key for key, _, _ in columns)
+        writer.writerows(cells)
+        return out.getvalue()
+    if fmt not in ("md", "markdown"):
+        raise AnalysisError(f"unknown report format {fmt!r} (expected markdown, csv or json)")
+
+    def line(texts: Iterable[str]) -> str:
+        return "| " + " | ".join(t.replace("|", "\\|") for t in texts) + " |\n"
+
+    rule = "|" + "|".join("---:" if spec else "---" for _, _, spec in columns) + "|\n"
+    return line(header for _, header, _ in columns) + rule + "".join(map(line, cells))
 
 
 def _score(cell: str) -> float:
@@ -306,56 +345,36 @@ def _report_dict(report: AnalysisReport) -> dict:
     }
 
 
-def _advantage_md(rows: list[AdvantageRow], a: str, b: str) -> list[str]:
-    lines = [
-        f"| Rank | Entity | Group | Support | F1 {a} | F1 {b} | Delta |",
-        "|---:|---|---|---:|---:|---:|---:|",
-    ]
-    for i, r in enumerate(rows, 1):
-        lines.append(
-            f"| {i} | {r.entity} | {r.group} | {r.support} | "
-            f"{r.f1_a:.4f} | {r.f1_b:.4f} | {r.delta:+.4f} |"
-        )
-    return lines
-
-
 def emit_report(report: AnalysisReport, fmt: str = "markdown") -> str:
-    """Render an analysis report as markdown, csv or json."""
-    if fmt in ("md", "markdown"):
-        a, b = report.system_a, report.system_b
-        w = report.winners
-        lines = [
-            f"# System comparison: {a} vs {b}",
-            "",
-            f"{report.entity_count} entity types. Delta is F1 {a} minus F1 {b}.",
-            f"Overall wins: {a} {w.wins_a}, {b} {w.wins_b}, ties {w.ties}.",
-            "",
-            "## Coarse groups",
-            "",
-            f"| Group | Support | F1 {a} | F1 {b} | Delta | Wins {a} | Wins {b} |",
-            "|---|---:|---:|---:|---:|---:|---:|",
-        ]
-        for g in report.groups:
-            lines.append(
-                f"| {g.group} | {g.support} | {g.f1_a:.4f} | {g.f1_b:.4f} | "
-                f"{g.delta:+.4f} | {g.wins_a} | {g.wins_b} |"
-            )
-        lines += ["", f"## Largest {a} advantages", ""]
-        lines += _advantage_md(report.top_a, a, b)
-        lines += ["", f"## Largest {b} advantages", ""]
-        lines += _advantage_md(report.top_b, a, b)
-        return "\n".join(lines) + "\n"
-    if fmt == "csv":
-        lines = ["group,support,f1_a,f1_b,delta,wins_a,wins_b"]
-        for g in report.groups:
-            lines.append(
-                f"{g.group},{g.support},{g.f1_a:.4f},{g.f1_b:.4f},"
-                f"{g.delta:+.4f},{g.wins_a},{g.wins_b}"
-            )
-        return "\n".join(lines) + "\n"
+    """Render an analysis report as markdown, csv (the group table) or json."""
     if fmt == "json":
         return json.dumps(_report_dict(report), indent=2, ensure_ascii=False) + "\n"
-    raise AnalysisError(f"unknown report format {fmt!r} (expected markdown, csv or json)")
+    a, b = report.system_a, report.system_b
+    # The columns that the group table and the advantage tables share.
+    scores: list[Column] = [
+        ("support", "Support", "d"), ("f1_a", f"F1 {a}", ".4f"), ("f1_b", f"F1 {b}", ".4f"),
+        ("delta", "Delta", "+.4f"),
+    ]
+    wins = [("wins_a", f"Wins {a}", "d"), ("wins_b", f"Wins {b}", "d")]
+    groups = render_table([("group", "Group", ""), *scores, *wins], map(vars, report.groups), fmt)
+    if fmt == "csv":
+        return groups
+    advantage = [("rank", "Rank", "d"), ("entity", "Entity", ""), ("group", "Group", ""), *scores]
+    w = report.winners
+    lines = [
+        f"# System comparison: {a} vs {b}",
+        "",
+        f"{report.entity_count} entity types. Delta is F1 {a} minus F1 {b}.",
+        f"Overall wins: {a} {w.wins_a}, {b} {w.wins_b}, ties {w.ties}.",
+        "",
+        "## Coarse groups",
+        "",
+        groups,
+    ]
+    for side, top in ((a, report.top_a), (b, report.top_b)):
+        ranked = ({"rank": i, **vars(r)} for i, r in enumerate(top, 1))
+        lines += [f"## Largest {side} advantages", "", render_table(advantage, ranked, fmt)]
+    return "\n".join(lines)
 
 
 @dataclass
@@ -368,12 +387,7 @@ class SystemEntry:
 
 
 @dataclass
-class SystemSummary:
-    system: str
-    category: str
-    f1: float
-    precision: float
-    recall: float
+class SystemSummary(SystemEntry):
     rank: int
     f1_delta_vs_top: float
     best_f1: bool
@@ -421,11 +435,7 @@ def compare_systems(entries: list[SystemEntry]) -> list[SystemSummary]:
     best_r = max(e.recall for e in entries)
     return [
         SystemSummary(
-            system=e.system,
-            category=e.category,
-            f1=e.f1,
-            precision=e.precision,
-            recall=e.recall,
+            **vars(e),
             rank=i,
             f1_delta_vs_top=e.f1 - top_f1,
             best_f1=e.f1 == top_f1,
@@ -436,28 +446,18 @@ def compare_systems(entries: list[SystemEntry]) -> list[SystemSummary]:
     ]
 
 
+_SYSTEM_COLUMNS: list[Column] = [
+    ("rank", "Rank", "d"), ("system", "System", ""), ("category", "Category", ""),
+    ("f1", "F1", ".4f"), ("precision", "P", ".4f"), ("recall", "R", ".4f"),
+    ("f1_delta_vs_top", "vs top", "+.4f"),
+]
+
+
 def emit_comparison(summaries: list[SystemSummary], fmt: str = "markdown") -> str:
     """Render a ranked system table as markdown, csv or json."""
-    if fmt in ("md", "markdown"):
-        lines = [
-            "| Rank | System | Category | F1 | P | R | vs top |",
-            "|---:|---|---|---:|---:|---:|---:|",
-        ]
-        for s in summaries:
-            mark = " *" if s.best_f1 else ""
-            lines.append(
-                f"| {s.rank} | {s.system}{mark} | {s.category} | {s.f1:.4f} | "
-                f"{s.precision:.4f} | {s.recall:.4f} | {s.f1_delta_vs_top:+.4f} |"
-            )
-        return "\n".join(lines) + "\n"
-    if fmt == "csv":
-        lines = ["rank,system,category,f1,precision,recall,f1_delta_vs_top"]
-        for s in summaries:
-            lines.append(
-                f"{s.rank},{s.system},{s.category},{s.f1:.4f},"
-                f"{s.precision:.4f},{s.recall:.4f},{s.f1_delta_vs_top:+.4f}"
-            )
-        return "\n".join(lines) + "\n"
+    rows = [vars(s) for s in summaries]
     if fmt == "json":
-        return json.dumps([vars(s) for s in summaries], indent=2, ensure_ascii=False) + "\n"
-    raise AnalysisError(f"unknown report format {fmt!r} (expected markdown, csv or json)")
+        return json.dumps(rows, indent=2, ensure_ascii=False) + "\n"
+    if fmt != "csv":  # markdown marks the best F1 in the system's cell
+        rows = [{**r, "system": f"{r['system']} *"} if r["best_f1"] else r for r in rows]
+    return render_table(_SYSTEM_COLUMNS, rows, fmt)

@@ -22,7 +22,9 @@ from piiprep.analysis import (
     emit_report,
     load_entity_rows,
     load_system_table,
+    render_table,
     SystemEntry,
+    TYPE_COLUMNS,
 )
 from piiprep.errors import AnalysisError, RecordError, ToolkitError
 from piiprep.jsonl import read_text
@@ -187,7 +189,11 @@ def score(
             from piiprep.fixtures import canonical_space
 
             space = canonical_space()
-        Path(csv_path).write_text(report.to_csv(space), encoding="utf-8")
+        rows = (
+            {"type": t, "group": space.coarse_map.get(t, ""), **vars(m)}
+            for t, m in sorted(report.per_type.items())
+        )
+        Path(csv_path).write_text(render_table(TYPE_COLUMNS, rows, "csv"), encoding="utf-8")
 
 
 def _read_report(path: Path) -> MetricsReport:

@@ -65,6 +65,11 @@ def indexed_pairs(gold_path: Path, pred_path: Path) -> _Pairs:
     With the directory of the keys, about 17.5 bytes per row in all.
     """
     gname, pname = gold_path.name, pred_path.name
+    # A pipe could be read once only; opening a named one again would hang.
+    # Checked before the index pass, which would read the whole stream first.
+    if not stat.S_ISREG(os.stat(pred_path).st_mode):
+        raise RecordError(f"{pname}: unordered scoring reads predictions twice, "
+                          "so they must be in a regular file")
     # Keys are sorted a sixteenth at a time, split by their top four bits, so
     # the list that sorted() makes holds a sixteenth of them.
     offsets, parts = array("Q"), [array("Q") for _ in range(16)]
@@ -73,10 +78,6 @@ def indexed_pairs(gold_path: Path, pred_path: Path) -> _Pairs:
         offsets.append(offset)
         key = _id_hash(rid) & _HIGH | lineno - 1
         parts[key >> 60].append(key)
-    # A pipe could be read once only; opening a named one again would hang.
-    if not stat.S_ISREG(os.stat(pred_path).st_mode):
-        raise RecordError(f"{pname}: unordered scoring reads predictions twice, "
-                          "so they must be in a regular file")
     n = len(offsets)
     if n > _ROW:
         raise RecordError(f"{pname}: unordered scoring takes at most {_ROW} predictions")

@@ -19,7 +19,6 @@ from typing import Iterator, Mapping, Sequence
 from piiprep.biospan import check_labels, extract_span_tuples
 from piiprep.errors import AlignmentError, LabelError, RecordError
 from piiprep.jsonl import decode_located_line, iter_lines
-from piiprep.labelspace import LabelSpace
 
 __all__ = [
     "TypeCounters",
@@ -153,16 +152,6 @@ class MetricsReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, ensure_ascii=False) + "\n"
-
-    def to_csv(self, space: LabelSpace | None = None) -> str:
-        """Per-type table; group column filled from a label space when given."""
-        lines = ["type,group,support,precision,recall,f1"]
-        for t, m in sorted(self.per_type.items()):
-            group = space.coarse_map.get(t, "") if space is not None else ""
-            lines.append(
-                f"{t},{group},{m.support},{m.precision:.6f},{m.recall:.6f},{m.f1:.6f}"
-            )
-        return "\n".join(lines) + "\n"
 
 
 def finalize(

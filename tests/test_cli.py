@@ -1,6 +1,9 @@
+import csv
 import hashlib
+import io
 import json
 import logging
+import re
 from pathlib import Path
 
 import pytest
@@ -702,6 +705,9 @@ _REPORT = json.dumps({
                  "system,category,f1,precision,recall\nA,B,0.5,0.5,0.5,0.5\n", False,
                  "in.txt:2: expected 5 fields, got 6", id="compare-table-long-row"),
     pytest.param(["compare", "--table", "{f}"],
+                 "system,category,f1,precision,recall,f1\nA,B,0.5,0.5,0.5,0.9\n", False,
+                 "in.txt:1: duplicate column 'f1'", id="compare-table-repeated-column"),
+    pytest.param(["compare", "--table", "{f}"],
                  "system,category,f1,precision,recall\nA,B,nan,0.5,0.5\n", False,
                  "in.txt:2: score must be a finite number, got 'nan'", id="compare-table-nan"),
     pytest.param(["analyze", "--rows", "{f}", "--a", "direct", "--b", "sch"],
@@ -710,6 +716,9 @@ _REPORT = json.dumps({
     pytest.param(["analyze", "--rows", "{f}", "--a", "direct", "--b", "sch"],
                  "entity,group,support,f1_direct,f1_sch\nX,G,3,0.5,0.5,\n", False,
                  "in.txt:2: expected 5 fields, got 6", id="analyze-rows-long-row"),
+    pytest.param(["analyze", "--rows", "{f}", "--a", "direct", "--b", "sch"],
+                 "entity,group,support,f1_direct,f1_sch,f1_direct\nX,G,3,0.5,0.5,0.9\n", False,
+                 "in.txt:1: duplicate column 'f1_direct'", id="analyze-rows-repeated-column"),
     pytest.param(["analyze", "--rows", "{f}", "--a", "direct", "--b", "sch"],
                  "entity,group,support,f1_direct,f1_sch\nX,G,3,0.5,inf\n", False,
                  "in.txt:2: score must be a finite number, got 'inf'", id="analyze-rows-inf"),
@@ -723,6 +732,78 @@ def test_bad_input_file_is_located_data_error(runner, tmp_path, argv, text, brok
     result = runner.invoke(main, [a.format(art=art, f=f) for a in argv])
     assert result.exit_code == 1
     assert result.output == f"Error: {message}\n"
+
+
+def write_csv(path: Path, rows) -> None:
+    with path.open("w", encoding="utf-8", newline="") as f:
+        csv.writer(f).writerows(rows)
+
+
+def csv_widths(text: str) -> set[int]:
+    return {len(cells) for cells in csv.reader(io.StringIO(text, newline=""))}
+
+
+def markdown_widths(text: str) -> set[int]:
+    """The cell counts of the table rows, split on every | not escaped as \\|."""
+    return {len(re.split(r"(?<!\\)\|", line)) - 2
+            for line in text.splitlines() if line.startswith("|")}
+
+
+class TestTableQuoting:
+    """Names holding ',', '"' or '|' keep every table row at its header's width."""
+
+    def test_compare_csv_reads_back_as_the_same_ranking(self, runner, tmp_path):
+        table, first = tmp_path / "table.csv", tmp_path / "first.csv"
+        write_csv(table, [
+            ["system", "category", "f1", "precision", "recall"],
+            ["Acme, Inc", "api, hosted", "0.5000", "0.4000", "0.6000"],
+            ['Say "hi"', 'the "open" kind', "0.6000", "0.5000", "0.7000"],
+            ["Bar|Baz", "a|b", "0.7000", "0.6000", "0.8000"],
+        ])
+        argv = ["compare", "--table", str(table), "--format", "csv", "--out", str(first)]
+        assert runner.invoke(main, argv).exit_code == 0
+        again = runner.invoke(main, ["compare", "--table", str(first), "--format", "csv"])
+        assert again.exit_code == 0, again.output
+        assert again.output == first.read_text(encoding="utf-8")
+        ranked = list(csv.DictReader(io.StringIO(again.output, newline="")))
+        assert [r["system"] for r in ranked] == ["Bar|Baz", 'Say "hi"', "Acme, Inc"]
+        markdown = runner.invoke(main, ["compare", "--table", str(table)]).output
+        assert markdown_widths(markdown) == {7}
+        assert "| 1 | Bar\\|Baz * | a\\|b |" in markdown
+
+    def test_analyze_rows_keep_the_header_width(self, runner, tmp_path):
+        rows = tmp_path / "rows.csv"
+        write_csv(rows, [
+            ["entity", "group", "support", "f1_x|y", "f1_z"],
+            ["Acme, Inc", "G, one", "3", "0.5", "0.25"],
+            ['Say "hi"', "G|two", "2", "0.1", "0.75"],
+            ["E|2", 'G "three"', "1", "0.5", "0.5"],
+        ])
+        argv = ["analyze", "--rows", str(rows), "--a", "x|y", "--b", "z", "--format"]
+        text = runner.invoke(main, [*argv, "csv"]).output
+        assert csv_widths(text) == {7}
+        groups = [r["group"] for r in csv.DictReader(io.StringIO(text, newline=""))]
+        assert groups == ["G, one", "G|two", 'G "three"']
+        markdown = runner.invoke(main, [*argv, "markdown"]).output
+        assert markdown_widths(markdown) == {7}
+        assert "| Group | Support | F1 x\\|y | F1 z | Delta | Wins x\\|y | Wins z |" in markdown
+        assert "| 1 | Acme, Inc | G, one | 3 |" in markdown
+
+    def test_score_csv_rows_keep_the_header_width(self, runner, tmp_path):
+        # A taxonomy takes no such type names, so their group cell is empty.
+        labels = [["B-ACME, INC", "O"], ['B-SAY "HI"'], ["O", "B-E|2"]]
+        g, p = tmp_path / "g.jsonl", tmp_path / "p.jsonl"
+        write_artifact(g, [(f"r{i}", ls, "s") for i, ls in enumerate(labels)])
+        p.write_text("".join(json.dumps({"id": f"r{i}", "labels": ls}) + "\n"
+                             for i, ls in enumerate(labels)), encoding="utf-8")
+        out = tmp_path / "types.csv"
+        result = runner.invoke(main, ["score", "--gold", str(g), "--pred", str(p),
+                                      "--out", str(tmp_path / "report.json"), "--csv", str(out)])
+        assert result.exit_code == 0, result.output
+        text = out.read_text(encoding="utf-8")
+        assert csv_widths(text) == {6}
+        types = [r["type"] for r in csv.DictReader(io.StringIO(text, newline=""))]
+        assert types == ["ACME, INC", "E|2", 'SAY "HI"']
 
 
 class TestHash:

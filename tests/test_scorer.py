@@ -9,6 +9,7 @@ import pytest
 
 from conftest import KERNELS, random_bio_labels, score_corpus_oracle
 from piiprep import predindex, scorer
+from piiprep.analysis import TYPE_COLUMNS, render_table
 from piiprep.errors import AlignmentError, RecordError
 from piiprep.scorer import (
     MetricsReport,
@@ -113,7 +114,9 @@ class TestFinalize:
     def test_csv_shape(self, canonical_space):
         c = TypeCounters()
         c.add_pair(["B-IBAN"], ["B-IBAN"])
-        text = finalize(c).to_csv(canonical_space)
+        rows = [{"type": t, "group": canonical_space.coarse_map[t], **vars(m)}
+                for t, m in finalize(c).per_type.items()]
+        text = render_table(TYPE_COLUMNS, rows, "csv")
         lines = text.strip().split("\n")
         assert lines[0] == "type,group,support,precision,recall,f1"
         assert lines[1].startswith("IBAN,FINANCIAL_ID,1,")
@@ -463,19 +466,23 @@ class TestUnorderedReadBack:
     def test_predictions_from_a_pipe_rejected(self, tmp_path):
         g = tmp_path / "g.jsonl"
         write_scored(g, self.GOLD)
-        r, w = os.pipe()
-        try:
-            os.write(w, "".join(json.dumps({"id": i, "labels": l}) + "\n"
-                                for i, l in self.PRED).encode("utf-8"))
-            os.close(w)
-            with pytest.raises(RecordError) as info:
-                stream_score(g, f"/dev/fd/{r}", unordered=True)
-            assert str(info.value) == (
-                f"{r}: unordered scoring reads predictions twice, so they must be in a regular file"
-            )
-            assert stream_score(g, g, unordered=True).records == len(self.GOLD)
-        finally:
-            os.close(r)
+        lines = "".join(json.dumps({"id": i, "labels": l}) + "\n" for i, l in self.PRED)
+        # The pipe is rejected before any of its lines is read, so a malformed
+        # first line does not change the error.
+        for text in (lines, "not json\n" + lines):
+            r, w = os.pipe()
+            try:
+                os.write(w, text.encode("utf-8"))
+                os.close(w)
+                with pytest.raises(RecordError) as info:
+                    stream_score(g, f"/dev/fd/{r}", unordered=True)
+                assert str(info.value) == (
+                    f"{r}: unordered scoring reads predictions twice, "
+                    "so they must be in a regular file"
+                )
+            finally:
+                os.close(r)
+        assert stream_score(g, g, unordered=True).records == len(self.GOLD)
 
     def test_bad_label_line_found_from_the_offset(self, tmp_path):
         g, p = tmp_path / "g.jsonl", tmp_path / "p.jsonl"
