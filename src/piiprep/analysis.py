@@ -29,7 +29,6 @@ __all__ = [
     "SystemSummary",
     "AnalysisReport",
     "load_entity_rows",
-    "group_weighted_f1",
     "group_table",
     "winner_counts",
     "top_advantage",
@@ -164,21 +163,6 @@ def load_entity_rows(path: str | Path) -> list[EntityRow]:
     return rows
 
 
-def group_weighted_f1(rows: list[EntityRow], system: str) -> dict[str, float]:
-    """Support-weighted mean F1 per coarse group for one system."""
-    num: dict[str, float] = {}
-    den: dict[str, int] = {}
-    for row in rows:
-        num[row.group] = num.get(row.group, 0.0) + row.support * row.score(system)
-        den[row.group] = den.get(row.group, 0) + row.support
-    out = {}
-    for g in num:
-        if den[g] == 0:
-            raise AnalysisError(f"group {g}: zero total support, weighted mean undefined")
-        out[g] = num[g] / den[g]
-    return out
-
-
 @dataclass
 class GroupRow:
     group: str
@@ -225,31 +209,33 @@ def winner_counts(rows: list[EntityRow], system_a: str, system_b: str) -> Winner
 
 
 def group_table(rows: list[EntityRow], system_a: str, system_b: str) -> list[GroupRow]:
-    """Per-group summary, ordered by support descending then group name."""
-    wf_a = group_weighted_f1(rows, system_a)
-    wf_b = group_weighted_f1(rows, system_b)
-    wins = winner_counts(rows, system_a, system_b).per_group
-    support: dict[str, int] = {}
-    members: dict[str, int] = {}
+    """Per-group summary in one pass, ordered by support descending then group name.
+
+    F1s are support-weighted means; wins are strict, as in winner_counts.
+    """
+    groups: dict[str, GroupRow] = {}
     for row in rows:
-        support[row.group] = support.get(row.group, 0) + row.support
-        members[row.group] = members.get(row.group, 0) + 1
-    out = [
-        GroupRow(
-            group=g,
-            support=support[g],
-            f1_a=wf_a[g],
-            f1_b=wf_b[g],
-            delta=wf_a[g] - wf_b[g],
-            wins_a=wins[g][0],
-            wins_b=wins[g][1],
-            ties=wins[g][2],
-            entities=members[g],
-        )
-        for g in support
-    ]
-    out.sort(key=lambda r: (-r.support, r.group))
-    return out
+        fa, fb = row.score(system_a), row.score(system_b)
+        g = groups.get(row.group)
+        if g is None:
+            g = groups[row.group] = GroupRow(row.group, 0, 0.0, 0.0, 0.0, 0, 0, 0, 0)
+        g.support += row.support
+        g.f1_a += row.support * fa  # support-weighted sums until divided below
+        g.f1_b += row.support * fb
+        if fa > fb:
+            g.wins_a += 1
+        elif fb > fa:
+            g.wins_b += 1
+        else:
+            g.ties += 1
+        g.entities += 1
+    for g in groups.values():
+        if g.support == 0:
+            raise AnalysisError(f"group {g.group}: zero total support, weighted mean undefined")
+        g.f1_a /= g.support
+        g.f1_b /= g.support
+        g.delta = g.f1_a - g.f1_b
+    return sorted(groups.values(), key=lambda g: (-g.support, g.group))
 
 
 @dataclass
@@ -422,23 +408,27 @@ def load_system_table(path: str | Path) -> list[SystemEntry]:
 
 
 def compare_systems(entries: list[SystemEntry]) -> list[SystemSummary]:
-    """Rank systems by micro F1 (descending; exact ties fall back to name)."""
+    """Rank systems by micro F1 as printed, to four decimals (descending; ties by name).
+
+    The best-F1 mark and the delta to the top use it too, so compare's own CSV reads back as is.
+    """
     names = [e.system for e in entries]
     if len(set(names)) != len(names):
         dupes = sorted({n for n in names if names.count(n) > 1})
         raise AnalysisError(f"duplicate system name(s): {dupes}")
     if not entries:
         raise AnalysisError("no systems to compare")
-    ranked = sorted(entries, key=lambda e: (-e.f1, e.system))
-    top_f1 = ranked[0].f1
+    printed = {e.system: round(e.f1, _F1_PRECISION) for e in entries}
+    ranked = sorted(entries, key=lambda e: (-printed[e.system], e.system))
+    top_f1 = printed[ranked[0].system]
     best_p = max(e.precision for e in entries)
     best_r = max(e.recall for e in entries)
     return [
         SystemSummary(
             **vars(e),
             rank=i,
-            f1_delta_vs_top=e.f1 - top_f1,
-            best_f1=e.f1 == top_f1,
+            f1_delta_vs_top=printed[e.system] - top_f1,
+            best_f1=printed[e.system] == top_f1,
             best_precision=e.precision == best_p,
             best_recall=e.recall == best_r,
         )

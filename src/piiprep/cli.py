@@ -27,7 +27,7 @@ from piiprep.analysis import (
     TYPE_COLUMNS,
 )
 from piiprep.errors import AnalysisError, RecordError, ToolkitError
-from piiprep.jsonl import read_text
+from piiprep.jsonl import check_encodable, read_text
 from piiprep.labelspace import load_taxonomy
 from piiprep.manifest import sha256_file, tally, write_manifest
 from piiprep.pipeline import PipelineConfig, run_prepare, sample_subset
@@ -109,26 +109,18 @@ def sample(input_path: str, n: int, seed: int, out_path: str) -> None:
 @click.option("--strict", is_flag=True, help="Fail (exit 1) when orphan continuations exist.")
 @guarded
 def validate(input_path: str, taxonomy_path: str | None, strict: bool) -> None:
-    """Check artifact schema and labels; report counts and orphans."""
-    if taxonomy_path is not None:
-        space = load_taxonomy(taxonomy_path)
-    else:
-        from piiprep.fixtures import canonical_space
-
-        space = canonical_space()
-    known: set[str] = set()  # O and the labels whose type is in the taxonomy
+    """Check artifact schema and labels (by prepare's taxonomy check); report counts and orphans."""
+    space = load_taxonomy(taxonomy_path)
 
     def checked(records):
         # read_records rejects blank lines, so the record number is the line number.
         for lineno, rec in enumerate(records, 1):
-            for lab in rec.labels:
-                if lab not in known:
-                    if lab != "O" and lab[2:] not in space:
-                        raise RecordError(
-                            f"{Path(input_path).name}:{lineno}: record {rec.id}: "
-                            f"entity type {lab[2:]!r} not in taxonomy"
-                        )
-                    known.add(lab)
+            unknown = space.unknown_type(rec.labels)
+            if unknown is not None:
+                raise RecordError(
+                    f"{Path(input_path).name}:{lineno}: record {rec.id}: "
+                    f"entity type {unknown!r} not in taxonomy"
+                )
             yield rec
 
     summary = tally(checked(read_records(input_path)))
@@ -167,7 +159,7 @@ def score(
     """Span-level exact-match scoring of predictions against gold."""
     if chunk_size < 1:
         raise click.UsageError(f"--chunk-size must be >= 1, got {chunk_size}")
-    space = load_taxonomy(taxonomy_path) if taxonomy_path is not None else None
+    space = load_taxonomy(taxonomy_path)
     result = stream_score(gold_path, pred_path, chunk_size=chunk_size, unordered=unordered)
     report = finalize(
         result.counters,
@@ -185,10 +177,6 @@ def score(
     else:
         click.echo(text, nl=False)
     if csv_path:
-        if space is None:
-            from piiprep.fixtures import canonical_space
-
-            space = canonical_space()
         rows = (
             {"type": t, "group": space.coarse_map.get(t, ""), **vars(m)}
             for t, m in sorted(report.per_type.items())
@@ -213,6 +201,8 @@ def _read_report(path: Path) -> MetricsReport:
     micro = (report.micro_precision, report.micro_recall, report.micro_f1)
     if not all(type(v) in (int, float) and math.isfinite(v) for v in micro):
         raise AnalysisError(f"{path.name}: micro scores must be numbers")
+    check_encodable([(f"{path.name}: system", report.system),
+                     (f"{path.name}: category", report.category)])
     return report
 
 

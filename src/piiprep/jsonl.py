@@ -4,7 +4,8 @@ Artifacts, gold and prediction files and prepare's sources are all read
 through iter_lines, and their JSON lines decoded through decode_located_line.
 Files parsed whole (a config, a taxonomy, a results table, a score report)
 are read through iter_lines too, so a byte that is not UTF-8 is reported the
-same way everywhere. The module is kept apart from records so that importing the
+same way everywhere. check_encodable rejects a decoded string that UTF-8
+cannot encode. The module is kept apart from records so that importing the
 scorer does not build the Record dataclass.
 """
 
@@ -12,11 +13,13 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from piiprep.errors import RecordError
 
-__all__ = ["iter_lines", "read_text", "decode_json_line", "decode_located_line"]
+__all__ = [
+    "iter_lines", "read_text", "decode_json_line", "decode_located_line", "check_encodable",
+]
 
 _SCAN_ONCE = json.JSONDecoder().scan_once
 
@@ -72,3 +75,18 @@ def decode_located_line(text: str, lineno: int, name: str):
         if not text.strip():
             raise RecordError(f"{name}:{lineno}: blank line") from None
         raise RecordError(f"{name}:{lineno}: malformed JSON: {e.msg}") from None
+
+
+def check_encodable(named: Iterable[tuple[str, object]]) -> None:
+    """Reject the first (name, value) whose string UTF-8 cannot encode.
+
+    Only a JSON \\u escape can spell such a string, one holding a lone UTF-16
+    surrogate ("\\ud800"), and it could not be written out. Non-strings pass.
+    """
+    for name, value in named:
+        if not isinstance(value, str):
+            continue
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise RecordError(f"{name} holds a lone UTF-16 surrogate: {value!r}") from None

@@ -1,9 +1,9 @@
-"""Label-space construction for fine and coarse BIO tagging.
+"""The taxonomy and its fine and coarse BIO label spaces, the one home of their rules.
 
-A label space is built from an ordered list of entity types plus a mapping of
-each type onto one of ten fixed coarse groups. The fine tag set is O plus a
-B-/I- pair per type (2n+1 labels); the coarse tag set is O plus a B-/I- pair
-per group that actually occurs in the mapping.
+load_taxonomy reads and checks a taxonomy: each type mapped onto one of ten
+fixed coarse groups. The fine tag set is O plus a B-/I- pair per type (2n+1
+labels); the coarse tag set is O plus a B-/I- pair per group that occurs in
+the mapping. LabelSpace.unknown_type is validate's and prepare's label check.
 
 Label order is part of the contract: O sits at index 0 and the B-/I- pairs
 follow in taxonomy order, so downstream consumers can rely on stable indices.
@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 from piiprep.errors import LabelError, TaxonomyError
 from piiprep.jsonl import iter_lines
@@ -23,7 +23,6 @@ __all__ = [
     "CANONICAL_GROUPS",
     "BioLabel",
     "LabelSpace",
-    "build_label_space",
     "parse_bio_label",
     "load_taxonomy",
 ]
@@ -75,6 +74,7 @@ class LabelSpace:
     groups: tuple[str, ...] = field(init=False)
     fine_labels: tuple[str, ...] = field(init=False)
     coarse_labels: tuple[str, ...] = field(init=False)
+    fine_label_set: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         present = set(self.coarse_map.values())
@@ -88,6 +88,7 @@ class LabelSpace:
         object.__setattr__(self, "groups", groups)
         object.__setattr__(self, "fine_labels", tuple(fine))
         object.__setattr__(self, "coarse_labels", tuple(coarse))
+        object.__setattr__(self, "fine_label_set", frozenset(fine))
 
     def coarse_of(self, entity_type: str) -> str:
         """Coarse group of a fine type; raises LabelError for unknown types."""
@@ -99,60 +100,48 @@ class LabelSpace:
     def __contains__(self, entity_type: str) -> bool:
         return entity_type in self.coarse_map
 
-
-def build_label_space(types: Iterable[str], coarse_map: Mapping[str, str]) -> LabelSpace:
-    """Validate a taxonomy and build its LabelSpace.
-
-    Types must be unique uppercase identifiers (no hyphen, so the B-/I- split
-    on the first hyphen stays unambiguous) and every type must map onto one of
-    the canonical coarse groups.
-    """
-    ordered = tuple(types)
-    seen: set[str] = set()
-    for t in ordered:
-        if not _TYPE_RE.match(t):
-            raise TaxonomyError(
-                f"invalid entity type name {t!r}: expected an uppercase "
-                "identifier without hyphens"
-            )
-        if t in seen:
-            raise TaxonomyError(f"duplicate entity type: {t}")
-        seen.add(t)
-    for t in ordered:
-        if t not in coarse_map:
-            raise TaxonomyError(f"entity type has no coarse group: {t}")
-        g = coarse_map[t]
-        if g not in CANONICAL_GROUPS:
-            raise TaxonomyError(f"unknown coarse group {g!r} for type {t}")
-    extra = set(coarse_map) - seen
-    if extra:
-        raise TaxonomyError(f"coarse map covers unknown types: {sorted(extra)}")
-    return LabelSpace(types=ordered, coarse_map=dict(coarse_map))
+    def unknown_type(self, labels: Sequence[str]) -> str | None:
+        """The type of the first of these well-formed BIO labels outside the space, or None."""
+        if self.fine_label_set.issuperset(labels):
+            return None
+        return next(lab[2:] for lab in labels if lab not in self.fine_label_set)
 
 
-def load_taxonomy(path: str | Path) -> LabelSpace:
-    """Load a TYPE<TAB>GROUP taxonomy file and build its label space.
+def load_taxonomy(path: str | Path | None = None) -> LabelSpace:
+    """Load a TYPE<TAB>GROUP taxonomy file, the packaged one if path is None.
 
     Blank lines and '#' comments are ignored. Type and group names are
-    normalized to uppercase, so a file may spell them either way.
+    normalized to uppercase. A type must be an identifier without hyphens (so
+    the B-/I- split stays unambiguous), map onto a canonical coarse group and
+    appear once; a line that breaks a rule fails as <file>:<line>: <reason>.
     """
-    types: list[str] = []
-    coarse_map: dict[str, str] = {}
+    if path is None:
+        from piiprep.fixtures import taxonomy_path
+
+        path = taxonomy_path()
     path = Path(path)
+    coarse_map: dict[str, str] = {}
     for lineno, _, raw in iter_lines(path):
         raw = raw.rstrip("\r\n")
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        where = f"{path.name}:{lineno}"
         parts = line.split("\t")
         if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
-            raise TaxonomyError(f"{path.name}:{lineno}: expected TYPE<TAB>GROUP, got {raw!r}")
+            raise TaxonomyError(f"{where}: expected TYPE<TAB>GROUP, got {raw!r}")
         t = parts[0].strip().upper()
         g = parts[1].strip().upper()
+        if not _TYPE_RE.match(t):
+            raise TaxonomyError(
+                f"{where}: invalid entity type name {t!r}: expected an uppercase "
+                "identifier without hyphens"
+            )
+        if g not in CANONICAL_GROUPS:
+            raise TaxonomyError(f"{where}: unknown coarse group {g!r} for type {t}")
         if t in coarse_map:
-            raise TaxonomyError(f"{path.name}:{lineno}: duplicate entity type {t}")
-        types.append(t)
+            raise TaxonomyError(f"{where}: duplicate entity type {t}")
         coarse_map[t] = g
-    if not types:
+    if not coarse_map:
         raise TaxonomyError(f"{path.name}: no TYPE<TAB>GROUP mappings found")
-    return build_label_space(types, coarse_map)
+    return LabelSpace(types=tuple(coarse_map), coarse_map=coarse_map)

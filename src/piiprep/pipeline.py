@@ -206,11 +206,7 @@ class PipelineConfig:
         return config
 
     def load_space(self) -> LabelSpace:
-        if self.taxonomy is not None:
-            return load_taxonomy(self.taxonomy)
-        from piiprep.fixtures import canonical_space
-
-        return canonical_space()
+        return load_taxonomy(self.taxonomy)
 
     def digest(self) -> str:
         """SHA-256 over the canonical JSON form of this config."""
@@ -252,7 +248,9 @@ def consolidate(
     Returns the records plus per-source counters: kept, dropped (span-free
     lines) and errors (only counted above zero under on_error=skip/log). A
     record whose id an earlier record, of any source, already took is an
-    error like a malformed line. Every error names its file and line.
+    error like a malformed line, and so is a type outside the taxonomy under
+    unknown_types=error; under drop a tag of it keeps its text but no span,
+    and a JSONL label of it becomes O. Every error names its file and line.
     """
     out: list[Record] = []
     report: dict[str, dict[str, int]] = {}
@@ -265,6 +263,12 @@ def consolidate(
                 if spec.format == "jsonl":
                     rec = parse_record_line(line, lineno, name)
                     rec.source = spec.name  # stamp, whatever the file said
+                    unknown = space.unknown_type(rec.labels)
+                    if unknown is not None and config.unknown_types == "error":
+                        raise RecordError(f"{name}:{lineno}: record {rec.id}: "
+                                          f"entity type {unknown!r} not in taxonomy")
+                    if unknown is not None:  # drop: its labels become O
+                        rec.labels = [x if x in space.fine_label_set else "O" for x in rec.labels]
                 else:
                     text = line
                     if spec.format == "xml-jsonl":

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator
 
 from piiprep._purespans import _CACHE_MAX
 from piiprep.errors import LabelError, RecordError
-from piiprep.jsonl import decode_located_line, iter_lines
+from piiprep.jsonl import check_encodable, decode_located_line, iter_lines
 from piiprep.labelspace import parse_bio_label
 
 __all__ = [
@@ -115,19 +115,12 @@ def parse_record_line(line: str, lineno: int, path: str = "<stream>") -> Record:
 
 
 def check_utf8(rec: Record) -> None:
-    """Reject a string that UTF-8 cannot encode: one holding a lone surrogate.
-
-    JSON can spell such a string ("\\ud800"), but write_records could not
-    write it.
-    """
-    fields = [("record id", rec.id), (f"record {rec.id}: source", rec.source)]
-    fields += ((f"record {rec.id}: token {i}", tok) for i, tok in enumerate(rec.tokens))
-    fields += ((f"record {rec.id}: label {i}", lab) for i, lab in enumerate(rec.labels))
-    for name, value in fields:
-        try:
-            value.encode("utf-8")
-        except UnicodeEncodeError:
-            raise RecordError(f"{name} holds a lone UTF-16 surrogate: {value!r}") from None
+    """Reject a record holding a string that UTF-8 cannot encode (see check_encodable)."""
+    check_encodable([
+        ("record id", rec.id), (f"record {rec.id}: source", rec.source),
+        *((f"record {rec.id}: token {i}", tok) for i, tok in enumerate(rec.tokens)),
+        *((f"record {rec.id}: label {i}", lab) for i, lab in enumerate(rec.labels)),
+    ])
 
 
 def read_records(path: str | Path) -> Iterator[Record]:

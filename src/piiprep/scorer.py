@@ -18,7 +18,7 @@ from typing import Iterator, Mapping, Sequence
 
 from piiprep.biospan import check_labels, extract_span_tuples
 from piiprep.errors import AlignmentError, LabelError, RecordError
-from piiprep.jsonl import decode_located_line, iter_lines
+from piiprep.jsonl import check_encodable, decode_located_line, iter_lines
 
 __all__ = [
     "TypeCounters",
@@ -204,6 +204,9 @@ def _parse_scored_line(line: str, lineno: int, path: str) -> tuple[str, list[str
     labels = obj["labels"]
     if type(labels) is not list:
         raise RecordError(f"{path}:{lineno}: labels must be a JSON array")
+    if "\\u" in line:  # a label the report could not be written with
+        check_encodable((f"{path}:{lineno}: record {rid}: label {i}", lab)
+                        for i, lab in enumerate(labels))
     return rid, labels
 
 

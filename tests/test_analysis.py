@@ -10,7 +10,6 @@ from piiprep.analysis import (
     emit_comparison,
     emit_report,
     group_table,
-    group_weighted_f1,
     load_entity_rows,
     load_system_table,
     top_advantage,
@@ -84,14 +83,20 @@ class TestLoadEntityRows:
 
 class TestGroupMath:
     def test_weighted_mean_by_hand(self):
-        wf = group_weighted_f1(SMALL, "a")
-        assert wf["G1"] == pytest.approx((100 * 0.9 + 300 * 0.6) / 400)
-        assert wf["G2"] == pytest.approx((50 * 0.8 + 150 * 0.2) / 200)
+        g1, g2 = group_table(SMALL, "a", "b")
+        assert g1.f1_a == pytest.approx((100 * 0.9 + 300 * 0.6) / 400)
+        assert g2.f1_a == pytest.approx((50 * 0.8 + 150 * 0.2) / 200)
+        assert g2.f1_b == pytest.approx((50 * 0.8 + 150 * 0.9) / 200)
 
     def test_zero_support_group_rejected(self):
         rows = [row("X", "G", 0, 0.5, 0.5)]
         with pytest.raises(AnalysisError, match="zero total support"):
-            group_weighted_f1(rows, "a")
+            group_table(rows, "a", "b")
+
+    def test_group_wins_match_winner_counts(self):
+        per_group = winner_counts(SMALL, "a", "b").per_group
+        for g in group_table(SMALL, "a", "b"):
+            assert (g.wins_a, g.wins_b, g.ties) == per_group[g.group]
 
     def test_winner_counts_strict(self):
         w = winner_counts(SMALL, "a", "b")
@@ -216,6 +221,17 @@ class TestCompareSystems:
         assert by_name["fast"].best_f1 and by_name["fast"].best_recall
         assert by_name["mid"].best_precision
         assert not by_name["slow"].best_f1
+
+    def test_ranks_on_the_printed_f1(self):
+        # Equal to four decimals, so a tie broken by name, as a reader of the
+        # printed table would rank them; the full values would put b first.
+        out = compare_systems([
+            SystemEntry("b", "x", 0.61234, 0.5, 0.5),
+            SystemEntry("a", "x", 0.61231, 0.5, 0.5),
+        ])
+        assert [s.system for s in out] == ["a", "b"]
+        assert [s.f1_delta_vs_top for s in out] == [0.0, 0.0]
+        assert all(s.best_f1 for s in out)
 
     def test_duplicates_rejected(self):
         with pytest.raises(AnalysisError, match="duplicate"):

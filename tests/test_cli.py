@@ -92,6 +92,17 @@ _BAD_SOURCE_LINE = pytest.mark.parametrize("fmt, line, message", [
     ("xml-jsonl", '{"text": 5}', "text must be a string, got 5"),
 ], ids=["jsonl", "xml", "xml-jsonl", "xml-jsonl-text-int"])
 
+# A second source line holding a type, IBAN, that the config's taxonomy
+# lacks, and the error it gets under unknown_types: error.
+_UNKNOWN_TYPE_LINE = pytest.mark.parametrize("fmt, line, message", [
+    ("jsonl", '{"id":"r1","tokens":["Ana","PT50"],"labels":["B-NAME","B-IBAN"],"source":"a"}',
+     "record r1: entity type 'IBAN' not in taxonomy"),
+    ("xml", "Call <PHONE>12</PHONE> or <IBAN>PT50</IBAN>",
+     "unknown entity type in tag <IBAN> at offset 26"),
+    ("xml-jsonl", '{"text":"Call <PHONE>12</PHONE> or <IBAN>PT50</IBAN>"}',
+     "unknown entity type in tag <IBAN> at offset 26"),
+], ids=["jsonl", "xml", "xml-jsonl"])
+
 
 class TestPrepare:
     def test_end_to_end(self, runner, demo_tree):
@@ -279,7 +290,7 @@ class TestPrepare:
         assert result.output == f"Error: c.yaml: {message}\n"
         assert not (tmp_path / "out").exists()
 
-    def _bad_source(self, tmp_path, fmt, line, policy):
+    def _bad_source(self, tmp_path, fmt, line, policy, extra=""):
         good = {
             "jsonl": '{"id":"r0","tokens":["x"],"labels":["B-NAME"],"source":"a"}',
             "xml": "Call <PHONE>12</PHONE> now",
@@ -289,10 +300,51 @@ class TestPrepare:
         cfg = tmp_path / "c.yaml"
         cfg.write_text(
             f"sources:\n  - {{name: a, path: a.src, format: {fmt}}}\n"
-            f"on_error: {policy}\nrare_label_threshold: 0\n",
+            f"on_error: {policy}\nrare_label_threshold: 0\n{extra}",
             encoding="utf-8",
         )
         return cfg
+
+    def _unknown_type_source(self, tmp_path, fmt, line, policy, unknown_types):
+        (tmp_path / "tax.tsv").write_text("NAME\tPERSON_GROUP\nPHONE\tCONTACT\n", encoding="utf-8")
+        extra = f"taxonomy: tax.tsv\nunknown_types: {unknown_types}\n"
+        return self._bad_source(tmp_path, fmt, line, policy, extra)
+
+    @_UNKNOWN_TYPE_LINE
+    def test_type_outside_taxonomy_fails_located(self, runner, tmp_path, fmt, line, message):
+        cfg = self._unknown_type_source(tmp_path, fmt, line, "fail", "error")
+        result = runner.invoke(main, ["prepare", "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert result.output == f"Error: a.src:2: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @_UNKNOWN_TYPE_LINE
+    @pytest.mark.parametrize("policy", ["skip", "log"])
+    def test_type_outside_taxonomy_is_counted_as_an_error(
+        self, runner, tmp_path, policy, fmt, line, message
+    ):
+        cfg = self._unknown_type_source(tmp_path, fmt, line, policy, "error")
+        result = runner.invoke(main, ["prepare", "--config", str(cfg)])
+        assert result.exit_code == 0, result.output
+        assert "[prepare] a: kept 1, dropped 0 span-free, 1 errors" in result.output
+
+    @_UNKNOWN_TYPE_LINE
+    def test_dropped_type_leaves_splits_that_validate(self, runner, tmp_path, fmt, line, message):
+        cfg = self._unknown_type_source(tmp_path, fmt, line, "fail", "drop")
+        result = runner.invoke(main, ["prepare", "--config", str(cfg)])
+        assert result.exit_code == 0, result.output
+        assert "[prepare] a: kept 2, dropped 0 span-free, 0 errors" in result.output
+        labels = []
+        for split in ("train", "val", "test"):
+            path = tmp_path / "out" / f"{split}.jsonl"
+            checked = runner.invoke(main, [
+                "validate", "--input", str(path), "--taxonomy", str(tmp_path / "tax.tsv"),
+            ])
+            assert checked.exit_code == 0, checked.output
+            labels += [lab for line in path.read_text(encoding="utf-8").splitlines()
+                       for lab in json.loads(line)["labels"]]
+        # The dropped type's labels became O; the other labels stay.
+        assert sorted(set(labels)) == ["B-NAME" if fmt == "jsonl" else "B-PHONE", "O"]
 
     @_BAD_SOURCE_LINE
     def test_bad_source_line_fails_located(self, runner, tmp_path, fmt, line, message):
@@ -533,6 +585,23 @@ class TestScore:
         assert result.output == f"Error: p.jsonl:2: {message}\n"
 
     @pytest.mark.parametrize("mode", [[], ["--unordered"]], ids=["ordered", "unordered"])
+    @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+    def test_lone_surrogate_label_is_data_error(self, runner, pair, tmp_path, mode, out):
+        g, p = pair
+        lines = p.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[1] = '{"id": "r1", "labels": ["O", "B-\\ud800", "O"]}\n'
+        p.write_text("".join(lines), encoding="utf-8")
+        message = r"p.jsonl:2: record r1: label 1 holds a lone UTF-16 surrogate: 'B-\ud800'"
+        out_args = ["--out", str(tmp_path / "report.json")] if out else []
+        for gold, pred in ((g, p), (p, g)):  # the gold file is held to the same rule
+            result = runner.invoke(main, [
+                "score", "--gold", str(gold), "--pred", str(pred), *mode, *out_args,
+            ])
+            assert result.exit_code == 1
+            assert result.output == f"Error: {message}\n"
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("mode", [[], ["--unordered"]], ids=["ordered", "unordered"])
     def test_length_mismatch_is_located(self, runner, pair, mode):
         g, p = pair
         lines = p.read_text(encoding="utf-8").splitlines(keepends=True)
@@ -595,6 +664,26 @@ class TestScore:
 
 
 class TestCompare:
+    def test_csv_ranking_is_a_fixed_point(self, runner, tmp_path):
+        # The F1s differ past the four printed decimals, so they tie and rank
+        # by name, as the printed table does when it is read back.
+        table, first = tmp_path / "table.csv", tmp_path / "first.csv"
+        write_csv(table, [
+            ["system", "category", "f1", "precision", "recall"],
+            ["b", "x", "0.61234", "0.5", "0.5"],
+            ["a", "x", "0.61231", "0.5", "0.5"],
+        ])
+        argv = ["compare", "--table", str(table), "--format", "csv", "--out", str(first)]
+        assert runner.invoke(main, argv).exit_code == 0
+        assert first.read_text(encoding="utf-8") == (
+            "rank,system,category,f1,precision,recall,f1_delta_vs_top\n"
+            "1,a,x,0.6123,0.5000,0.5000,+0.0000\n"
+            "2,b,x,0.6123,0.5000,0.5000,+0.0000\n"
+        )
+        again = runner.invoke(main, ["compare", "--table", str(first), "--format", "csv"])
+        assert again.exit_code == 0, again.output
+        assert again.output == first.read_text(encoding="utf-8")
+
     def test_table_input(self, runner):
         result = runner.invoke(main, ["compare", "--table", str(system_results_path())])
         assert result.exit_code == 0, result.output
@@ -669,7 +758,25 @@ _REPORT = json.dumps({
 }, indent=2)
 
 
+# A taxonomy whose second line breaks a rule, read by each command that takes one.
+_TAXONOMY_READERS = [
+    ("validate", ["validate", "--input", "{art}", "--taxonomy", "{f}"]),
+    ("score", ["score", "--gold", "{art}", "--pred", "{art}", "--csv", "{art}.csv",
+               "--taxonomy", "{f}"]),
+    ("prepare", ["prepare", "--config", "{cfg}"]),
+]
+_BAD_TAXONOMY_LINES = [
+    ("bad-name", "NAME\tPERSON_GROUP\nbad-type\tCONTACT\n",
+     "in.txt:2: invalid entity type name 'BAD-TYPE': expected an uppercase identifier "
+     "without hyphens"),
+    ("unknown-group", "NAME\tPERSON_GROUP\nEMAIL\tNOT_A_GROUP\n",
+     "in.txt:2: unknown coarse group 'NOT_A_GROUP' for type EMAIL"),
+]
+
+
 @pytest.mark.parametrize("argv, text, broken, message", [
+    *(pytest.param(argv, text, False, message, id=f"{command}-taxonomy-{rule}")
+      for command, argv in _TAXONOMY_READERS for rule, text, message in _BAD_TAXONOMY_LINES),
     pytest.param(["validate", "--input", "{art}", "--taxonomy", "{f}"],
                  taxonomy_path().read_text(encoding="utf-8"), True,
                  "in.txt:2: not valid UTF-8", id="validate-taxonomy"),
@@ -687,6 +794,9 @@ _REPORT = json.dumps({
     pytest.param(["compare", "--reports", "{f}"], "{\n  micro\n}\n", False,
                  "in.txt:2: malformed JSON: Expecting property name enclosed in double quotes",
                  id="compare-reports-not-json"),
+    pytest.param(["compare", "--reports", "{f}"], _REPORT.replace('"s"', '"\\ud800"'), False,
+                 r"in.txt: system holds a lone UTF-16 surrogate: '\ud800'",
+                 id="compare-reports-surrogate-system"),
     pytest.param(["compare", "--reports", "{f}"], "{}\n", False,
                  "in.txt: score report has no 'micro'", id="compare-reports-empty-object"),
     pytest.param(["compare", "--reports", "{f}"], "[1]\n", False,
@@ -724,12 +834,13 @@ _REPORT = json.dumps({
                  "in.txt:2: score must be a finite number, got 'inf'", id="analyze-rows-inf"),
 ])
 def test_bad_input_file_is_located_data_error(runner, tmp_path, argv, text, broken, message):
-    art, f = tmp_path / "art.jsonl", tmp_path / "in.txt"
+    art, f, cfg = tmp_path / "art.jsonl", tmp_path / "in.txt", tmp_path / "cfg.yaml"
     write_artifact(art, [("r1", ["B-NAME"], "a")])
     f.write_text(text, encoding="utf-8")
     if broken:
         break_line_2(f)
-    result = runner.invoke(main, [a.format(art=art, f=f) for a in argv])
+    cfg.write_text("sources:\n  - {name: a, path: art.jsonl}\ntaxonomy: in.txt\n", encoding="utf-8")
+    result = runner.invoke(main, [a.format(art=art, f=f, cfg=cfg) for a in argv])
     assert result.exit_code == 1
     assert result.output == f"Error: {message}\n"
 

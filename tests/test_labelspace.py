@@ -5,7 +5,7 @@ from piiprep.fixtures import canonical_space, taxonomy_path
 from piiprep.labelspace import (
     CANONICAL_GROUPS,
     BioLabel,
-    build_label_space,
+    LabelSpace,
     load_taxonomy,
     parse_bio_label,
 )
@@ -27,11 +27,17 @@ class TestParseBioLabel:
             parse_bio_label(bad)
 
 
+def write_taxonomy(tmp_path, text):
+    p = tmp_path / "tax.tsv"
+    p.write_text(text, encoding="utf-8")
+    return p
+
+
 class TestBuildLabelSpace:
+    """A label space built from a taxonomy file, or directly from its parts."""
+
     def test_small_space_shapes(self):
-        space = build_label_space(
-            ["NAME", "EMAIL"], {"NAME": "PERSON_GROUP", "EMAIL": "CONTACT"}
-        )
+        space = LabelSpace(("NAME", "EMAIL"), {"NAME": "PERSON_GROUP", "EMAIL": "CONTACT"})
         assert list(space.fine_labels) == ["O", "B-NAME", "I-NAME", "B-EMAIL", "I-EMAIL"]
         assert space.groups == ("PERSON_GROUP", "CONTACT")
         assert list(space.coarse_labels) == [
@@ -43,33 +49,31 @@ class TestBuildLabelSpace:
         assert space.fine_labels[0] == "O"
         assert space.coarse_labels[0] == "O"
 
-    def test_groups_follow_canonical_order_not_insertion(self):
-        space = build_label_space(
-            ["EMAIL", "NAME"], {"EMAIL": "CONTACT", "NAME": "PERSON_GROUP"}
-        )
+    def test_groups_follow_canonical_order_not_insertion(self, tmp_path):
+        space = load_taxonomy(write_taxonomy(tmp_path, "EMAIL\tCONTACT\nNAME\tPERSON_GROUP\n"))
         # PERSON_GROUP precedes CONTACT canonically, whatever the input order
         assert space.groups == ("PERSON_GROUP", "CONTACT")
 
-    def test_duplicate_type_rejected(self):
-        with pytest.raises(TaxonomyError, match="duplicate"):
-            build_label_space(["NAME", "NAME"], {"NAME": "PERSON_GROUP"})
+    def test_duplicate_type_rejected(self, tmp_path):
+        p = write_taxonomy(tmp_path, "NAME\tPERSON_GROUP\nname\tCONTACT\n")
+        with pytest.raises(TaxonomyError, match="^tax.tsv:2: duplicate entity type NAME$"):
+            load_taxonomy(p)
 
-    def test_unmapped_type_rejected(self):
-        with pytest.raises(TaxonomyError):
-            build_label_space(["NAME", "EMAIL"], {"NAME": "PERSON_GROUP"})
+    def test_unknown_group_rejected(self, tmp_path):
+        p = write_taxonomy(tmp_path, "# groups\nNAME\tNOT_A_GROUP\n")
+        with pytest.raises(
+            TaxonomyError, match="^tax.tsv:2: unknown coarse group 'NOT_A_GROUP' for type NAME$"
+        ):
+            load_taxonomy(p)
 
-    def test_unknown_group_rejected(self):
-        with pytest.raises(TaxonomyError):
-            build_label_space(["NAME"], {"NAME": "NOT_A_GROUP"})
-
-    def test_extraneous_mapping_rejected(self):
-        with pytest.raises(TaxonomyError):
-            build_label_space(["NAME"], {"NAME": "PERSON_GROUP", "GHOST": "CONTACT"})
-
-    @pytest.mark.parametrize("bad", ["name", "1NAME", "NA ME", "", "NAME-X"])
-    def test_bad_type_names_rejected(self, bad):
-        with pytest.raises(TaxonomyError):
-            build_label_space([bad], {bad: "MISC"})
+    # A lowercase name is no longer among these: the file's names are uppercased.
+    @pytest.mark.parametrize("bad", ["1NAME", "NA ME", "", "NAME-X", "_NAME"])
+    def test_bad_type_names_rejected(self, tmp_path, bad):
+        p = write_taxonomy(tmp_path, f"EMAIL\tCONTACT\n{bad}\tMISC\n")
+        # An empty name leaves a line without a tab, once it is stripped.
+        reason = "expected TYPE<TAB>GROUP" if not bad else "invalid entity type name"
+        with pytest.raises(TaxonomyError, match=f"^tax.tsv:2: {reason}"):
+            load_taxonomy(p)
 
     def test_membership_and_coarse_lookup(self):
         space = canonical_space()
@@ -78,6 +82,15 @@ class TestBuildLabelSpace:
         assert space.coarse_of("IBAN") == "FINANCIAL_ID"
         with pytest.raises(LabelError):
             space.coarse_of("NOT_A_TYPE")
+
+    @pytest.mark.parametrize("labels, unknown", [
+        ([], None),
+        (["O", "B-NAME", "I-NAME"], None),
+        (["B-NAME", "B-WIDGET", "I-GADGET"], "WIDGET"),
+        (["O", "I-GADGET", "B-WIDGET"], "GADGET"),
+    ])
+    def test_unknown_type_is_the_first_label_outside(self, labels, unknown):
+        assert canonical_space().unknown_type(labels) == unknown
 
 
 class TestCanonicalSpace:
@@ -105,21 +118,21 @@ class TestLoadTaxonomy:
         space = load_taxonomy(taxonomy_path())
         assert len(space.types) == 82
 
+    def test_none_reads_packaged_file(self):
+        assert load_taxonomy(None) == load_taxonomy(taxonomy_path())
+
     def test_normalises_case_and_skips_comments(self, tmp_path):
-        p = tmp_path / "tax.tsv"
-        p.write_text("# comment\nname\tPERSON_GROUP\nemail\tcontact\n", encoding="utf-8")
+        p = write_taxonomy(tmp_path, "# comment\nname\tPERSON_GROUP\nemail\tcontact\n")
         space = load_taxonomy(p)
         assert space.types == ("NAME", "EMAIL")
         assert space.coarse_of("EMAIL") == "CONTACT"
 
     def test_rejects_malformed_line(self, tmp_path):
-        p = tmp_path / "tax.tsv"
-        p.write_text("NAME PERSON_GROUP\n", encoding="utf-8")  # space, not tab
-        with pytest.raises(TaxonomyError):
+        p = write_taxonomy(tmp_path, "NAME PERSON_GROUP\n")  # space, not tab
+        with pytest.raises(TaxonomyError, match="^tax.tsv:1: expected TYPE<TAB>GROUP"):
             load_taxonomy(p)
 
     def test_rejects_empty_file(self, tmp_path):
-        p = tmp_path / "tax.tsv"
-        p.write_text("# nothing\n", encoding="utf-8")
+        p = write_taxonomy(tmp_path, "# nothing\n")
         with pytest.raises(TaxonomyError):
             load_taxonomy(p)
