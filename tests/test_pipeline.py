@@ -1,3 +1,5 @@
+import hashlib
+import importlib
 import json
 import logging
 import random
@@ -556,3 +558,83 @@ class TestRunPrepare:
         assert m.seed == 5
         assert m.config_digest == cfg.digest()
         assert m.generator == "mt19937/sha256-subseed"
+
+
+def _generated_inputs(out_dir: Path, n_lines: int) -> None:
+    """perfbench's prepare_mixed inputs (three sources and config.yaml), seed 1."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(REPO / "perfbench"))
+        gen = importlib.import_module("gen")
+    gen.make_prepare_inputs(out_dir, 1, n_lines)
+
+
+def _append(path: Path, *lines: str) -> None:
+    with path.open("a", encoding="utf-8", newline="\n") as f:
+        f.writelines(line + "\n" for line in lines)
+
+
+# SHA-256 of every file prepare writes from 2,000 generated lines, taken
+# before prepare was rewritten to plan on encoded lines. The generated config
+# rebalances one source, caps another and drops a planted rare type; the
+# drop and skip inputs add an unknown-type record, a malformed line and a
+# repeated id so that those policies act.
+_PREPARE_DIGESTS = {
+    "drop": {
+        "test.jsonl": "5d9ffea54442634240e516751b245034ed97bcd26af241dfa1241874d81d2487",
+        "test.jsonl.manifest.json": "4fb5a0de3539b8fa848ae8c8c6eef13cb4f746e7072e556041ca02ef71d88d52",
+        "train.jsonl": "17273508d0b72edbdac2b9f3938bd2e22d34425f9edefe851a40d024b22da91a",
+        "train.jsonl.manifest.json": "a4f4bdd2e58b9c7ac0312d853399843727eae9b0e3fcfae8e54edf16eaa0aeb9",
+        "val.jsonl": "389dbee461fec4c6a949fb5dbf5fde78386e5d0774933bca8d96b6d73f8e353d",
+        "val.jsonl.manifest.json": "26afaadc903ad865987a226d730005b524b77c60e9b48fd7de91929b969c824c",
+    },
+    "generated": {
+        "test.jsonl": "b7f80bee28c5c68f97be4e787df15a302ac90f2f8af944335f3e4ce3f71bee79",
+        "test.jsonl.manifest.json": "ef2f98abfc93651a96d3b64134ae4c7a7b94b3d54af659390a97b4d31f7fadfe",
+        "train.jsonl": "94eb83a69e2a66e17d5e7b74e0f1f2e6395b6a101898befc6bc4b5da5e63b8cc",
+        "train.jsonl.manifest.json": "15c1c348c45840a3eed7d38b475ad524ab5a692e9c2e93037bd6c7aa0753047f",
+        "val.jsonl": "e608c0ec093278afa8856cec0ca79929bac543d62d429584bee1a7203009b3c3",
+        "val.jsonl.manifest.json": "6de89371f8f906bf24fb56a0060b2573e45e3aeb82ac305cc07f706adc3dbc5c",
+    },
+    "prepend": {
+        "test.jsonl": "06c48726d6b38df12ce5d1e480e787afb3aff7ad1a2209cab3ab3944d2c36847",
+        "test.jsonl.manifest.json": "8b6428b1040639aa29bdec9cd7b7803fad23064f5201d1db9d64d72f88c3c927",
+        "train.jsonl": "512cd723e9de6d5d2aa64ec6e4168e5dc231a9b0aff025f32b88b83e3f5cf747",
+        "train.jsonl.manifest.json": "d1fd04994f6d35780fc9d069ecd71b5fbe4e7979dd436b25497c1fdb0d620532",
+        "val.jsonl": "55697d6512632dfe84d29d323e5d435a7d717c9eba4327ea4b5c75db756d0634",
+        "val.jsonl.manifest.json": "3672860c57f4a2bfc5ed30120003e3200c95cd0dc49b9f93e1c2f0a6d8dd6380",
+    },
+    "skip": {
+        "test.jsonl": "b7f80bee28c5c68f97be4e787df15a302ac90f2f8af944335f3e4ce3f71bee79",
+        "test.jsonl.manifest.json": "a44eeb9fec41ffe927b4029da847455550a9c6f735662a546b26a4a26078ea38",
+        "train.jsonl": "94eb83a69e2a66e17d5e7b74e0f1f2e6395b6a101898befc6bc4b5da5e63b8cc",
+        "train.jsonl.manifest.json": "1bb27e3a24b777eb6c6060764dc88773231ac00105542c02f890f230f996ee8a",
+        "val.jsonl": "e608c0ec093278afa8856cec0ca79929bac543d62d429584bee1a7203009b3c3",
+        "val.jsonl.manifest.json": "e93c90d6da6044c86bed2a068499ef4481f48d4e54531845f751051edbed2d43",
+    },
+}
+
+
+@pytest.mark.parametrize("variant", sorted(_PREPARE_DIGESTS))
+def test_prepare_bytes_are_pinned(tmp_path, variant):
+    _generated_inputs(tmp_path, 2000)
+    config = tmp_path / "config.yaml"
+    sources = tmp_path / "sources"
+    if variant == "prepend":
+        _append(config, "prepend_source_token: true")
+    elif variant == "drop":
+        _append(config, "unknown_types: drop")
+        _append(sources / "ai4privacy.jsonl", json.dumps({
+            "id": "odd-1", "tokens": ["Ref", "X1", "for", "Ana"],
+            "labels": ["O", "B-ZZZ_UNKNOWN", "O", "B-NAME"], "source": "ai4privacy",
+        }))
+    elif variant == "skip":
+        _append(config, "on_error: skip")
+        _append(sources / "gretel_finance.jsonl", "not json",
+                (sources / "ai4privacy.jsonl").read_text(encoding="utf-8").split("\n")[0])
+    cfg = PipelineConfig.from_file(config)
+    cfg.output_dir = tmp_path / "out"
+    run_prepare(cfg)
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted(cfg.output_dir.iterdir())}
+    assert len(got) == 6
+    assert got == _PREPARE_DIGESTS[variant]
