@@ -7,6 +7,7 @@ error (unknown flags, bad option values), 3 I/O error (unreadable paths).
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import math
 import sys
@@ -31,7 +32,7 @@ from piiprep.jsonl import check_encodable, read_text
 from piiprep.labelspace import load_taxonomy
 from piiprep.manifest import sha256_file, tally, write_manifest
 from piiprep.pipeline import PipelineConfig, run_prepare, sample_subset
-from piiprep.records import read_records, write_records
+from piiprep.records import EncodedRecord, read_records, write_records
 from piiprep.scorer import MetricsReport, finalize, stream_score
 
 
@@ -96,9 +97,10 @@ def sample(input_path: str, n: int, seed: int, out_path: str) -> None:
     if n <= 0:
         raise click.UsageError(f"--n must be positive, got {n}")
     records = list(read_records(input_path))
-    subset = sample_subset(records, n, seed)
-    write_records(out_path, subset)
-    manifest = write_manifest(out_path, subset, seed=seed)
+    subset = [EncodedRecord(rec) for rec in sample_subset(records, n, seed)]
+    sha256 = hashlib.sha256()
+    write_records(out_path, subset, sha256)
+    manifest = write_manifest(out_path, subset, sha256=sha256.hexdigest(), seed=seed)
     click.echo(f"[sample] wrote {out_path} ({manifest.records} records, sha256 {manifest.sha256[:12]}...)")
 
 
@@ -132,6 +134,16 @@ def validate(input_path: str, taxonomy_path: str | None, strict: bool) -> None:
         raise click.ClickException(f"{n_orphans} orphan continuation(s) under --strict")
 
 
+def _utf8_option(ctx, param, value: str | None) -> str | None:
+    """The option's value, or a usage error when the report could not hold it."""
+    if value is not None:
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise click.BadParameter(f"{value!r} is not valid UTF-8") from None
+    return value
+
+
 @main.command()
 @click.option("--gold", "gold_path", required=True, help="Gold artifact (JSONL).")
 @click.option("--pred", "pred_path", required=True, help="Predictions (JSONL with id+labels).")
@@ -142,8 +154,10 @@ def validate(input_path: str, taxonomy_path: str | None, strict: bool) -> None:
 @click.option("--taxonomy", "taxonomy_path", default=None,
               help="Taxonomy for the CSV's group column; defaults to the built-in canonical one.")
 @click.option("--unordered", is_flag=True, help="Align by id instead of requiring same order.")
-@click.option("--system", "system", default=None, help="System name stored in the report.")
-@click.option("--category", default=None, help="System category stored in the report.")
+@click.option("--system", "system", default=None, callback=_utf8_option,
+              help="System name stored in the report.")
+@click.option("--category", default=None, callback=_utf8_option,
+              help="System category stored in the report.")
 @guarded
 def score(
     gold_path: str,
@@ -201,6 +215,9 @@ def _read_report(path: Path) -> MetricsReport:
     micro = (report.micro_precision, report.micro_recall, report.micro_f1)
     if not all(type(v) in (int, float) and math.isfinite(v) for v in micro):
         raise AnalysisError(f"{path.name}: micro scores must be numbers")
+    for key in ("system", "category"):
+        if not isinstance(getattr(report, key), (str, type(None))):
+            raise AnalysisError(f"{path.name}: {key} must be a string")
     check_encodable([(f"{path.name}: system", report.system),
                      (f"{path.name}: category", report.category)])
     return report

@@ -17,10 +17,9 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable
 
-from piiprep.biospan import count_orphan_continuations
-from piiprep.records import Record
-# Neither is called here; perfbench/spans.py's tracer wraps both by these names.
-from piiprep.biospan import extract_span_tuples  # noqa: F401
+from piiprep.records import EncodedRecord, Record
+# None is called here; perfbench/spans.py's tracer wraps each by this name.
+from piiprep.biospan import count_orphan_continuations, extract_span_tuples  # noqa: F401
 from piiprep.records import read_records  # noqa: F401
 
 __all__ = ["GENERATOR_NAME", "Manifest", "sha256_file", "tally", "build_manifest", "write_manifest"]
@@ -58,39 +57,41 @@ class Manifest:
 
 def build_manifest(
     artifact_path: str | Path,
-    records: Iterable[Record],
+    records: Iterable[EncodedRecord],
     *,
+    sha256: str,
     seed: int | None = None,
     config_digest: str | None = None,
 ) -> Manifest:
-    """Manifest of an artifact just written from records.
+    """Manifest of an artifact just written from records by write_records.
 
-    The counts are tallied from the records as they were written, the hash
-    taken over the bytes on disk, so the artifact is never read back.
+    sha256 is the hash write_records took of the bytes as it wrote them, and
+    the counts come from the records' summaries, so the artifact is never
+    read back.
     """
-    path = Path(artifact_path)
-    return Manifest(artifact=path.name, sha256=sha256_file(path), **tally(records),
+    return Manifest(artifact=Path(artifact_path).name, sha256=sha256, **tally(records),
                     seed=seed, config_digest=config_digest)
 
 
-def tally(records: Iterable[Record]) -> dict:
-    """The count fields of a Manifest, in one pass over records.
+def tally(records: Iterable[Record | EncodedRecord]) -> dict:
+    """The count fields of a Manifest, in one pass over the records' summaries.
 
     Spans are not extracted: every span opens at a B- label or at an orphan
     I- label, so gold_spans is the B- mentions plus the orphans; every non-O
     token lies in a span of its own type, so entity_types is the number of
     distinct types among non-O labels.
     """
+    seen: Counter[tuple] = Counter((rec.source, rec.summary) for rec in records)
     per_source: Counter[str] = Counter()
     label_counts: Counter[str] = Counter()
     n_orphans = 0
-    for rec in records:
-        labels = rec.labels
-        per_source[rec.source] += 1
-        label_counts.update(labels)
-        n_orphans += count_orphan_continuations(labels)
+    for (source, (orphans, counts)), n in seen.items():
+        per_source[source] += n
+        n_orphans += orphans * n
+        for label, count in counts:
+            label_counts[label] += count * n
     per_type_b = {lab[2:]: n for lab, n in label_counts.items() if lab.startswith("B-")}
-    span_types = {lab[2:] for lab in label_counts if lab != "O"}
+    span_types = {lab[2:] for lab in label_counts}
     return {
         "records": sum(per_source.values()),
         "gold_spans": sum(per_type_b.values()) + n_orphans,
@@ -104,14 +105,15 @@ def tally(records: Iterable[Record]) -> dict:
 
 def write_manifest(
     artifact_path: str | Path,
-    records: Iterable[Record],
+    records: Iterable[EncodedRecord],
     *,
+    sha256: str,
     seed: int | None = None,
     config_digest: str | None = None,
 ) -> Manifest:
-    """Compute and write <artifact>.manifest.json next to the artifact."""
+    """Build the manifest (see build_manifest) and write it as <artifact>.manifest.json."""
     path = Path(artifact_path)
-    manifest = build_manifest(path, records, seed=seed, config_digest=config_digest)
+    manifest = build_manifest(path, records, sha256=sha256, seed=seed, config_digest=config_digest)
     out = path.with_name(path.name + ".manifest.json")
     out.write_text(manifest.to_json(), encoding="utf-8")
     return manifest

@@ -10,6 +10,12 @@ then applies the declared transformations in a fixed order:
 Every random choice derives from the single config seed through a
 per-(operation, source) sub-seed, so results do not depend on source
 ordering and re-runs are byte-identical.
+
+consolidate encodes each record it keeps once, into an EncodedRecord: its
+artifact line plus its source, stratum and label summary. The later steps
+choose among these, only records that lose a rare label are decoded and
+encoded again, and each split is written from the encoded lines, hashed as
+it is written.
 """
 
 from __future__ import annotations
@@ -23,20 +29,25 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TypeVar
 
 import yaml
 
 from piiprep.allocation import allocate_fractions, largest_remainder_allocate
-from piiprep.biospan import extract_span_tuples
 from piiprep.errors import ConfigError, RecordError, ToolkitError
 from piiprep.ingest import ingest_record
 from piiprep.jsonl import decode_located_line, iter_lines, read_text
 from piiprep.labelspace import LabelSpace, load_taxonomy
 from piiprep.manifest import Manifest, write_manifest
-from piiprep.records import Record, check_utf8, parse_record_line, write_records
+from piiprep.records import EncodedRecord, Record, check_utf8, parse_record_line, write_records
+# Not called here; perfbench/spans.py's tracer wraps it by this name.
+from piiprep.biospan import extract_span_tuples  # noqa: F401
 
 logger = logging.getLogger(__name__)
+
+# Rebalance, cap, split and sample choose among records by their source (and
+# rebalance by their stratum), so they take and return either kind.
+Planned = TypeVar("Planned", EncodedRecord, Record)
 
 __all__ = [
     "SourceSpec",
@@ -242,17 +253,19 @@ def _iter_source_lines(spec: SourceSpec) -> Iterable[tuple[int, str]]:
 def consolidate(
     config: PipelineConfig,
     space: LabelSpace,
-) -> tuple[list[Record], dict[str, dict[str, int]]]:
-    """Read all sources in declaration order into one stamped record stream.
+) -> tuple[list[EncodedRecord], dict[str, dict[str, int]]]:
+    """Read all sources in declaration order into one stamped, encoded record stream.
 
-    Returns the records plus per-source counters: kept, dropped (span-free
-    lines) and errors (only counted above zero under on_error=skip/log). A
-    record whose id an earlier record, of any source, already took is an
-    error like a malformed line, and so is a type outside the taxonomy under
-    unknown_types=error; under drop a tag of it keeps its text but no span,
-    and a JSONL label of it becomes O. Every error names its file and line.
+    Returns the records, each encoded once and with the source token
+    prefixed under prepend_source_token, plus per-source counters: kept,
+    dropped (span-free lines) and errors (only counted above zero under
+    on_error=skip/log). A record whose id an earlier record, of any source,
+    already took is an error like a malformed line, and so is a type outside
+    the taxonomy under unknown_types=error; under drop a tag of it keeps its
+    text but no span, and a JSONL label of it becomes O. Every error names
+    its file and line.
     """
-    out: list[Record] = []
+    out: list[EncodedRecord] = []
     report: dict[str, dict[str, int]] = {}
     seen_ids: set[str] = set()
     for spec in config.sources:
@@ -304,31 +317,28 @@ def consolidate(
             if rec is None:
                 dropped += 1
             else:
-                out.append(rec)
                 seen_ids.add(rec.id)
+                if config.prepend_source_token:
+                    rec = prepend_source_token(rec)
+                out.append(EncodedRecord(rec))
                 kept += 1
         report[spec.name] = {"kept": kept, "dropped": dropped, "errors": errors}
     return out, report
 
 
-def _stratum_key(rec: Record) -> str:
-    """Stratification key for rebalancing: type of the first gold span."""
-    spans = extract_span_tuples(rec.labels)
-    return spans[0][2] if spans else "-"
-
-
 def rebalance_source(
-    records: Sequence[Record],
+    records: Sequence[Planned],
     source: str,
     target_fraction: float,
     seed: int,
-) -> list[Record]:
+) -> list[Planned]:
     """Down-sample one source until its share of the stream hits the target.
 
     The retained count k solves k / (others + k) = target_fraction. Sampling
     is uniform without replacement, stratified by entity type so the source's
-    internal type mix survives. Infeasible targets (the source is already at
-    or below its target share) leave the stream unchanged with a warning.
+    internal type mix survives; a record's stratum is the type of its first
+    span. Infeasible targets (the source is already at or below its target
+    share) leave the stream unchanged with a warning.
     """
     f = Fraction(str(target_fraction))
     if not 0 <= f < 1:
@@ -348,7 +358,7 @@ def rebalance_source(
         return list(records)
     strata: dict[str, list[int]] = {}
     for i in target_idx:
-        strata.setdefault(_stratum_key(records[i]), []).append(i)
+        strata.setdefault(records[i].stratum, []).append(i)
     alloc = largest_remainder_allocate({s: len(ix) for s, ix in strata.items()}, k)
     rng = sub_rng(seed, "rebalance", source)
     keep: set[int] = set()
@@ -357,7 +367,7 @@ def rebalance_source(
     return [r for i, r in enumerate(records) if r.source != source or i in keep]
 
 
-def cap_source(records: Sequence[Record], source: str, cap: int, seed: int) -> list[Record]:
+def cap_source(records: Sequence[Planned], source: str, cap: int, seed: int) -> list[Planned]:
     """Keep at most cap records of one source, sampled uniformly, order kept."""
     if cap < 0:
         raise ConfigError(f"cap must be >= 0, got {cap}")
@@ -370,46 +380,51 @@ def cap_source(records: Sequence[Record], source: str, cap: int, seed: int) -> l
 
 
 def filter_rare_labels(
-    records: Sequence[Record],
+    records: Sequence[EncodedRecord],
     threshold: int,
-) -> tuple[list[Record], list[str]]:
+) -> tuple[list[EncodedRecord], list[str]]:
     """Rewrite labels of types with fewer than threshold B- mentions to O.
 
-    Two passes: count corpus-wide B- mentions per type, then rewrite. Records
-    are never dropped, so token and record counts are unchanged. A record
+    The B- mentions are counted from the records' summaries. Records are
+    never dropped, so token and record counts are unchanged. A record
     without a rare label is passed through as the same object; only records
-    with one are rebuilt. Returns the records and the sorted list of removed
-    types.
+    with one are decoded, relabelled and encoded again. Returns the records
+    and the sorted list of removed types.
     """
-    label_counts: Counter[str] = Counter()
-    for rec in records:
-        label_counts.update(rec.labels)
-    rare = {lab[2:] for lab, c in label_counts.items() if lab.startswith("B-") and c < threshold}
+    summaries = Counter(rec.summary for rec in records)
+    b_mentions: Counter[str] = Counter()
+    for (_, counts), n in summaries.items():
+        for label, count in counts:
+            if label.startswith("B-"):
+                b_mentions[label[2:]] += count * n
+    rare = {typ for typ, n in b_mentions.items() if n < threshold}
     if not rare:
         return list(records), []
     rare_labels = {f"{prefix}-{t}" for t in rare for prefix in "BI"}
+    hit = {s for s in summaries if any(label in rare_labels for label, _ in s[1])}
     out = []
-    for rec in records:
-        if rare_labels.isdisjoint(rec.labels):
-            out.append(rec)
+    for enc in records:
+        if enc.summary not in hit:
+            out.append(enc)
             continue
-        labels = ["O" if lab in rare_labels else lab for lab in rec.labels]
-        out.append(Record(id=rec.id, tokens=rec.tokens, labels=labels, source=rec.source))
+        rec = enc.record()
+        rec.labels = ["O" if lab in rare_labels else lab for lab in rec.labels]
+        out.append(EncodedRecord(rec))
     return out, sorted(rare)
 
 
-def _group_by_source(records: Sequence[Record]) -> dict[str, list[Record]]:
-    groups: dict[str, list[Record]] = {}
+def _group_by_source(records: Sequence[Planned]) -> dict[str, list[Planned]]:
+    groups: dict[str, list[Planned]] = {}
     for rec in records:
         groups.setdefault(rec.source, []).append(rec)
     return groups
 
 
 def stratified_split(
-    records: Sequence[Record],
+    records: Sequence[Planned],
     fractions: dict[str, float],
     seed: int,
-) -> dict[str, list[Record]]:
+) -> dict[str, list[Planned]]:
     """Partition the stream into named splits, stratified by source.
 
     Each source is shuffled with its own sub-seeded generator and then cut
@@ -417,7 +432,7 @@ def stratified_split(
     fractions, so every split carries its proportional share of each source.
     """
     groups = _group_by_source(records)
-    splits: dict[str, list[Record]] = {name: [] for name in fractions}
+    splits: dict[str, list[Planned]] = {name: [] for name in fractions}
     for source, recs in groups.items():
         rng = sub_rng(seed, "split", source)
         shuffled = list(recs)
@@ -431,7 +446,7 @@ def stratified_split(
     return splits
 
 
-def sample_subset(records: Sequence[Record], n: int, seed: int) -> list[Record]:
+def sample_subset(records: Sequence[Planned], n: int, seed: int) -> list[Planned]:
     """Draw a source-proportional subset of n records.
 
     Per-source counts come from largest-remainder allocation; records within
@@ -441,7 +456,7 @@ def sample_subset(records: Sequence[Record], n: int, seed: int) -> list[Record]:
     groups = _group_by_source(records)
     counts = {s: len(rs) for s, rs in groups.items()}
     alloc = largest_remainder_allocate(counts, n)
-    out: list[Record] = []
+    out: list[Planned] = []
     for source, recs in groups.items():
         rng = sub_rng(seed, "sample", source)
         picked = sorted(rng.sample(range(len(recs)), alloc[source]))
@@ -460,7 +475,7 @@ class PrepareResult:
     steps: list[tuple[str, dict[str, int]]]  # (step name, records per source)
 
 
-def _per_source_counts(records: Sequence[Record]) -> dict[str, int]:
+def _per_source_counts(records: Sequence[EncodedRecord]) -> dict[str, int]:
     counts: dict[str, int] = {}
     for rec in records:
         counts[rec.source] = counts.get(rec.source, 0) + 1
@@ -470,9 +485,10 @@ def _per_source_counts(records: Sequence[Record]) -> dict[str, int]:
 def run_prepare(config: PipelineConfig) -> PrepareResult:
     """Run the full preparation pipeline and write split artifacts.
 
-    Steps run in declaration order: consolidate, rebalance (if configured),
-    caps, rare-label filtering, optional source-token prefixing, stratified
-    split. Each split lands in output_dir as <name>.jsonl with a manifest.
+    Steps run in declaration order: consolidate (which prefixes the source
+    token when configured), rebalance (if configured), caps, rare-label
+    filtering, stratified split. Each split lands in output_dir as
+    <name>.jsonl, written and hashed in one pass, with a manifest.
     """
     space = config.load_space()
     records, consolidation = consolidate(config, space)
@@ -487,8 +503,6 @@ def run_prepare(config: PipelineConfig) -> PrepareResult:
     if config.caps:
         steps.append(("cap", _per_source_counts(records)))
     records, removed = filter_rare_labels(records, config.rare_label_threshold)
-    if config.prepend_source_token:
-        records = prepend_source_token(records, [s.name for s in config.sources])
     splits = stratified_split(records, config.split_fractions, config.seed)
 
     config.output_dir.mkdir(parents=True, exist_ok=True)
@@ -497,8 +511,10 @@ def run_prepare(config: PipelineConfig) -> PrepareResult:
     manifests: dict[str, Manifest] = {}
     for name, recs in splits.items():
         path = config.output_dir / f"{name}.jsonl"
-        write_records(path, recs)
-        manifests[name] = write_manifest(path, recs, seed=config.seed, config_digest=digest)
+        sha256 = hashlib.sha256()
+        write_records(path, recs, sha256)
+        manifests[name] = write_manifest(path, recs, sha256=sha256.hexdigest(),
+                                         seed=config.seed, config_digest=digest)
         paths[name] = path
     steps.append(("split", {name: len(recs) for name, recs in splits.items()}))
     return PrepareResult(
@@ -510,25 +526,14 @@ def run_prepare(config: PipelineConfig) -> PrepareResult:
     )
 
 
-def prepend_source_token(
-    records: Sequence[Record],
-    known_sources: Iterable[str],
-) -> list[Record]:
-    """Prefix every record with a [SRC=...] token labelled O.
+def prepend_source_token(record: Record) -> Record:
+    """A copy of record prefixed with a [SRC=<its source>] token labelled O.
 
-    Records from sources outside known_sources get the [SRC=general] token,
-    mirroring how unseen provenance is handled at inference time.
+    The prefix is labelled O, so it changes no span, stratum or count.
     """
-    known = set(known_sources)
-    out = []
-    for rec in records:
-        tag = rec.source if rec.source in known else "general"
-        out.append(
-            Record(
-                id=rec.id,
-                tokens=[f"[SRC={tag}]", *rec.tokens],
-                labels=["O", *rec.labels],
-                source=rec.source,
-            )
-        )
-    return out
+    return Record(
+        id=record.id,
+        tokens=[f"[SRC={record.source}]", *record.tokens],
+        labels=["O", *record.labels],
+        source=record.source,
+    )

@@ -3,22 +3,29 @@
 A record line is a JSON object with exactly the keys id, tokens, labels and
 source, written UTF-8 with one trailing newline. Key order and separators are
 fixed so that equal record streams always produce byte-identical artifacts.
+An EncodedRecord holds one record as those bytes, plus the few values that
+planning and manifests read, so a corpus can be planned and written without
+keeping a Record per line.
 """
 
 from __future__ import annotations
 
 import json
+import sys
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from piiprep._purespans import _CACHE_MAX
+from piiprep.biospan import count_orphan_continuations
 from piiprep.errors import LabelError, RecordError
-from piiprep.jsonl import check_encodable, decode_located_line, iter_lines
+from piiprep.jsonl import check_encodable, decode_json_line, decode_located_line, iter_lines
 from piiprep.labelspace import parse_bio_label
 
 __all__ = [
     "Record",
+    "EncodedRecord",
     "record_to_line",
     "parse_record_line",
     "check_utf8",
@@ -36,6 +43,10 @@ __all__ = [
 _VALID_LABELS: set[str] = set()
 _STR = frozenset((str,))
 _ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
+# Label summaries already built, each mapped to itself, so that records with
+# equal summaries share one tuple. Emptied when it reaches _CACHE_MAX, which
+# only costs sharing: an equal summary built later is a new, equal tuple.
+_SUMMARIES: dict[tuple, tuple] = {}
 
 
 @dataclass
@@ -79,6 +90,52 @@ class Record:
             if len(_VALID_LABELS) >= _CACHE_MAX:
                 _VALID_LABELS.clear()
             _VALID_LABELS.add(lab)
+
+    @property
+    def stratum(self) -> str:
+        """The type of the first non-O label, which is the first span's type; "-" if none."""
+        for lab in self.labels:
+            if lab != "O":
+                return sys.intern(lab[2:])
+        return "-"
+
+    @property
+    def summary(self) -> tuple[int, tuple[tuple[str, int], ...]]:
+        """(orphan continuations, sorted (label, count) pairs of the non-O labels).
+
+        Every manifest count and the rare-label filter's B- mentions follow
+        from these. Equal summaries are usually one shared tuple.
+        """
+        counts = Counter(self.labels)
+        counts.pop("O", None)
+        summary = (count_orphan_continuations(self.labels), tuple(sorted(counts.items())))
+        shared = _SUMMARIES.get(summary)
+        if shared is None:
+            if len(_SUMMARIES) >= _CACHE_MAX:
+                _SUMMARIES.clear()
+            shared = _SUMMARIES[summary] = summary
+        return shared
+
+
+class EncodedRecord:
+    """A record as its canonical line in UTF-8, with its source, stratum and summary.
+
+    This is what prepare keeps per record between reading its sources and
+    writing the splits, and what write_records and the manifest read: about
+    a third of the memory of the Record it was built from.
+    """
+
+    __slots__ = ("line", "source", "stratum", "summary")
+
+    def __init__(self, record: Record) -> None:
+        self.line = record_to_line(record).encode("utf-8")
+        self.source = record.source
+        self.stratum = record.stratum
+        self.summary = record.summary
+
+    def record(self) -> Record:
+        """The Record this was built from, decoded from the line."""
+        return Record(**decode_json_line(self.line.decode("utf-8")))
 
 
 def record_to_line(record: Record) -> str:
@@ -135,12 +192,16 @@ def read_records(path: str | Path) -> Iterator[Record]:
         yield rec
 
 
-def write_records(path: str | Path, records: Iterable[Record]) -> int:
-    """Write records as canonical JSONL; returns the number written."""
-    path = Path(path)
+def write_records(path: str | Path, records: Iterable[EncodedRecord], sha256) -> int:
+    """Write the records' lines to path in one pass; returns the number written.
+
+    sha256 (a hashlib object) is fed the same bytes as the file, so the
+    artifact's hash needs no second read of it.
+    """
     n = 0
-    with path.open("w", encoding="utf-8", newline="\n") as f:
+    with Path(path).open("wb") as f:
         for rec in records:
-            f.write(record_to_line(rec))
+            f.write(rec.line)
+            sha256.update(rec.line)
             n += 1
     return n

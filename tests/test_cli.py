@@ -12,7 +12,7 @@ from click.testing import CliRunner
 from conftest import REPO
 from piiprep.cli import main
 from piiprep.fixtures import entity_results_path, system_results_path, taxonomy_path
-from piiprep.records import Record, write_records
+from piiprep.records import Record, record_to_line
 
 
 @pytest.fixture
@@ -28,10 +28,10 @@ def break_line_2(path: Path) -> None:
 
 
 def write_artifact(path: Path, rows) -> None:
-    write_records(path, [
-        Record(id=rid, tokens=["t"] * len(labels), labels=labels, source=src)
+    path.write_text("".join(
+        record_to_line(Record(id=rid, tokens=["t"] * len(labels), labels=labels, source=src))
         for rid, labels, src in rows
-    ])
+    ), encoding="utf-8")
 
 
 @pytest.fixture
@@ -601,6 +601,18 @@ class TestScore:
             assert result.output == f"Error: {message}\n"
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("option", ["--system", "--category"])
+    @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+    def test_name_not_valid_utf8_is_usage_error(self, runner, pair, tmp_path, option, out):
+        g, p = pair
+        out_args = ["--out", str(tmp_path / "report.json")] if out else []
+        result = runner.invoke(main, [
+            "score", "--gold", str(g), "--pred", str(p), option, "x\udcff", *out_args,
+        ])
+        assert result.exit_code == 2
+        assert f"Invalid value for '{option}': 'x\\udcff' is not valid UTF-8" in result.output
+        assert not (tmp_path / "report.json").exists()
+
     @pytest.mark.parametrize("mode", [[], ["--unordered"]], ids=["ordered", "unordered"])
     def test_length_mismatch_is_located(self, runner, pair, mode):
         g, p = pair
@@ -797,6 +809,11 @@ _BAD_TAXONOMY_LINES = [
     pytest.param(["compare", "--reports", "{f}"], _REPORT.replace('"s"', '"\\ud800"'), False,
                  r"in.txt: system holds a lone UTF-16 surrogate: '\ud800'",
                  id="compare-reports-surrogate-system"),
+    pytest.param(["compare", "--reports", "{f}"], _REPORT.replace('"s"', "5"), False,
+                 "in.txt: system must be a string", id="compare-reports-number-system"),
+    pytest.param(["compare", "--reports", "{f}"],
+                 _REPORT.replace('"category": null', '"category": ["x"]'), False,
+                 "in.txt: category must be a string", id="compare-reports-list-category"),
     pytest.param(["compare", "--reports", "{f}"], "{}\n", False,
                  "in.txt: score report has no 'micro'", id="compare-reports-empty-object"),
     pytest.param(["compare", "--reports", "{f}"], "[1]\n", False,

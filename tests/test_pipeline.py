@@ -3,6 +3,7 @@ import importlib
 import json
 import logging
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from piiprep.pipeline import (
     stratified_split,
     sub_rng,
 )
-from piiprep.records import Record, read_records
+from piiprep.records import EncodedRecord, Record, read_records
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -32,6 +33,10 @@ def mk(i: int, source: str, typ: str | None = "NAME") -> Record:
     """Tiny three-token record with one optional leading span."""
     labels = ["B-" + typ, "O", "O"] if typ else ["O", "O", "O"]
     return Record(id=f"{source}-{i:05d}", tokens=["a", "b", "c"], labels=labels, source=source)
+
+
+def encoded(records: list[Record]) -> list[EncodedRecord]:
+    return [EncodedRecord(r) for r in records]
 
 
 def corpus(spec: dict[str, int], types: list[str] | None = None) -> list[Record]:
@@ -150,50 +155,51 @@ class TestCapSource:
 class TestFilterRareLabels:
     def test_strictly_below_threshold_removed(self):
         records = [mk(i, "s", "NAME") for i in range(5)] + [mk(9, "s", "IBAN")]
-        out, removed = filter_rare_labels(records, 5)
+        out, removed = filter_rare_labels(encoded(records), 5)
         assert removed == ["IBAN"]
-        assert all("B-IBAN" not in r.labels for r in out)
+        assert all("B-IBAN" not in r.record().labels for r in out)
 
     def test_exactly_at_threshold_survives(self):
         records = [mk(i, "s", "NAME") for i in range(5)]
-        out, removed = filter_rare_labels(records, 5)
+        out, removed = filter_rare_labels(encoded(records), 5)
         assert removed == []
 
     def test_no_records_dropped_and_tokens_untouched(self):
         records = [mk(0, "s", "IBAN")]
-        out, removed = filter_rare_labels(records, 10)
+        out, removed = filter_rare_labels(encoded(records), 10)
         assert removed == ["IBAN"]
         assert len(out) == 1
-        assert out[0].labels == ["O", "O", "O"]
-        assert out[0].tokens == records[0].tokens
+        assert out[0].record().labels == ["O", "O", "O"]
+        assert out[0].record().tokens == records[0].tokens
 
     def test_continuation_labels_removed_too(self):
         rec = Record(
             id="x", tokens=["a", "b", "c"],
             labels=["B-IBAN", "I-IBAN", "O"], source="s",
         )
-        out, removed = filter_rare_labels([rec], 2)
-        assert out[0].labels == ["O", "O", "O"]
+        out, removed = filter_rare_labels(encoded([rec]), 2)
+        assert out[0].record().labels == ["O", "O", "O"]
 
     def test_inputs_not_mutated(self):
-        rec = mk(0, "s", "IBAN")
-        before = list(rec.labels)
-        filter_rare_labels([rec], 10)
-        assert rec.labels == before
+        enc = EncodedRecord(mk(0, "s", "IBAN"))
+        before = (enc.line, enc.stratum, enc.summary)
+        filter_rare_labels([enc], 10)
+        assert (enc.line, enc.stratum, enc.summary) == before
 
     def test_only_records_with_rare_labels_are_rebuilt(self):
-        records = [mk(i, "s", "NAME") for i in range(3)] + [mk(9, "s", "IBAN")]
+        records = encoded([mk(i, "s", "NAME") for i in range(3)] + [mk(9, "s", "IBAN")])
         out, removed = filter_rare_labels(records, 2)
         assert removed == ["IBAN"]
         assert all(o is r for o, r in zip(out[:3], records[:3]))
         assert out[3] is not records[3]
-        assert out[3].labels == ["O", "O", "O"]
+        assert out[3].record().labels == ["O", "O", "O"]
+        assert out[3].line == EncodedRecord(mk(9, "s", None)).line
 
     def test_zero_threshold_is_a_no_op(self):
-        records = [mk(0, "s", "IBAN")]
+        records = encoded([mk(0, "s", "IBAN")])
         out, removed = filter_rare_labels(records, 0)
         assert removed == []
-        assert out[0].labels == records[0].labels
+        assert out[0].line == records[0].line
 
 
 class TestStratifiedSplit:
@@ -258,18 +264,14 @@ class TestSampleSubset:
 
 class TestPrependSourceToken:
     def test_known_source_tagged_by_name(self):
-        out = prepend_source_token([mk(0, "wiki")], ["wiki"])
-        assert out[0].tokens[0] == "[SRC=wiki]"
-        assert out[0].labels[0] == "O"
-        assert out[0].labels[1:] == mk(0, "wiki").labels
-
-    def test_unknown_source_tagged_general(self):
-        out = prepend_source_token([mk(0, "mystery")], ["wiki"])
-        assert out[0].tokens[0] == "[SRC=general]"
+        out = prepend_source_token(mk(0, "wiki"))
+        assert out.tokens[0] == "[SRC=wiki]"
+        assert out.labels[0] == "O"
+        assert out.labels[1:] == mk(0, "wiki").labels
 
     def test_originals_untouched(self):
         rec = mk(0, "wiki")
-        prepend_source_token([rec], ["wiki"])
+        prepend_source_token(rec)
         assert len(rec.tokens) == 3
 
 
@@ -393,7 +395,7 @@ class TestConsolidate:
         )
         cfg = self.make_config(tmp_path, sources=[SourceSpec("tagged", p, "xml")])
         records, report = consolidate(cfg, canonical_space())
-        assert [r.id for r in records] == ["tagged-000001", "tagged-000004"]
+        assert [r.record().id for r in records] == ["tagged-000001", "tagged-000004"]
         assert report["tagged"] == {"kept": 2, "dropped": 1, "errors": 0}
 
     def test_xml_jsonl_source(self, tmp_path):
@@ -404,7 +406,7 @@ class TestConsolidate:
         )
         cfg = self.make_config(tmp_path, sources=[SourceSpec("wrapped", p, "xml-jsonl")])
         records, _ = consolidate(cfg, canonical_space())
-        assert records[0].labels == ["O", "B-PHONE"]
+        assert records[0].record().labels == ["O", "B-PHONE"]
 
     def test_xml_jsonl_malformed_line_is_located(self, tmp_path):
         p = tmp_path / "c.jsonl"
@@ -430,7 +432,7 @@ class TestConsolidate:
             p.write_bytes("".join(line + ending for line in lines).encode("utf-8"))
             cfg = self.make_config(tmp_path, sources=[SourceSpec("s", p, fmt)])
             records, report = consolidate(cfg, canonical_space())
-            read[ending] = [vars(r) for r in records], report
+            read[ending] = [r.line for r in records], report
         assert read["\r\n"] == read["\n"]
         assert read["\n"][0]
 
@@ -638,3 +640,26 @@ def test_prepare_bytes_are_pinned(tmp_path, variant):
            for p in sorted(cfg.output_dir.iterdir())}
     assert len(got) == 6
     assert got == _PREPARE_DIGESTS[variant]
+
+
+def test_prepare_memory_per_record(tmp_path):
+    """prepare keeps an encoded line per record, not the Record.
+
+    10,000 generated lines (9,850 kept): the traced peak of run_prepare stays
+    at or under 700 bytes per consolidated record (about 500 here: the line,
+    its slotted entry and the set of seen ids). Keeping a Record per line
+    until the write cost about 1,550.
+    """
+    per_record = 700
+    _generated_inputs(tmp_path, 10_000)
+    cfg = PipelineConfig.from_file(tmp_path / "config.yaml")
+    cfg.load_space()
+    tracemalloc.start()
+    try:
+        result = run_prepare(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = sum(c["kept"] for c in result.consolidation.values())
+    assert n == 9_850
+    assert peak <= per_record * n, f"peak {peak} bytes is {peak / n:.0f} bytes per record"

@@ -15,9 +15,11 @@ from piiprep.manifest import (
     Manifest,
     build_manifest,
     sha256_file,
+    tally,
     write_manifest,
 )
 from piiprep.records import (
+    EncodedRecord,
     Record,
     parse_record_line,
     read_records,
@@ -226,8 +228,10 @@ class TestFileIo:
     def test_write_then_read(self, tmp_path):
         records = [rec(i) for i in range(5)]
         p = tmp_path / "a.jsonl"
-        assert write_records(p, records) == 5
+        sha256 = hashlib.sha256()
+        assert write_records(p, [EncodedRecord(r) for r in records], sha256) == 5
         assert list(read_records(p)) == records
+        assert sha256.hexdigest() == hashlib.sha256(p.read_bytes()).hexdigest()
 
     def test_blank_line_rejected(self, tmp_path):
         p = tmp_path / "a.jsonl"
@@ -304,15 +308,22 @@ _records = st.lists(
 ])
 
 
+def write_artifact(path, records) -> tuple[list[EncodedRecord], str]:
+    """Write records to path; returns them encoded and the SHA-256 the writer took."""
+    encoded = [EncodedRecord(r) for r in records]
+    sha256 = hashlib.sha256()
+    write_records(path, encoded, sha256)
+    return encoded, sha256.hexdigest()
+
+
 class TestManifest:
     def write_artifact(self, dir_path):
         p = dir_path / "art.jsonl"
-        write_records(p, ARTIFACT_RECORDS)
-        return p
+        return (p, *write_artifact(p, ARTIFACT_RECORDS))
 
     def test_counts(self, tmp_path):
-        p = self.write_artifact(tmp_path)
-        m = build_manifest(p, ARTIFACT_RECORDS, seed=3, config_digest="abc")
+        p, encoded, sha256 = self.write_artifact(tmp_path)
+        m = build_manifest(p, encoded, sha256=sha256, seed=3, config_digest="abc")
         assert m.artifact == "art.jsonl"
         assert m.records == 3
         assert m.gold_spans == 2  # NAME span + orphan URL span
@@ -325,35 +336,36 @@ class TestManifest:
         assert m.generator == GENERATOR_NAME
 
     def test_no_timestamps_or_absolute_paths(self, tmp_path):
-        p = self.write_artifact(tmp_path)
-        text = write_manifest(p, ARTIFACT_RECORDS).to_json()
+        p, encoded, sha256 = self.write_artifact(tmp_path)
+        text = write_manifest(p, encoded, sha256=sha256).to_json()
         assert str(tmp_path) not in text
         assert "time" not in text.lower()
         assert "date" not in text.lower()
 
     def test_json_round_trip(self, tmp_path):
-        p = self.write_artifact(tmp_path)
-        m = build_manifest(p, ARTIFACT_RECORDS, seed=1, config_digest="d")
+        p, encoded, sha256 = self.write_artifact(tmp_path)
+        m = build_manifest(p, encoded, sha256=sha256, seed=1, config_digest="d")
         assert Manifest(**json.loads(m.to_json())) == m
 
     def test_write_manifest_places_sidecar(self, tmp_path):
-        p = self.write_artifact(tmp_path)
-        m = write_manifest(p, ARTIFACT_RECORDS)
+        p, encoded, sha256 = self.write_artifact(tmp_path)
+        m = write_manifest(p, encoded, sha256=sha256)
         sidecar = tmp_path / "art.jsonl.manifest.json"
         assert sidecar.exists()
         assert sidecar.read_text(encoding="utf-8") == m.to_json()
 
     def test_sha_matches_artifact_bytes(self, tmp_path):
-        p = self.write_artifact(tmp_path)
-        m = build_manifest(p, ARTIFACT_RECORDS)
+        p, encoded, sha256 = self.write_artifact(tmp_path)
+        m = build_manifest(p, encoded, sha256=sha256)
         assert m.sha256 == hashlib.sha256(p.read_bytes()).hexdigest()
 
     def test_identical_content_gives_identical_manifest(self, tmp_path):
-        p1 = self.write_artifact(tmp_path)
+        p1, encoded1, sha1 = self.write_artifact(tmp_path)
         sub = tmp_path / "sub"
         sub.mkdir()
-        p2 = self.write_artifact(sub)
-        assert build_manifest(p1, ARTIFACT_RECORDS) == build_manifest(p2, ARTIFACT_RECORDS)
+        p2, encoded2, sha2 = self.write_artifact(sub)
+        assert (build_manifest(p1, encoded1, sha256=sha1)
+                == build_manifest(p2, encoded2, sha256=sha2))
 
     def test_type_seen_only_as_orphan_continuations(self, tmp_path):
         # URL never has a B- label: each run of I-URL after another type or
@@ -363,8 +375,8 @@ class TestManifest:
             Record(id="b", tokens=list("abc"), labels=["B-NAME", "I-URL", "I-NAME"], source="s"),
         ]
         p = tmp_path / "orphans.jsonl"
-        write_records(p, records)
-        m = build_manifest(p, records)
+        encoded, sha256 = write_artifact(p, records)
+        m = build_manifest(p, encoded, sha256=sha256)
         assert m.per_type_b_mentions == {"NAME": 1}
         assert m.orphan_continuations == 4
         assert m.gold_spans == 5
@@ -376,8 +388,9 @@ class TestManifest:
     @given(records=_records)
     def test_tallies_agree_with_the_written_file(self, tmp_path, records):
         p = tmp_path / "prop.jsonl"
-        write_records(p, records)
-        m = write_manifest(p, records, seed=7)
+        encoded, sha256 = write_artifact(p, records)
+        m = write_manifest(p, encoded, sha256=sha256, seed=7)
         expected = manifest_from_file(p)
         assert {k: getattr(m, k) for k in expected} == expected
+        assert tally(records) == expected  # as validate tallies what it reads
         assert m.sha256 == hashlib.sha256(p.read_bytes()).hexdigest()
