@@ -131,16 +131,15 @@ def run_once(checkout: Path, inputs: Path, out: Path) -> dict:
 
 
 def main() -> int:
+    if sys.argv[1:2] == ["--child"]:
+        return child(*map(Path, sys.argv[2:5]))
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--checkout", action="append", required=True, metavar="LABEL=DIR",
                     help="a repository checkout to run; repeat for each side")
     ap.add_argument("--size", action="append", required=True, metavar="LINES:ROUNDS")
     ap.add_argument("--work", type=Path, default=REPO / ".bench_work" / "scale")
     ap.add_argument("--out", type=Path, required=True)
-    ap.add_argument("--child", nargs=3, type=Path, help=argparse.SUPPRESS)
     args = ap.parse_args()
-    if args.child:
-        return child(*args.child)
 
     checkouts = {}
     for item in args.checkout:

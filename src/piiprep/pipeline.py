@@ -25,7 +25,6 @@ import json
 import logging
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -38,7 +37,7 @@ from piiprep.errors import ConfigError, RecordError, ToolkitError
 from piiprep.ingest import ingest_record
 from piiprep.jsonl import decode_located_line, iter_lines, read_text
 from piiprep.labelspace import LabelSpace, load_taxonomy
-from piiprep.manifest import Manifest, write_manifest
+from piiprep.manifest import Manifest, tally, write_manifest
 from piiprep.records import EncodedRecord, Record, check_utf8, parse_record_line, write_records
 # Not called here; perfbench/spans.py's tracer wraps it by this name.
 from piiprep.biospan import extract_span_tuples  # noqa: F401
@@ -385,22 +384,18 @@ def filter_rare_labels(
 ) -> tuple[list[EncodedRecord], list[str]]:
     """Rewrite labels of types with fewer than threshold B- mentions to O.
 
-    The B- mentions are counted from the records' summaries. Records are
-    never dropped, so token and record counts are unchanged. A record
-    without a rare label is passed through as the same object; only records
-    with one are decoded, relabelled and encoded again. Returns the records
-    and the sorted list of removed types.
+    The B- mentions are the manifest tally's, counted from the records'
+    summaries. Records are never dropped, so token and record counts are
+    unchanged. A record without a rare label is passed through as the same
+    object; only records with one are decoded, relabelled and encoded again.
+    Returns the records and the sorted list of removed types.
     """
-    summaries = Counter(rec.summary for rec in records)
-    b_mentions: Counter[str] = Counter()
-    for (_, counts), n in summaries.items():
-        for label, count in counts:
-            if label.startswith("B-"):
-                b_mentions[label[2:]] += count * n
-    rare = {typ for typ, n in b_mentions.items() if n < threshold}
+    mentions = tally(records)["per_type_b_mentions"]
+    rare = {typ for typ, n in mentions.items() if n < threshold}
     if not rare:
         return list(records), []
     rare_labels = {f"{prefix}-{t}" for t in rare for prefix in "BI"}
+    summaries = {rec.summary for rec in records}
     hit = {s for s in summaries if any(label in rare_labels for label, _ in s[1])}
     out = []
     for enc in records:
