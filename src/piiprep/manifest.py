@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import Counter
+from collections import defaultdict
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable
@@ -79,17 +79,18 @@ def tally(records: Iterable[Record | EncodedRecord]) -> dict:
     Spans are not extracted: every span opens at a B- label or at an orphan
     I- label, so gold_spans is the B- mentions plus the orphans; every non-O
     token lies in a span of its own type, so entity_types is the number of
-    distinct types among non-O labels.
+    distinct types among non-O labels. Only a count per source and per label
+    is held, so a streamed input is never kept.
     """
-    seen: Counter[tuple] = Counter((rec.source, rec.summary) for rec in records)
-    per_source: Counter[str] = Counter()
-    label_counts: Counter[str] = Counter()
+    per_source: defaultdict[str, int] = defaultdict(int)
+    label_counts: defaultdict[str, int] = defaultdict(int)
     n_orphans = 0
-    for (source, (orphans, counts)), n in seen.items():
-        per_source[source] += n
-        n_orphans += orphans * n
+    for rec in records:
+        per_source[rec.source] += 1
+        orphans, counts = rec.summary
+        n_orphans += orphans
         for label, count in counts:
-            label_counts[label] += count * n
+            label_counts[label] += count
     per_type_b = {lab[2:]: n for lab, n in label_counts.items() if lab.startswith("B-")}
     span_types = {lab[2:] for lab in label_counts}
     return {
