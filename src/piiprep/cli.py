@@ -7,7 +7,6 @@ error (unknown flags, bad option values), 3 I/O error (unreadable paths).
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import math
 import sys
@@ -27,12 +26,12 @@ from piiprep.analysis import (
     SystemEntry,
     TYPE_COLUMNS,
 )
-from piiprep.errors import AnalysisError, RecordError, ToolkitError
+from piiprep.errors import AnalysisError, ToolkitError
 from piiprep.jsonl import check_encodable, read_text
 from piiprep.labelspace import load_taxonomy
-from piiprep.manifest import sha256_file, tally, write_manifest
-from piiprep.pipeline import PipelineConfig, run_prepare, sample_subset
-from piiprep.records import EncodedRecord, read_records, write_records
+from piiprep.manifest import sha256_file, tally
+from piiprep.pipeline import PipelineConfig, run_prepare, sample_subset, write_artifact
+from piiprep.records import EncodedRecord, check_types, read_records
 from piiprep.scorer import MetricsReport, finalize, stream_score
 
 
@@ -98,9 +97,7 @@ def sample(input_path: str, n: int, seed: int, out_path: str) -> None:
         raise click.UsageError(f"--n must be positive, got {n}")
     records = list(read_records(input_path))
     subset = [EncodedRecord(rec) for rec in sample_subset(records, n, seed)]
-    sha256 = hashlib.sha256()
-    write_records(out_path, subset, sha256)
-    manifest = write_manifest(out_path, subset, sha256=sha256.hexdigest(), seed=seed)
+    manifest = write_artifact(out_path, subset, seed=seed)
     click.echo(f"[sample] wrote {out_path} ({manifest.records} records, sha256 {manifest.sha256[:12]}...)")
 
 
@@ -112,20 +109,10 @@ def sample(input_path: str, n: int, seed: int, out_path: str) -> None:
 @guarded
 def validate(input_path: str, taxonomy_path: str | None, strict: bool) -> None:
     """Check artifact schema and labels (by prepare's taxonomy check); report counts and orphans."""
-    space = load_taxonomy(taxonomy_path)
-
-    def checked(records):
-        # read_records rejects blank lines, so the record number is the line number.
-        for lineno, rec in enumerate(records, 1):
-            unknown = space.unknown_type(rec.labels)
-            if unknown is not None:
-                raise RecordError(
-                    f"{Path(input_path).name}:{lineno}: record {rec.id}: "
-                    f"entity type {unknown!r} not in taxonomy"
-                )
-            yield rec
-
-    summary = tally(checked(read_records(input_path)))
+    space, name = load_taxonomy(taxonomy_path), Path(input_path).name
+    # read_records rejects blank lines, so the record number is the line number.
+    summary = tally(check_types(rec, space, name, lineno)
+                    for lineno, rec in enumerate(read_records(input_path), 1))
     # Report the per-source dict under "sources", in that key's place.
     summary["sources"] = summary.pop("per_source_records")
     click.echo(json.dumps(summary, indent=2, ensure_ascii=False))

@@ -63,7 +63,7 @@ def build_manifest(
     seed: int | None = None,
     config_digest: str | None = None,
 ) -> Manifest:
-    """Manifest of an artifact just written from records by write_records.
+    """Manifest of an artifact that write_artifact has just written from records.
 
     sha256 is the hash write_records took of the bytes as it wrote them, and
     the counts come from the records' summaries, so the artifact is never

@@ -25,6 +25,7 @@ import json
 import logging
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -38,7 +39,8 @@ from piiprep.ingest import ingest_record
 from piiprep.jsonl import decode_located_line, iter_lines, read_text
 from piiprep.labelspace import LabelSpace, load_taxonomy
 from piiprep.manifest import Manifest, tally, write_manifest
-from piiprep.records import EncodedRecord, Record, check_utf8, parse_record_line, write_records
+from piiprep.records import EncodedRecord, Record, check_types, check_utf8
+from piiprep.records import parse_record_line, write_records
 # Not called here; perfbench/spans.py's tracer wraps it by this name.
 from piiprep.biospan import extract_span_tuples  # noqa: F401
 
@@ -61,6 +63,7 @@ __all__ = [
     "sample_subset",
     "prepend_source_token",
     "run_prepare",
+    "write_artifact",
 ]
 
 _FORMATS = ("jsonl", "xml", "xml-jsonl")
@@ -275,11 +278,9 @@ def consolidate(
                 if spec.format == "jsonl":
                     rec = parse_record_line(line, lineno, name)
                     rec.source = spec.name  # stamp, whatever the file said
-                    unknown = space.unknown_type(rec.labels)
-                    if unknown is not None and config.unknown_types == "error":
-                        raise RecordError(f"{name}:{lineno}: record {rec.id}: "
-                                          f"entity type {unknown!r} not in taxonomy")
-                    if unknown is not None:  # drop: its labels become O
+                    if config.unknown_types == "error":
+                        check_types(rec, space, name, lineno)
+                    elif space.unknown_type(rec.labels) is not None:  # drop: its labels become O
                         rec.labels = [x if x in space.fine_label_set else "O" for x in rec.labels]
                 else:
                     text = line
@@ -299,9 +300,8 @@ def consolidate(
                             text, spec.name, space, f"{spec.name}-{lineno:06d}",
                             unknown_types=config.unknown_types,
                         )
-                        # Only a \u escape can decode to a lone UTF-16 surrogate.
-                        if rec is not None and spec.format == "xml-jsonl" and "\\u" in line:
-                            check_utf8(rec)
+                        if rec is not None:
+                            check_utf8(rec, line)
                     except ToolkitError as e:
                         raise type(e)(f"{name}:{lineno}: {e}") from None
                 if rec is not None and rec.id in seen_ids:
@@ -471,10 +471,7 @@ class PrepareResult:
 
 
 def _per_source_counts(records: Sequence[EncodedRecord]) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for rec in records:
-        counts[rec.source] = counts.get(rec.source, 0) + 1
-    return counts
+    return dict(Counter(rec.source for rec in records))
 
 
 def run_prepare(config: PipelineConfig) -> PrepareResult:
@@ -502,23 +499,21 @@ def run_prepare(config: PipelineConfig) -> PrepareResult:
 
     config.output_dir.mkdir(parents=True, exist_ok=True)
     digest = config.digest()
-    paths: dict[str, Path] = {}
-    manifests: dict[str, Manifest] = {}
-    for name, recs in splits.items():
-        path = config.output_dir / f"{name}.jsonl"
-        sha256 = hashlib.sha256()
-        write_records(path, recs, sha256)
-        manifests[name] = write_manifest(path, recs, sha256=sha256.hexdigest(),
-                                         seed=config.seed, config_digest=digest)
-        paths[name] = path
+    paths = {name: config.output_dir / f"{name}.jsonl" for name in splits}
+    manifests = {name: write_artifact(paths[name], recs, seed=config.seed, config_digest=digest)
+                 for name, recs in splits.items()}
     steps.append(("split", {name: len(recs) for name, recs in splits.items()}))
-    return PrepareResult(
-        split_paths=paths,
-        manifests=manifests,
-        consolidation=consolidation,
-        removed_types=removed,
-        steps=steps,
-    )
+    return PrepareResult(split_paths=paths, manifests=manifests, consolidation=consolidation,
+                         removed_types=removed, steps=steps)
+
+
+def write_artifact(path: str | Path, records: Sequence[EncodedRecord], *,
+                   seed: int | None, config_digest: str | None = None) -> Manifest:
+    """Write records to path, hashing them as they go, and their manifest beside it."""
+    sha256 = hashlib.sha256()
+    write_records(path, records, sha256)
+    return write_manifest(path, records, sha256=sha256.hexdigest(),
+                          seed=seed, config_digest=config_digest)
 
 
 def prepend_source_token(record: Record) -> Record:

@@ -21,7 +21,7 @@ from piiprep._purespans import _CACHE_MAX
 from piiprep.biospan import count_orphan_continuations
 from piiprep.errors import LabelError, RecordError
 from piiprep.jsonl import check_encodable, decode_json_line, decode_located_line, iter_lines
-from piiprep.labelspace import parse_bio_label
+from piiprep.labelspace import LabelSpace, parse_bio_label
 
 __all__ = [
     "Record",
@@ -29,6 +29,7 @@ __all__ = [
     "record_to_line",
     "parse_record_line",
     "check_utf8",
+    "check_types",
     "read_records",
     "write_records",
 ]
@@ -163,21 +164,33 @@ def parse_record_line(line: str, lineno: int, path: str = "<stream>") -> Record:
     rec = Record(id=obj["id"], tokens=obj["tokens"], labels=obj["labels"], source=obj["source"])
     try:
         rec.validate()
-        # Only a \u escape can decode to a lone UTF-16 surrogate.
-        if "\\u" in line:
-            check_utf8(rec)
+        check_utf8(rec, line)
     except RecordError as e:
         raise RecordError(f"{path}:{lineno}: {e}") from None
     return rec
 
 
-def check_utf8(rec: Record) -> None:
-    """Reject a record holding a string that UTF-8 cannot encode (see check_encodable)."""
+def check_utf8(rec: Record, line: str) -> None:
+    """Reject a record holding a string UTF-8 cannot encode (see check_encodable).
+
+    Only a \\u escape in the record's line can spell one, so most lines pass at once.
+    """
+    if "\\u" not in line:
+        return
     check_encodable([
         ("record id", rec.id), (f"record {rec.id}: source", rec.source),
         *((f"record {rec.id}: token {i}", tok) for i, tok in enumerate(rec.tokens)),
         *((f"record {rec.id}: label {i}", lab) for i, lab in enumerate(rec.labels)),
     ])
+
+
+def check_types(rec: Record, space: LabelSpace, name: str, lineno: int) -> Record:
+    """rec, or an error located at name:lineno naming its first type outside space."""
+    unknown = space.unknown_type(rec.labels)
+    if unknown is not None:
+        raise RecordError(f"{name}:{lineno}: record {rec.id}: "
+                          f"entity type {unknown!r} not in taxonomy")
+    return rec
 
 
 def read_records(path: str | Path) -> Iterator[Record]:
