@@ -36,7 +36,7 @@ import yaml
 from piiprep.allocation import allocate_fractions, largest_remainder_allocate
 from piiprep.errors import ConfigError, RecordError, ToolkitError
 from piiprep.ingest import ingest_record
-from piiprep.jsonl import decode_located_line, iter_lines, read_text
+from piiprep.jsonl import check_encodable, decode_located_line, iter_lines, read_text
 from piiprep.labelspace import LabelSpace, load_taxonomy
 from piiprep.manifest import Manifest, tally, write_manifest
 from piiprep.records import EncodedRecord, Record, check_types, check_utf8
@@ -110,11 +110,34 @@ def _typed(key: str, value, kind: str):
     return value
 
 
-def _path(key: str, value) -> str:
-    """value as a path string; an empty one would name the config's own directory."""
+def _nonempty(key: str, value) -> str:
+    """value as a string that names a path or a source; an empty path would name
+    the config's own directory, and an empty source no record could carry."""
     if not _typed(key, value, "a string"):
         raise ConfigError(f"{key} must not be empty")
     return value
+
+
+def _check_strings(node, where: str = "") -> None:
+    """Reject a string of the config, key or value, that no path or artifact line could hold.
+
+    where names node by its key path ("sources[0].path"), or a key by its
+    mapping ("a key in caps").
+    """
+    if isinstance(node, str):
+        if "\0" in node:
+            raise ConfigError(f"{where} holds a NUL byte: {node!r}")
+        try:
+            check_encodable([(where, node)])
+        except RecordError as e:
+            raise ConfigError(str(e)) from None
+    elif isinstance(node, list):
+        for i, item in enumerate(node):
+            _check_strings(item, f"{where}[{i}]")
+    elif isinstance(node, dict):
+        for key, value in node.items():  # the key first, so no name holds a bad one
+            _check_strings(key, f"a key in {where}" if where else "a config key")
+            _check_strings(value, f"{where}.{key}" if where else str(key))
 
 
 @dataclass
@@ -148,6 +171,7 @@ class PipelineConfig:
             data = yaml.safe_load(read_text(path))
             if not isinstance(data, dict):
                 raise ConfigError("config root must be a mapping")
+            _check_strings(data)
             unknown = set(data) - {"sources", "rebalance", "caps", "split_fractions", *_FIELD_KINDS}
             if unknown:
                 raise ConfigError(f"unknown config key(s): {sorted(unknown, key=str)}")
@@ -158,8 +182,11 @@ class PipelineConfig:
             for i, s in enumerate(given["sources"]):
                 if not isinstance(s, dict) or "name" not in s or "path" not in s:
                     raise ConfigError(f"sources[{i}] needs 'name' and 'path'")
-                spec_path = path.parent / _path(f"sources[{i}].path", s["path"])
-                spec = SourceSpec(_typed(f"sources[{i}].name", s["name"], "a string"), spec_path)
+                unknown = set(s) - {"name", "path", "format"}
+                if unknown:
+                    raise ConfigError(f"unknown key(s) in sources[{i}]: {sorted(unknown, key=str)}")
+                spec_path = path.parent / _nonempty(f"sources[{i}].path", s["path"])
+                spec = SourceSpec(_nonempty(f"sources[{i}].name", s["name"]), spec_path)
                 if s.get("format") is not None:
                     spec.format = _typed(f"sources[{i}].format", s["format"], f"one of {_FORMATS}")
                 sources.append(spec)
@@ -170,7 +197,7 @@ class PipelineConfig:
                 k: _typed(k, v, _FIELD_KINDS[k]) for k, v in given.items() if k in _FIELD_KINDS
             }
             if "taxonomy" in kwargs:
-                _path("taxonomy", kwargs["taxonomy"])
+                _nonempty("taxonomy", kwargs["taxonomy"])
             if "rebalance" in given:
                 reb = _typed("rebalance", given["rebalance"], "a mapping")
                 if set(reb) != {"source", "target_fraction"}:
@@ -185,7 +212,10 @@ class PipelineConfig:
                 kwargs.update(rebalance_source=source, rebalance_fraction=float(fraction))
             if "caps" in given:
                 raw = _typed("caps", given["caps"], "a mapping")
-                kwargs["caps"] = {str(k): _typed(f"caps.{k}", v, "an integer") for k, v in raw.items()}
+                kwargs["caps"] = {
+                    _typed("cap name", k, "a string"): _typed(f"caps.{k}", v, "an integer")
+                    for k, v in raw.items()
+                }
                 for name, cap in kwargs["caps"].items():
                     if cap < 0:
                         raise ConfigError(f"cap for {name!r} must be >= 0")
@@ -201,6 +231,9 @@ class PipelineConfig:
                 if not fractions:
                     raise ConfigError("split_fractions must not be empty")
                 for name, v in fractions.items():
+                    if not name or "/" in name:  # it names the file <name>.jsonl in output_dir
+                        raise ConfigError(
+                            f"split name must be non-empty and hold no '/', got {name!r}")
                     if v < 0:
                         raise ConfigError(f"split_fractions.{name} must not be negative, got {v}")
                 got = sum(Fraction(str(v)) for v in fractions.values())

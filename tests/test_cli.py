@@ -274,11 +274,34 @@ class TestPrepare:
         (_SOURCE + "1: x\ntpyo: y\n", "unknown config key(s): [1, 'tpyo']"),
         (_SOURCE + 'taxonomy: ""\n', "taxonomy must not be empty"),
         ("sources:\n  - {name: a, path: ''}\n", "sources[0].path must not be empty"),
+        ("sources:\n  - {name: a, path: a.jsonl, fromat: xml}\n",
+         "unknown key(s) in sources[0]: ['fromat']"),
+        ("sources:\n  - {name: '', path: a.jsonl}\n", "sources[0].name must not be empty"),
+        (_SOURCE + "split_fractions: {a/b: 1}\n",
+         "split name must be non-empty and hold no '/', got 'a/b'"),
+        (_SOURCE + "split_fractions: {'': 1}\n",
+         "split name must be non-empty and hold no '/', got ''"),
+        ("sources:\n  - {name: '1', path: a.jsonl}\ncaps: {1: 1}\n",
+         "cap name must be a string, got 1"),
+        ('sources:\n  - {name: "\\ud800", path: a.jsonl}\n',
+         "sources[0].name holds a lone UTF-16 surrogate: '\\ud800'"),
+        ('sources:\n  - {name: a, path: "\\ud800.jsonl"}\n',
+         "sources[0].path holds a lone UTF-16 surrogate: '\\ud800.jsonl'"),
+        (_SOURCE + 'split_fractions: {"\\ud800": 1}\n',
+         "a key in split_fractions holds a lone UTF-16 surrogate: '\\ud800'"),
+        ('sources:\n  - {name: a, path: "a\\0.jsonl"}\n',
+         "sources[0].path holds a NUL byte: 'a\\x00.jsonl'"),
+        (_SOURCE + 'output_dir: "out\\0"\n', "output_dir holds a NUL byte: 'out\\x00'"),
+        (_SOURCE + 'split_fractions: {"a\\0": 1}\n',
+         "a key in split_fractions holds a NUL byte: 'a\\x00'"),
     ], ids=[
         "on-error", "unknown-types", "threshold-negative", "rebalance-no-source",
         "rebalance-fraction-range", "cap-negative", "fractions-empty", "fractions-sum",
         "rebalance-undeclared", "cap-undeclared", "fraction-negative", "taxonomy-zero",
         "rebalance-zero", "unknown-keys-mixed", "taxonomy-empty", "source-path-empty",
+        "source-key-unknown", "source-name-empty", "split-name-slash", "split-name-empty",
+        "cap-name-int", "source-name-surrogate", "source-path-surrogate",
+        "split-name-surrogate", "source-path-nul", "output-dir-nul", "split-name-nul",
     ])
     def test_config_rule_is_located_before_any_source_is_read(
         self, runner, tmp_path, text, message

@@ -3,12 +3,18 @@ import importlib
 import json
 import logging
 import random
+import tempfile
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import yaml
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from piiprep.cli import main
 from piiprep.errors import AllocationError, ConfigError, RecordError
 from piiprep.fixtures import canonical_space, taxonomy_path
 from piiprep.pipeline import (
@@ -366,6 +372,99 @@ _SOURCES = "sources:\n  - {name: a, path: a.jsonl}\n  - {name: b, path: b.xml, f
 def test_config_digest_is_pinned(tmp_path, body, digest):
     path = REPO / "demo" / "config.yaml" if body is None else write_config(tmp_path, body)
     assert PipelineConfig.from_file(path).digest() == digest
+
+
+# The config fuzz below draws a valid config field by field, then half the
+# time applies one of these overrides, each of which the config rules reject.
+_ABSENT = object()
+_VALID_FIELDS = {
+    "name": ["s", "1", "a/b", "/", " ", "é"],
+    "path": ["src.jsonl"],
+    "format": [_ABSENT, None, "jsonl", "xml"],
+    "seed": [_ABSENT, None, 0, 7],
+    "rare_label_threshold": [_ABSENT, 0, 2],
+    "on_error": [_ABSENT, "fail", "skip", "log"],
+    "unknown_types": [_ABSENT, "error", "drop"],
+    "prepend_source_token": [_ABSENT, True, False],
+    "taxonomy": [_ABSENT, None],
+    "output_dir": [_ABSENT, "out", "o/u t", "", "é"],
+    "caps": [_ABSENT, 0, 3],  # the cap of the one source
+    "rebalance": [_ABSENT, 0.5],  # the one source's target fraction
+}
+_SPLIT_NAMES = ["train", "val", "test", "é", ".x", "a b"]
+_SPLIT_SHARES = {1: [1], 2: [0.5, 0.5], 3: [0.8, 0.1, 0.1]}
+_NO_STRINGS = ["", "a\x00", "\ud800"]  # no name or path may be one of these
+_REJECTED = [
+    *({"name": v} for v in [*_NO_STRINGS, 1, None]),
+    *({"path": v} for v in [*_NO_STRINGS, "\ud800.jsonl", 5]),
+    *({"format": v} for v in ["XML", 5, "\ud800"]),
+    {"entry": {"fromat": "xml"}}, {"entry": {1: 1}}, {"entry": {"\ud800": 1}},
+    {"sources": []}, {"sources": "s"}, {"sources": [{"name": "s"}]},
+    {"seed": "1"}, {"seed": 1.5}, {"seed": True},
+    {"rare_label_threshold": -1}, {"rare_label_threshold": "1"},
+    {"on_error": "FAIL"}, {"on_error": "\ud800"}, {"unknown_types": "keep"},
+    {"prepend_source_token": "false"},
+    *({"taxonomy": v} for v in [*_NO_STRINGS, 5]),
+    *({"output_dir": v} for v in ["a\x00", "\ud800", 5, ["out"]]),
+    *({"split_fractions": {v: 1}} for v in [*_NO_STRINGS, "/", "a/b", 1]),
+    {"split_fractions": {}}, {"split_fractions": {"train": 1.5, "val": -0.5}},
+    {"split_fractions": {"train": "1"}},
+    {"name": "1", "caps": {1: 1}},  # read as the source "1" if keys were coerced
+    {"caps": {"ghost": 1}}, {"caps": -1}, {"caps": "1"}, {"caps": {"\ud800": 1}},
+    {"rebalance": 1}, {"rebalance": {"source": "ghost", "target_fraction": 0.5}},
+    {"extra": {"tpyo": 1}}, {"extra": {1: "x"}}, {"extra": {"a\x00": 1}},
+]
+
+
+@st.composite
+def _fuzzed_config(draw) -> tuple[dict, bool]:
+    """A config mapping, and whether the config rules reject it."""
+    f = {key: draw(st.sampled_from(values)) for key, values in _VALID_FIELDS.items()}
+    splits = draw(st.lists(st.sampled_from(_SPLIT_NAMES), min_size=1, max_size=3, unique=True))
+    f.update(entry={}, extra={}, split_fractions=dict(zip(splits, _SPLIT_SHARES[len(splits)])))
+    rejected = draw(st.one_of(st.none(), st.sampled_from(_REJECTED)))
+    f.update(rejected or {})
+    entry = {"name": f["name"], "path": f["path"], **f["entry"]}
+    if f["format"] is not _ABSENT:
+        entry["format"] = f["format"]
+    data = {"sources": f.get("sources", [entry]), "split_fractions": f["split_fractions"]}
+    for key in ("seed", "rare_label_threshold", "on_error", "unknown_types",
+                "prepend_source_token", "taxonomy", "output_dir"):
+        if f[key] is not _ABSENT:
+            data[key] = f[key]
+    if f["caps"] is not _ABSENT:
+        data["caps"] = f["caps"] if isinstance(f["caps"], dict) else {f["name"]: f["caps"]}
+    if isinstance(f["rebalance"], float):
+        data["rebalance"] = {"source": f["name"], "target_fraction": f["rebalance"]}
+    elif f["rebalance"] is not _ABSENT:
+        data["rebalance"] = f["rebalance"]
+    data.update(f["extra"])
+    return data, rejected is not None
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(_fuzzed_config())
+def test_config_fuzz_loads_only_what_prepare_can_write(case):
+    """A config either fails as a located ConfigError before any source is read,
+    or loads, and then prepare writes only splits that validate accepts."""
+    data, rejected = case
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        write_jsonl_source(root / "src.jsonl", corpus({"x": 12}, ["NAME", "EMAIL", "CITY"]))
+        cfg = root / "c.yaml"
+        cfg.write_text(yaml.safe_dump(data, sort_keys=False), encoding="utf-8")
+        try:
+            config = PipelineConfig.from_file(cfg)
+        except ConfigError as e:
+            assert str(e).startswith("c.yaml: ")
+            assert rejected, f"a valid config was rejected: {e}"
+            return
+        assert not rejected, f"an invalid config loaded: {data!r}"
+        result = run_prepare(config)
+        assert sorted(result.split_paths) == sorted(config.split_fractions)
+        for path in result.split_paths.values():
+            check = CliRunner().invoke(main, ["validate", "--input", str(path)])
+            assert check.exit_code == 0, check.output
 
 
 class TestConsolidate:
