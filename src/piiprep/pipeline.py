@@ -168,7 +168,10 @@ class PipelineConfig:
         """
         path = Path(path)
         try:
-            data = yaml.safe_load(read_text(path))
+            try:
+                data = yaml.safe_load(read_text(path))
+            except ValueError as e:  # a scalar Python cannot build: 2020-13-01, a 5,000-digit int
+                raise ConfigError(f"not valid YAML: {e}") from None
             if not isinstance(data, dict):
                 raise ConfigError("config root must be a mapping")
             _check_strings(data)

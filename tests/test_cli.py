@@ -294,6 +294,7 @@ class TestPrepare:
         (_SOURCE + 'output_dir: "out\\0"\n', "output_dir holds a NUL byte: 'out\\x00'"),
         (_SOURCE + 'split_fractions: {"a\\0": 1}\n',
          "a key in split_fractions holds a NUL byte: 'a\\x00'"),
+        (_SOURCE + "seed: 2020-13-01\n", "not valid YAML: month must be in 1..12"),
     ], ids=[
         "on-error", "unknown-types", "threshold-negative", "rebalance-no-source",
         "rebalance-fraction-range", "cap-negative", "fractions-empty", "fractions-sum",
@@ -302,6 +303,7 @@ class TestPrepare:
         "source-key-unknown", "source-name-empty", "split-name-slash", "split-name-empty",
         "cap-name-int", "source-name-surrogate", "source-path-surrogate",
         "split-name-surrogate", "source-path-nul", "output-dir-nul", "split-name-nul",
+        "seed-bad-date",
     ])
     def test_config_rule_is_located_before_any_source_is_read(
         self, runner, tmp_path, text, message
