@@ -23,9 +23,7 @@ from piiprep.records import Record
 
 __all__ = [
     "CharSpan",
-    "OffsetToken",
     "parse_tagged_text",
-    "tokenize_with_offsets",
     "char_spans_to_bio",
     "ingest_record",
 ]
@@ -44,14 +42,6 @@ class CharSpan(NamedTuple):
     start: int
     end: int
     entity: str
-
-
-class OffsetToken(NamedTuple):
-    """A whitespace token with its character offsets in the source text."""
-
-    text: str
-    start: int
-    end: int
 
 
 def parse_tagged_text(
@@ -113,11 +103,6 @@ def parse_tagged_text(
     return "".join(pieces), spans
 
 
-def tokenize_with_offsets(text: str) -> list[OffsetToken]:
-    """Split on Unicode whitespace runs, keeping character offsets."""
-    return [OffsetToken(m.group(0), m.start(), m.end()) for m in _TOKEN_RE.finditer(text)]
-
-
 def char_spans_to_bio(
     text: str,
     spans: Sequence[CharSpan],
@@ -130,10 +115,10 @@ def char_spans_to_bio(
     ones after the last token ending at or before start and before the first
     token starting at or after end; bisection finds both.
     """
-    tokens = tokenize_with_offsets(text)
-    starts = [tok.start for tok in tokens]
-    ends = [tok.end for tok in tokens]
-    labels = ["O"] * len(tokens)
+    matches = list(_TOKEN_RE.finditer(text))  # Unicode whitespace runs split tokens
+    starts = [m.start() for m in matches]
+    ends = [m.end() for m in matches]
+    labels = ["O"] * len(matches)
     ordered = sorted(spans, key=lambda s: (s.start, s.end))
     for prev, cur in zip(ordered, ordered[1:]):
         if prev.end > cur.start:
@@ -148,7 +133,7 @@ def char_spans_to_bio(
             if labels[i] != "O":
                 raise SpanError(f"span {span} conflicts with another span on token {i}")
             labels[i] = ("B-" if j == 0 else "I-") + span.entity
-    return [t.text for t in tokens], labels
+    return [m.group() for m in matches], labels
 
 
 def ingest_record(

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import json
 import sys
-from collections import Counter
+from collections import _count_elements
 from dataclasses import dataclass
+from json.encoder import c_make_encoder, encode_basestring
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -44,6 +45,14 @@ __all__ = [
 _VALID_LABELS: set[str] = set()
 _STR = frozenset((str,))
 _ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
+# JSONEncoder.encode builds a C encoder per call; this one is built once with
+# _ENCODER's settings (None without the C module). It keeps no circular-check
+# markers, which a failed call could leave behind: a record holds only
+# strings and lists of strings, so it cannot contain itself.
+_ENCODE = c_make_encoder and c_make_encoder(
+    None, _ENCODER.default, encode_basestring, _ENCODER.indent, _ENCODER.key_separator,
+    _ENCODER.item_separator, _ENCODER.sort_keys, _ENCODER.skipkeys, _ENCODER.allow_nan,
+)
 # Label summaries already built, each mapped to itself, so that records with
 # equal summaries share one tuple. Emptied when it reaches _CACHE_MAX, which
 # only costs sharing: an equal summary built later is a new, equal tuple.
@@ -107,7 +116,8 @@ class Record:
         Every manifest count and the rare-label filter's B- mentions follow
         from these. Equal summaries are usually one shared tuple.
         """
-        counts = Counter(self.labels)
+        counts: dict[str, int] = {}
+        _count_elements(counts, self.labels)  # what Counter.update calls, minus its checks
         counts.pop("O", None)
         summary = (count_orphan_continuations(self.labels), tuple(sorted(counts.items())))
         shared = _SUMMARIES.get(summary)
@@ -147,7 +157,9 @@ def record_to_line(record: Record) -> str:
         "labels": record.labels,
         "source": record.source,
     }
-    return _ENCODER.encode(obj) + "\n"
+    if _ENCODE is None:
+        return _ENCODER.encode(obj) + "\n"
+    return "".join(_ENCODE(obj, 0)) + "\n"
 
 
 def parse_record_line(line: str, lineno: int, path: str = "<stream>") -> Record:

@@ -1,5 +1,6 @@
 import random
 import re
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +12,20 @@ from piiprep.ingest import (
     char_spans_to_bio,
     ingest_record,
     parse_tagged_text,
-    tokenize_with_offsets,
 )
+
+
+class OffsetToken(NamedTuple):
+    """A whitespace token with its character offsets in the source text."""
+
+    text: str
+    start: int
+    end: int
+
+
+def tokenize_with_offsets(text: str) -> list[OffsetToken]:
+    """The brute-force oracle's tokenizer: Unicode whitespace runs split tokens."""
+    return [OffsetToken(m.group(0), m.start(), m.end()) for m in re.finditer(r"\S+", text)]
 
 
 class TestParseTaggedText:
@@ -129,6 +142,13 @@ class TestCharSpansToBio:
     def test_whitespace_only_span_rejected(self):
         with pytest.raises(SpanError, match="covers no token"):
             char_spans_to_bio("a  b", [CharSpan(1, 3, "NAME")])
+
+    # Every character str.isspace() accepts (none lies past U+3000), plus two it rejects.
+    @settings(derandomize=True, database=None, max_examples=300)
+    @given(st.text(st.one_of(st.characters(), st.sampled_from(
+        "".join(filter(str.isspace, map(chr, range(0x3001)))) + "\u200b\ufeff")), max_size=80))
+    def test_tokens_match_plain_split(self, text):
+        assert char_spans_to_bio(text, []) == (text.split(), ["O"] * len(text.split()))
 
     def test_token_shared_by_two_spans_rejected(self):
         # distinct char ranges, same middle token: not expressible in BIO

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 from conftest import bio_spans_oracle, orphan_oracle
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from piiprep import records as records_module
 from piiprep._purespans import _CACHE_MAX
+from piiprep.biospan import count_orphan_continuations
 from piiprep.errors import LabelError, RecordError
 from piiprep.labelspace import parse_bio_label
 from piiprep.manifest import (
@@ -28,6 +30,15 @@ from piiprep.records import (
 )
 
 
+# Strings that JSON must escape or that ensure_ascii=False keeps as they are:
+# quotes, backslashes, control characters, U+2028/2029, non-ASCII and astral
+# characters, a lone surrogate, mixed with arbitrary ones.
+_wire_text = st.text(st.one_of(
+    st.characters(),
+    st.sampled_from('"\\/\x00\x1f\x7f\u0085\u2028\u2029é東\U0001f600\ud800'),
+), max_size=8)
+
+
 def rec(i=1, labels=("B-NAME", "O")) -> Record:
     return Record(id=f"r{i}", tokens=["a", "b"][: len(labels)], labels=list(labels), source="s")
 
@@ -44,6 +55,19 @@ class TestWireFormat:
     def test_round_trip(self):
         r = rec()
         assert parse_record_line(record_to_line(r), 1) == r
+
+    @settings(derandomize=True, database=None, max_examples=300)
+    @given(r=st.builds(Record, id=_wire_text, tokens=st.lists(_wire_text, max_size=6),
+                       labels=st.lists(_wire_text, max_size=6), source=_wire_text))
+    def test_line_is_what_json_dumps_writes(self, r):
+        obj = {"id": r.id, "tokens": r.tokens, "labels": r.labels, "source": r.source}
+        assert record_to_line(r) == json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n"
+
+    def test_line_without_the_c_encoder(self, monkeypatch):
+        r = Record(id="q\"\\", tokens=["é", "\U0001f600", "\x00\u2028"], labels=["O"] * 3, source="s")
+        line = record_to_line(r)
+        monkeypatch.setattr(records_module, "_ENCODE", None)
+        assert record_to_line(r) == line
 
     def test_missing_field_named(self):
         with pytest.raises(RecordError, match="missing field.*source"):
@@ -222,6 +246,17 @@ class TestValidateFastPath:
         rec(labels=["B-NAME", "O"]).validate()
         with pytest.raises(RecordError, match=r"^record x: malformed BIO label: 'X-1'$"):
             Record(id="x", tokens=["a"], labels=["X-1"], source="s").validate()
+
+
+class TestSummary:
+    @settings(derandomize=True, database=None, max_examples=300)
+    @given(labels=st.lists(
+        st.sampled_from(["O", "B-NAME", "I-NAME", "I-CITY", "B-STRAßE", "I-STRAßE"]), max_size=12))
+    def test_equals_counter_reference(self, labels):
+        counts = Counter(labels)
+        counts.pop("O", None)
+        expected = (count_orphan_continuations(labels), tuple(sorted(counts.items())))
+        assert Record(id="x", tokens=["t"] * len(labels), labels=labels, source="s").summary == expected
 
 
 class TestFileIo:
