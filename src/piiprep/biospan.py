@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from piiprep._purespans import check_labels
-from piiprep.labelspace import LabelSpace, parse_bio_label
 
 try:
     from piiprep import _speedups as _kernel
@@ -35,8 +34,6 @@ __all__ = [
     "extract_span_tuples",
     "count_orphan_continuations",
     "check_labels",
-    "normalize_bio",
-    "project_to_coarse",
     "active_kernel",
 ]
 
@@ -66,36 +63,3 @@ def extract_spans(labels: Sequence[str]) -> list[Span]:
     [Span(start=0, end=1, entity='A'), Span(start=1, end=3, entity='B')]
     """
     return [Span(*t) for t in extract_span_tuples(list(labels))]
-
-
-def normalize_bio(labels: Sequence[str]) -> list[str]:
-    """Rewrite orphan I-X labels to B-X; every other label passes through.
-
-    The rewrite never changes extract_spans output, because an orphan I-X
-    opens a span exactly like a B-X would.
-    """
-    out = list(labels)
-    prev_typ: str | None = None
-    for i, lab in enumerate(out):
-        prefix, typ = parse_bio_label(lab)
-        if prefix == "I" and typ != prev_typ:
-            out[i] = "B-" + typ
-        prev_typ = typ
-    return out
-
-
-def project_to_coarse(labels: Sequence[str], space: LabelSpace) -> list[str]:
-    """Map fine labels onto coarse-group labels, prefix preserved.
-
-    O stays O; B-TYPE becomes B-GROUP and I-TYPE becomes I-GROUP. Adjacent
-    spans of distinct fine types in one group keep their B- boundaries, so
-    the coarse sequence still separates them.
-    """
-    out: list[str] = []
-    for lab in labels:
-        prefix, typ = parse_bio_label(lab)
-        if prefix == "O":
-            out.append("O")
-        else:
-            out.append(f"{prefix}-{space.coarse_of(typ)}")
-    return out

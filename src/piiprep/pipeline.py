@@ -237,6 +237,10 @@ class PipelineConfig:
                     if not name or "/" in name:  # it names the file <name>.jsonl in output_dir
                         raise ConfigError(
                             f"split name must be non-empty and hold no '/', got {name!r}")
+                    size = len(f"{name}.jsonl.manifest.json".encode("utf-8"))
+                    if size > 255:  # NAME_MAX of common file systems
+                        raise ConfigError(f"split name is too long: <name>.jsonl.manifest.json "
+                                          f"must fit in 255 UTF-8 bytes, got {size} for {name!r}")
                     if v < 0:
                         raise ConfigError(f"split_fractions.{name} must not be negative, got {v}")
                 got = sum(Fraction(str(v)) for v in fractions.values())

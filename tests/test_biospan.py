@@ -17,13 +17,11 @@ from conftest import (
     orphan_oracle,
     random_bio_labels,
 )
-from piiprep import _purespans, biospan
+from piiprep import _purespans
 from piiprep.biospan import (
     Span,
     check_labels,
     extract_spans,
-    normalize_bio,
-    project_to_coarse,
 )
 from piiprep.errors import LabelError
 
@@ -202,43 +200,3 @@ class TestWrappers:
         spans = extract_spans(["B-NAME", "I-NAME"])
         assert spans == [Span(0, 2, "NAME")]
         assert spans[0].entity == "NAME"
-
-
-class TestNormalizeBio:
-    def test_orphans_become_begins(self):
-        assert normalize_bio(["I-NAME", "I-NAME", "O", "I-URL"]) == [
-            "B-NAME", "I-NAME", "O", "B-URL",
-        ]
-
-    def test_type_switch_becomes_begin(self):
-        assert normalize_bio(["B-NAME", "I-URL"]) == ["B-NAME", "B-URL"]
-
-    def test_clean_input_unchanged(self):
-        labels = ["O", "B-NAME", "I-NAME", "B-NAME"]
-        assert normalize_bio(labels) == labels
-
-    @settings(max_examples=200)
-    @given(labels=label_lists)
-    def test_idempotent_and_span_preserving(self, labels):
-        normal = normalize_bio(labels)
-        assert normalize_bio(normal) == normal
-        assert bio_spans_oracle(normal) == bio_spans_oracle(labels)
-        assert orphan_oracle(normal) == 0
-
-
-class TestProjectToCoarse:
-    def test_fine_to_group(self, canonical_space):
-        labels = ["O", "B-IBAN", "I-IBAN", "B-CITY"]
-        assert project_to_coarse(labels, canonical_space) == [
-            "O", "B-FINANCIAL_ID", "I-FINANCIAL_ID", "B-LOCATION",
-        ]
-
-    def test_unknown_type_rejected(self, canonical_space):
-        with pytest.raises(LabelError):
-            project_to_coarse(["B-NOT_A_TYPE"], canonical_space)
-
-    def test_span_structure_survives_when_groups_differ(self, canonical_space):
-        # same-group neighbours legitimately fuse; cross-group ones must not
-        labels = ["B-IBAN", "B-CITY"]
-        coarse = project_to_coarse(labels, canonical_space)
-        assert len(biospan.extract_span_tuples(coarse)) == 2

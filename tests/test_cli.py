@@ -281,6 +281,12 @@ class TestPrepare:
          "split name must be non-empty and hold no '/', got 'a/b'"),
         (_SOURCE + "split_fractions: {'': 1}\n",
          "split name must be non-empty and hold no '/', got ''"),
+        (_SOURCE + f"split_fractions: {{{'x' * 236}: 1}}\n",
+         "split name is too long: <name>.jsonl.manifest.json must fit in 255 UTF-8 bytes, "
+         f"got 256 for '{'x' * 236}'"),
+        (_SOURCE + f"split_fractions: {{{'é' * 118}: 1}}\n",
+         "split name is too long: <name>.jsonl.manifest.json must fit in 255 UTF-8 bytes, "
+         f"got 256 for '{'é' * 118}'"),
         ("sources:\n  - {name: '1', path: a.jsonl}\ncaps: {1: 1}\n",
          "cap name must be a string, got 1"),
         ('sources:\n  - {name: "\\ud800", path: a.jsonl}\n',
@@ -301,7 +307,7 @@ class TestPrepare:
         "rebalance-undeclared", "cap-undeclared", "fraction-negative", "taxonomy-zero",
         "rebalance-zero", "unknown-keys-mixed", "taxonomy-empty", "source-path-empty",
         "source-key-unknown", "source-name-empty", "split-name-slash", "split-name-empty",
-        "cap-name-int", "source-name-surrogate", "source-path-surrogate",
+        "split-name-long", "split-name-long-utf8", "cap-name-int", "source-name-surrogate", "source-path-surrogate",
         "split-name-surrogate", "source-path-nul", "output-dir-nul", "split-name-nul",
         "seed-bad-date",
     ])
@@ -314,6 +320,17 @@ class TestPrepare:
         assert result.exit_code == 1
         assert result.output == f"Error: c.yaml: {message}\n"
         assert not (tmp_path / "out").exists()
+
+    def test_split_name_that_just_fits_is_written(self, runner, tmp_path):
+        name = "é" * 117 + "x"  # <name>.jsonl.manifest.json takes exactly 255 UTF-8 bytes
+        (tmp_path / "a.jsonl").write_text(
+            '{"id":"r0","tokens":["x"],"labels":["B-NAME"],"source":"a"}\n', encoding="utf-8")
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(_SOURCE + f"split_fractions: {{{name}: 1}}\nrare_label_threshold: 0\n",
+                       encoding="utf-8")
+        result = runner.invoke(main, ["prepare", "--config", str(cfg)])
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / "out" / f"{name}.jsonl.manifest.json").is_file()
 
     def _bad_source(self, tmp_path, fmt, line, policy, extra=""):
         good = {
