@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import logging
+import random
 import re
 from pathlib import Path
 
@@ -459,6 +460,53 @@ class TestSample:
         ])
         assert result.exit_code == 1
         assert "exceeds" in result.output
+
+    # SHA-256 of the subset and its manifest drawn from mixed_artifact, taken
+    # while sample still held every input record.
+    _SAMPLE_DIGESTS = {
+        (1, 0): ("905f6b1948f9c9345eb71461fcac325c712fd8133d0d9dc56eae4bb3781cfeaa",
+                 "aabf698e8712d4934897b52d669427b1a7e806ec52b745eddc4bb5cb09e22323"),
+        (37, 5): ("8b4ede07b6001c96255dd1d2409971f667843e13c405b90ddc6e29c0177e382e",
+                  "d7127a613223220aa55f9a541b5adf15234fc9308f0409758db0e1aeba634d02"),
+        (150, 42): ("9c4dc872cae3171835fef03ecd2236a8377b0b874799169cac74720b550ef3e4",
+                    "f2e9042fdc14e67e2dc23d70f406f0e3a8b033d22e049210f60fac8377d71029"),
+    }
+
+    @staticmethod
+    def mixed_artifact(path: Path) -> None:
+        """400 seeded records from three sources of unequal size, interleaved."""
+        rng = random.Random(17)
+        labels = ["O", "B-NAME", "I-NAME", "B-EMAIL", "B-PHONE", "I-PHONE"]
+        rows = [(f"r{i:04d}", [rng.choice(labels) for _ in range(rng.randint(1, 6))],
+                 rng.choices(["web", "mail", "chat"], weights=[5, 3, 1])[0])
+                for i in range(400)]
+        rng.shuffle(rows)
+        write_artifact(path, rows)
+
+    @staticmethod
+    def digests(out: Path) -> tuple[str, str]:
+        manifest = out.with_name(out.name + ".manifest.json")
+        return (hashlib.sha256(out.read_bytes()).hexdigest(),
+                hashlib.sha256(manifest.read_bytes()).hexdigest())
+
+    @pytest.mark.parametrize("n, seed", sorted(_SAMPLE_DIGESTS))
+    def test_bytes_are_pinned(self, runner, tmp_path, n, seed):
+        art, out = tmp_path / "art.jsonl", tmp_path / "sub.jsonl"
+        self.mixed_artifact(art)
+        result = runner.invoke(main, [
+            "sample", "--input", str(art), "--n", str(n), "--seed", str(seed), "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        assert self.digests(out) == self._SAMPLE_DIGESTS[n, seed]
+
+    def test_out_may_be_the_input(self, runner, tmp_path):
+        art = tmp_path / "sub.jsonl"  # the manifest names the artifact
+        self.mixed_artifact(art)
+        result = runner.invoke(main, [
+            "sample", "--input", str(art), "--n", "37", "--seed", "5", "--out", str(art),
+        ])
+        assert result.exit_code == 0, result.output
+        assert self.digests(art) == self._SAMPLE_DIGESTS[37, 5]
 
 
 class TestValidate:
