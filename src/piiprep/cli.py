@@ -10,6 +10,8 @@ import functools
 import json
 import math
 import sys
+from array import array
+from collections import defaultdict
 from pathlib import Path
 
 import click
@@ -27,11 +29,11 @@ from piiprep.analysis import (
     TYPE_COLUMNS,
 )
 from piiprep.errors import AnalysisError, ToolkitError
-from piiprep.jsonl import check_encodable, read_text
+from piiprep.jsonl import check_encodable, read_text, require_regular_file
 from piiprep.labelspace import load_taxonomy
 from piiprep.manifest import sha256_file, tally
-from piiprep.pipeline import PipelineConfig, run_prepare, sample_subset, write_artifact
-from piiprep.records import EncodedRecord, check_types, read_records
+from piiprep.pipeline import PipelineConfig, run_prepare, sample_groups, write_artifact
+from piiprep.records import EncodedRecord, IndexedArtifact, check_types
 from piiprep.scorer import MetricsReport, finalize, stream_score
 
 
@@ -68,6 +70,7 @@ def prepare(config_path: str, out_dir: str | None, seed: int | None) -> None:
     config = PipelineConfig.from_file(config_path)
     if out_dir is not None:
         config.output_dir = Path(out_dir)
+        config.check_outputs()
     if seed is not None:
         config.seed = seed
     result = run_prepare(config)
@@ -95,8 +98,15 @@ def sample(input_path: str, n: int, seed: int, out_path: str) -> None:
     """Draw a source-proportional random subset of an artifact."""
     if n <= 0:
         raise click.UsageError(f"--n must be positive, got {n}")
-    records = list(read_records(input_path))
-    subset = [EncodedRecord(rec) for rec in sample_subset(records, n, seed)]
+    require_regular_file(input_path, "sample reads its input twice, so it must be a regular file")
+    # One checking pass keeps each line's row by source; the draw needs only
+    # their counts. Every chosen line is read back before the output is
+    # opened, so --out may be the input.
+    artifact = IndexedArtifact(input_path, "sampling")
+    rows: dict[str, array] = defaultdict(lambda: array("I"))
+    for row, rec in enumerate(artifact):
+        rows[rec.source].append(row)
+    subset = [EncodedRecord(rec) for rec in artifact.records(sample_groups(rows, n, seed))]
     manifest = write_artifact(out_path, subset, seed=seed)
     click.echo(f"[sample] wrote {out_path} ({manifest.records} records, sha256 {manifest.sha256[:12]}...)")
 
@@ -110,9 +120,9 @@ def sample(input_path: str, n: int, seed: int, out_path: str) -> None:
 def validate(input_path: str, taxonomy_path: str | None, strict: bool) -> None:
     """Check artifact schema and labels (by prepare's taxonomy check); report counts and orphans."""
     space, name = load_taxonomy(taxonomy_path), Path(input_path).name
-    # read_records rejects blank lines, so the record number is the line number.
-    summary = tally(check_types(rec, space, name, lineno)
-                    for lineno, rec in enumerate(read_records(input_path), 1))
+    require_regular_file(input_path, "validate reads its input twice, so it must be a regular file")
+    summary = tally(IndexedArtifact(input_path, "validating",
+                                    lambda rec, lineno: check_types(rec, space, name, lineno)))
     # Report the per-source dict under "sources", in that key's place.
     summary["sources"] = summary.pop("per_source_records")
     click.echo(json.dumps(summary, indent=2, ensure_ascii=False))

@@ -24,19 +24,23 @@ import hashlib
 import json
 import logging
 import math
+import os
 import random
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Sequence, TypeVar
+from typing import Iterable, Mapping, Sequence, TypeVar
 
 import yaml
 
 from piiprep.allocation import allocate_fractions, largest_remainder_allocate
 from piiprep.errors import ConfigError, RecordError, ToolkitError
+from piiprep.idindex import _ROW, IdKeys, duplicates
 from piiprep.ingest import ingest_record
-from piiprep.jsonl import check_encodable, decode_located_line, iter_lines, read_text
+from piiprep.jsonl import check_encodable, decode_json_line, decode_located_line, iter_lines
+from piiprep.jsonl import read_text
 from piiprep.labelspace import LabelSpace, load_taxonomy
 from piiprep.manifest import Manifest, tally, write_manifest
 from piiprep.records import EncodedRecord, Record, check_types, check_utf8
@@ -49,6 +53,7 @@ logger = logging.getLogger(__name__)
 # Rebalance, cap, split and sample choose among records by their source (and
 # rebalance by their stratum), so they take and return either kind.
 Planned = TypeVar("Planned", EncodedRecord, Record)
+T = TypeVar("T")
 
 __all__ = [
     "SourceSpec",
@@ -61,6 +66,7 @@ __all__ = [
     "filter_rare_labels",
     "stratified_split",
     "sample_subset",
+    "sample_groups",
     "prepend_source_token",
     "run_prepare",
     "write_artifact",
@@ -249,14 +255,29 @@ class PipelineConfig:
             config = cls(sources=sources, **kwargs)
             if config.rare_label_threshold < 0:
                 raise ConfigError("rare_label_threshold must be >= 0")
+            config.output_dir = path.parent / config.output_dir
+            if config.taxonomy is not None:
+                config.taxonomy = path.parent / config.taxonomy
+            config.check_outputs()
         except yaml.YAMLError as e:
             raise ConfigError(f"{path.name}: not valid YAML: {e}") from None
         except ConfigError as e:
             raise ConfigError(f"{path.name}: {e}") from None
-        config.output_dir = path.parent / config.output_dir
-        if config.taxonomy is not None:
-            config.taxonomy = path.parent / config.taxonomy
         return config
+
+    def check_outputs(self) -> None:
+        """Reject a split whose file or manifest in output_dir is a source's file.
+
+        prepare would write over that source, so a second run could not
+        reproduce the first.
+        """
+        sources = {os.path.realpath(s.path): s.name for s in self.sources}
+        for name in self.split_fractions:
+            for file in (f"{name}.jsonl", f"{name}.jsonl.manifest.json"):
+                source = sources.get(os.path.realpath(self.output_dir / file))
+                if source is not None:
+                    raise ConfigError(
+                        f"split {name!r} would overwrite the file of source {source!r}: {file}")
 
     def load_space(self) -> LabelSpace:
         return load_taxonomy(self.taxonomy)
@@ -306,63 +327,102 @@ def consolidate(
     the taxonomy under unknown_types=error; under drop a tag of it keeps its
     text but no span, and a JSONL label of it becomes O. Every error names
     its file and line.
+
+    Ids are kept as keys (piiprep.idindex), and repeated ones are looked for
+    once every source is read, or before any other error is raised under
+    fail, so the error raised is the first in stream order. Under skip/log
+    each repeat is then dropped and counted in its own source; under log its
+    warning comes after the warnings of the pass.
     """
     out: list[EncodedRecord] = []
     report: dict[str, dict[str, int]] = {}
-    seen_ids: set[str] = set()
-    for spec in config.sources:
-        name = spec.path.name
-        kept = dropped = errors = 0
-        for lineno, line in _iter_source_lines(spec):
-            try:
-                if spec.format == "jsonl":
-                    rec = parse_record_line(line, lineno, name)
-                    rec.source = spec.name  # stamp, whatever the file said
-                    if config.unknown_types == "error":
-                        check_types(rec, space, name, lineno)
-                    elif space.unknown_type(rec.labels) is not None:  # drop: its labels become O
-                        rec.labels = [x if x in space.fine_label_set else "O" for x in rec.labels]
+    ids, linenos = IdKeys(), array("I")  # the id key and the line of each record in out
+    files = {spec.name: spec.path.name for spec in config.sources}
+
+    def repeated() -> list[tuple[int, RecordError]]:
+        """Each record of out whose id an earlier one has, with its located error."""
+        found = duplicates(ids.sorted(), lambda key: decode_json_line(
+            out[key & _ROW].line.decode("utf-8"))["id"])
+        return [(row, RecordError(f"{files[out[row].source]}:{linenos[row]}: "
+                                  f"duplicate record id {rid!r}")) for row, rid in found]
+
+    try:
+        for spec in config.sources:
+            name = spec.path.name
+            kept = dropped = errors = 0
+            for lineno, line in _iter_source_lines(spec):
+                try:
+                    rec = _source_record(spec, name, line, lineno, config, space)
+                except ToolkitError as e:
+                    if config.on_error == "fail":
+                        raise
+                    errors += 1
+                    if config.on_error == "log":
+                        logger.warning("skipping %s", e)
+                    continue
+                if rec is None:
+                    dropped += 1
                 else:
-                    text = line
-                    if spec.format == "xml-jsonl":
-                        obj = decode_located_line(line, lineno, name)
-                        if not isinstance(obj, dict) or "text" not in obj:
-                            raise RecordError(
-                                f"{name}:{lineno}: expected an object with a 'text' field"
-                            )
-                        text = obj["text"]
-                        if not isinstance(text, str):
-                            raise RecordError(
-                                f"{name}:{lineno}: text must be a string, got {text!r}"
-                            )
-                    try:
-                        rec = ingest_record(
-                            text, spec.name, space, f"{spec.name}-{lineno:06d}",
-                            unknown_types=config.unknown_types,
-                        )
-                        if rec is not None:
-                            check_utf8(rec, line)
-                    except ToolkitError as e:
-                        raise type(e)(f"{name}:{lineno}: {e}") from None
-                if rec is not None and rec.id in seen_ids:
-                    raise RecordError(f"{name}:{lineno}: duplicate record id {rec.id!r}")
-            except ToolkitError as e:
-                if config.on_error == "fail":
-                    raise
-                errors += 1
-                if config.on_error == "log":
-                    logger.warning("skipping %s", e)
-                continue
-            if rec is None:
-                dropped += 1
-            else:
-                seen_ids.add(rec.id)
-                if config.prepend_source_token:
-                    rec = prepend_source_token(rec)
-                out.append(EncodedRecord(rec))
-                kept += 1
-        report[spec.name] = {"kept": kept, "dropped": dropped, "errors": errors}
+                    ids.add(rec.id)
+                    linenos.append(lineno)
+                    if config.prepend_source_token:
+                        rec = prepend_source_token(rec)
+                    out.append(EncodedRecord(rec))
+                    kept += 1
+            report[spec.name] = {"kept": kept, "dropped": dropped, "errors": errors}
+    except (ToolkitError, OSError):
+        # A repeated id on an earlier line is the first error.
+        found = repeated() if config.on_error == "fail" else []
+        if found:
+            raise found[0][1] from None
+        raise
+    found = repeated()
+    if found and config.on_error == "fail":
+        raise found[0][1]
+    for row, e in found:
+        counts = report[out[row].source]
+        counts["kept"] -= 1
+        counts["errors"] += 1
+        if config.on_error == "log":
+            logger.warning("skipping %s", e)
+    if found:
+        rows = {row for row, _ in found}
+        out = [rec for row, rec in enumerate(out) if row not in rows]
     return out, report
+
+
+def _source_record(spec: SourceSpec, name: str, line: str, lineno: int,
+                   config: PipelineConfig, space: LabelSpace) -> Record | None:
+    """The stamped Record of one line of spec's file, name; None for a span-free one.
+
+    A line that is not a record fails with a located error.
+    """
+    if spec.format == "jsonl":
+        rec = parse_record_line(line, lineno, name)
+        rec.source = spec.name  # stamp, whatever the file said
+        if config.unknown_types == "error":
+            check_types(rec, space, name, lineno)
+        elif space.unknown_type(rec.labels) is not None:  # drop: its labels become O
+            rec.labels = [x if x in space.fine_label_set else "O" for x in rec.labels]
+        return rec
+    text = line
+    if spec.format == "xml-jsonl":
+        obj = decode_located_line(line, lineno, name)
+        if not isinstance(obj, dict) or "text" not in obj:
+            raise RecordError(f"{name}:{lineno}: expected an object with a 'text' field")
+        text = obj["text"]
+        if not isinstance(text, str):
+            raise RecordError(f"{name}:{lineno}: text must be a string, got {text!r}")
+    try:
+        rec = ingest_record(
+            text, spec.name, space, f"{spec.name}-{lineno:06d}",
+            unknown_types=config.unknown_types,
+        )
+        if rec is not None:
+            check_utf8(rec, line)
+    except ToolkitError as e:
+        raise type(e)(f"{name}:{lineno}: {e}") from None
+    return rec
 
 
 def rebalance_source(
@@ -482,20 +542,27 @@ def stratified_split(
 
 
 def sample_subset(records: Sequence[Planned], n: int, seed: int) -> list[Planned]:
-    """Draw a source-proportional subset of n records.
+    """Draw a source-proportional subset of n records (see sample_groups).
 
-    Per-source counts come from largest-remainder allocation; records within
-    a source are drawn uniformly without replacement. Output keeps sources in
-    first-seen order and records in their original stream order.
+    Sources keep their first-seen order, and records their stream order.
     """
-    groups = _group_by_source(records)
-    counts = {s: len(rs) for s, rs in groups.items()}
-    alloc = largest_remainder_allocate(counts, n)
-    out: list[Planned] = []
-    for source, recs in groups.items():
+    return sample_groups(_group_by_source(records), n, seed)
+
+
+def sample_groups(groups: Mapping[str, Sequence[T]], n: int, seed: int) -> list[T]:
+    """Draw a source-proportional subset of n items from items grouped by source.
+
+    Per-source counts come from largest-remainder allocation; items within
+    a source are drawn uniformly without replacement, so the draw depends
+    only on each source's count. Output keeps sources in the groups' order
+    and items in their order within a source.
+    """
+    alloc = largest_remainder_allocate({s: len(items) for s, items in groups.items()}, n)
+    out: list[T] = []
+    for source, items in groups.items():
         rng = sub_rng(seed, "sample", source)
-        picked = sorted(rng.sample(range(len(recs)), alloc[source]))
-        out.extend(recs[i] for i in picked)
+        picked = sorted(rng.sample(range(len(items)), alloc[source]))
+        out.extend(items[i] for i in picked)
     return out
 
 

@@ -9,50 +9,16 @@ imports this module only for unordered scoring.
 from __future__ import annotations
 
 import os
-import stat
 from array import array
 from bisect import bisect_left
-from itertools import pairwise
 from pathlib import Path
-from typing import Callable, Sequence
 
 from piiprep.errors import AlignmentError, RecordError
-from piiprep.jsonl import iter_lines
+from piiprep.idindex import _HIGH, _ROW, IdKeys, duplicates, key_of
+from piiprep.jsonl import iter_lines, require_regular_file
 from piiprep.scorer import _Pairs, _parse_scored_line
 
 __all__ = ["indexed_pairs"]
-
-# Every prediction id is hashed through this one name, so a test can force
-# hash collisions by replacing it.
-_id_hash = hash
-
-# An index key is an id hash, taken modulo 2**64, with its low 32 bits
-# replaced by the row: _HIGH selects the hash bits and _ROW the row.
-_ROW = (1 << 32) - 1
-_HIGH = (1 << 64) - 1 - _ROW
-
-
-def _first_duplicate(keys: Sequence[int], read_id: Callable[[int], str]) -> tuple[int, str] | None:
-    """The earliest row whose id an earlier row also has, with that id.
-
-    Equal ids have keys with equal high bits, so only neighbours whose high
-    bits are equal are read back. Such a run is in row order, the row being
-    the low bits.
-    """
-    found = None
-    run: set[str] = set()  # the ids read back in the current run
-    for a, b in pairwise(keys):
-        if (a ^ b) & _HIGH:
-            if run:
-                run.clear()
-            continue
-        if not run:
-            run.add(read_id(a))
-        rid, row = read_id(b), b & _ROW
-        if rid in run and (found is None or row < found[0]):
-            found = row, rid
-        run.add(rid)
-    return found
 
 
 def indexed_pairs(gold_path: Path, pred_path: Path) -> _Pairs:
@@ -65,27 +31,16 @@ def indexed_pairs(gold_path: Path, pred_path: Path) -> _Pairs:
     With the directory of the keys, about 17.5 bytes per row in all.
     """
     gname, pname = gold_path.name, pred_path.name
-    # A pipe could be read once only; opening a named one again would hang.
-    # Checked before the index pass, which would read the whole stream first.
-    if not stat.S_ISREG(os.stat(pred_path).st_mode):
-        raise RecordError(f"{pname}: unordered scoring reads predictions twice, "
-                          "so they must be in a regular file")
-    # Keys are sorted a sixteenth at a time, split by their top four bits, so
-    # the list that sorted() makes holds a sixteenth of them.
-    offsets, parts = array("Q"), [array("Q") for _ in range(16)]
+    require_regular_file(pred_path, "unordered scoring reads predictions twice, "
+                         "so they must be in a regular file")
+    offsets, ids = array("Q"), IdKeys()
     for lineno, offset, line in iter_lines(pred_path):
         rid, _ = _parse_scored_line(line, lineno, pname)
         offsets.append(offset)
-        key = _id_hash(rid) & _HIGH | lineno - 1
-        parts[key >> 60].append(key)
+        ids.add(rid)
     n = len(offsets)
-    if n > _ROW:
-        raise RecordError(f"{pname}: unordered scoring takes at most {_ROW} predictions")
     offsets.append(offset + len(line.encode("utf-8")) if n else 0)
-    keys = array("Q")
-    for i in range(16):
-        keys.extend(sorted(parts[i]))
-        parts[i] = None
+    keys = ids.sorted()
     used = bytearray(n)
     # starts[j] is the first key whose top bits are j or more, so a gold id's
     # run is bisected from among about eight keys.
@@ -109,17 +64,17 @@ def indexed_pairs(gold_path: Path, pred_path: Path) -> _Pairs:
                 rid, labels = _parse_scored_line(line, 0, pname)
             except (UnicodeDecodeError, RecordError):
                 rid = None
-            if rid is None or (_id_hash(rid) ^ key) & _HIGH:
+            if rid is None or key_of(rid, row) != key:
                 raise RecordError(f"{pname}:{row + 1}: prediction file changed while scoring")
             return rid, labels
 
-        duplicate = _first_duplicate(keys, lambda key: read_back(key)[0])
-        if duplicate is not None:
-            row, rid = duplicate
+        found = duplicates(keys, lambda key: read_back(key)[0])
+        if found:
+            row, rid = found[0]
             raise RecordError(f"{pname}:{row + 1}: duplicate prediction id {rid!r}")
         for lineno, _, line in iter_lines(gold_path):
             rid, gold_labels = _parse_scored_line(line, lineno, gname)
-            bits = _id_hash(rid) & _HIGH
+            bits = key_of(rid, 0)
             j = bits >> shift
             # rid's row is in the run of keys with these high bits, with the
             # rows of any other ids whose hashes collide with it there.

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 import sys
+from array import array
+from bisect import bisect_left
 from collections import _count_elements
 from dataclasses import dataclass
 from json.encoder import c_make_encoder, encode_basestring
@@ -20,7 +22,8 @@ from typing import Iterable, Iterator
 
 from piiprep._purespans import _CACHE_MAX
 from piiprep.biospan import count_orphan_continuations
-from piiprep.errors import LabelError, RecordError
+from piiprep.errors import LabelError, RecordError, ToolkitError
+from piiprep.idindex import _ROW, IdKeys, duplicates, key_of
 from piiprep.jsonl import check_encodable, decode_json_line, decode_located_line, iter_lines
 from piiprep.labelspace import LabelSpace, parse_bio_label
 
@@ -31,6 +34,7 @@ __all__ = [
     "parse_record_line",
     "check_utf8",
     "check_types",
+    "IndexedArtifact",
     "read_records",
     "write_records",
 ]
@@ -205,16 +209,76 @@ def check_types(rec: Record, space: LabelSpace, name: str, lineno: int) -> Recor
     return rec
 
 
+class IndexedArtifact:
+    """One checking pass over a JSONL artifact that keeps where each line is.
+
+    Iterating yields each line's Record, after check(record, line number)
+    when a check is given; a blank line or a repeated id is an error. The
+    ids are not kept: only each line's byte offset and its id's key
+    (piiprep.idindex), 16 bytes a line. The ids that could repeat are read
+    back from the file at the end of the pass, and before any other error is
+    raised, so the error raised is always the first in file order. Record
+    n - 1 is line n. After the pass, records(rows) reads the given rows back.
+    path must be a regular file. doing names the task in the error raised
+    when a line read back no longer parses to its id ("validating").
+    """
+
+    def __init__(self, path: str | Path, doing: str, check=None) -> None:
+        self.path = Path(path)
+        self.doing = doing
+        self.check = check
+        self.offsets = array("Q")
+        self.keys = array("Q")  # sorted, once the pass has ended
+
+    def __iter__(self) -> Iterator[Record]:
+        name, ids = self.path.name, IdKeys()
+        try:
+            for lineno, offset, line in iter_lines(self.path):
+                self.offsets.append(offset)
+                rec = parse_record_line(line, lineno, name)
+                if self.check is not None:
+                    self.check(rec, lineno)
+                ids.add(rec.id)
+                yield rec
+        except ToolkitError:
+            self._check_ids(ids)
+            raise
+        self._check_ids(ids)
+
+    def _check_ids(self, ids: IdKeys) -> None:
+        """Fail on the first repeated id among those added to ids."""
+        self.keys = ids.sorted()
+        with self.path.open("rb") as f:
+            found = duplicates(self.keys, lambda key: self._reread(f, key & _ROW).id)
+        if found:
+            row, rid = found[0]
+            raise RecordError(f"{self.path.name}:{row + 1}: duplicate record id {rid!r}")
+
+    def _reread(self, f, row: int) -> Record:
+        """Record row as the file now has it, which must still parse to the indexed id."""
+        f.seek(self.offsets[row])
+        try:
+            rec = parse_record_line(f.readline().decode("utf-8"), row + 1, self.path.name)
+            key = key_of(rec.id, row)
+        except (UnicodeDecodeError, RecordError):
+            key = -1
+        i = bisect_left(self.keys, key)
+        if i == len(self.keys) or self.keys[i] != key:
+            raise RecordError(f"{self.path.name}:{row + 1}: input file changed while {self.doing}")
+        return rec
+
+    def records(self, rows: Iterable[int]) -> list[Record]:
+        """The records of these rows, read back from the file."""
+        with self.path.open("rb") as f:
+            return [self._reread(f, row) for row in rows]
+
+
 def read_records(path: str | Path) -> Iterator[Record]:
-    """Stream records out of a JSONL artifact; a blank line or a repeated id is an error."""
-    name = Path(path).name
-    seen_ids: set[str] = set()
-    for lineno, _, line in iter_lines(path):
-        rec = parse_record_line(line, lineno, name)
-        if rec.id in seen_ids:
-            raise RecordError(f"{name}:{lineno}: duplicate record id {rec.id!r}")
-        seen_ids.add(rec.id)
-        yield rec
+    """Stream records out of a JSONL artifact; a blank line or a repeated id is an error.
+
+    The records are checked as IndexedArtifact checks them.
+    """
+    return iter(IndexedArtifact(path, "reading"))
 
 
 def write_records(path: str | Path, records: Iterable[EncodedRecord], sha256) -> int:

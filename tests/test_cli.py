@@ -3,17 +3,21 @@ import hashlib
 import io
 import json
 import logging
+import os
 import random
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from conftest import REPO
+from piiprep import cli, idindex
 from piiprep.cli import main
 from piiprep.fixtures import entity_results_path, system_results_path, taxonomy_path
 from piiprep.records import Record, record_to_line
+from test_scorer import COLLIDING_HASHES
 
 
 @pytest.fixture
@@ -302,6 +306,11 @@ class TestPrepare:
         (_SOURCE + 'split_fractions: {"a\\0": 1}\n',
          "a key in split_fractions holds a NUL byte: 'a\\x00'"),
         (_SOURCE + "seed: 2020-13-01\n", "not valid YAML: month must be in 1..12"),
+        (_SOURCE + "output_dir: .\nsplit_fractions: {a: 1}\n",
+         "split 'a' would overwrite the file of source 'a': a.jsonl"),
+        ("sources:\n  - {name: m, path: out/t.jsonl.manifest.json}\n"
+         "split_fractions: {s: 0.5, t: 0.5}\n",
+         "split 't' would overwrite the file of source 'm': t.jsonl.manifest.json"),
     ], ids=[
         "on-error", "unknown-types", "threshold-negative", "rebalance-no-source",
         "rebalance-fraction-range", "cap-negative", "fractions-empty", "fractions-sum",
@@ -310,7 +319,7 @@ class TestPrepare:
         "source-key-unknown", "source-name-empty", "split-name-slash", "split-name-empty",
         "split-name-long", "split-name-long-utf8", "cap-name-int", "source-name-surrogate", "source-path-surrogate",
         "split-name-surrogate", "source-path-nul", "output-dir-nul", "split-name-nul",
-        "seed-bad-date",
+        "seed-bad-date", "split-overwrites-source", "split-manifest-overwrites-source",
     ])
     def test_config_rule_is_located_before_any_source_is_read(
         self, runner, tmp_path, text, message
@@ -321,6 +330,19 @@ class TestPrepare:
         assert result.exit_code == 1
         assert result.output == f"Error: c.yaml: {message}\n"
         assert not (tmp_path / "out").exists()
+
+    def test_out_dir_over_a_source_is_data_error(self, runner, tmp_path):
+        source = tmp_path / "a.jsonl"
+        source.write_text('{"id":"r0","tokens":["x"],"labels":["B-NAME"],"source":"a"}\n',
+                          encoding="utf-8")
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(_SOURCE + "split_fractions: {a: 1}\nrare_label_threshold: 0\n",
+                       encoding="utf-8")
+        before = source.read_bytes()
+        result = runner.invoke(main, ["prepare", "--config", str(cfg), "--out-dir", str(tmp_path)])
+        assert result.exit_code == 1
+        assert result.output == "Error: split 'a' would overwrite the file of source 'a': a.jsonl\n"
+        assert source.read_bytes() == before
 
     def test_split_name_that_just_fits_is_written(self, runner, tmp_path):
         name = "é" * 117 + "x"  # <name>.jsonl.manifest.json takes exactly 255 UTF-8 bytes
@@ -409,6 +431,25 @@ class TestPrepare:
         assert "[prepare] a: kept 1, dropped 0 span-free, 1 errors" in result.output
 
 
+def mixed_artifact(path: Path, n: int = 400) -> None:
+    """n seeded records from three sources of unequal size, interleaved."""
+    rng = random.Random(17)
+    labels = ["O", "B-NAME", "I-NAME", "B-EMAIL", "B-PHONE", "I-PHONE"]
+    rows = [(f"r{i:04d}", [rng.choice(labels) for _ in range(rng.randint(1, 6))],
+             rng.choices(["web", "mail", "chat"], weights=[5, 3, 1])[0])
+            for i in range(n)]
+    rng.shuffle(rows)
+    write_artifact(path, rows)
+
+
+def pipe_of(path: Path):
+    """A pipe holding path's bytes, as the read end's file descriptor."""
+    r, w = os.pipe()
+    os.write(w, path.read_bytes())
+    os.close(w)
+    return r
+
+
 class TestSample:
     @pytest.fixture
     def artifact(self, tmp_path):
@@ -472,16 +513,7 @@ class TestSample:
                     "f2e9042fdc14e67e2dc23d70f406f0e3a8b033d22e049210f60fac8377d71029"),
     }
 
-    @staticmethod
-    def mixed_artifact(path: Path) -> None:
-        """400 seeded records from three sources of unequal size, interleaved."""
-        rng = random.Random(17)
-        labels = ["O", "B-NAME", "I-NAME", "B-EMAIL", "B-PHONE", "I-PHONE"]
-        rows = [(f"r{i:04d}", [rng.choice(labels) for _ in range(rng.randint(1, 6))],
-                 rng.choices(["web", "mail", "chat"], weights=[5, 3, 1])[0])
-                for i in range(400)]
-        rng.shuffle(rows)
-        write_artifact(path, rows)
+    mixed_artifact = staticmethod(mixed_artifact)
 
     @staticmethod
     def digests(out: Path) -> tuple[str, str]:
@@ -499,6 +531,44 @@ class TestSample:
         assert result.exit_code == 0, result.output
         assert self.digests(out) == self._SAMPLE_DIGESTS[n, seed]
 
+    @pytest.mark.parametrize("hash_name", sorted(COLLIDING_HASHES))
+    def test_colliding_ids_give_the_same_bytes(self, runner, tmp_path, monkeypatch, hash_name):
+        monkeypatch.setattr(idindex, "_id_hash", COLLIDING_HASHES[hash_name])
+        self.test_bytes_are_pinned(runner, tmp_path, 37, 5)
+
+    def test_input_changed_before_read_back(self, runner, tmp_path, monkeypatch):
+        art, out = tmp_path / "art.jsonl", tmp_path / "sub.jsonl"
+        self.mixed_artifact(art)
+        real_sample_groups = cli.sample_groups
+
+        def truncating(groups, n, seed):
+            chosen = real_sample_groups(groups, n, seed)
+            art.write_bytes(art.read_bytes()[:-1000])
+            return chosen
+
+        monkeypatch.setattr(cli, "sample_groups", truncating)
+        result = runner.invoke(main, [
+            "sample", "--input", str(art), "--n", "400", "--out", str(out),
+        ])
+        assert result.exit_code == 1
+        # The 400 rows are read back in source order; web's last line is cut first.
+        assert re.fullmatch(r"Error: art\.jsonl:\d+: input file changed while sampling\n",
+                            result.output), result.output
+        assert not out.exists()
+
+    def test_pipe_input_rejected(self, runner, artifact, tmp_path):
+        r = pipe_of(artifact)
+        try:
+            result = runner.invoke(main, [
+                "sample", "--input", f"/dev/fd/{r}", "--n", "5", "--out", str(tmp_path / "x.jsonl"),
+            ])
+        finally:
+            os.close(r)
+        assert result.exit_code == 1
+        assert result.output == (
+            f"Error: {r}: sample reads its input twice, so it must be a regular file\n")
+        assert not (tmp_path / "x.jsonl").exists()
+
     def test_out_may_be_the_input(self, runner, tmp_path):
         art = tmp_path / "sub.jsonl"  # the manifest names the artifact
         self.mixed_artifact(art)
@@ -510,6 +580,27 @@ class TestSample:
 
 
 class TestValidate:
+    def test_pipe_input_rejected(self, runner, tmp_path):
+        p = tmp_path / "art.jsonl"
+        write_artifact(p, [("r0", ["B-NAME"], "a")])
+        r = pipe_of(p)
+        try:
+            result = runner.invoke(main, ["validate", "--input", f"/dev/fd/{r}"])
+        finally:
+            os.close(r)
+        assert result.exit_code == 1
+        assert result.output == (
+            f"Error: {r}: validate reads its input twice, so it must be a regular file\n")
+
+    @pytest.mark.parametrize("hash_name", sorted(COLLIDING_HASHES))
+    def test_colliding_ids_give_the_same_counts(self, runner, tmp_path, monkeypatch, hash_name):
+        p = tmp_path / "art.jsonl"
+        mixed_artifact(p)
+        expected = runner.invoke(main, ["validate", "--input", str(p)])
+        monkeypatch.setattr(idindex, "_id_hash", COLLIDING_HASHES[hash_name])
+        result = runner.invoke(main, ["validate", "--input", str(p)])
+        assert (result.exit_code, result.output) == (0, expected.output)
+
     def test_summary_json(self, runner, tmp_path):
         p = tmp_path / "art.jsonl"
         write_artifact(p, [
@@ -588,6 +679,69 @@ class TestValidate:
         assert result.output == (
             "Error: art.jsonl:2: record r1: entity type 'WIDGET' not in taxonomy\n"
         )
+
+
+# A third line that is an error of its own, after a second line that repeats
+# the first line's id.
+_AFTER_DUPLICATE = {
+    "malformed": "not json",
+    "unknown-type": '{"id":"r1","tokens":["t"],"labels":["B-WIDGET"],"source":"a"}',
+}
+
+
+@pytest.mark.parametrize("hash_name", ["real", *sorted(COLLIDING_HASHES)])
+@pytest.mark.parametrize("third", sorted(_AFTER_DUPLICATE))
+@pytest.mark.parametrize("command", ["prepare", "validate", "sample"])
+def test_duplicate_is_reported_before_a_later_error(
+    runner, tmp_path, monkeypatch, command, third, hash_name
+):
+    line = '{"id":"r0","tokens":["t"],"labels":["B-NAME"],"source":"a"}'
+    (tmp_path / "a.jsonl").write_text(f"{line}\n{line}\n{_AFTER_DUPLICATE[third]}\n",
+                                      encoding="utf-8")
+    (tmp_path / "c.yaml").write_text(_SOURCE + "rare_label_threshold: 0\n", encoding="utf-8")
+    argv = {
+        "prepare": ["prepare", "--config", str(tmp_path / "c.yaml")],
+        "validate": ["validate", "--input", str(tmp_path / "a.jsonl")],
+        "sample": ["sample", "--input", str(tmp_path / "a.jsonl"), "--n", "1",
+                   "--out", str(tmp_path / "x.jsonl")],
+    }[command]
+    if hash_name != "real":
+        monkeypatch.setattr(idindex, "_id_hash", COLLIDING_HASHES[hash_name])
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 1
+    assert result.output == "Error: a.jsonl:2: duplicate record id 'r0'\n"
+
+
+@pytest.mark.parametrize("argv, per_record", [
+    (["validate", "--input", "{art}"], 32),
+    (["sample", "--input", "{art}", "--n", "100", "--out", "{out}"], 40),
+], ids=["validate", "sample"])
+def test_memory_per_input_record(runner, tmp_path, argv, per_record):
+    """validate and sample keep a line's offset and id key, not its record or id.
+
+    The traced peak grows by at most per_record bytes per input record from
+    20,000 records to 40,000: by about 20 here, where the set of ids took
+    about 200 for validate and the list of every Record about 700 for
+    sample. The first run fills the caches every run shares, such as the
+    label summaries, so that their size is not counted per record.
+    """
+    art, out = tmp_path / "art.jsonl", tmp_path / "sub.jsonl"
+    argv = [a.format(art=art, out=out) for a in argv]
+
+    def traced_peak(n: int) -> int:
+        mixed_artifact(art, n)
+        tracemalloc.start()
+        try:
+            result = runner.invoke(main, argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 0, result.output
+        return peak
+
+    traced_peak(20_000)
+    growth = (traced_peak(40_000) - traced_peak(20_000)) / 20_000
+    assert growth <= per_record, f"{growth:.0f} bytes per record"
 
 
 class TestScore:

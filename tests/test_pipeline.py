@@ -14,6 +14,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from piiprep import idindex
 from piiprep.cli import main
 from piiprep.errors import AllocationError, ConfigError, RecordError
 from piiprep.fixtures import canonical_space, taxonomy_path
@@ -30,7 +31,8 @@ from piiprep.pipeline import (
     stratified_split,
     sub_rng,
 )
-from piiprep.records import EncodedRecord, Record, read_records
+from piiprep.records import EncodedRecord, Record, read_records, record_to_line
+from test_scorer import COLLIDING_HASHES
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -587,6 +589,65 @@ class TestConsolidate:
         assert [r.source for r in records] == ["b", "a"]
 
 
+class TestConsolidateIdCollisions:
+    """consolidate drops, counts and reports the same repeated ids however ids collide."""
+
+    @staticmethod
+    def sources(tmp_path: Path) -> list[SourceSpec]:
+        def line(rid):
+            return record_to_line(Record(id=rid, tokens=["x"], labels=["B-NAME"], source="s"))
+
+        a, b, c = tmp_path / "a.jsonl", tmp_path / "b.xml", tmp_path / "c.jsonl"
+        a.write_text("".join([*map(line, ["r0", "r1", "r2", "r1"]), "not json\n",
+                              *map(line, ["r3", "r0"])]), encoding="utf-8")
+        b.write_text("Call <PHONE>1</PHONE>\nCall <PHONE>2</PHONE>\n", encoding="utf-8")
+        c.write_text("".join(map(line, ["r2", "r9", "r9"])), encoding="utf-8")
+        return [SourceSpec("a", a), SourceSpec("b", b, "xml"), SourceSpec("c", c)]
+
+    EXPECTED = {
+        "fail": "a.jsonl:4: duplicate record id 'r1'",
+        "skip": (
+            ["r0", "r1", "r2", "r3", "b-000001", "b-000002", "r9"],
+            {"a": {"kept": 4, "dropped": 0, "errors": 3},
+             "b": {"kept": 2, "dropped": 0, "errors": 0},
+             "c": {"kept": 1, "dropped": 0, "errors": 2}},
+            [],
+        ),
+    }
+    # Under log, repeated ids are warned of after the pass, in stream order.
+    EXPECTED["log"] = (*EXPECTED["skip"][:2], [
+        "skipping a.jsonl:5: malformed JSON: Expecting value",
+        "skipping a.jsonl:4: duplicate record id 'r1'",
+        "skipping a.jsonl:7: duplicate record id 'r0'",
+        "skipping c.jsonl:1: duplicate record id 'r2'",
+        "skipping c.jsonl:3: duplicate record id 'r9'",
+    ])
+
+    @pytest.mark.parametrize("policy", ["fail", "skip", "log"])
+    def test_outcomes_match_the_real_hash(self, tmp_path, monkeypatch, caplog, policy):
+        cfg = PipelineConfig(sources=self.sources(tmp_path), on_error=policy)
+        outcomes = {}
+        for name, id_hash in {"real": hash, **COLLIDING_HASHES}.items():
+            caplog.clear()
+            with monkeypatch.context() as m, caplog.at_level(logging.WARNING):
+                m.setattr(idindex, "_id_hash", id_hash)
+                try:
+                    records, report = consolidate(cfg, canonical_space())
+                    outcomes[name] = ([r.record().id for r in records], report,
+                                      caplog.messages)
+                except RecordError as e:
+                    outcomes[name] = str(e)
+        assert outcomes == dict.fromkeys(["real", *COLLIDING_HASHES], self.EXPECTED[policy])
+
+    def test_duplicate_found_before_a_missing_source(self, tmp_path):
+        sources = self.sources(tmp_path)
+        sources[1].path = tmp_path / "missing.xml"
+        cfg = PipelineConfig(sources=sources)
+        with pytest.raises(RecordError) as info:
+            consolidate(cfg, canonical_space())
+        assert str(info.value) == "a.jsonl:4: duplicate record id 'r1'"
+
+
 class TestRunPrepare:
     def build_demo(self, tmp_path: Path) -> Path:
         src = tmp_path / "sources"
@@ -742,14 +803,15 @@ def test_prepare_bytes_are_pinned(tmp_path, variant):
 
 
 def test_prepare_memory_per_record(tmp_path):
-    """prepare keeps an encoded line per record, not the Record.
+    """prepare keeps an encoded line per record, not the Record, and no id strings.
 
     10,000 generated lines (9,850 kept): the traced peak of run_prepare stays
-    at or under 700 bytes per consolidated record (about 500 here: the line,
-    its slotted entry and the set of seen ids). Keeping a Record per line
-    until the write cost about 1,550.
+    at or under 430 bytes per consolidated record (about 395 here: the line,
+    its slotted entry, and its id key and line number for the duplicate-id
+    check), and under the older bound of 700. A set of the ids made it about
+    500, and keeping a Record per line until the write about 1,550.
     """
-    per_record = 700
+    per_record, tight_per_record = 700, 430
     _generated_inputs(tmp_path, 10_000)
     cfg = PipelineConfig.from_file(tmp_path / "config.yaml")
     cfg.load_space()
@@ -762,3 +824,4 @@ def test_prepare_memory_per_record(tmp_path):
     n = sum(c["kept"] for c in result.consolidation.values())
     assert n == 9_850
     assert peak <= per_record * n, f"peak {peak} bytes is {peak / n:.0f} bytes per record"
+    assert peak <= tight_per_record * n, f"peak {peak} bytes is {peak / n:.0f} bytes per record"

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import KERNELS, random_bio_labels, score_corpus_oracle
-from piiprep import predindex, scorer
+from piiprep import idindex, scorer
 from piiprep.analysis import TYPE_COLUMNS, render_table
 from piiprep.errors import AlignmentError, RecordError
 from piiprep.scorer import (
@@ -525,7 +525,7 @@ class TestHashCollisions:
         for name, id_hash in {"real": hash, **hashes}.items():
             p.write_bytes(data)
             with monkeypatch.context() as m:
-                m.setattr(predindex, "_id_hash", id_hash)
+                m.setattr(idindex, "_id_hash", id_hash)
                 try:
                     results[name] = stream_score(g, p, unordered=True).counters
                 except (RecordError, AlignmentError) as e:
