@@ -231,13 +231,13 @@ class IndexedArtifact:
         self.keys = array("Q")  # sorted, once the pass has ended
 
     def __iter__(self) -> Iterator[Record]:
-        name, ids = self.path.name, IdKeys()
+        name, ids, check, add_offset = self.path.name, IdKeys(), self.check, self.offsets.append
         try:
             for lineno, offset, line in iter_lines(self.path):
-                self.offsets.append(offset)
+                add_offset(offset)
                 rec = parse_record_line(line, lineno, name)
-                if self.check is not None:
-                    self.check(rec, lineno)
+                if check is not None:
+                    check(rec, lineno)
                 ids.add(rec.id)
                 yield rec
         except ToolkitError:

@@ -513,8 +513,6 @@ class TestSample:
                     "f2e9042fdc14e67e2dc23d70f406f0e3a8b033d22e049210f60fac8377d71029"),
     }
 
-    mixed_artifact = staticmethod(mixed_artifact)
-
     @staticmethod
     def digests(out: Path) -> tuple[str, str]:
         manifest = out.with_name(out.name + ".manifest.json")
@@ -524,7 +522,7 @@ class TestSample:
     @pytest.mark.parametrize("n, seed", sorted(_SAMPLE_DIGESTS))
     def test_bytes_are_pinned(self, runner, tmp_path, n, seed):
         art, out = tmp_path / "art.jsonl", tmp_path / "sub.jsonl"
-        self.mixed_artifact(art)
+        mixed_artifact(art)
         result = runner.invoke(main, [
             "sample", "--input", str(art), "--n", str(n), "--seed", str(seed), "--out", str(out),
         ])
@@ -538,7 +536,7 @@ class TestSample:
 
     def test_input_changed_before_read_back(self, runner, tmp_path, monkeypatch):
         art, out = tmp_path / "art.jsonl", tmp_path / "sub.jsonl"
-        self.mixed_artifact(art)
+        mixed_artifact(art)
         real_sample_groups = cli.sample_groups
 
         def truncating(groups, n, seed):
@@ -551,7 +549,7 @@ class TestSample:
             "sample", "--input", str(art), "--n", "400", "--out", str(out),
         ])
         assert result.exit_code == 1
-        # The 400 rows are read back in source order; web's last line is cut first.
+        # Every row is drawn, so the cut lines are among those read back.
         assert re.fullmatch(r"Error: art\.jsonl:\d+: input file changed while sampling\n",
                             result.output), result.output
         assert not out.exists()
@@ -571,7 +569,7 @@ class TestSample:
 
     def test_out_may_be_the_input(self, runner, tmp_path):
         art = tmp_path / "sub.jsonl"  # the manifest names the artifact
-        self.mixed_artifact(art)
+        mixed_artifact(art)
         result = runner.invoke(main, [
             "sample", "--input", str(art), "--n", "37", "--seed", "5", "--out", str(art),
         ])
@@ -720,10 +718,10 @@ def test_memory_per_input_record(runner, tmp_path, argv, per_record):
     """validate and sample keep a line's offset and id key, not its record or id.
 
     The traced peak grows by at most per_record bytes per input record from
-    20,000 records to 40,000: by about 20 here, where the set of ids took
+    10,000 records to 30,000: by about 20 here, where the set of ids took
     about 200 for validate and the list of every Record about 700 for
-    sample. The first run fills the caches every run shares, such as the
-    label summaries, so that their size is not counted per record.
+    sample. A first, untraced run fills the caches every run shares, such
+    as the label summaries, so that their size is not counted per record.
     """
     art, out = tmp_path / "art.jsonl", tmp_path / "sub.jsonl"
     argv = [a.format(art=art, out=out) for a in argv]
@@ -739,8 +737,9 @@ def test_memory_per_input_record(runner, tmp_path, argv, per_record):
         assert result.exit_code == 0, result.output
         return peak
 
-    traced_peak(20_000)
-    growth = (traced_peak(40_000) - traced_peak(20_000)) / 20_000
+    mixed_artifact(art, 10_000)
+    assert runner.invoke(main, argv).exit_code == 0
+    growth = (traced_peak(30_000) - traced_peak(10_000)) / 20_000
     assert growth <= per_record, f"{growth:.0f} bytes per record"
 
 
