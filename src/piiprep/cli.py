@@ -28,7 +28,7 @@ from piiprep.analysis import (
     SystemEntry,
     TYPE_COLUMNS,
 )
-from piiprep.errors import AnalysisError, ToolkitError
+from piiprep.errors import AllocationError, AnalysisError, ToolkitError
 from piiprep.jsonl import check_encodable, read_text, require_regular_file
 from piiprep.labelspace import load_taxonomy
 from piiprep.manifest import sha256_file, tally
@@ -106,6 +106,9 @@ def sample(input_path: str, n: int, seed: int, out_path: str) -> None:
     rows: dict[str, array] = defaultdict(lambda: array("I"))
     for row, rec in enumerate(artifact):
         rows[rec.source].append(row)
+    total = sum(map(len, rows.values()))
+    if n > total:
+        raise AllocationError(f"{Path(input_path).name}: --n {n} exceeds its {total} records")
     subset = [EncodedRecord(rec) for rec in artifact.records(sample_groups(rows, n, seed))]
     manifest = write_artifact(out_path, subset, seed=seed)
     click.echo(f"[sample] wrote {out_path} ({manifest.records} records, sha256 {manifest.sha256[:12]}...)")

@@ -27,18 +27,24 @@ __all__ = [
 _SCAN_ONCE = json.JSONDecoder().scan_once
 
 
-def iter_lines(path: str | Path) -> Iterator[tuple[int, int, str]]:
+def iter_lines(
+    path: str | Path, start: int = 0, first_line: int = 1
+) -> Iterator[tuple[int, int, str]]:
     """Yield (line number, byte offset, text) for each line of a file.
 
     The file is read in binary and split after each newline byte (so a
     "\\r\\n" ending stays on the line). Each line, newline included, is
     decoded as UTF-8 on its own, so an undecodable line fails with its
-    location instead of with the block it was read in.
+    location instead of with the block it was read in. Reading starts at byte
+    offset start, which must begin line first_line; offsets and line numbers
+    count from the start of the file.
     """
     path = Path(path)
-    offset = 0
+    offset = start
     with path.open("rb") as f:
-        for lineno, raw in enumerate(f, 1):
+        if start:
+            f.seek(start)
+        for lineno, raw in enumerate(f, first_line):
             try:
                 text = raw.decode("utf-8")
             except UnicodeDecodeError:

@@ -6,13 +6,19 @@ type, and both files are read one line at a time, so memory stays bounded
 by the label space plus one record pair, independent of corpus length.
 Unordered scoring adds an index of prediction byte offsets and id hashes,
 about 17.5 bytes per record.
+
+Ordered scoring keeps no state across pairs, so on a host with more than one
+usable CPU, splitscore cuts large regular files into line ranges, one per
+CPU, and scores every range but the first in a worker process while the
+calling process scores the first. Each process holds the same bounded state
+as one serial run.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import islice, zip_longest
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -227,10 +233,24 @@ def _raise_label_error(path: str, lineno: int, rid: str, labels: list) -> None:
 _Pairs = Iterator[tuple[int, str, list, list, int]]
 
 
-def _ordered_pairs(gold_path: Path, pred_path: Path) -> _Pairs:
-    """Pairs of two files that list the same ids in the same order."""
+def _ordered_pairs(
+    gold_path: Path,
+    pred_path: Path,
+    gold_start: int = 0,
+    pred_start: int = 0,
+    first_line: int = 1,
+    pairs: int | None = None,
+) -> _Pairs:
+    """Pairs of two files that list the same ids in the same order.
+
+    Reading starts at byte offsets gold_start and pred_start, both at line
+    first_line, and stops after pairs pairs (None: at the end of both files).
+    Only a range that reaches the end can find the files' counts differ.
+    """
     gname, pname = gold_path.name, pred_path.name
-    for g, p in zip_longest(iter_lines(gold_path), iter_lines(pred_path)):
+    lines = zip_longest(iter_lines(gold_path, gold_start, first_line),
+                        iter_lines(pred_path, pred_start, first_line))
+    for g, p in lines if pairs is None else islice(lines, pairs):
         if g is None or p is None:
             # The longer file's next line: a blank one is reported as such
             # (a trailing empty line, say), not as a count mismatch.
@@ -253,38 +273,10 @@ def _ordered_pairs(gold_path: Path, pred_path: Path) -> _Pairs:
         yield lineno, gid, gold_labels, pred_labels, lineno
 
 
-def stream_score(
-    gold_path: str | Path,
-    pred_path: str | Path,
-    *,
-    chunk_size: int = 5000,
-    unordered: bool = False,
-) -> StreamResult:
-    """Score a prediction file against a gold artifact, one pair at a time.
-
-    By default the two files must list the same record ids in the same
-    order; any divergence raises an alignment error naming the id. With
-    unordered=True every prediction line is checked and indexed first by its
-    byte offset and id hash, and read back from the file when its gold record
-    arrives: memory grows by the index (about 17.5 bytes per prediction, and
-    20 at the peak while it is sorted), not by the labels. In both modes a
-    blank line in either file is an error, as in read_records. chunk_size
-    only sets the reported chunk count, ceil(records / chunk_size).
-    """
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    gold_path = Path(gold_path)
-    pred_path = Path(pred_path)
-    gname, pname = gold_path.name, pred_path.name
+def _score_pairs(pairs: _Pairs, gname: str, pname: str) -> tuple[TypeCounters, int]:
+    """Counters and record count of a pair source, or its first error, located."""
     counters = TypeCounters()
     records = 0
-    if unordered:
-        # Imported here, so that ordered scoring does not load the index code.
-        from piiprep.predindex import indexed_pairs
-
-        pairs = indexed_pairs(gold_path, pred_path)
-    else:
-        pairs = _ordered_pairs(gold_path, pred_path)
     for lineno, rid, gold_labels, pred_labels, pred_lineno in pairs:
         try:
             counters.add_pair(gold_labels, pred_labels)
@@ -295,4 +287,45 @@ def stream_score(
             _raise_label_error(pname, pred_lineno, rid, pred_labels)
             raise
         records += 1
+    return counters, records
+
+
+def stream_score(
+    gold_path: str | Path,
+    pred_path: str | Path,
+    *,
+    chunk_size: int = 5000,
+    unordered: bool = False,
+) -> StreamResult:
+    """Score a prediction file against a gold artifact, one pair at a time.
+
+    By default the two files must list the same record ids in the same
+    order; any divergence raises an alignment error naming the id. Large
+    regular files are then scored in line ranges, one per usable CPU, each
+    range but the first in a worker process; the counters, the record count
+    and the first error are the serial run's, and no worker outlives the
+    call. A worker that dies without a result raises ChildProcessError naming
+    its exit status. With unordered=True every prediction line is checked
+    and indexed first by its byte offset and id hash, and read back from the
+    file when its gold record arrives: memory grows by the index (about 17.5
+    bytes per prediction, and 20 at the peak while it is sorted), not by the
+    labels. In both modes a blank line in either file is an error, as in
+    read_records. chunk_size only sets the reported chunk count,
+    ceil(records / chunk_size).
+    """
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    gold_path = Path(gold_path)
+    pred_path = Path(pred_path)
+    # Each mode's module is imported here, so that importing this one does
+    # not load either, and each mode loads only its own.
+    if unordered:
+        from piiprep.predindex import indexed_pairs
+
+        counters, records = _score_pairs(indexed_pairs(gold_path, pred_path),
+                                         gold_path.name, pred_path.name)
+    else:
+        from piiprep.splitscore import score_ordered
+
+        counters, records = score_ordered(gold_path, pred_path)
     return StreamResult(counters, records, (records + chunk_size - 1) // chunk_size)

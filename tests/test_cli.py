@@ -502,6 +502,16 @@ class TestSample:
         assert result.exit_code == 1
         assert "exceeds" in result.output
 
+    def test_oversized_n_names_the_file_and_option(self, runner, tmp_path):
+        art = tmp_path / "one.jsonl"
+        write_artifact(art, [("r1", ["B-NAME"], "a")])
+        result = runner.invoke(main, [
+            "sample", "--input", str(art), "--n", "3", "--out", str(tmp_path / "x.jsonl"),
+        ])
+        assert result.exit_code == 1
+        assert result.output == "Error: one.jsonl: --n 3 exceeds its 1 records\n"
+        assert not (tmp_path / "x.jsonl").exists()
+
     # SHA-256 of the subset and its manifest drawn from mixed_artifact, taken
     # while sample still held every input record.
     _SAMPLE_DIGESTS = {
