@@ -92,6 +92,13 @@ class TestIterLines:
             (4, 13, '{"z":2}'),
         ]
 
+    def test_starts_at_a_line_offset(self, tmp_path):
+        p = tmp_path / "a.jsonl"
+        p.write_bytes(b'{"a":1}\n\n\xc3\xa9\r\n{"z":2}')
+        whole = list(iter_lines(p))
+        for i, (lineno, offset, _) in enumerate(whole):
+            assert list(iter_lines(p, offset, lineno)) == whole[i:]
+
     def test_offset_reads_the_line_back(self, tmp_path):
         p = tmp_path / "a.jsonl"
         lines = [json.dumps({"id": f"r{i}", "t": "\u00e9" * i}, ensure_ascii=False)

@@ -18,7 +18,6 @@ import signal
 import subprocess
 import tempfile
 import threading
-import time
 import tracemalloc
 from pathlib import Path
 
@@ -275,12 +274,10 @@ def test_no_worker_left_after_an_error_with_a_worker_still_scoring(tmp_path, mon
     gold = g.read_bytes()
     g.write_bytes(b"{oops" + gold[gold.index(b"\n"):])
     workers = force_split(monkeypatch, cut=len(b"".join(gold.splitlines(True)[:10])))
-    t0 = time.perf_counter()
     with pytest.raises(RecordError, match=r"^g\.jsonl:1: malformed JSON"):
         bounded(lambda: stream_score(g, p))
     workers.assert_reaped()
     assert workers.started[0].returncode == -signal.SIGKILL
-    assert time.perf_counter() - t0 < JOIN_TIMEOUT_S
 
 
 def test_killed_worker_fails_naming_its_exit_status(tmp_path, monkeypatch):
