@@ -200,10 +200,14 @@ def score(
 
 def _read_report(path: Path) -> MetricsReport:
     """A score report written by `piiprep score`, or a located data error."""
+    text = read_text(path)
     try:
-        obj = json.loads(read_text(path))
+        obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise AnalysisError(f"{path.name}:{e.lineno}: malformed JSON: {e.msg}") from None
+    except RecursionError:  # located at the line where the too deeply nested value starts
+        line = 1 + text.count("\n", 0, len(text) - len(text.lstrip()))
+        raise AnalysisError(f"{path.name}:{line}: malformed JSON: nested too deeply") from None
     if not isinstance(obj, dict):
         raise AnalysisError(f"{path.name}: a score report must be a JSON object")
     try:

@@ -95,6 +95,8 @@ def decode_located_line(text: str, lineno: int, name: str):
         if not text.strip():
             raise RecordError(f"{name}:{lineno}: blank line") from None
         raise RecordError(f"{name}:{lineno}: malformed JSON: {e.msg}") from None
+    except RecursionError:  # arrays and objects nested deeper than the decoder can go
+        raise RecordError(f"{name}:{lineno}: malformed JSON: nested too deeply") from None
 
 
 def check_encodable(named: Iterable[tuple[str, object]]) -> None:

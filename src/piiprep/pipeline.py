@@ -28,7 +28,7 @@ import os
 import random
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, TypeVar
@@ -75,15 +75,7 @@ __all__ = [
 _FORMATS = ("jsonl", "xml", "xml-jsonl")
 _POLICIES = ("fail", "skip", "log")
 
-
-@dataclass
-class SourceSpec:
-    name: str
-    path: Path
-    format: str = "jsonl"
-
-
-# What each config value must be, for _typed. A bool is not an integer or a
+# What a config value of each kind must be. A bool is not an integer or a
 # number here, though Python treats it as one. A value is compared as given:
 # nothing is coerced first.
 _KINDS = {
@@ -91,177 +83,188 @@ _KINDS = {
     "a finite number": lambda v: type(v) in (int, float) and math.isfinite(v),
     "true or false": lambda v: type(v) is bool,
     "a string": lambda v: isinstance(v, str),
+    "a list": lambda v: isinstance(v, list),
     "a mapping": lambda v: isinstance(v, dict),
     f"one of {_FORMATS}": lambda v: v in _FORMATS,
     f"one of {_POLICIES}": lambda v: v in _POLICIES,
     "'error' or 'drop'": lambda v: v in ("error", "drop"),
 }
 
-# The config keys that set one field each, with the kind their value must be.
-_FIELD_KINDS = {
-    "seed": "an integer",
-    "output_dir": "a string",
-    "rare_label_threshold": "an integer",
-    "on_error": f"one of {_POLICIES}",
-    "unknown_types": "'error' or 'drop'",
-    "prepend_source_token": "true or false",
-    "taxonomy": "a string",
-}
 
-
-def _typed(key: str, value, kind: str):
-    """value, or a ConfigError naming the key when value is not of the _KINDS kind."""
+def _typed(where: str, value, kind: str, fault: str | None = None):
+    """value, unless it is not of the _KINDS kind (fault, or a message naming where)
+    or is a string that no path or artifact line could hold."""
     if not _KINDS[kind](value):
-        raise ConfigError(f"{key} must be {kind}, got {value!r}")
+        raise ConfigError(fault or f"{where} must be {kind}, got {value!r}")
+    if isinstance(value, str) and "\0" in value:
+        raise ConfigError(f"{where} holds a NUL byte: {value!r}")
+    check_encodable([(where, value)])
     return value
 
 
-def _nonempty(key: str, value) -> str:
-    """value as a string that names a path or a source; an empty path would name
-    the config's own directory, and an empty source no record could carry."""
-    if not _typed(key, value, "a string"):
-        raise ConfigError(f"{key} must not be empty")
-    return value
+def _key(kind: str, default=MISSING, *, key: str | None = None, empty: bool = True,
+         path: bool = False, items: tuple[str, str] | None = None, entries: type | None = None,
+         fault: str | None = None, rule=None, digest=None):
+    """A dataclass field that is a config key; its metadata is the key's row.
 
-
-def _check_strings(node, where: str = "") -> None:
-    """Reject a string of the config, key or value, that no path or artifact line could hold.
-
-    where names node by its key path ("sources[0].path"), or a key by its
-    mapping ("a key in caps").
+    A key that is absent or null takes the default; one without one must be
+    set. key: its name, if not the field's. empty: whether it may be empty.
+    path: it names a file, resolved against the config's directory. items: what
+    a mapping's keys (strings) are called, and its values' kind. entries: the
+    class whose rows read each entry of a list. fault: the one message for a
+    value missing, of the wrong kind or empty. rule: the range and cross-key
+    rules, given the value and the fields read so far, which it may add to.
+    digest: the key's form in digest(), from the config.
     """
-    if isinstance(node, str):
-        if "\0" in node:
-            raise ConfigError(f"{where} holds a NUL byte: {node!r}")
-        try:
-            check_encodable([(where, node)])
-        except RecordError as e:
-            raise ConfigError(str(e)) from None
-    elif isinstance(node, list):
-        for i, item in enumerate(node):
-            _check_strings(item, f"{where}[{i}]")
-    elif isinstance(node, dict):
-        for key, value in node.items():  # the key first, so no name holds a bad one
-            _check_strings(key, f"a key in {where}" if where else "a config key")
-            _check_strings(value, f"{where}.{key}" if where else str(key))
+    row = {"key": key, "kind": kind, "empty": empty, "path": path, "items": items,
+           "entries": entries, "fault": fault, "rule": rule, "digest": digest}
+    if isinstance(default, dict):  # each config gets its own
+        return field(default_factory=lambda: dict(default), metadata=row)
+    return field(default=default, metadata=row)
+
+
+def _read(cls, data, where: str, base: Path) -> dict:
+    """The fields of cls read from data, the mapping at where ("sources[0]", or ""
+    for the root), checked row by row; paths resolve against base."""
+    rows = [(f, f.metadata["key"] or f.name, f.metadata) for f in fields(cls) if f.metadata]
+    needed = [key for f, key, _ in rows if f.default is MISSING and f.default_factory is MISSING]
+    if where and (not isinstance(data, dict) or not set(needed) <= set(data)):
+        raise ConfigError(f"{where} needs {' and '.join(map(repr, needed))}")
+    unknown = sorted(set(data) - {key for _, key, _ in rows}, key=str)
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {where}: {unknown}" if where
+                          else f"unknown config key(s): {unknown}")
+    read: dict = {}
+    for f, key, row in rows:
+        at = f"{where}.{key}" if where else key
+        value = data.get(key)
+        given = value is not None or key in needed
+        if given:
+            _typed(at, value, row["kind"], row["fault"])
+            if not value and not row["empty"]:
+                raise ConfigError(row["fault"] or f"{at} must not be empty")
+            if row["items"]:
+                label, kind = row["items"]
+                for name, item in value.items():
+                    _typed(f"a key in {at}", name, "a string",
+                           f"{label} must be a string, got {name!r}")
+                    _typed(f"{at}.{name}", item, kind)
+            if row["entries"]:
+                value = [row["entries"](**_read(row["entries"], entry, f"{at}[{i}]", base))
+                         for i, entry in enumerate(value)]
+        else:
+            value = f.default if f.default_factory is MISSING else f.default_factory()
+        read[f.name] = base / value if row["path"] and value is not None else value
+        if given and row["rule"]:
+            row["rule"](value, read)
+    return read
+
+
+def _distinct_names(sources: list, read: dict) -> None:
+    first: dict[str, int] = {}  # each name's first entry
+    for i, s in enumerate(sources):
+        if (j := first.setdefault(s.name, i)) != i:
+            raise ConfigError(f"duplicate source name {s.name!r} (sources[{j}] and sources[{i}])")
+
+
+def _split_rules(fractions: dict, read: dict) -> None:
+    for name, v in fractions.items():
+        if not name or "/" in name:  # it names the file <name>.jsonl in output_dir
+            raise ConfigError(f"split name must be non-empty and hold no '/', got {name!r}")
+        size = len(f"{name}.jsonl.manifest.json".encode("utf-8"))
+        if size > 255:  # NAME_MAX of common file systems
+            raise ConfigError(f"split name is too long: <name>.jsonl.manifest.json "
+                              f"must fit in 255 UTF-8 bytes, got {size} for {name!r}")
+        if v < 0:
+            raise ConfigError(f"split_fractions.{name} must not be negative, got {v}")
+    got = sum(Fraction(str(v)) for v in fractions.values())
+    if got != 1:
+        raise ConfigError(f"split fractions must sum to 1, got {float(got)}")
+
+
+def _rebalance_rules(rebalance: dict, read: dict) -> None:
+    """Check rebalance, and read it into rebalance_source and rebalance_fraction."""
+    if set(rebalance) != {"source", "target_fraction"}:
+        raise ConfigError("rebalance needs 'source' and 'target_fraction'")
+    source, fraction = rebalance["source"], rebalance["target_fraction"]
+    if source is None:
+        raise ConfigError("rebalance needs both a source and a target fraction")
+    if not 0 <= _typed("rebalance.target_fraction", fraction, "a finite number") < 1:
+        raise ConfigError("rebalance target_fraction must lie in [0, 1)")
+    if source not in [spec.name for spec in read["sources"]]:
+        raise ConfigError(f"rebalance source {source!r} not declared")
+    read.update(rebalance_source=source, rebalance_fraction=float(fraction))
+
+
+def _cap_rules(caps: dict, read: dict) -> None:
+    for name, cap in caps.items():
+        if cap < 0:
+            raise ConfigError(f"cap for {name!r} must be >= 0")
+        if name not in [spec.name for spec in read["sources"]]:
+            raise ConfigError(f"cap names undeclared source {name!r}")
+
+
+def _threshold_rule(threshold: int, read: dict) -> None:
+    if threshold < 0:
+        raise ConfigError("rare_label_threshold must be >= 0")
+
+
+@dataclass
+class SourceSpec:
+    name: str = _key("a string", empty=False)  # every record of the source carries it
+    path: Path = _key("a string", empty=False, path=True)  # "" names the config's directory
+    format: str = _key(f"one of {_FORMATS}", "jsonl")
 
 
 @dataclass
 class PipelineConfig:
-    sources: list[SourceSpec]
-    seed: int = 0
-    output_dir: Path = Path("out")
-    split_fractions: dict[str, float] = field(
-        default_factory=lambda: {"train": 0.8, "val": 0.1, "test": 0.1}
-    )
-    rebalance_source: str | None = None
+    """A prepare config. The fields made with _key are the config table."""
+
+    sources: list[SourceSpec] = _key(
+        "a list", empty=False, entries=SourceSpec, fault="'sources' must be a non-empty list",
+        rule=_distinct_names, digest=lambda c: [[s.name, s.path.name, s.format] for s in c.sources])
+    seed: int = _key("an integer", 0, digest=lambda c: c.seed)
+    output_dir: Path = _key("a string", Path("out"), path=True)  # where to write: no digest
+    split_fractions: dict[str, float] = _key(
+        "a mapping", {"train": 0.8, "val": 0.1, "test": 0.1}, empty=False,
+        items=("split name", "a finite number"), rule=_split_rules,
+        digest=lambda c: {k: str(v) for k, v in c.split_fractions.items()})
+    rebalance_source: str | None = _key(
+        "a mapping", None, key="rebalance", rule=_rebalance_rules,
+        digest=lambda c: [c.rebalance_source, str(c.rebalance_fraction)])
     rebalance_fraction: float | None = None
-    caps: dict[str, int] = field(default_factory=dict)
-    rare_label_threshold: int = 100
-    on_error: str = "fail"
-    unknown_types: str = "error"
-    prepend_source_token: bool = False
-    taxonomy: Path | None = None
+    caps: dict[str, int] = _key("a mapping", {}, items=("cap name", "an integer"), rule=_cap_rules,
+                                digest=lambda c: dict(sorted(c.caps.items())))
+    rare_label_threshold: int = _key("an integer", 100, rule=_threshold_rule,
+                                     digest=lambda c: c.rare_label_threshold)
+    on_error: str = _key(f"one of {_POLICIES}", "fail", digest=lambda c: c.on_error)
+    unknown_types: str = _key("'error' or 'drop'", "error", digest=lambda c: c.unknown_types)
+    prepend_source_token: bool = _key("true or false", False,
+                                      digest=lambda c: c.prepend_source_token)
+    taxonomy: Path | None = _key("a string", None, empty=False, path=True,
+                                 digest=lambda c: c.taxonomy.name if c.taxonomy else None)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
         """Read a config file and check all of it, before any source is read.
 
-        Only the keys the file sets are passed on, so the field defaults above
-        fill in the rest; an absent key and a null value both mean "not set".
         Relative paths resolve against the file's directory. Every error is a
         ConfigError that starts with the file's name.
         """
         path = Path(path)
+        text = read_text(path)
         try:
             try:
-                data = yaml.safe_load(read_text(path))
-            except ValueError as e:  # a scalar Python cannot build: 2020-13-01, a 5,000-digit int
+                data = yaml.safe_load(text)
+            except (yaml.YAMLError, ValueError) as e:  # ValueError: 2020-13-01, a 5,000-digit int
                 raise ConfigError(f"not valid YAML: {e}") from None
             if not isinstance(data, dict):
                 raise ConfigError("config root must be a mapping")
-            _check_strings(data)
-            unknown = set(data) - {"sources", "rebalance", "caps", "split_fractions", *_FIELD_KINDS}
-            if unknown:
-                raise ConfigError(f"unknown config key(s): {sorted(unknown, key=str)}")
-            given = {k: v for k, v in data.items() if v is not None}
-            if not isinstance(given.get("sources"), list) or not given["sources"]:
-                raise ConfigError("'sources' must be a non-empty list")
-            sources = []
-            for i, s in enumerate(given["sources"]):
-                if not isinstance(s, dict) or "name" not in s or "path" not in s:
-                    raise ConfigError(f"sources[{i}] needs 'name' and 'path'")
-                unknown = set(s) - {"name", "path", "format"}
-                if unknown:
-                    raise ConfigError(f"unknown key(s) in sources[{i}]: {sorted(unknown, key=str)}")
-                spec_path = path.parent / _nonempty(f"sources[{i}].path", s["path"])
-                spec = SourceSpec(_nonempty(f"sources[{i}].name", s["name"]), spec_path)
-                if s.get("format") is not None:
-                    spec.format = _typed(f"sources[{i}].format", s["format"], f"one of {_FORMATS}")
-                sources.append(spec)
-            names = [s.name for s in sources]
-            if len(set(names)) != len(names):
-                raise ConfigError("duplicate source names")
-            kwargs = {
-                k: _typed(k, v, _FIELD_KINDS[k]) for k, v in given.items() if k in _FIELD_KINDS
-            }
-            if "taxonomy" in kwargs:
-                _nonempty("taxonomy", kwargs["taxonomy"])
-            if "rebalance" in given:
-                reb = _typed("rebalance", given["rebalance"], "a mapping")
-                if set(reb) != {"source", "target_fraction"}:
-                    raise ConfigError("rebalance needs 'source' and 'target_fraction'")
-                source, fraction = reb["source"], reb["target_fraction"]
-                if source is None:
-                    raise ConfigError("rebalance needs both a source and a target fraction")
-                if not 0 <= _typed("rebalance.target_fraction", fraction, "a finite number") < 1:
-                    raise ConfigError("rebalance target_fraction must lie in [0, 1)")
-                if source not in names:
-                    raise ConfigError(f"rebalance source {source!r} not declared")
-                kwargs.update(rebalance_source=source, rebalance_fraction=float(fraction))
-            if "caps" in given:
-                raw = _typed("caps", given["caps"], "a mapping")
-                kwargs["caps"] = {
-                    _typed("cap name", k, "a string"): _typed(f"caps.{k}", v, "an integer")
-                    for k, v in raw.items()
-                }
-                for name, cap in kwargs["caps"].items():
-                    if cap < 0:
-                        raise ConfigError(f"cap for {name!r} must be >= 0")
-                    if name not in names:
-                        raise ConfigError(f"cap names undeclared source {name!r}")
-            if "split_fractions" in given:
-                raw = _typed("split_fractions", given["split_fractions"], "a mapping")
-                kwargs["split_fractions"] = fractions = {
-                    _typed("split name", k, "a string"):
-                    _typed(f"split_fractions.{k}", v, "a finite number")
-                    for k, v in raw.items()
-                }
-                if not fractions:
-                    raise ConfigError("split_fractions must not be empty")
-                for name, v in fractions.items():
-                    if not name or "/" in name:  # it names the file <name>.jsonl in output_dir
-                        raise ConfigError(
-                            f"split name must be non-empty and hold no '/', got {name!r}")
-                    size = len(f"{name}.jsonl.manifest.json".encode("utf-8"))
-                    if size > 255:  # NAME_MAX of common file systems
-                        raise ConfigError(f"split name is too long: <name>.jsonl.manifest.json "
-                                          f"must fit in 255 UTF-8 bytes, got {size} for {name!r}")
-                    if v < 0:
-                        raise ConfigError(f"split_fractions.{name} must not be negative, got {v}")
-                got = sum(Fraction(str(v)) for v in fractions.values())
-                if got != 1:
-                    raise ConfigError(f"split fractions must sum to 1, got {float(got)}")
-            config = cls(sources=sources, **kwargs)
-            if config.rare_label_threshold < 0:
-                raise ConfigError("rare_label_threshold must be >= 0")
-            config.output_dir = path.parent / config.output_dir
-            if config.taxonomy is not None:
-                config.taxonomy = path.parent / config.taxonomy
+            config = cls(**_read(cls, data, "", path.parent))
             config.check_outputs()
-        except yaml.YAMLError as e:
-            raise ConfigError(f"{path.name}: not valid YAML: {e}") from None
-        except ConfigError as e:
+        except RecursionError:  # nested past what the YAML reader or a message's repr can walk
+            raise ConfigError(f"{path.name}: not valid YAML: nested too deeply") from None
+        except (ConfigError, RecordError) as e:  # RecordError: a string UTF-8 cannot encode
             raise ConfigError(f"{path.name}: {e}") from None
         return config
 
@@ -283,19 +286,9 @@ class PipelineConfig:
         return load_taxonomy(self.taxonomy)
 
     def digest(self) -> str:
-        """SHA-256 over the canonical JSON form of this config."""
-        obj = {
-            "sources": [[s.name, s.path.name, s.format] for s in self.sources],
-            "seed": self.seed,
-            "split_fractions": {k: str(v) for k, v in self.split_fractions.items()},
-            "rebalance": [self.rebalance_source, str(self.rebalance_fraction)],
-            "caps": dict(sorted(self.caps.items())),
-            "rare_label_threshold": self.rare_label_threshold,
-            "on_error": self.on_error,
-            "unknown_types": self.unknown_types,
-            "prepend_source_token": self.prepend_source_token,
-            "taxonomy": self.taxonomy.name if self.taxonomy else None,
-        }
+        """SHA-256 over the canonical JSON form of this config: each key's digest form."""
+        obj = {f.metadata["key"] or f.name: f.metadata["digest"](self)
+               for f in fields(self) if f.metadata.get("digest")}
         blob = json.dumps(obj, sort_keys=True, ensure_ascii=False).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()
 

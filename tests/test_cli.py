@@ -311,6 +311,26 @@ class TestPrepare:
         ("sources:\n  - {name: m, path: out/t.jsonl.manifest.json}\n"
          "split_fractions: {s: 0.5, t: 0.5}\n",
          "split 't' would overwrite the file of source 'm': t.jsonl.manifest.json"),
+        ("- a\n", "config root must be a mapping"),
+        ("seed: 1\n", "'sources' must be a non-empty list"),
+        ("sources: []\n", "'sources' must be a non-empty list"),
+        ("sources: a.jsonl\n", "'sources' must be a non-empty list"),
+        ("sources:\n  - {name: a}\n", "sources[0] needs 'name' and 'path'"),
+        ("sources:\n  - a.jsonl\n", "sources[0] needs 'name' and 'path'"),
+        (_SOURCE + "  - {name: a, path: b.jsonl}\n",
+         "duplicate source name 'a' (sources[0] and sources[1])"),
+        (_SOURCE + "rebalance: {source: a}\n", "rebalance needs 'source' and 'target_fraction'"),
+        ("sources:\n  - {name: a, path: a.jsonl, format: XML}\n",
+         "sources[0].format must be one of ('jsonl', 'xml', 'xml-jsonl'), got 'XML'"),
+        # Two faults: the one in the key checked first (the table's order) is reported.
+        (_SOURCE + "on_error: 5\nrare_label_threshold: -1\n", "rare_label_threshold must be >= 0"),
+        # A YAML alias can put a node inside itself; no rule recurses into one.
+        ("sources: &s [*s]\n", "sources[0] needs 'name' and 'path'"),
+        (_SOURCE + "extra: &e {k: *e}\n", "unknown config key(s): ['extra']"),
+        (_SOURCE + "caps: &c {a: *c}\n", "caps.a must be an integer, got {'a': {...}}"),
+        (_SOURCE + "extra: " + "[" * 500 + "]" * 500 + "\n", "not valid YAML: nested too deeply"),
+        (_SOURCE + "seed: [&a0 [x], " + "".join(f"&a{i} [*a{i - 1}], " for i in range(1, 1200))
+         + "*a1199]\n", "not valid YAML: nested too deeply"),
     ], ids=[
         "on-error", "unknown-types", "threshold-negative", "rebalance-no-source",
         "rebalance-fraction-range", "cap-negative", "fractions-empty", "fractions-sum",
@@ -320,6 +340,10 @@ class TestPrepare:
         "split-name-long", "split-name-long-utf8", "cap-name-int", "source-name-surrogate", "source-path-surrogate",
         "split-name-surrogate", "source-path-nul", "output-dir-nul", "split-name-nul",
         "seed-bad-date", "split-overwrites-source", "split-manifest-overwrites-source",
+        "root-not-mapping", "sources-absent", "sources-empty", "sources-not-list",
+        "source-needs-path", "source-not-mapping", "source-name-repeated",
+        "rebalance-keys", "source-format", "two-faults-table-order", "alias-list-in-itself",
+        "alias-mapping-in-itself", "alias-caps-in-itself", "yaml-too-deep", "alias-chain-too-deep",
     ])
     def test_config_rule_is_located_before_any_source_is_read(
         self, runner, tmp_path, text, message
@@ -1113,6 +1137,27 @@ def test_bad_input_file_is_located_data_error(runner, tmp_path, argv, text, brok
     result = runner.invoke(main, [a.format(art=art, f=f, cfg=cfg) for a in argv])
     assert result.exit_code == 1
     assert result.output == f"Error: {message}\n"
+
+
+# Line 2 of each file holds a JSON value nested deeper than the decoder goes.
+_TOO_DEEP = "[" * 1000 + "]" * 1000 + "\n"
+_GOOD_LINE = '{"id":"r1","tokens":["x"],"labels":["B-NAME"],"source":"a"}\n'
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["prepare", "--config", "{cfg}"], _GOOD_LINE + _TOO_DEEP),
+    (["validate", "--input", "{f}"], _GOOD_LINE + _TOO_DEEP),
+    (["score", "--gold", "{f}", "--pred", "{f}"], _GOOD_LINE + _TOO_DEEP),
+    (["score", "--gold", "{f}", "--pred", "{f}", "--unordered"], _GOOD_LINE + _TOO_DEEP),
+    (["compare", "--reports", "{f}"], "\n" + _TOO_DEEP),
+], ids=["prepare", "validate", "score", "score-unordered", "compare-reports"])
+def test_too_deeply_nested_json_is_located_data_error(runner, tmp_path, argv, text):
+    f, cfg = tmp_path / "in.txt", tmp_path / "cfg.yaml"
+    f.write_text(text, encoding="utf-8")
+    cfg.write_text("sources:\n  - {name: a, path: in.txt}\n", encoding="utf-8")
+    result = runner.invoke(main, [a.format(f=f, cfg=cfg) for a in argv])
+    assert result.exit_code == 1
+    assert result.output == "Error: in.txt:2: malformed JSON: nested too deeply\n"
 
 
 def write_csv(path: Path, rows) -> None:

@@ -376,6 +376,49 @@ def test_config_digest_is_pinned(tmp_path, body, digest):
     assert PipelineConfig.from_file(path).digest() == digest
 
 
+# _SOURCES, then a change to each config key but output_dir, and to each part
+# of a source and of rebalance. Listed here, not read from the config reader,
+# so that a key the digest leaves out shows as two equal digests.
+_DIGEST_VARIANTS = [
+    _SOURCES,
+    _SOURCES.replace("name: a", "name: c"),
+    _SOURCES.replace("path: a.jsonl", "path: c.jsonl"),
+    _SOURCES.replace("format: xml", "format: xml-jsonl"),
+    _SOURCES + "seed: 1\n",
+    _SOURCES + "split_fractions: {train: 0.5, test: 0.5}\n",
+    _SOURCES + "split_fractions: {train: 0.5, dev: 0.5}\n",
+    _SOURCES + "rebalance: {source: a, target_fraction: 0.5}\n",
+    _SOURCES + "rebalance: {source: b, target_fraction: 0.5}\n",
+    _SOURCES + "rebalance: {source: a, target_fraction: 0.25}\n",
+    _SOURCES + "caps: {a: 1}\n",
+    _SOURCES + "caps: {a: 2}\n",
+    _SOURCES + "caps: {b: 1}\n",
+    _SOURCES + "rare_label_threshold: 5\n",
+    _SOURCES + "on_error: skip\n",
+    _SOURCES + "unknown_types: drop\n",
+    _SOURCES + "prepend_source_token: true\n",
+    _SOURCES + "taxonomy: t.tsv\n",
+    _SOURCES + "taxonomy: u.tsv\n",
+]
+
+
+def test_config_digest_covers_every_key_but_output_dir(tmp_path):
+    digests = [PipelineConfig.from_file(write_config(tmp_path, body)).digest()
+               for body in _DIGEST_VARIANTS]
+    assert len(set(digests)) == len(digests)
+    moved = PipelineConfig.from_file(write_config(tmp_path, _SOURCES + "output_dir: elsewhere\n"))
+    assert moved.digest() == digests[0]
+
+
+def test_sources_only_file_loads_the_constructor_defaults(tmp_path):
+    loaded = PipelineConfig.from_file(write_config(tmp_path, _SOURCES))
+    built = PipelineConfig(sources=[SourceSpec("a", tmp_path / "a.jsonl"),
+                                    SourceSpec("b", tmp_path / "b.xml", "xml")],
+                           output_dir=tmp_path / "out")  # a file's output_dir resolves against it
+    assert loaded == built
+    assert loaded.digest() == built.digest()
+
+
 # The config fuzz below draws a valid config field by field, then half the
 # time applies one of these overrides, each of which the config rules reject.
 _ABSENT = object()
