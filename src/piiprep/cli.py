@@ -29,11 +29,12 @@ from piiprep.analysis import (
     TYPE_COLUMNS,
 )
 from piiprep.errors import AllocationError, AnalysisError, ToolkitError
-from piiprep.jsonl import check_encodable, read_text, require_regular_file
+from piiprep.idindex import key_of
+from piiprep.jsonl import check_encodable, read_text
 from piiprep.labelspace import load_taxonomy
 from piiprep.manifest import sha256_file, tally
 from piiprep.pipeline import PipelineConfig, run_prepare, sample_groups, write_artifact
-from piiprep.records import EncodedRecord, IndexedArtifact, check_types
+from piiprep.records import EncodedRecord, check_types, index_artifact
 from piiprep.scorer import MetricsReport, finalize, stream_score
 
 
@@ -98,18 +99,18 @@ def sample(input_path: str, n: int, seed: int, out_path: str) -> None:
     """Draw a source-proportional random subset of an artifact."""
     if n <= 0:
         raise click.UsageError(f"--n must be positive, got {n}")
-    require_regular_file(input_path, "sample reads its input twice, so it must be a regular file")
-    # One checking pass keeps each line's row by source; the draw needs only
-    # their counts. Every chosen line is read back before the output is
+    # One checking pass keeps each line's id key by source; the draw needs
+    # only their counts. Every chosen line is read back before the output is
     # opened, so --out may be the input.
-    artifact = IndexedArtifact(input_path, "sampling")
-    rows: dict[str, array] = defaultdict(lambda: array("I"))
+    artifact = index_artifact(input_path, "sample", "sampling")
+    keys: dict[str, array] = defaultdict(lambda: array("Q"))
     for row, rec in enumerate(artifact):
-        rows[rec.source].append(row)
-    total = sum(map(len, rows.values()))
+        keys[rec.source].append(key_of(rec.id, row))
+    total = sum(map(len, keys.values()))
     if n > total:
         raise AllocationError(f"{Path(input_path).name}: --n {n} exceeds its {total} records")
-    subset = [EncodedRecord(rec) for rec in artifact.records(sample_groups(rows, n, seed))]
+    with artifact.open() as f:
+        subset = [EncodedRecord(artifact.read(f, key)[1]) for key in sample_groups(keys, n, seed)]
     manifest = write_artifact(out_path, subset, seed=seed)
     click.echo(f"[sample] wrote {out_path} ({manifest.records} records, sha256 {manifest.sha256[:12]}...)")
 
@@ -123,9 +124,8 @@ def sample(input_path: str, n: int, seed: int, out_path: str) -> None:
 def validate(input_path: str, taxonomy_path: str | None, strict: bool) -> None:
     """Check artifact schema and labels (by prepare's taxonomy check); report counts and orphans."""
     space, name = load_taxonomy(taxonomy_path), Path(input_path).name
-    require_regular_file(input_path, "validate reads its input twice, so it must be a regular file")
-    summary = tally(IndexedArtifact(input_path, "validating",
-                                    lambda rec, lineno: check_types(rec, space, name, lineno)))
+    summary = tally(index_artifact(input_path, "validate", "validating",
+                                   lambda rec, lineno: check_types(rec, space, name, lineno)))
     # Report the per-source dict under "sources", in that key's place.
     summary["sources"] = summary.pop("per_source_records")
     click.echo(json.dumps(summary, indent=2, ensure_ascii=False))

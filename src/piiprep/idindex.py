@@ -1,25 +1,28 @@
 """The id-uniqueness index: one 8-byte key per row, not a set of id strings.
 
-Every reader that holds ids to be unique keeps its ids' keys here:
-prepare's consolidate, the artifact reader behind validate and sample, and
-the prediction index of unordered scoring. A key is the id's hash with the
-row in its low bits, about 8 bytes a row where a set of the ids took about
-120. The keys are sorted once, so the rows of one id are neighbours, and only
-the ids of neighbours whose hashes agree are read back to compare: the
-repeated ids and the rare hash collisions. Ordered scoring does not import
-this module.
+A key is an id's hash with the row in its low bits, about 8 bytes a row
+where a set of the ids took about 120. The keys are sorted once, so the rows
+of one id are neighbours, and only the ids of neighbours whose hashes agree
+are read back to compare: the repeated ids and rare hash collisions.
+prepare's consolidate reads them back from its records in memory, and
+LineIndex, the reader behind validate, sample, read_records and score
+--unordered, from the file. Ordered scoring does not import this module.
 """
 
 from __future__ import annotations
 
+import os
+import stat
 from array import array
 from itertools import compress, count, islice, repeat
 from operator import lt, xor
-from typing import Callable
+from pathlib import Path
+from typing import Callable, Iterator
 
-from piiprep.errors import RecordError
+from piiprep.errors import RecordError, ToolkitError
+from piiprep.jsonl import iter_lines
 
-__all__ = ["IdKeys", "duplicates", "key_of"]
+__all__ = ["IdKeys", "LineIndex", "duplicates", "key_of"]
 
 # Every id is hashed through this one name, so a test can force hash
 # collisions by replacing it.
@@ -85,3 +88,70 @@ def duplicates(keys: array, read_id: Callable[[int], str]) -> list[tuple[int, st
         end = i + 1
     found.sort()
     return found
+
+
+class LineIndex:
+    """One checking pass over a line file that keeps each line's offset and id key.
+
+    Iterating is the pass: parse(line, line number, file name) returns a
+    line's id and value, check(value, line number) checks it further, and
+    the value is yielded. Row n - 1 is line n. Repeated ids are looked for at
+    the end of the pass and before any other error is raised, so the error
+    raised is the first in file order. Then keys holds the keys sorted, and
+    read(f, key) reads a row back from f, the file as open() opens it. The
+    file must be a regular file: a named pipe would hang when opened again.
+    """
+
+    def __init__(self, path: str | Path, parse: Callable, check: Callable | None, *,
+                 not_regular: str, duplicate: str, changed: str) -> None:
+        self.path = Path(path)
+        self._name = self.path.name
+        if not stat.S_ISREG(os.stat(self.path).st_mode):
+            raise RecordError(f"{self._name}: {not_regular}")
+        self._parse, self._check = parse, check
+        self._duplicate, self._changed = duplicate, changed
+        self._offsets = array("Q")  # each row's start, then the end of the last line read
+
+    def __iter__(self) -> Iterator:
+        name, parse, check, ids = self._name, self._parse, self._check, IdKeys()
+        offset, line = 0, ""
+        try:
+            for lineno, offset, line in iter_lines(self.path):
+                self._offsets.append(offset)
+                rid, value = parse(line, lineno, name)
+                if check is not None:
+                    check(value, lineno)
+                ids.add(rid)
+                yield value
+        except ToolkitError:
+            self._end_pass(ids, offset + len(line.encode("utf-8")))
+            raise
+        self._end_pass(ids, offset + len(line.encode("utf-8")))
+
+    def _end_pass(self, ids: IdKeys, end: int) -> None:
+        """Sort the keys and fail on the first repeated id; end ends the last line read."""
+        self._offsets.append(end)
+        self.keys = ids.sorted()
+        with self.open() as f:
+            found = duplicates(self.keys, lambda key: self.read(f, key)[0])
+        if found:
+            row, rid = found[0]
+            raise RecordError(f"{self._name}:{row + 1}: {self._duplicate} {rid!r}")
+
+    def open(self):
+        """The file for read, unbuffered: a row is read back in one seek and one read."""
+        return self.path.open("rb", buffering=0)
+
+    def read(self, f, key: int) -> tuple:
+        """parse's (id, value) of the row in key's low bits, as the file now has it:
+        a line that no longer parses to an id with this key has changed."""
+        row = key & _ROW
+        start = f.seek(self._offsets[row])
+        try:
+            line = f.read(self._offsets[row + 1] - start).decode("utf-8")
+            parsed = self._parse(line, row + 1, self._name)
+        except (UnicodeDecodeError, RecordError):
+            parsed = None
+        if parsed is None or key_of(parsed[0], row) != key:
+            raise RecordError(f"{self._name}:{row + 1}: {self._changed}")
+        return parsed

@@ -12,8 +12,6 @@ scorer does not build the Record dataclass.
 from __future__ import annotations
 
 import json
-import os
-import stat
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -21,7 +19,6 @@ from piiprep.errors import RecordError
 
 __all__ = [
     "iter_lines", "read_text", "decode_json_line", "decode_located_line", "check_encodable",
-    "require_regular_file",
 ]
 
 _SCAN_ONCE = json.JSONDecoder().scan_once
@@ -51,17 +48,6 @@ def iter_lines(
                 raise RecordError(f"{path.name}:{lineno}: not valid UTF-8") from None
             yield lineno, offset, text
             offset += len(raw)
-
-
-def require_regular_file(path: str | Path, reason: str) -> None:
-    """Fail with "<file>: <reason>" unless path is a regular file.
-
-    A reader that reads lines back needs one: a pipe can be read only once,
-    and opening a named one again would hang. Checked before the first pass,
-    which would otherwise read the whole stream first.
-    """
-    if not stat.S_ISREG(os.stat(path).st_mode):
-        raise RecordError(f"{Path(path).name}: {reason}")
 
 
 def read_text(path: str | Path) -> str:

@@ -26,6 +26,8 @@ import logging
 import math
 import os
 import random
+import reprlib
+import sys
 from array import array
 from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields
@@ -76,11 +78,11 @@ _FORMATS = ("jsonl", "xml", "xml-jsonl")
 _POLICIES = ("fail", "skip", "log")
 
 # What a config value of each kind must be. A bool is not an integer or a
-# number here, though Python treats it as one. A value is compared as given:
-# nothing is coerced first.
+# number here, though Python treats it as one. Nothing is coerced first, so
+# an integer too large for a float is not a finite number (nor is nan).
 _KINDS = {
     "an integer": lambda v: type(v) is int,
-    "a finite number": lambda v: type(v) in (int, float) and math.isfinite(v),
+    "a finite number": lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
     "true or false": lambda v: type(v) is bool,
     "a string": lambda v: isinstance(v, str),
     "a list": lambda v: isinstance(v, list),
@@ -91,11 +93,34 @@ _KINDS = {
 }
 
 
+# A repr three levels deep, four items a level, with every string and number whole.
+_BRIEF = reprlib.Repr()
+_BRIEF.maxlevel, _BRIEF.maxlist, _BRIEF.maxtuple, _BRIEF.maxdict = 3, 4, 4, 4
+_BRIEF.maxstring = _BRIEF.maxlong = _BRIEF.maxother = sys.maxsize
+
+
+def _size(value, memo: dict) -> int:
+    """How many values repr(value) prints; memo holds each node's count, by id."""
+    if type(value) not in (list, tuple, dict):
+        return 1
+    if id(value) not in memo:
+        memo[id(value)] = 1  # inside itself, where repr prints "[...]"
+        items = value.values() if type(value) is dict else value
+        memo[id(value)] = 1 + sum(_size(item, memo) for item in items)
+    return memo[id(value)]
+
+
+def _shown(value) -> str:
+    """repr(value), or _BRIEF's past a million values (a few lines of YAML
+    aliases can hold billions)."""
+    return repr(value) if _size(value, {}) <= 1_000_000 else _BRIEF.repr(value)
+
+
 def _typed(where: str, value, kind: str, fault: str | None = None):
     """value, unless it is not of the _KINDS kind (fault, or a message naming where)
     or is a string that no path or artifact line could hold."""
     if not _KINDS[kind](value):
-        raise ConfigError(fault or f"{where} must be {kind}, got {value!r}")
+        raise ConfigError(fault or f"{where} must be {kind}, got {_shown(value)}")
     if isinstance(value, str) and "\0" in value:
         raise ConfigError(f"{where} holds a NUL byte: {value!r}")
     check_encodable([(where, value)])
@@ -179,7 +204,9 @@ def _split_rules(fractions: dict, read: dict) -> None:
             raise ConfigError(f"split_fractions.{name} must not be negative, got {v}")
     got = sum(Fraction(str(v)) for v in fractions.values())
     if got != 1:
-        raise ConfigError(f"split fractions must sum to 1, got {float(got)}")
+        # Fractions each below the largest float can sum past it.
+        shown = float(got) if got <= sys.float_info.max else math.inf
+        raise ConfigError(f"split fractions must sum to 1, got {shown}")
 
 
 def _rebalance_rules(rebalance: dict, read: dict) -> None:
@@ -192,7 +219,7 @@ def _rebalance_rules(rebalance: dict, read: dict) -> None:
     if not 0 <= _typed("rebalance.target_fraction", fraction, "a finite number") < 1:
         raise ConfigError("rebalance target_fraction must lie in [0, 1)")
     if source not in [spec.name for spec in read["sources"]]:
-        raise ConfigError(f"rebalance source {source!r} not declared")
+        raise ConfigError(f"rebalance source {_shown(source)} not declared")
     read.update(rebalance_source=source, rebalance_fraction=float(fraction))
 
 

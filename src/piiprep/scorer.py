@@ -305,13 +305,11 @@ def stream_score(
     range but the first in a worker process; the counters, the record count
     and the first error are the serial run's, and no worker outlives the
     call. A worker that dies without a result raises ChildProcessError naming
-    its exit status. With unordered=True every prediction line is checked
-    and indexed first by its byte offset and id hash, and read back from the
-    file when its gold record arrives: memory grows by the index (about 17.5
-    bytes per prediction, and 20 at the peak while it is sorted), not by the
-    labels. In both modes a blank line in either file is an error, as in
-    read_records. chunk_size only sets the reported chunk count,
-    ceil(records / chunk_size).
+    its exit status. With unordered=True predictions are indexed by id and
+    read back as their gold records arrive (predindex): memory grows by about
+    17.5 bytes per prediction, 20 at the peak. In both modes a blank line in
+    either file is an error, as in read_records. chunk_size only sets the
+    reported chunk count, ceil(records / chunk_size).
     """
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")

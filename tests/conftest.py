@@ -15,6 +15,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import threading
 from pathlib import Path
 
 import pytest
@@ -171,3 +172,26 @@ def kernel(request):
     from piiprep import _purespans
 
     return _purespans
+
+
+def bounded(fn, seconds: float = 120):
+    """fn() run in a thread joined with a timeout: its value, or its exception.
+
+    A call that hangs fails the test instead of the whole run.
+    """
+    box: dict = {}
+
+    def run():
+        try:
+            box["value"] = fn()
+        except BaseException as e:  # handed back to the test thread
+            box["error"] = e
+
+    t = threading.Thread(target=run, daemon=True)
+    t.start()
+    t.join(seconds)
+    assert not t.is_alive(), f"no result after {seconds} s"
+    if "error" in box:
+        # Popped, so that no cycle keeps the traceback's open files alive.
+        raise box.pop("error")
+    return box["value"]

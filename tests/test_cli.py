@@ -6,6 +6,8 @@ import logging
 import os
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -331,6 +333,13 @@ class TestPrepare:
         (_SOURCE + "extra: " + "[" * 500 + "]" * 500 + "\n", "not valid YAML: nested too deeply"),
         (_SOURCE + "seed: [&a0 [x], " + "".join(f"&a{i} [*a{i - 1}], " for i in range(1, 1200))
          + "*a1199]\n", "not valid YAML: nested too deeply"),
+        # Numbers too large for a float.
+        (_SOURCE + f"split_fractions: {{train: {10 ** 400}}}\n",
+         f"split_fractions.train must be a finite number, got {10 ** 400}"),
+        (_SOURCE + f"rebalance: {{source: a, target_fraction: {10 ** 400}}}\n",
+         f"rebalance.target_fraction must be a finite number, got {10 ** 400}"),
+        (_SOURCE + "split_fractions: {train: 1.7e+308, test: 1.7e+308}\n",
+         "split fractions must sum to 1, got inf"),
     ], ids=[
         "on-error", "unknown-types", "threshold-negative", "rebalance-no-source",
         "rebalance-fraction-range", "cap-negative", "fractions-empty", "fractions-sum",
@@ -344,6 +353,7 @@ class TestPrepare:
         "source-needs-path", "source-not-mapping", "source-name-repeated",
         "rebalance-keys", "source-format", "two-faults-table-order", "alias-list-in-itself",
         "alias-mapping-in-itself", "alias-caps-in-itself", "yaml-too-deep", "alias-chain-too-deep",
+        "fraction-past-float", "rebalance-fraction-past-float", "fractions-sum-past-float",
     ])
     def test_config_rule_is_located_before_any_source_is_read(
         self, runner, tmp_path, text, message
@@ -354,6 +364,30 @@ class TestPrepare:
         assert result.exit_code == 1
         assert result.output == f"Error: c.yaml: {message}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, prefix, suffix", [
+        ("seed: {}", "seed must be an integer, got [[", "...]"),
+        ("rebalance: {{source: {}, target_fraction: 0.1}}", "rebalance source [[", "...] not declared"),
+    ], ids=["seed", "rebalance-source"])
+    def test_alias_bomb_under_a_known_key_fails_at_once(self, tmp_path, key, prefix, suffix):
+        # Eight levels of ten aliases: 10**9 strings if the value were printed whole.
+        levels = "".join(f"&l{i} [{', '.join([f'*l{i - 1}'] * 10)}], " for i in range(1, 8))
+        bomb = f"[&l0 [{', '.join(['x'] * 10)}], {levels}*l7]"
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(_SOURCE + key.format(bomb) + "\n", encoding="utf-8")
+        # Read in a child process, whose time-out also ends a repr that holds
+        # the interpreter lock for good.
+        script = ("import sys, time\nfrom piiprep.pipeline import PipelineConfig\n"
+                  "start = time.perf_counter()\ntry:\n    PipelineConfig.from_file(sys.argv[1])\n"
+                  "except Exception as e:\n    print(time.perf_counter() - start, type(e).__name__, e)\n")
+        proc = subprocess.run([sys.executable, "-c", script, str(cfg)], capture_output=True,
+                              text=True, timeout=20,
+                              env={**os.environ, "PYTHONPATH": str(REPO / "src")})
+        seconds, kind, message = proc.stdout.rstrip("\n").split(" ", 2)
+        assert float(seconds) < 1
+        assert kind == "ConfigError"
+        assert message.startswith(f"c.yaml: {prefix}")
+        assert message.endswith(suffix)
 
     def test_out_dir_over_a_source_is_data_error(self, runner, tmp_path):
         source = tmp_path / "a.jsonl"

@@ -1,9 +1,10 @@
 import hashlib
 import json
+import os
 from collections import Counter
 
 import pytest
-from conftest import bio_spans_oracle, orphan_oracle
+from conftest import bio_spans_oracle, bounded, orphan_oracle
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -279,6 +280,23 @@ class TestFileIo:
         p.write_text(record_to_line(rec()) + "oops\n", encoding="utf-8")
         with pytest.raises(RecordError, match="broken.jsonl:2"):
             list(read_records(p))
+
+    def test_named_pipe_rejected_before_any_line_is_read(self, tmp_path):
+        fifo = tmp_path / "art.jsonl"
+        os.mkfifo(fifo)
+        # Held open for writing, so that opening the pipe to read it does not
+        # block, and non-blocking, so that reading it back here cannot hang.
+        fd = os.open(fifo, os.O_RDWR | os.O_NONBLOCK)
+        try:
+            lines = (record_to_line(rec()) + record_to_line(rec(2))).encode("utf-8")
+            os.write(fd, lines)
+            with pytest.raises(RecordError) as info:
+                bounded(lambda: list(read_records(fifo)), seconds=5)
+            assert str(info.value) == (
+                "art.jsonl: read_records reads its input twice, so it must be a regular file")
+            assert os.read(fd, len(lines) + 1) == lines  # no line was read
+        finally:
+            os.close(fd)
 
 
 class TestSha256File:

@@ -1,15 +1,21 @@
 import json
 import os
 import random
+import re
+import tempfile
 import tracemalloc
 from collections import UserList
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import KERNELS, random_bio_labels, score_corpus_oracle
 from piiprep import idindex, scorer
 from piiprep.analysis import TYPE_COLUMNS, render_table
+from piiprep.cli import main
 from piiprep.errors import AlignmentError, RecordError
 from piiprep.scorer import (
     MetricsReport,
@@ -589,13 +595,13 @@ class TestHashCollisions:
         assert self.outcomes(g, p, monkeypatch, hashes=hashes) == dict.fromkeys(
             ["real", *hashes], "RecordError: p.jsonl:3: duplicate prediction id 'b'"
         )
-        # Duplicates are looked for once every line is checked, so a later
-        # malformed line is reported first.
+        # Duplicates are looked for before a later malformed line is
+        # reported, so the error is still the first in file order.
         with p.open("a", encoding="utf-8") as f:
             f.write("not json\n")
         with pytest.raises(RecordError) as info:
             stream_score(g, p, unordered=True)
-        assert str(info.value) == "p.jsonl:6: malformed JSON: Expecting value"
+        assert str(info.value) == "p.jsonl:3: duplicate prediction id 'b'"
 
 
 def test_unordered_memory_per_record(tmp_path):
@@ -637,3 +643,70 @@ def test_unordered_memory_per_record(tmp_path):
     assert unordered.counters == ordered.counters
     assert peak <= per_record * n, f"peak {peak} bytes is {peak / n:.0f} bytes per record"
     assert peak <= tight_per_record * n, f"peak {peak} bytes is {peak / n:.0f} bytes per record"
+
+
+# Faults that break one scored line: each maps the line's object, its
+# encoded text (no newline) and a position to the broken text.
+LINE_FAULTS = {
+    "truncate": lambda obj, line, i: line[: 1 + i % (len(line) - 1)],
+    "no-id": lambda obj, line, i: json.dumps({"labels": obj["labels"]}).encode(),
+    "no-labels": lambda obj, line, i: json.dumps({"id": obj["id"]}).encode(),
+    "non-string-label": lambda obj, line, i: json.dumps({**obj, "labels": [
+        *obj["labels"][: i % len(obj["labels"])], 5, *obj["labels"][i % len(obj["labels"]) + 1:],
+    ]}).encode(),
+    "bad-utf8": lambda obj, line, i: line[: i % len(line)] + b"\xff" + line[i % len(line):],
+    "blank": lambda obj, line, i: b"",
+}
+
+
+def named_line(g: Path, p: Path, *options: str) -> tuple[str | None, int]:
+    """The file and line that `score` names in its error (file None: an order mismatch)."""
+    result = CliRunner().invoke(main, ["score", "--gold", str(g), "--pred", str(p), *options])
+    assert result.exit_code == 1, result.output
+    m = re.match(r"Error: (?:(\w+)\.jsonl:(\d+): |record order mismatch at line (\d+): )",
+                 result.output)
+    assert m, result.output
+    return m[1], int(m[2] or m[3])
+
+
+def write_broken(path: Path, objs: list[dict], faults: dict[int, bytes]) -> None:
+    """objs as a scored file, with the lines in faults replaced by their text."""
+    path.write_bytes(b"".join(
+        faults.get(i, json.dumps(obj).encode()) + b"\n" for i, obj in enumerate(objs)))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.data())
+def test_one_broken_line_is_named_by_both_modes(data):
+    """score fails naming the one broken line of a valid pair, ordered or --unordered."""
+    labels = st.lists(st.sampled_from(["O", "B-NAME", "I-NAME", "B-CITY"]), min_size=1, max_size=4)
+    objs = [{"id": f"r{i}", "labels": data.draw(labels)} for i in range(data.draw(st.integers(2, 6)))]
+    broken = data.draw(st.sampled_from(["g", "p"]))
+    fault = data.draw(st.sampled_from([*LINE_FAULTS, *(["repeat-id"] if broken == "p" else [])]))
+    row = data.draw(st.integers(1 if fault == "repeat-id" else 0, len(objs) - 1))
+    line = json.dumps(objs[row]).encode()
+    if fault == "repeat-id":  # only predictions: --unordered does not index gold ids
+        text = json.dumps({**objs[row], "id": objs[data.draw(st.integers(0, row - 1))]["id"]})
+        text = text.encode()
+    else:
+        text = LINE_FAULTS[fault](objs[row], line, data.draw(st.integers(0, len(line))))
+    with tempfile.TemporaryDirectory() as tmp:
+        g, p = Path(tmp) / "g.jsonl", Path(tmp) / "p.jsonl"
+        write_broken(g, objs, {row: text} if broken == "g" else {})
+        write_broken(p, objs, {row: text} if broken == "p" else {})
+        ordered, unordered = named_line(g, p), named_line(g, p, "--unordered")
+    assert ordered[1] == unordered[1] == row + 1
+    assert unordered[0] == broken
+    assert ordered[0] in (broken, None)
+
+
+@pytest.mark.parametrize("fault", ["truncate", "no-labels", "blank"])
+def test_repeated_prediction_id_before_a_broken_line_is_named_first(tmp_path, fault):
+    objs = [{"id": f"r{i}", "labels": ["B-NAME", "O"]} for i in range(5)]
+    later = json.dumps(objs[4]).encode()
+    g, p = tmp_path / "g.jsonl", tmp_path / "p.jsonl"
+    write_broken(g, objs, {})
+    write_broken(p, objs, {2: json.dumps({**objs[2], "id": "r0"}).encode(),
+                           4: LINE_FAULTS[fault](objs[4], later, len(later) // 2)})
+    assert named_line(g, p) == (None, 3)
+    assert named_line(g, p, "--unordered") == ("p", 3)

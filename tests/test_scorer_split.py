@@ -17,7 +17,6 @@ import random
 import signal
 import subprocess
 import tempfile
-import threading
 import tracemalloc
 from pathlib import Path
 
@@ -26,32 +25,11 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import bounded
 from piiprep import splitscore
 from piiprep.cli import main
 from piiprep.errors import AlignmentError, RecordError
 from piiprep.scorer import stream_score
-
-JOIN_TIMEOUT_S = 120
-
-
-def bounded(fn):
-    """fn() run in a thread joined with a timeout: its value, or its exception."""
-    box: dict = {}
-
-    def run():
-        try:
-            box["value"] = fn()
-        except BaseException as e:  # handed back to the test thread
-            box["error"] = e
-
-    t = threading.Thread(target=run, daemon=True)
-    t.start()
-    t.join(JOIN_TIMEOUT_S)
-    assert not t.is_alive(), f"no result after {JOIN_TIMEOUT_S} s"
-    if "error" in box:
-        # Popped, so that no cycle keeps the traceback's open files alive.
-        raise box.pop("error")
-    return box["value"]
 
 
 def outcome(gold: Path, pred: Path):
