@@ -2,7 +2,7 @@
 
 Submodules:
 - labelspace: fine/coarse BIO label inventories from a taxonomy
-- biospan: span extraction and BIO normalisation (compiled kernel + fallback)
+- biospan: span extraction and orphan counting (compiled kernel + fallback)
 - ingest: inline-tagged text to tokenised BIO records
 - pipeline: consolidation, rebalancing, capping, rare-label filtering,
   splitting and subsetting of record streams

@@ -19,8 +19,6 @@ whichever kernel is active; callers use it when a kernel has raised.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
-
 from piiprep._purespans import check_labels
 
 try:
@@ -29,37 +27,17 @@ except ImportError:
     from piiprep import _purespans as _kernel  # type: ignore[no-redef]
 
 __all__ = [
-    "Span",
-    "extract_spans",
     "extract_span_tuples",
     "count_orphan_continuations",
     "check_labels",
     "active_kernel",
 ]
 
-# Raw-tuple entry points used by the streaming scorer; cheaper than wrapping
-# every span in a NamedTuple.
 extract_span_tuples = _kernel.extract_span_tuples
 count_orphan_continuations = _kernel.count_orphan_continuations
-
-
-class Span(NamedTuple):
-    """Half-open token interval [start, end) carrying one entity type."""
-
-    start: int
-    end: int
-    entity: str
 
 
 def active_kernel() -> str:
     """Name of the kernel selected at import: 'cython' or 'python'."""
     return "cython" if _kernel.__name__.endswith("_speedups") else "python"
 
-
-def extract_spans(labels: Sequence[str]) -> list[Span]:
-    """Extract entity spans from a BIO sequence.
-
-    >>> extract_spans(["B-A", "I-B", "I-B"])
-    [Span(start=0, end=1, entity='A'), Span(start=1, end=3, entity='B')]
-    """
-    return [Span(*t) for t in extract_span_tuples(list(labels))]

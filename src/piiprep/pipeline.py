@@ -52,7 +52,7 @@ from piiprep.biospan import extract_span_tuples  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
-# Rebalance, cap, split and sample choose among records by their source (and
+# Rebalance, cap and split choose among records by their source (and
 # rebalance by their stratum), so they take and return either kind.
 Planned = TypeVar("Planned", EncodedRecord, Record)
 T = TypeVar("T")
@@ -67,7 +67,6 @@ __all__ = [
     "cap_source",
     "filter_rare_labels",
     "stratified_split",
-    "sample_subset",
     "sample_groups",
     "prepend_source_token",
     "run_prepare",
@@ -559,14 +558,6 @@ def stratified_split(
             splits[name].extend(shuffled[pos : pos + take])
             pos += take
     return splits
-
-
-def sample_subset(records: Sequence[Planned], n: int, seed: int) -> list[Planned]:
-    """Draw a source-proportional subset of n records (see sample_groups).
-
-    Sources keep their first-seen order, and records their stream order.
-    """
-    return sample_groups(_group_by_source(records), n, seed)
 
 
 def sample_groups(groups: Mapping[str, Sequence[T]], n: int, seed: int) -> list[T]:

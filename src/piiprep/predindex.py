@@ -12,7 +12,7 @@ from array import array
 from bisect import bisect_left
 from pathlib import Path
 
-from piiprep.errors import AlignmentError
+from piiprep.errors import AlignmentError, RecordError
 from piiprep.idindex import _HIGH, _ROW, LineIndex, key_of
 from piiprep.jsonl import iter_lines
 from piiprep.scorer import _Pairs, _parse_scored_line
@@ -49,8 +49,9 @@ def indexed_pairs(gold_path: Path, pred_path: Path) -> _Pairs:
             j = bits >> shift
             # rid's row is in the run of keys with these high bits, with the
             # rows of any other ids whose hashes collide with it there.
+            run = view[bisect_left(keys, bits, starts[j], starts[j + 1]):]
             row = -1
-            for key in view[bisect_left(keys, bits, starts[j], starts[j + 1]):]:
+            for key in run:
                 if key & _HIGH != bits:
                     break
                 if not used[key & _ROW]:
@@ -59,6 +60,13 @@ def indexed_pairs(gold_path: Path, pred_path: Path) -> _Pairs:
                         row = key & _ROW
                         break
             if row < 0:
+                # Only a failure reads the run's used rows back: one with rid
+                # means an earlier gold record had it.
+                for key in run:
+                    if key & _HIGH != bits:
+                        break
+                    if used[key & _ROW] and index.read(f, key)[0] == rid:
+                        raise RecordError(f"{gname}:{lineno}: duplicate gold id {rid!r}")
                 raise AlignmentError(f"no prediction for gold record {rid!r}")
             used[row] = 1
             yield lineno, rid, gold_labels, pred_labels, row + 1

@@ -18,11 +18,7 @@ from conftest import (
     random_bio_labels,
 )
 from piiprep import _purespans
-from piiprep.biospan import (
-    Span,
-    check_labels,
-    extract_spans,
-)
+from piiprep.biospan import check_labels
 from piiprep.errors import LabelError
 
 label_alphabet = st.sampled_from(
@@ -193,10 +189,3 @@ def test_pure_python_override(speedups_build):
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "cython"
-
-
-class TestWrappers:
-    def test_extract_spans_returns_named_tuples(self):
-        spans = extract_spans(["B-NAME", "I-NAME"])
-        assert spans == [Span(0, 2, "NAME")]
-        assert spans[0].entity == "NAME"

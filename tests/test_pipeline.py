@@ -27,7 +27,7 @@ from piiprep.pipeline import (
     prepend_source_token,
     rebalance_source,
     run_prepare,
-    sample_subset,
+    sample_groups,
     stratified_split,
     sub_rng,
 )
@@ -242,31 +242,40 @@ class TestStratifiedSplit:
 
 
 class TestSampleSubset:
+    """sample_groups draws a source-proportional subset of records grouped by source."""
+
+    @staticmethod
+    def sample(records: list[Record], n: int, seed: int) -> list[Record]:
+        groups: dict[str, list[Record]] = {}
+        for rec in records:
+            groups.setdefault(rec.source, []).append(rec)
+        return sample_groups(groups, n, seed)
+
     def test_source_proportional(self):
         records = corpus({"a": 80, "b": 20})
-        out = sample_subset(records, 10, seed=0)
+        out = self.sample(records, 10, seed=0)
         assert sum(r.source == "a" for r in out) == 8
         assert sum(r.source == "b" for r in out) == 2
 
     def test_preserves_stream_order_within_source(self):
         records = corpus({"a": 50})
-        out = sample_subset(records, 9, seed=1)
+        out = self.sample(records, 9, seed=1)
         ids = [r.id for r in out]
         assert ids == sorted(ids)
 
     def test_n_above_total_rejected(self):
         with pytest.raises(AllocationError):
-            sample_subset(corpus({"a": 4}), 5, seed=0)
+            self.sample(corpus({"a": 4}), 5, seed=0)
 
     def test_n_equal_total_returns_everything(self):
         records = corpus({"a": 4, "b": 2})
-        out = sample_subset(records, 6, seed=0)
+        out = self.sample(records, 6, seed=0)
         assert sorted(r.id for r in out) == sorted(r.id for r in records)
 
     def test_seed_sensitivity(self):
         records = corpus({"a": 60})
-        assert [r.id for r in sample_subset(records, 12, seed=1)] != [
-            r.id for r in sample_subset(records, 12, seed=2)
+        assert [r.id for r in self.sample(records, 12, seed=1)] != [
+            r.id for r in self.sample(records, 12, seed=2)
         ]
 
 

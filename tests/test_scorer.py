@@ -581,6 +581,15 @@ class TestHashCollisions:
             ["real", *COLLIDING_HASHES], message
         )
 
+    def test_repeated_gold_id_is_located(self, tmp_path, monkeypatch):
+        # r1's one prediction is used by gold line 2, so gold line 4 has none.
+        g, p = tmp_path / "g.jsonl", tmp_path / "p.jsonl"
+        write_scored(g, self.GOLD[:3] + [self.GOLD[1]] + self.GOLD[3:])
+        write_scored(p, self.PRED)
+        assert self.outcomes(g, p, monkeypatch) == dict.fromkeys(
+            ["real", *COLLIDING_HASHES], "RecordError: g.jsonl:4: duplicate gold id 'r1'"
+        )
+
     def test_duplicate_on_the_earliest_later_line(self, tmp_path, monkeypatch):
         # a is on lines 1 and 5, b on lines 2 and 3: line 3 repeats an id first.
         g, p = tmp_path / "g.jsonl", tmp_path / "p.jsonl"
@@ -682,10 +691,10 @@ def test_one_broken_line_is_named_by_both_modes(data):
     labels = st.lists(st.sampled_from(["O", "B-NAME", "I-NAME", "B-CITY"]), min_size=1, max_size=4)
     objs = [{"id": f"r{i}", "labels": data.draw(labels)} for i in range(data.draw(st.integers(2, 6)))]
     broken = data.draw(st.sampled_from(["g", "p"]))
-    fault = data.draw(st.sampled_from([*LINE_FAULTS, *(["repeat-id"] if broken == "p" else [])]))
+    fault = data.draw(st.sampled_from([*LINE_FAULTS, "repeat-id"]))
     row = data.draw(st.integers(1 if fault == "repeat-id" else 0, len(objs) - 1))
     line = json.dumps(objs[row]).encode()
-    if fault == "repeat-id":  # only predictions: --unordered does not index gold ids
+    if fault == "repeat-id":
         text = json.dumps({**objs[row], "id": objs[data.draw(st.integers(0, row - 1))]["id"]})
         text = text.encode()
     else:
