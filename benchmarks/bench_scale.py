@@ -15,6 +15,8 @@ under --work, one line at a time:
   pred.jsonl in the same order; the run times ordered ``stream_score`` plus
   ``finalize`` and the report's JSON, as perfbench times a score run, and
   digests the report;
+- score-unordered: the same, with pred-shuffled.jsonl, pred.jsonl's lines in
+  a seeded random order, scored by ``stream_score(..., unordered=True)``;
 - validate, sample: the train.jsonl that ``prepare`` writes from the
   prepare inputs at N lines, made once with the first checkout; the run
   times ``piiprep validate`` or ``piiprep sample --n 100`` through
@@ -68,6 +70,7 @@ import subprocess
 import sys
 import threading
 import time
+from array import array
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -144,6 +147,30 @@ def score_inputs(work: Path, n_pairs: int, checkout: Path) -> tuple[Path, dict]:
     return path, json.loads(facts_path.read_text(encoding="utf-8"))
 
 
+def unordered_inputs(work: Path, n_pairs: int, checkout: Path) -> tuple[Path, dict]:
+    """score_inputs, plus pred-shuffled.jsonl: pred.jsonl's lines in a seeded random order.
+
+    It is copied one line at a time from a shuffled array of line offsets, so
+    memory stays at 8 bytes a line.
+    """
+    path, facts = score_inputs(work, n_pairs, checkout)
+    shuffled = path / "pred-shuffled.jsonl"
+    if not shuffled.exists():
+        offsets, offset = array("Q"), 0
+        with (path / "pred.jsonl").open("rb") as f:
+            for raw in f:
+                offsets.append(offset)
+                offset += len(raw)
+        random.Random(f"shuffle|{SEED}").shuffle(offsets)
+        part = path / "pred-shuffled.jsonl.part"
+        with (path / "pred.jsonl").open("rb") as f, part.open("wb") as out:
+            for offset in offsets:
+                f.seek(offset)
+                out.write(f.readline())
+        part.replace(shuffled)
+    return path, facts
+
+
 def artifact_for(work: Path, n_lines: int, checkout: Path) -> tuple[Path, dict]:
     """The train.jsonl of a prepare run on n_lines generated lines."""
     inputs, _ = prepare_inputs(work, n_lines, checkout)
@@ -172,11 +199,13 @@ def time_prepare(inputs: Path, out: Path):
     return call
 
 
-def time_score(inputs: Path, out: Path):
+def time_score(unordered: bool, inputs: Path, out: Path):
     from piiprep.scorer import finalize, stream_score
 
+    pred = inputs / ("pred-shuffled.jsonl" if unordered else "pred.jsonl")
+
     def call() -> dict[str, str]:
-        result = stream_score(inputs / "gold.jsonl", inputs / "pred.jsonl")
+        result = stream_score(inputs / "gold.jsonl", pred, unordered=unordered)
         report = finalize(result.counters, records=result.records, chunks=result.chunks)
         return {"report": report.to_json()}
     return call
@@ -200,7 +229,8 @@ SAMPLE = ("sample", "--input", "{inputs}", "--n", "100", "--seed", "42",
           "--out", "{out}/subset.jsonl")
 COMMANDS = {  # name: (inputs, timed call)
     "prepare": (prepare_inputs, time_prepare),
-    "score": (score_inputs, time_score),
+    "score": (score_inputs, functools.partial(time_score, False)),
+    "score-unordered": (unordered_inputs, functools.partial(time_score, True)),
     "validate": (artifact_for, functools.partial(time_cli, VALIDATE)),
     "sample": (artifact_for, functools.partial(time_cli, SAMPLE)),
 }
@@ -359,7 +389,8 @@ def main() -> int:
     doc = {
         "benchmark": "piiprep commands at scale (benchmarks/bench_scale.py)",
         "workload": f"perfbench/gen.py, seed {SEED}: make_prepare_inputs for prepare; "
-                    "make_score_inputs records in the same order for score; the train.jsonl "
+                    "make_score_inputs records in the same order for score, the predictions "
+                    "shuffled for score-unordered; the train.jsonl "
                     "prepare writes from the prepare inputs for validate and sample",
         "commands": {"validate": " ".join(VALIDATE), "sample": " ".join(SAMPLE)},
         "host": host_facts(),

@@ -7,12 +7,18 @@ are read back to compare: the repeated ids and rare hash collisions.
 prepare's consolidate reads them back from its records in memory, and
 LineIndex, the reader behind validate, sample, read_records and score
 --unordered, from the file. Ordered scoring does not import this module.
+
+The hash is the CRC-32 of the id's UTF-8 bytes, not the built-in hash, which
+is salted per process: a worker process of split unordered scoring must find
+a gold id among keys that the calling process built (LineIndex.write_to and
+LineIndex.load).
 """
 
 from __future__ import annotations
 
 import os
 import stat
+import zlib
 from array import array
 from itertools import compress, count, islice, repeat
 from operator import lt, xor
@@ -24,9 +30,16 @@ from piiprep.jsonl import iter_lines
 
 __all__ = ["IdKeys", "LineIndex", "duplicates", "key_of"]
 
-# Every id is hashed through this one name, so a test can force hash
-# collisions by replacing it.
-_id_hash = hash
+
+def _id_hash(rid: str) -> int:
+    """rid's hash, the same in every process, in the 32 bits that a key keeps.
+
+    Every id is hashed through this one name, so a test can force hash
+    collisions by replacing it. surrogatepass: a JSON escape can spell an id
+    holding a lone UTF-16 surrogate, which plain UTF-8 cannot encode.
+    """
+    return zlib.crc32(rid.encode("utf-8", "surrogatepass")) << 32
+
 
 # A key is an id hash, taken modulo 2**64, with its low 32 bits replaced by
 # the row: _HIGH selects the hash bits and _ROW the row.
@@ -138,6 +151,19 @@ class LineIndex:
             row, rid = found[0]
             raise RecordError(f"{self._name}:{row + 1}: {self._duplicate} {rid!r}")
 
+    def write_to(self, f) -> None:
+        """Write the keys and offsets of a finished pass to binary file f, for load."""
+        f.write(array("Q", [len(self.keys)]))
+        f.write(self.keys)
+        f.write(self._offsets)
+        f.flush()
+
+    def load(self, f) -> None:
+        """Take the keys and offsets that write_to wrote from binary file f, in place of a pass."""
+        n = _read_array(f, 1)[0]
+        self.keys = _read_array(f, n)
+        self._offsets = _read_array(f, n + 1)
+
     def open(self):
         """The file for read, unbuffered: a row is read back in one seek and one read."""
         return self.path.open("rb", buffering=0)
@@ -155,3 +181,12 @@ class LineIndex:
         if parsed is None or key_of(parsed[0], row) != key:
             raise RecordError(f"{self._name}:{row + 1}: {self._changed}")
         return parsed
+
+
+def _read_array(f, n: int) -> array:
+    """n 8-byte integers read from binary file f into an array, with no copy in between."""
+    values = array("Q", [0]) * n
+    with memoryview(values) as view, view.cast("B") as raw:
+        if f.readinto(raw) != len(raw):
+            raise EOFError(f"expected {n} index entries")
+    return values

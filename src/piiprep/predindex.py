@@ -2,14 +2,19 @@
 
 Predictions are indexed by piiprep.idindex.LineIndex, as validate indexes an
 artifact, and each line is read back from the file when its gold record
-arrives: about 17.5 bytes per prediction, not its labels. stream_score
-imports this module only for unordered scoring.
+arrives: about 17.5 bytes per prediction, not its labels. splitscore's
+score_unordered builds the index once, in the calling process, and gives
+each worker a copy of its keys and offsets (16 bytes a prediction); each
+process runs gold_pairs over its own range of gold lines, and the calling
+process then checks that every prediction was used. Only unordered scoring
+imports this module.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
+from itertools import islice
 from pathlib import Path
 
 from piiprep.errors import AlignmentError, RecordError
@@ -17,33 +22,38 @@ from piiprep.idindex import _HIGH, _ROW, LineIndex, key_of
 from piiprep.jsonl import iter_lines
 from piiprep.scorer import _Pairs, _parse_scored_line
 
-__all__ = ["indexed_pairs"]
+__all__ = ["check_all_used", "gold_pairs", "prediction_index"]
 
 
-def indexed_pairs(gold_path: Path, pred_path: Path) -> _Pairs:
-    """Pairs matched by id: predictions indexed by offset, then read back.
+def prediction_index(pred_path: Path) -> LineIndex:
+    """The index of a prediction file, before its pass (or its load)."""
+    return LineIndex(pred_path, _parse_scored_line, None,
+                     not_regular="unordered scoring reads predictions twice, "
+                                 "so they must be in a regular file",
+                     duplicate="duplicate prediction id",
+                     changed="prediction file changed while scoring")
 
-    The index's keys are sorted, so the rows whose ids share a hash's high
-    bits are one run, in row order. used flags the rows already scored.
+
+def gold_pairs(index: LineIndex, f, gold_path: Path, used: bytearray, start: int = 0,
+               first_line: int = 1, lines: int | None = None) -> _Pairs:
+    """The pairs of gold lines from byte offset start, line first_line, matched by id.
+
+    f is the prediction file as index.open() opens it. Reading stops after
+    lines gold lines (None: at the end of the file). used flags the rows
+    already scored, and each row scored here is flagged. The index's keys
+    are sorted, so the rows whose ids share a hash's high bits are one run,
+    in row order.
     """
     gname = gold_path.name
-    index = LineIndex(pred_path, _parse_scored_line, None,
-                      not_regular="unordered scoring reads predictions twice, "
-                                  "so they must be in a regular file",
-                      duplicate="duplicate prediction id",
-                      changed="prediction file changed while scoring")
-    for _ in index:
-        pass
     keys = index.keys
     n = len(keys)
-    used = bytearray(n)
     # starts[j] is the first key whose top bits are j or more, so a gold id's
     # run is bisected from among about eight keys.
     top = max(n.bit_length() - 3, 0)
     shift = 64 - top
     starts = array("I", (bisect_left(keys, j << shift) for j in range((1 << top) + 1)))
-    with index.open() as f, memoryview(keys) as view:
-        for lineno, _, line in iter_lines(gold_path):
+    with memoryview(keys) as view:
+        for lineno, _, line in islice(iter_lines(gold_path, start, first_line), lines):
             rid, gold_labels = _parse_scored_line(line, lineno, gname)
             bits = key_of(rid, 0)
             j = bits >> shift
@@ -70,7 +80,11 @@ def indexed_pairs(gold_path: Path, pred_path: Path) -> _Pairs:
                 raise AlignmentError(f"no prediction for gold record {rid!r}")
             used[row] = 1
             yield lineno, rid, gold_labels, pred_labels, row + 1
-        row = used.find(0)
-        if row >= 0:
-            rid, _ = index.read(f, next(key for key in keys if key & _ROW == row))
-            raise AlignmentError(f"prediction id {rid!r} has no gold record")
+
+
+def check_all_used(index: LineIndex, f, used: bytes | bytearray) -> None:
+    """Fail naming the first prediction, in file order, that no gold record used."""
+    row = used.find(0)
+    if row >= 0:
+        rid, _ = index.read(f, next(key for key in index.keys if key & _ROW == row))
+        raise AlignmentError(f"prediction id {rid!r} has no gold record")

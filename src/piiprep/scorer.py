@@ -7,11 +7,12 @@ by the label space plus one record pair, independent of corpus length.
 Unordered scoring adds an index of prediction byte offsets and id hashes,
 about 17.5 bytes per record.
 
-Ordered scoring keeps no state across pairs, so on a host with more than one
-usable CPU, splitscore cuts large regular files into line ranges, one per
-CPU, and scores every range but the first in a worker process while the
-calling process scores the first. Each process holds the same bounded state
-as one serial run.
+On a host with more than one usable CPU, splitscore cuts a large regular gold
+file into line ranges, one per CPU, and scores every range but the first in
+a worker process while the calling process scores the first. Ordered, each
+process holds the same bounded state as one serial run; unordered, each
+also holds the whole prediction index, which the calling process builds and
+sends to the workers.
 """
 
 from __future__ import annotations
@@ -228,7 +229,7 @@ def _raise_label_error(path: str, lineno: int, rid: str, labels: list) -> None:
         raise RecordError(f"{path}:{lineno}: record {rid}: {e}") from None
 
 
-# A pair source (_ordered_pairs or predindex.indexed_pairs) yields (gold line,
+# A pair source (_ordered_pairs or predindex.gold_pairs) yields (gold line,
 # id, gold labels, prediction labels, prediction line) one at a time.
 _Pairs = Iterator[tuple[int, str, list, list, int]]
 
@@ -300,30 +301,26 @@ def stream_score(
     """Score a prediction file against a gold artifact, one pair at a time.
 
     By default the two files must list the same record ids in the same
-    order; any divergence raises an alignment error naming the id. Large
-    regular files are then scored in line ranges, one per usable CPU, each
-    range but the first in a worker process; the counters, the record count
-    and the first error are the serial run's, and no worker outlives the
-    call. A worker that dies without a result raises ChildProcessError naming
-    its exit status. With unordered=True predictions are indexed by id and
-    read back as their gold records arrive (predindex): memory grows by about
-    17.5 bytes per prediction, 20 at the peak. In both modes a blank line in
-    either file is an error, as in read_records. chunk_size only sets the
-    reported chunk count, ceil(records / chunk_size).
+    order; any divergence raises an alignment error naming the id. With
+    unordered=True predictions are indexed by id and read back as their gold
+    records arrive (predindex): memory grows by about 17.5 bytes per
+    prediction, 20 at the peak. In either mode a large regular gold file is
+    scored in line ranges, one per usable CPU, each range but the first in a
+    worker process, which holds the same state as one serial run (unordered,
+    a copy of the index too); the counters, the record count and the first
+    error are the serial run's, and no worker outlives the call. A worker
+    that dies without a result raises ChildProcessError naming its exit
+    status. In both modes a blank line in either file is an error, as in
+    read_records. chunk_size only sets the reported chunk count,
+    ceil(records / chunk_size).
     """
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     gold_path = Path(gold_path)
     pred_path = Path(pred_path)
-    # Each mode's module is imported here, so that importing this one does
-    # not load either, and each mode loads only its own.
-    if unordered:
-        from piiprep.predindex import indexed_pairs
+    # Imported here, so that importing this module does not load splitscore,
+    # and ordered scoring does not load the prediction index either.
+    from piiprep.splitscore import score_ordered, score_unordered
 
-        counters, records = _score_pairs(indexed_pairs(gold_path, pred_path),
-                                         gold_path.name, pred_path.name)
-    else:
-        from piiprep.splitscore import score_ordered
-
-        counters, records = score_ordered(gold_path, pred_path)
+    counters, records = (score_unordered if unordered else score_ordered)(gold_path, pred_path)
     return StreamResult(counters, records, (records + chunk_size - 1) // chunk_size)

@@ -1,20 +1,34 @@
-"""Ordered scoring on every usable CPU: the files cut into line ranges.
+"""Scoring on every usable CPU: the gold file cut into line ranges.
 
-Ordered scoring keeps no state across pairs, so the counters of consecutive
-line ranges add up to those of the whole files. score_ordered cuts the gold
-file at the line boundary after each even byte cut, one range per CPU the
-process may run on, and finds the same line in the prediction file by
-counting newline bytes. The calling process scores the first range; each
-other range is scored by a worker process running this module
+The gold file is cut at the line boundary after each even byte cut, one
+range per CPU the process may run on. The calling process scores the first
+range; each other range is scored by a worker process running this module
 (python -S -m piiprep.splitscore), which prints its counters and record
-count, or its first error, as JSON. Every range reads its lines through the
-serial pair loop from a start offset and line number, so messages and line
-numbers are the serial run's, and only the last range, the one that reaches
-the end of both files, can find their record counts differ.
+count, or its first error, as JSON. Every range reads its gold lines through
+the serial loop from a start offset and line number, so messages and line
+numbers are the serial run's, and the counters, added in range order, are
+too.
 
-Pipes, gold files under SPLIT_MIN_BYTES, one-CPU hosts, a prediction file
-too short to hold a cut and a worker that cannot be started all leave the
-run in one process. stream_score imports this module for ordered scoring.
+Ordered scoring (score_ordered) keeps no state across pairs. It finds the
+line each range starts at in the prediction file by counting newline bytes,
+and only the last range, the one that reaches the end of both files, can
+find their record counts differ.
+
+Unordered scoring (score_unordered) starts its workers, then makes the
+checking pass over the predictions (predindex's idindex.LineIndex), so its
+errors come first as in one process, and writes the index's keys and
+offsets, 16 bytes a prediction, to each worker's stdin. Each process matches
+its gold lines against the whole index (predindex.gold_pairs), and a worker
+prints the rows it used after its JSON, a byte each. A row that two ranges
+used is a repeated gold id: the calling process runs the later range's gold
+loop again with the earlier ranges' rows flagged, which fails at its first
+line that repeats an earlier id, as one pass fails. Rows no range used are
+predictions with no gold record, reported last. Each process holds the
+index, about 17.5 bytes a prediction, and the state of one pair.
+
+Pipes, gold files under SPLIT_MIN_BYTES, one-CPU hosts, an ordered
+prediction file too short to hold a cut and a worker that cannot be started
+all leave the run in one process. stream_score imports this module.
 """
 
 from __future__ import annotations
@@ -24,12 +38,14 @@ import json
 import os
 import stat
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 from piiprep import errors
 from piiprep.scorer import TypeCounters, _ordered_pairs, _score_pairs
 
-__all__ = ["score_ordered"]
+__all__ = ["score_ordered", "score_unordered"]
 
 # Gold files smaller than this are scored in one process. On a 2-vCPU host a
 # worker took about 0.1 s to start; on perfbench's score records (about 550
@@ -99,12 +115,13 @@ def _line_ends(f, counts: list[int]) -> list[int]:
     return ends
 
 
-def _ranges(gold_path: Path, pred_path: Path) -> list[tuple[int, int, int]]:
+def _ranges(gold_path: Path, pred_path: Path, cut_pred: bool = True) -> list[tuple[int, int, int]]:
     """(gold offset, prediction offset, first line) of each range to score.
 
     One range, the whole files, on one CPU, for a gold file under
     SPLIT_MIN_BYTES, for an input that is not a regular file (a pipe can be
     read only once) and for a prediction file too short to hold a cut.
+    Without cut_pred (unordered scoring) every prediction offset is 0.
     """
     ranges = [(0, 0, 1)]
     n = _cpus()
@@ -117,37 +134,59 @@ def _ranges(gold_path: Path, pred_path: Path) -> list[tuple[int, int, int]]:
     if not (stat.S_ISREG(gstat.st_mode) and stat.S_ISREG(pstat.st_mode)) \
             or gstat.st_size < SPLIT_MIN_BYTES:
         return ranges
-    with gold_path.open("rb") as g, pred_path.open("rb") as p:
+    with gold_path.open("rb") as g:
         cuts = _gold_cuts(g, gstat.st_size, n)
         counts = _newlines_before(g, cuts)
-        pred_cuts = _line_ends(p, counts)
+    if cut_pred:
+        with pred_path.open("rb") as p:
+            pred_cuts = _line_ends(p, counts)
+    else:
+        pred_cuts = [0] * len(cuts)
     return ranges + [(gc, pc, k + 1) for gc, pc, k in zip(cuts, pred_cuts, counts)]
 
 
-def _worker_args(gold_path: Path, pred_path: Path, start: tuple, end: tuple | None) -> list[str]:
-    pairs = "-" if end is None else str(end[2] - start[2])
-    return [os.fspath(gold_path), os.fspath(pred_path), *map(str, start), pairs]
+def _worker_args(gold_path: Path, pred_path: Path, start: tuple, end: tuple | None,
+                 unordered: bool = False) -> list[str]:
+    lines = "-" if end is None else str(end[2] - start[2])
+    return ["unordered" if unordered else "ordered", os.fspath(gold_path),
+            os.fspath(pred_path), *map(str, start), lines]
 
 
-def _worker(argv: list[str]) -> dict:
-    """Score one range for a parent process: its counts and records, or its first error."""
-    gold, pred, gold_start, pred_start, first_line, pairs = argv
+def _worker(argv: list[str], stdin=None) -> dict:
+    """Score one range for a parent process: its counts and records, or its first error.
+
+    Unordered, the prediction index is read from stdin, and "used" holds a
+    byte for each of its rows, 1 for each row the range used.
+    """
+    mode, gold, pred, gold_start, pred_start, first_line, lines = argv
     gold_path, pred_path = Path(gold), Path(pred)
+    start, first, count = int(gold_start), int(first_line), None if lines == "-" else int(lines)
+    used = bytearray()
     try:
-        counters, records = _score_pairs(
-            _ordered_pairs(gold_path, pred_path, int(gold_start), int(pred_start),
-                           int(first_line), None if pairs == "-" else int(pairs)),
-            gold_path.name, pred_path.name)
+        if mode == "ordered":
+            pairs = _ordered_pairs(gold_path, pred_path, start, int(pred_start), first, count)
+            counters, records = _score_pairs(pairs, gold_path.name, pred_path.name)
+        else:
+            from piiprep.predindex import gold_pairs, prediction_index
+
+            index = prediction_index(pred_path)
+            index.load(stdin)
+            used = bytearray(len(index.keys))
+            with index.open() as f:
+                counters, records = _score_pairs(
+                    gold_pairs(index, f, gold_path, used, start, first, count),
+                    gold_path.name, pred_path.name)
     except Exception as e:  # reported to the parent, which raises it
-        return {"error": [type(e).__name__, str(e)]}
-    return {"counts": counters.counts, "records": records}
+        return {"error": [type(e).__name__, str(e)], "used": used}
+    return {"counts": counters.counts, "records": records, "used": used}
 
 
 def _worker_result(proc, first_line: int, gname: str) -> dict:
-    """A finished worker's result, or its error raised as the serial run raises it."""
+    """A finished worker's result, "used" its rows; ChildProcessError if it has none."""
     out, err = proc.communicate()
+    head, _, used = out.partition(b"\n")
     try:
-        result = json.loads(out) if proc.returncode == 0 else None
+        result = json.loads(head) if proc.returncode == 0 else None
     except ValueError:
         result = None
     if result is None:
@@ -157,26 +196,44 @@ def _worker_result(proc, first_line: int, gname: str) -> dict:
         detail = err.decode("utf-8", "replace").strip().splitlines()[-1:]
         raise ChildProcessError(f"{gname}: scoring worker for lines from {first_line} {how}"
                                 + "".join(f": {d}" for d in detail))
+    result["used"] = used
+    return result
+
+
+def _add(counters: TypeCounters, result: dict) -> int:
+    """Add a worker's counts to counters and return its records, or raise its error.
+
+    The error is raised as the serial run raises it. Counts are added in
+    range order, so types keep the serial run's first-seen order.
+    """
     if "error" in result:
         name, message = result["error"]
         cls = getattr(errors, name, None) or getattr(builtins, name, None)
         if not (isinstance(cls, type) and issubclass(cls, Exception)):
             cls, message = ChildProcessError, f"{name}: {message}"
         raise cls(message)
-    return result
+    counts = counters.counts
+    for typ, part in result["counts"].items():
+        b = counts.get(typ)
+        if b is None:
+            counts[typ] = part
+        else:
+            b[0] += part[0]
+            b[1] += part[1]
+            b[2] += part[2]
+    return result["records"]
 
 
-def score_ordered(gold_path: Path, pred_path: Path) -> tuple[TypeCounters, int]:
-    """Counters and record count of two files in the same id order, or the first error.
+@contextmanager
+def _started(gold_path: Path, pred_path: Path, ranges: list, unordered: bool) -> Iterator:
+    """A worker for each range but the first, or None if one cannot be started.
 
-    The result, and the error raised, are those of one pass over the files.
-    No worker outlives the call; one that dies without a result raises
-    ChildProcessError naming its exit status.
+    No worker outlives the block: each still running is killed, and every
+    one is waited for. An unordered worker waits for the index on its stdin.
     """
-    gname, pname = gold_path.name, pred_path.name
-    ranges = _ranges(gold_path, pred_path)
     if len(ranges) == 1:
-        return _score_pairs(_ordered_pairs(gold_path, pred_path), gname, pname)
+        yield []
+        return
     # Imported here: it costs start-up time that a serial run need not pay.
     import subprocess
 
@@ -193,27 +250,14 @@ def score_ordered(gold_path: Path, pred_path: Path) -> tuple[TypeCounters, int]:
             for start, end in zip(ranges[1:], ranges[2:] + [None]):
                 workers.append(subprocess.Popen(
                     [sys.executable, "-S", "-m", "piiprep.splitscore",
-                     *_worker_args(cwd / gold_path, cwd / pred_path, start, end)],
-                    cwd=root, env=env, stdin=subprocess.DEVNULL,
+                     *_worker_args(cwd / gold_path, cwd / pred_path, start, end, unordered)],
+                    cwd=root, env=env,
+                    stdin=subprocess.PIPE if unordered else subprocess.DEVNULL,
                     stdout=subprocess.PIPE, stderr=subprocess.PIPE))
         except OSError:
-            return _score_pairs(_ordered_pairs(gold_path, pred_path), gname, pname)
-        counters, records = _score_pairs(
-            _ordered_pairs(gold_path, pred_path, pairs=ranges[1][2] - 1), gname, pname)
-        # Added in range order, so types keep the serial run's first-seen order.
-        counts = counters.counts
-        for proc, start in zip(workers, ranges[1:]):
-            result = _worker_result(proc, start[2], gname)
-            for typ, part in result["counts"].items():
-                b = counts.get(typ)
-                if b is None:
-                    counts[typ] = part
-                else:
-                    b[0] += part[0]
-                    b[1] += part[1]
-                    b[2] += part[2]
-            records += result["records"]
-        return counters, records
+            yield None
+        else:
+            yield workers
     finally:
         for proc in workers:
             if proc.returncode is None:
@@ -221,5 +265,80 @@ def score_ordered(gold_path: Path, pred_path: Path) -> tuple[TypeCounters, int]:
                 proc.communicate()
 
 
+def _line_counts(ranges: list) -> list[int | None]:
+    """The number of gold lines in each range, None for the last (to the end)."""
+    return [b[2] - a[2] for a, b in zip(ranges, ranges[1:])] + [None]
+
+
+def score_ordered(gold_path: Path, pred_path: Path) -> tuple[TypeCounters, int]:
+    """Counters and record count of two files in the same id order, or the first error.
+
+    The result, and the error raised, are those of one pass over the files.
+    No worker outlives the call; one that dies without a result raises
+    ChildProcessError naming its exit status.
+    """
+    gname, pname = gold_path.name, pred_path.name
+    ranges = _ranges(gold_path, pred_path)
+    with _started(gold_path, pred_path, ranges, unordered=False) as workers:
+        if workers is None:  # scored in one process
+            ranges, workers = ranges[:1], []
+        counters, records = _score_pairs(
+            _ordered_pairs(gold_path, pred_path, pairs=_line_counts(ranges)[0]), gname, pname)
+        for proc, start in zip(workers, ranges[1:]):
+            records += _add(counters, _worker_result(proc, start[2], gname))
+    return counters, records
+
+
+def score_unordered(gold_path: Path, pred_path: Path) -> tuple[TypeCounters, int]:
+    """Counters and record count of predictions matched to gold records by id.
+
+    The predictions must be in a regular file, which is read twice. The
+    result, and the error raised, are those of one pass over the gold file.
+    No worker outlives the call; one that dies without a result raises
+    ChildProcessError naming its exit status.
+    """
+    from piiprep.predindex import check_all_used, gold_pairs, prediction_index
+
+    gname, pname = gold_path.name, pred_path.name
+    ranges = _ranges(gold_path, pred_path, cut_pred=False)
+    with _started(gold_path, pred_path, ranges, unordered=True) as workers:
+        if workers is None:  # scored in one process
+            ranges, workers = ranges[:1], []
+        # The workers start up while the predictions are indexed.
+        index = prediction_index(pred_path)
+        for _ in index:
+            pass
+        for proc in workers:
+            try:
+                index.write_to(proc.stdin)
+            except BrokenPipeError:
+                pass  # the worker has exited: _worker_result says how
+        n = len(index.keys)
+        lines = _line_counts(ranges)
+        used = bytearray(n)
+        with index.open() as f:
+            counters, records = _score_pairs(
+                gold_pairs(index, f, gold_path, used, lines=lines[0]), gname, pname)
+            seen = int.from_bytes(used, "little")  # the rows used so far, a byte each
+            for proc, start, count in zip(workers, ranges[1:], lines[1:]):
+                result = _worker_result(proc, start[2], gname)
+                rows = int.from_bytes(result["used"], "little")
+                if rows & seen:
+                    # The range used a row that an earlier one used, at or
+                    # before its own error, so the repeated gold id comes
+                    # first: the gold loop, run again with the earlier rows
+                    # flagged, fails at the range's first line that repeats one.
+                    for _ in gold_pairs(index, f, gold_path, bytearray(seen.to_bytes(n, "little")),
+                                        start[0], start[2], count):
+                        pass
+                records += _add(counters, result)
+                seen |= rows
+            check_all_used(index, f, seen.to_bytes(n, "little"))
+    return counters, records
+
+
 if __name__ == "__main__":
-    sys.stdout.write(json.dumps(_worker(sys.argv[1:])))
+    result = _worker(sys.argv[1:], sys.stdin.buffer)
+    used = result.pop("used")
+    sys.stdout.buffer.write(json.dumps(result).encode("ascii") + b"\n")
+    sys.stdout.buffer.write(used)

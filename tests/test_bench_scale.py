@@ -14,7 +14,7 @@ import sys
 from conftest import REPO
 
 BENCH = REPO / "benchmarks" / "bench_scale.py"
-COMMANDS = ("prepare", "score", "validate", "sample")
+COMMANDS = ("prepare", "score", "score-unordered", "validate", "sample")
 RUN_FIELDS = {"wall_s", "peak_rss_mb", "workers", "workers_peak_mb", "total_peak_mb",
               "children_maxrss_mb", "kernel", "checkout", "round"}
 
@@ -52,6 +52,7 @@ def test_every_command_runs_on_two_labels(tmp_path):
         assert set(entry[command]["median"]) == {"one", "two"}
     assert set(entry["prepare"]["outputs"]) >= {"train.jsonl", "train.jsonl.manifest.json"}
     assert set(entry["score"]["outputs"]) == {"report"}
+    assert entry["score-unordered"]["outputs"] == entry["score"]["outputs"]
     assert set(entry["validate"]["outputs"]) == {"stdout"}
     assert set(entry["sample"]["outputs"]) == {"stdout", "subset.jsonl",
                                                "subset.jsonl.manifest.json"}

@@ -679,7 +679,7 @@ class TestConsolidateIdCollisions:
     def test_outcomes_match_the_real_hash(self, tmp_path, monkeypatch, caplog, policy):
         cfg = PipelineConfig(sources=self.sources(tmp_path), on_error=policy)
         outcomes = {}
-        for name, id_hash in {"real": hash, **COLLIDING_HASHES}.items():
+        for name, id_hash in {"real": idindex._id_hash, **COLLIDING_HASHES}.items():
             caplog.clear()
             with monkeypatch.context() as m, caplog.at_level(logging.WARNING):
                 m.setattr(idindex, "_id_hash", id_hash)

@@ -509,7 +509,12 @@ COLLIDING_HASHES = {
 
 
 class TestHashCollisions:
-    """--unordered gives the same counters and errors however ids collide."""
+    """--unordered gives the same counters and errors however ids collide.
+
+    Every run here is serial (the files are far under the split floor): a
+    split run's workers would hash with the real idindex._id_hash, not with
+    the replacement patched into this process.
+    """
 
     GOLD = [(f"r{i}", ["B-A", "O"]) for i in range(6)]
     # r0 is read back from line 2 and r1 from line 3.
@@ -528,7 +533,7 @@ class TestHashCollisions:
         monkeypatch.setattr(TypeCounters, "add_pair", add_pair)
         data = p.read_bytes()
         results = {}
-        for name, id_hash in {"real": hash, **hashes}.items():
+        for name, id_hash in {"real": idindex._id_hash, **hashes}.items():
             p.write_bytes(data)
             with monkeypatch.context() as m:
                 m.setattr(idindex, "_id_hash", id_hash)

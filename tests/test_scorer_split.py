@@ -1,9 +1,9 @@
-"""Ordered scoring split into line ranges, each range but the first in a worker.
+"""Scoring split into line ranges, each range but the first in a worker.
 
 Every test forces the split on small files (patching the CPU count, the size
 floor and, where it matters, where the gold file is cut) and compares it with
-the serial run of the same files: same counters in the same order, same
-record count, or the same exception type and message. Each call runs in a
+the serial run of the same files, ordered or --unordered: same counters in
+the same order, same record count, or the same exception type and message. Each call runs in a
 thread joined with a timeout, so a hung worker fails the test instead of
 stalling the suite, and every worker started must be reaped when the call
 returns.
@@ -11,6 +11,7 @@ returns.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import random
@@ -29,13 +30,17 @@ from conftest import bounded
 from piiprep import splitscore
 from piiprep.cli import main
 from piiprep.errors import AlignmentError, RecordError
+from piiprep.predindex import prediction_index
 from piiprep.scorer import stream_score
 
 
-def outcome(gold: Path, pred: Path):
+MODES = pytest.mark.parametrize("unordered", [False, True], ids=["ordered", "unordered"])
+
+
+def outcome(gold: Path, pred: Path, unordered: bool = False):
     """What stream_score gives: (counts in order, records, chunks), or (type, message)."""
     try:
-        r = bounded(lambda: stream_score(gold, pred, chunk_size=3))
+        r = bounded(lambda: stream_score(gold, pred, chunk_size=3, unordered=unordered))
     except (RecordError, AlignmentError, ChildProcessError) as e:
         return type(e), str(e)
     return list(r.counters.counts.items()), r.records, r.chunks
@@ -67,7 +72,7 @@ class Workers:
 
 def force_split(mp: pytest.MonkeyPatch, cut: int | None = None, cpus: int = 2,
                 kill: bool = False) -> Workers:
-    """Split any ordered run into cpus ranges, the first cut at byte cut if given."""
+    """Split any run into cpus ranges, the first cut at byte cut if given."""
     mp.setattr(splitscore, "_cpus", lambda: cpus)
     mp.setattr(splitscore, "SPLIT_MIN_BYTES", 0)
     if cut is not None:
@@ -77,14 +82,15 @@ def force_split(mp: pytest.MonkeyPatch, cut: int | None = None, cpus: int = 2,
     return workers
 
 
-def serial_and_split(gold: Path, pred: Path, cut: int | None = None, cpus: int = 2):
+def serial_and_split(gold: Path, pred: Path, cut: int | None = None, cpus: int = 2,
+                     unordered: bool = False):
     """(serial outcome, split outcome, workers started by the split run)."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(splitscore, "_cpus", lambda: 1)
-        serial = outcome(gold, pred)
+        serial = outcome(gold, pred, unordered)
     with pytest.MonkeyPatch.context() as mp:
         workers = force_split(mp, cut, cpus)
-        split = outcome(gold, pred)
+        split = outcome(gold, pred, unordered)
     workers.assert_reaped()
     return serial, split, workers.started
 
@@ -95,17 +101,25 @@ def line(rid, labels) -> bytes:
 
 _LABELS = st.sampled_from(["O", "B-A", "I-A", "B-B", "I-B"])
 _FAULTS = ["truncated", "dropped-field", "non-string-label", "bad-utf8", "blank-line",
-           "id-swap", "length-mismatch", "extra-lines", "crlf", "no-final-newline"]
+           "id-swap", "length-mismatch", "extra-lines", "crlf", "no-final-newline",
+           "repeated-gold-id", "swap-across-cut", "missing-prediction", "extra-prediction"]
 
 
 @st.composite
 def faulty_pairs(draw):
-    """A small gold/prediction pair of files with one fault, and a gold cut."""
+    """A small gold/prediction pair of files with one fault, a gold cut and a mode.
+
+    Unordered, the predictions are shuffled before the fault is made.
+    """
     n = draw(st.integers(2, 8))
     labels = [draw(st.lists(_LABELS, min_size=1, max_size=4)) for _ in range(n)]
     gold = [line(f"r{i}", lab) for i, lab in enumerate(labels)]
     pred = [line(f"r{i}", draw(st.lists(_LABELS, min_size=len(lab), max_size=len(lab))))
             for i, lab in enumerate(labels)]
+    unordered = draw(st.booleans())
+    if unordered:
+        pred = draw(st.permutations(pred))
+    cut_line = draw(st.integers(1, n - 1))
     fault = draw(st.sampled_from(_FAULTS))
     lines = draw(st.sampled_from([gold, pred]))
     i = draw(st.integers(0, n - 1))
@@ -134,24 +148,35 @@ def faulty_pairs(draw):
         lines.extend(line(f"x{j}", ["O"]) for j in range(draw(st.integers(1, 3))))
     elif fault == "crlf":
         lines[:] = [ln[:-1] + b"\r\n" for ln in lines]
-    else:
+    elif fault == "no-final-newline":
         lines[-1] = lines[-1][:-1]
-    cut_line = draw(st.integers(1, len(gold) - 1))
-    return b"".join(gold), b"".join(pred), len(b"".join(gold[:cut_line])), cut_line
+    elif fault == "repeated-gold-id":  # in the same range as the first one, or a later one
+        j = draw(st.integers(1, n - 1))
+        gold[j] = line(f"r{draw(st.integers(0, j - 1))}", json.loads(gold[j])["labels"])
+    elif fault == "swap-across-cut":
+        a, b = draw(st.integers(0, cut_line - 1)), draw(st.integers(cut_line, n - 1))
+        gold[a], gold[b] = gold[b], gold[a]
+    elif fault == "missing-prediction":
+        del pred[i]
+    else:
+        pred.insert(draw(st.integers(0, n)), line(f"x{i}", ["O"]))
+    return b"".join(gold), b"".join(pred), len(b"".join(gold[:cut_line])), cut_line, unordered
 
 
-@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+# About 150 examples of each mode.
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(faulty_pairs())
 def test_split_run_matches_serial_run(case):
-    gold_bytes, pred_bytes, cut, cut_line = case
+    gold_bytes, pred_bytes, cut, cut_line, unordered = case
     with tempfile.TemporaryDirectory() as d:
         g, p = Path(d) / "g.jsonl", Path(d) / "p.jsonl"
         g.write_bytes(gold_bytes)
         p.write_bytes(pred_bytes)
-        serial, split, started = serial_and_split(g, p, cut)
+        serial, split, started = serial_and_split(g, p, cut, unordered=unordered)
     assert split == serial
-    # A prediction file too short to hold the cut is scored in one process.
-    assert len(started) == (pred_bytes.count(b"\n") >= cut_line)
+    # An ordered prediction file too short to hold the cut is scored in one
+    # process; unordered scoring cuts only the gold file.
+    assert len(started) == (unordered or pred_bytes.count(b"\n") >= cut_line)
 
 
 def corpus(n: int, seed: int = 7) -> list[tuple[str, list[str]]]:
@@ -162,13 +187,16 @@ def corpus(n: int, seed: int = 7) -> list[tuple[str, list[str]]]:
                            for _ in range(rng.randint(1, 9))]) for i in range(n)]
 
 
-def write_pair(d: Path, rows, pred_newline=b"\n") -> tuple[Path, Path]:
+def write_pair(d: Path, rows, pred_newline=b"\n", shuffled=False) -> tuple[Path, Path]:
+    """Gold and prediction files of rows, the predictions shuffled if asked."""
     rng = random.Random(1)
     g, p = d / "g.jsonl", d / "p.jsonl"
     g.write_bytes(b"".join(line(rid, labels) for rid, labels in rows))
-    p.write_bytes(b"".join(
-        line(rid, [lab if rng.random() < 0.8 else "O" for lab in labels])[:-1] + pred_newline
-        for rid, labels in rows))
+    pred = [line(rid, [lab if rng.random() < 0.8 else "O" for lab in labels])[:-1] + pred_newline
+            for rid, labels in rows]
+    if shuffled:
+        rng.shuffle(pred)
+    p.write_bytes(b"".join(pred))
     return g, p
 
 
@@ -211,74 +239,82 @@ def test_small_or_unsplittable_inputs_stay_in_one_process(tmp_path):
         short = tmp_path / "short.jsonl"
         short.write_bytes(p.read_bytes()[:100])
         assert len(splitscore._ranges(g, short)) == 1
+        assert len(splitscore._ranges(g, short, cut_pred=False)) == 2  # only gold is cut
 
 
 def test_worker_that_cannot_start_leaves_the_run_serial(tmp_path, monkeypatch):
     g, p = write_pair(tmp_path, corpus(100))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(splitscore, "_cpus", lambda: 1)
-        serial = outcome(g, p)
+        serial = outcome(g, p), outcome(g, p, unordered=True)
     force_split(monkeypatch, cut=g.read_bytes().index(b"\n") + 1)
 
     def refuse(*args, **kwargs):
         raise OSError("cannot start")
 
     monkeypatch.setattr(subprocess, "Popen", refuse)
-    assert outcome(g, p) == serial
+    assert (outcome(g, p), outcome(g, p, unordered=True)) == serial
 
 
-@pytest.mark.parametrize("bad_line, message", [
-    (1, "g.jsonl:1: malformed JSON: Expecting value"),
-    (60, "g.jsonl:60: malformed JSON: Expecting value"),
-], ids=["parent-range", "worker-range"])
-def test_no_worker_left_after_an_error(tmp_path, monkeypatch, bad_line, message):
+# The ids keep the names the ordered cases had before unordered ones joined.
+@pytest.mark.parametrize("unordered, bad_line, message", [
+    (False, 1, "g.jsonl:1: malformed JSON: Expecting value"),
+    (False, 60, "g.jsonl:60: malformed JSON: Expecting value"),
+    (True, 1, "g.jsonl:1: malformed JSON: Expecting value"),
+    (True, 60, "g.jsonl:60: malformed JSON: Expecting value"),
+], ids=["parent-range", "worker-range", "unordered-parent-range", "unordered-worker-range"])
+def test_no_worker_left_after_an_error(tmp_path, monkeypatch, unordered, bad_line, message):
     rows = corpus(100)
-    g, p = write_pair(tmp_path, rows)
+    g, p = write_pair(tmp_path, rows, shuffled=unordered)
     lines = g.read_bytes().splitlines(keepends=True)
     lines[bad_line - 1] = b"oops\n"
     g.write_bytes(b"".join(lines))
     workers = force_split(monkeypatch, cut=len(b"".join(lines[:40])))
     with pytest.raises(RecordError) as info:
-        bounded(lambda: stream_score(g, p))
+        bounded(lambda: stream_score(g, p, unordered=unordered))
     assert str(info.value) == message
     assert len(workers.started) == 1
     workers.assert_reaped()
 
 
-def test_no_worker_left_after_an_error_with_a_worker_still_scoring(tmp_path, monkeypatch):
+@MODES
+def test_no_worker_left_after_an_error_with_a_worker_still_scoring(tmp_path, monkeypatch,
+                                                                   unordered):
     # The parent's range fails at once, while the worker has a long range to go.
     rows = corpus(20_000)
-    g, p = write_pair(tmp_path, rows)
+    g, p = write_pair(tmp_path, rows, shuffled=unordered)
     gold = g.read_bytes()
     g.write_bytes(b"{oops" + gold[gold.index(b"\n"):])
     workers = force_split(monkeypatch, cut=len(b"".join(gold.splitlines(True)[:10])))
     with pytest.raises(RecordError, match=r"^g\.jsonl:1: malformed JSON"):
-        bounded(lambda: stream_score(g, p))
+        bounded(lambda: stream_score(g, p, unordered=unordered))
     workers.assert_reaped()
     assert workers.started[0].returncode == -signal.SIGKILL
 
 
-def test_killed_worker_fails_naming_its_exit_status(tmp_path, monkeypatch):
-    g, p = write_pair(tmp_path, corpus(100))
+@MODES
+def test_killed_worker_fails_naming_its_exit_status(tmp_path, monkeypatch, unordered):
+    g, p = write_pair(tmp_path, corpus(100), shuffled=unordered)
     gold = g.read_bytes()
     workers = force_split(monkeypatch, cut=len(b"".join(gold.splitlines(True)[:40])), kill=True)
     with pytest.raises(ChildProcessError) as info:
-        bounded(lambda: stream_score(g, p))
+        bounded(lambda: stream_score(g, p, unordered=unordered))
     assert str(info.value) == (
         "g.jsonl: scoring worker for lines from 41 exited with status -9 (killed by signal 9)"
     )
     workers.assert_reaped()
 
 
-def test_cli_report_and_csv_bytes_match_the_serial_run(tmp_path, monkeypatch):
-    g, p = write_pair(tmp_path, corpus(200))
+@MODES
+def test_cli_report_and_csv_bytes_match_the_serial_run(tmp_path, monkeypatch, unordered):
+    g, p = write_pair(tmp_path, corpus(200), shuffled=unordered)
     runner = CliRunner()
 
     def run(tag: str) -> tuple[bytes, bytes]:
         out, csv = tmp_path / f"{tag}.json", tmp_path / f"{tag}.csv"
         result = bounded(lambda: runner.invoke(main, [
             "score", "--gold", str(g), "--pred", str(p), "--out", str(out), "--csv", str(csv),
-            "--system", "sys", "--chunk-size", "7"]))
+            "--system", "sys", "--chunk-size", "7", *["--unordered"] * unordered]))
         assert result.exit_code == 0, result.output
         return out.read_bytes(), csv.read_bytes()
 
@@ -292,19 +328,14 @@ def test_cli_report_and_csv_bytes_match_the_serial_run(tmp_path, monkeypatch):
     assert json.loads(serial[0])["records"] == 200
 
 
-def test_tail_range_stays_under_the_criterion_12_ceiling(tmp_path, monkeypatch):
-    """The range a worker scores holds acceptance criterion 12's bound on its own.
-
-    Same 1,000,000-record input and ceiling (10x the traced heap of one parsed
-    5,000-line chunk) as criterion 12, which measures the calling process's
-    range; here the tail range is run in this process under tracemalloc,
-    through the worker's own entry point.
-    """
+@pytest.fixture(scope="module")
+def million_pairs(tmp_path_factory) -> tuple[Path, Path]:
+    """Criterion 12's 1,000,000-record gold and prediction files."""
     n = 1_000_000
-    chunk_size = 5000
     types = ["NAME", "IBAN", "URL"]
-    gold_path = tmp_path / "gold.jsonl"
-    pred_path = tmp_path / "pred.jsonl"
+    d = tmp_path_factory.mktemp("million")
+    gold_path = d / "gold.jsonl"
+    pred_path = d / "pred.jsonl"
     with gold_path.open("w", encoding="utf-8") as gf, pred_path.open(
         "w", encoding="utf-8"
     ) as pf:
@@ -313,6 +344,23 @@ def test_tail_range_stays_under_the_criterion_12_ceiling(tmp_path, monkeypatch):
             gf.write(f'{{"id":"r{i}","labels":["B-{t}","O"]}}\n')
             p = t if i % 5 else types[(i + 1) % 3]
             pf.write(f'{{"id":"r{i}","labels":["B-{p}","O"]}}\n')
+    return gold_path, pred_path
+
+
+@MODES
+def test_tail_range_stays_under_the_criterion_12_ceiling(million_pairs, monkeypatch, unordered):
+    """The range a worker scores holds acceptance criterion 12's bound on its own.
+
+    Same 1,000,000-record input and ceiling (10x the traced heap of one parsed
+    5,000-line chunk) as criterion 12, which measures the calling process's
+    range; here the tail range is run in this process under tracemalloc,
+    through the worker's own entry point. An unordered worker also holds the
+    prediction index it reads from its stdin, documented as at most 20 bytes
+    a prediction.
+    """
+    n = 1_000_000
+    chunk_size = 5000
+    gold_path, pred_path = million_pairs
 
     tracemalloc.start()
     with gold_path.open("r", encoding="utf-8") as f:
@@ -323,15 +371,36 @@ def test_tail_range_stays_under_the_criterion_12_ceiling(tmp_path, monkeypatch):
     chunk_bytes = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     del chunk
-    ceiling = 10 * chunk_bytes
+    ceiling = 10 * chunk_bytes + (20 * n if unordered else 0)
 
     monkeypatch.setattr(splitscore, "_cpus", lambda: 2)
-    ranges = splitscore._ranges(gold_path, pred_path)
+    ranges = splitscore._ranges(gold_path, pred_path, cut_pred=not unordered)
     assert len(ranges) == 2
+    stdin = io.BytesIO()
+    if unordered:  # what the calling process writes to the worker
+        index = prediction_index(pred_path)
+        for _ in index:
+            pass
+        index.write_to(stdin)
+        stdin.seek(0)
+        del index
     tracemalloc.start()
-    result = splitscore._worker(splitscore._worker_args(gold_path, pred_path, ranges[1], None))
+    result = splitscore._worker(
+        splitscore._worker_args(gold_path, pred_path, ranges[1], None, unordered), stdin)
     tail_peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert result["records"] == n - (ranges[1][2] - 1)
     assert 0.4 * n < result["records"] < 0.6 * n
+    assert result["used"].count(1) == (result["records"] if unordered else 0)
     assert tail_peak < ceiling, f"tail range peak {tail_peak} bytes, ceiling {ceiling}"
+
+
+def test_lone_surrogate_id_is_matched_in_every_process(tmp_path):
+    # JSON can spell an id that UTF-8 cannot encode; the id hash that the
+    # calling process and the worker share must take it.
+    g, p = tmp_path / "g.jsonl", tmp_path / "p.jsonl"
+    g.write_bytes(line("r0", ["O"]) + line("\ud800", ["B-A"]))
+    p.write_bytes(line("\ud800", ["B-A"]) + line("r0", ["O"]))
+    serial, split, started = serial_and_split(g, p, len(line("r0", ["O"])), unordered=True)
+    assert serial == split == ([("A", [1, 1, 1])], 2, 1)
+    assert len(started) == 1
