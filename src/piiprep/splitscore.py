@@ -145,11 +145,16 @@ def _ranges(gold_path: Path, pred_path: Path, cut_pred: bool = True) -> list[tup
     return ranges + [(gc, pc, k + 1) for gc, pc, k in zip(cuts, pred_cuts, counts)]
 
 
-def _worker_args(gold_path: Path, pred_path: Path, start: tuple, end: tuple | None,
+def _line_counts(ranges: list) -> list[int | None]:
+    """The number of gold lines in each range, None for the last (to the end)."""
+    return [b[2] - a[2] for a, b in zip(ranges, ranges[1:])] + [None]
+
+
+def _worker_args(gold_path: Path, pred_path: Path, start: tuple, lines: int | None,
                  unordered: bool = False) -> list[str]:
-    lines = "-" if end is None else str(end[2] - start[2])
+    """The command line of a worker that scores lines gold lines from start (None: to the end)."""
     return ["unordered" if unordered else "ordered", os.fspath(gold_path),
-            os.fspath(pred_path), *map(str, start), lines]
+            os.fspath(pred_path), *map(str, start), "-" if lines is None else str(lines)]
 
 
 def _worker(argv: list[str], stdin=None) -> dict:
@@ -182,11 +187,14 @@ def _worker(argv: list[str], stdin=None) -> dict:
 
 
 def _worker_result(proc, first_line: int, gname: str) -> dict:
-    """A finished worker's result, "used" its rows; ChildProcessError if it has none."""
+    """A finished worker's result; ChildProcessError if it has none.
+
+    "used" holds the rows it used, a byte each, as one int (ordered: 0).
+    """
     out, err = proc.communicate()
-    head, _, used = out.partition(b"\n")
+    end = out.find(b"\n")
     try:
-        result = json.loads(head) if proc.returncode == 0 else None
+        result = json.loads(out[:end]) if proc.returncode == 0 and end >= 0 else None
     except ValueError:
         result = None
     if result is None:
@@ -196,7 +204,7 @@ def _worker_result(proc, first_line: int, gname: str) -> dict:
         detail = err.decode("utf-8", "replace").strip().splitlines()[-1:]
         raise ChildProcessError(f"{gname}: scoring worker for lines from {first_line} {how}"
                                 + "".join(f": {d}" for d in detail))
-    result["used"] = used
+    result["used"] = int.from_bytes(memoryview(out)[end + 1:], "little")
     return result
 
 
@@ -247,10 +255,10 @@ def _started(gold_path: Path, pred_path: Path, ranges: list, unordered: bool) ->
     workers = []
     try:
         try:
-            for start, end in zip(ranges[1:], ranges[2:] + [None]):
+            for start, lines in zip(ranges[1:], _line_counts(ranges)[1:]):
                 workers.append(subprocess.Popen(
                     [sys.executable, "-S", "-m", "piiprep.splitscore",
-                     *_worker_args(cwd / gold_path, cwd / pred_path, start, end, unordered)],
+                     *_worker_args(cwd / gold_path, cwd / pred_path, start, lines, unordered)],
                     cwd=root, env=env,
                     stdin=subprocess.PIPE if unordered else subprocess.DEVNULL,
                     stdout=subprocess.PIPE, stderr=subprocess.PIPE))
@@ -263,11 +271,6 @@ def _started(gold_path: Path, pred_path: Path, ranges: list, unordered: bool) ->
             if proc.returncode is None:
                 proc.kill()
                 proc.communicate()
-
-
-def _line_counts(ranges: list) -> list[int | None]:
-    """The number of gold lines in each range, None for the last (to the end)."""
-    return [b[2] - a[2] for a, b in zip(ranges, ranges[1:])] + [None]
 
 
 def score_ordered(gold_path: Path, pred_path: Path) -> tuple[TypeCounters, int]:
@@ -319,21 +322,20 @@ def score_unordered(gold_path: Path, pred_path: Path) -> tuple[TypeCounters, int
         with index.open() as f:
             counters, records = _score_pairs(
                 gold_pairs(index, f, gold_path, used, lines=lines[0]), gname, pname)
-            seen = int.from_bytes(used, "little")  # the rows used so far, a byte each
+            used = int.from_bytes(used, "little")  # as each worker's "used"
             for proc, start, count in zip(workers, ranges[1:], lines[1:]):
                 result = _worker_result(proc, start[2], gname)
-                rows = int.from_bytes(result["used"], "little")
-                if rows & seen:
+                if result["used"] & used:
                     # The range used a row that an earlier one used, at or
                     # before its own error, so the repeated gold id comes
                     # first: the gold loop, run again with the earlier rows
                     # flagged, fails at the range's first line that repeats one.
-                    for _ in gold_pairs(index, f, gold_path, bytearray(seen.to_bytes(n, "little")),
+                    for _ in gold_pairs(index, f, gold_path, bytearray(used.to_bytes(n, "little")),
                                         start[0], start[2], count):
                         pass
                 records += _add(counters, result)
-                seen |= rows
-            check_all_used(index, f, seen.to_bytes(n, "little"))
+                used |= result["used"]
+            check_all_used(index, f, used.to_bytes(n, "little"))
     return counters, records
 
 

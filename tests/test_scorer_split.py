@@ -3,10 +3,10 @@
 Every test forces the split on small files (patching the CPU count, the size
 floor and, where it matters, where the gold file is cut) and compares it with
 the serial run of the same files, ordered or --unordered: same counters in
-the same order, same record count, or the same exception type and message. Each call runs in a
-thread joined with a timeout, so a hung worker fails the test instead of
-stalling the suite, and every worker started must be reaped when the call
-returns.
+the same order, same record count, or the same exception type and message.
+Each call runs in a thread joined with a timeout, so a hung worker fails the
+test instead of stalling the suite, and every worker started must be reaped
+when the call returns.
 """
 
 from __future__ import annotations
