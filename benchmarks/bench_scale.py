@@ -32,6 +32,11 @@ benchmark fails. Each run reports:
   the sum of each one's VmHWM, read from /proc/<pid>/status every 10 ms
   while it runs (VmHWM only grows, so the last reading is its peak up to
   10 ms before it exits); total_peak_mb is peak_rss_mb plus workers_peak_mb;
+- workers_pss_mb: the sum of each worker's highest Pss, read from
+  /proc/<pid>/smaps_rollup with VmHWM. Pss counts a page that k processes
+  map as 1/k page in each, so pages the workers share (unordered scoring's
+  mapped prediction index) count once in the sum, where VmHWM counts them
+  in every worker; total_pss_mb is peak_rss_mb plus workers_pss_mb;
 - children_maxrss_mb: RUSAGE_CHILDREN's ru_maxrss, for comparison only. It
   overstates a worker's peak: Linux carries the high-water mark of the
   memory the worker shared with the command's process up to exec into it;
@@ -77,7 +82,8 @@ HERE = Path(__file__).resolve().parent
 REPO = HERE.parent
 SEED = 1
 SAMPLE_S = 0.01
-KEYS = ("wall_s", "peak_rss_mb", "workers_peak_mb", "total_peak_mb", "children_maxrss_mb")
+KEYS = ("wall_s", "peak_rss_mb", "workers_peak_mb", "total_peak_mb", "workers_pss_mb",
+        "total_pss_mb", "children_maxrss_mb")
 EXTENSIONS = tuple(importlib.machinery.EXTENSION_SUFFIXES)
 
 
@@ -236,26 +242,30 @@ COMMANDS = {  # name: (inputs, timed call)
 }
 
 
-def vm_hwm_kb(pid: int | str) -> int | None:
+def proc_kb(pid: int | str, field: str = "VmHWM", file: str = "status") -> int | None:
+    """The field (in KiB) of /proc/<pid>/<file>, None if it cannot be read."""
     try:
-        with open(f"/proc/{pid}/status", encoding="ascii") as f:
-            return next((int(line.split()[1]) for line in f if line.startswith("VmHWM:")), None)
+        with open(f"/proc/{pid}/{file}", encoding="ascii") as f:
+            return next((int(line.split()[1]) for line in f if line.startswith(field + ":")),
+                        None)
     except OSError:
         return None
 
 
 class WorkerPeaks:
-    """Every process started through subprocess.Popen, with its last VmHWM reading."""
+    """Every process started through subprocess.Popen, with its last VmHWM
+    reading and its highest Pss reading."""
 
     def __init__(self) -> None:
         self.peaks: dict[int, int] = {}
+        self.pss: dict[int, int] = {}
         self.stop = threading.Event()
-        peaks = self.peaks
+        peaks, pss = self.peaks, self.pss
 
         class Watched(subprocess.Popen):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
-                peaks[self.pid] = 0
+                peaks[self.pid] = pss[self.pid] = 0
 
         subprocess.Popen = Watched
         self.thread = threading.Thread(target=self.sample, daemon=True)
@@ -264,15 +274,18 @@ class WorkerPeaks:
     def sample(self) -> None:
         while not self.stop.wait(SAMPLE_S):
             for pid in list(self.peaks):
-                kb = vm_hwm_kb(pid)
+                kb = proc_kb(pid)
                 if kb is not None:
                     self.peaks[pid] = max(self.peaks[pid], kb)
+                kb = proc_kb(pid, "Pss", "smaps_rollup")
+                if kb is not None:
+                    self.pss[pid] = max(self.pss[pid], kb)
 
-    def close(self) -> tuple[int, int]:
-        """(workers started, sum of their peaks in KiB)."""
+    def close(self) -> tuple[int, int, int]:
+        """(workers started, sum of their VmHWM peaks, sum of their Pss peaks), in KiB."""
         self.stop.set()
         self.thread.join()
-        return len(self.peaks), sum(self.peaks.values())
+        return len(self.peaks), sum(self.peaks.values()), sum(self.pss.values())
 
 
 def child(src: str, command: str, inputs: str, out: str) -> int:
@@ -289,8 +302,8 @@ def child(src: str, command: str, inputs: str, out: str) -> int:
     t0 = time.perf_counter()
     texts = call()
     wall_s = time.perf_counter() - t0
-    n_workers, workers_kb = workers.close()
-    peak_kb = vm_hwm_kb("self")
+    n_workers, workers_kb, workers_pss_kb = workers.close()
+    peak_kb = proc_kb("self")
     outputs = {p.name: sha256_of(p) for p in sorted(out.iterdir())}
     outputs.update((name, hashlib.sha256(text.encode("utf-8")).hexdigest())
                    for name, text in texts.items())
@@ -300,6 +313,8 @@ def child(src: str, command: str, inputs: str, out: str) -> int:
         "workers": n_workers,
         "workers_peak_mb": workers_kb / 1024,
         "total_peak_mb": (peak_kb + workers_kb) / 1024,
+        "workers_pss_mb": workers_pss_kb / 1024,
+        "total_pss_mb": (peak_kb + workers_pss_kb) / 1024,
         "children_maxrss_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024,
         "kernel": extract_span_tuples.__module__,
         "outputs": outputs,
@@ -396,6 +411,8 @@ def main() -> int:
         "host": host_facts(),
         "memory": "peak_rss_mb is the command's process's VmHWM; workers_peak_mb sums each "
                   "worker's VmHWM, sampled from /proc every 10 ms while it runs; "
+                  "workers_pss_mb sums each worker's highest Pss, sampled alike, which counts "
+                  "pages the workers share once; "
                   "children_maxrss_mb is RUSAGE_CHILDREN, which overstates a worker's peak "
                   "by the memory it shared with the command's process up to exec",
         "checkouts": {label: checkout_facts(path) for label, path in checkouts.items()},
@@ -417,7 +434,8 @@ def main() -> int:
                     runs.append(res)
                     print(f"{n} {command}, round {r}, {label}: {res['wall_s']:.2f} s, "
                           f"{res['peak_rss_mb']:.1f} MB + {res['workers']} workers "
-                          f"{res['workers_peak_mb']:.1f} MB", flush=True)
+                          f"{res['workers_peak_mb']:.1f} MB (Pss {res['workers_pss_mb']:.1f})",
+                          flush=True)
             outputs = {json.dumps(run.pop("outputs"), sort_keys=True) for run in runs}
             if len(outputs) != 1:
                 print(f"{command} runs at {n} gave different outputs", file=sys.stderr)

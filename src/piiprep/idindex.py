@@ -11,11 +11,16 @@ LineIndex, the reader behind validate, sample, read_records and score
 The hash is the CRC-32 of the id's UTF-8 bytes, not the built-in hash, which
 is salted per process: a worker process of split unordered scoring must find
 a gold id among keys that the calling process built (LineIndex.write_to and
-LineIndex.load).
+LineIndex.map). CRC-32 is not keyed, so ids can be built that all share one
+hash; their keys then make one run. duplicates reads each key of a run back
+once, but the gold loop of score --unordered reads back a run's unused rows
+for each gold id in it: k such ids cost it up to k * k / 2 line reads, so
+files built that way make unordered scoring quadratic.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
 import stat
 import zlib
@@ -152,17 +157,17 @@ class LineIndex:
             raise RecordError(f"{self._name}:{row + 1}: {self._duplicate} {rid!r}")
 
     def write_to(self, f) -> None:
-        """Write the keys and offsets of a finished pass to binary file f, for load."""
-        f.write(array("Q", [len(self.keys)]))
+        """Write the keys and offsets of a finished pass to binary file f, for map."""
         f.write(self.keys)
         f.write(self._offsets)
         f.flush()
 
-    def load(self, f) -> None:
-        """Take the keys and offsets that write_to wrote from binary file f, in place of a pass."""
-        n = _read_array(f, 1)[0]
-        self.keys = _read_array(f, n)
-        self._offsets = _read_array(f, n + 1)
+    def map(self, fd: int, n: int) -> None:
+        """Take the n keys and offsets that write_to wrote to file descriptor fd,
+        in place of a pass, from a read-only mapping: the processes that map
+        one file share its pages."""
+        words = memoryview(mmap.mmap(fd, 16 * n + 8, access=mmap.ACCESS_READ)).cast("Q")
+        self.keys, self._offsets = words[:n], words[n:]
 
     def open(self):
         """The file for read, unbuffered: a row is read back in one seek and one read."""
@@ -182,11 +187,3 @@ class LineIndex:
             raise RecordError(f"{self._name}:{row + 1}: {self._changed}")
         return parsed
 
-
-def _read_array(f, n: int) -> array:
-    """n 8-byte integers read from binary file f into an array, with no copy in between."""
-    values = array("Q", [0]) * n
-    with memoryview(values) as view, view.cast("B") as raw:
-        if f.readinto(raw) != len(raw):
-            raise EOFError(f"expected {n} index entries")
-    return values

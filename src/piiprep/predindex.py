@@ -3,11 +3,12 @@
 Predictions are indexed by piiprep.idindex.LineIndex, as validate indexes an
 artifact, and each line is read back from the file when its gold record
 arrives: about 17.5 bytes per prediction, not its labels. splitscore's
-score_unordered builds the index once, in the calling process, and gives
-each worker a copy of its keys and offsets (16 bytes a prediction); each
-process runs gold_pairs over its own range of gold lines, and the calling
-process then checks that every prediction was used. Only unordered scoring
-imports this module.
+score_unordered builds the index once, in the calling process, and writes
+its keys and offsets (16 bytes a prediction) to one unlinked temporary file
+that every worker maps, so the workers share one copy. Each process runs
+gold_pairs over its own range of gold lines, flagging the rows it used in a
+bitmap (a bit a prediction), and the calling process then checks that every
+prediction was used. Only unordered scoring imports this module.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from piiprep.idindex import _HIGH, _ROW, LineIndex, key_of
 from piiprep.jsonl import iter_lines
 from piiprep.scorer import _Pairs, _parse_scored_line
 
-__all__ = ["check_all_used", "gold_pairs", "prediction_index"]
+__all__ = ["check_all_used", "gold_pairs", "no_rows_used", "prediction_index"]
 
 
 def prediction_index(pred_path: Path) -> LineIndex:
@@ -34,15 +35,20 @@ def prediction_index(pred_path: Path) -> LineIndex:
                      changed="prediction file changed while scoring")
 
 
+def no_rows_used(index: LineIndex) -> bytearray:
+    """A bitmap of index's rows with none flagged: row r is bit r % 8 of byte r // 8."""
+    return bytearray((len(index.keys) + 7) // 8)
+
+
 def gold_pairs(index: LineIndex, f, gold_path: Path, used: bytearray, start: int = 0,
                first_line: int = 1, lines: int | None = None) -> _Pairs:
     """The pairs of gold lines from byte offset start, line first_line, matched by id.
 
     f is the prediction file as index.open() opens it. Reading stops after
-    lines gold lines (None: at the end of the file). used flags the rows
-    already scored, and each row scored here is flagged. The index's keys
-    are sorted, so the rows whose ids share a hash's high bits are one run,
-    in row order.
+    lines gold lines (None: at the end of the file). used is a bitmap, as
+    no_rows_used makes it, of the rows already scored, and each row scored
+    here is flagged in it. The index's keys are sorted, so the rows whose ids
+    share a hash's high bits are one run, in row order.
     """
     gname = gold_path.name
     keys = index.keys
@@ -64,10 +70,11 @@ def gold_pairs(index: LineIndex, f, gold_path: Path, used: bytearray, start: int
             for key in run:
                 if key & _HIGH != bits:
                     break
-                if not used[key & _ROW]:
+                r = key & _ROW
+                if not used[r >> 3] >> (r & 7) & 1:
                     pid, pred_labels = index.read(f, key)
                     if pid == rid:
-                        row = key & _ROW
+                        row = r
                         break
             if row < 0:
                 # Only a failure reads the run's used rows back: one with rid
@@ -75,16 +82,21 @@ def gold_pairs(index: LineIndex, f, gold_path: Path, used: bytearray, start: int
                 for key in run:
                     if key & _HIGH != bits:
                         break
-                    if used[key & _ROW] and index.read(f, key)[0] == rid:
+                    r = key & _ROW
+                    if used[r >> 3] >> (r & 7) & 1 and index.read(f, key)[0] == rid:
                         raise RecordError(f"{gname}:{lineno}: duplicate gold id {rid!r}")
                 raise AlignmentError(f"no prediction for gold record {rid!r}")
-            used[row] = 1
+            used[row >> 3] |= 1 << (row & 7)
             yield lineno, rid, gold_labels, pred_labels, row + 1
 
 
-def check_all_used(index: LineIndex, f, used: bytes | bytearray) -> None:
-    """Fail naming the first prediction, in file order, that no gold record used."""
-    row = used.find(0)
-    if row >= 0:
+def check_all_used(index: LineIndex, f, used: int) -> None:
+    """Fail naming the first prediction, in file order, that no gold record used.
+
+    used is the bitmap of the rows used as one int: row r is bit r.
+    """
+    unused = ~used & ((1 << len(index.keys)) - 1)
+    if unused:
+        row = (unused & -unused).bit_length() - 1
         rid, _ = index.read(f, next(key for key in index.keys if key & _ROW == row))
         raise AlignmentError(f"prediction id {rid!r} has no gold record")

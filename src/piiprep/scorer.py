@@ -10,9 +10,10 @@ about 17.5 bytes per record.
 On a host with more than one usable CPU, splitscore cuts a large regular gold
 file into line ranges, one per CPU, and scores every range but the first in
 a worker process while the calling process scores the first. Ordered, each
-process holds the same bounded state as one serial run; unordered, each
-also holds the whole prediction index, which the calling process builds and
-sends to the workers.
+process holds the same bounded state as one serial run. Unordered, the
+calling process builds the prediction index and writes its keys and offsets
+to one temporary file that every worker maps, so the workers share one copy
+of it and each adds a bit a prediction for the rows it used.
 """
 
 from __future__ import annotations
@@ -307,12 +308,13 @@ def stream_score(
     prediction, 20 at the peak. In either mode a large regular gold file is
     scored in line ranges, one per usable CPU, each range but the first in a
     worker process, which holds the same state as one serial run (unordered,
-    a copy of the index too); the counters, the record count and the first
-    error are the serial run's, and no worker outlives the call. A worker
-    that dies without a result raises ChildProcessError naming its exit
-    status. In both modes a blank line in either file is an error, as in
-    read_records. chunk_size only sets the reported chunk count,
-    ceil(records / chunk_size).
+    a bit a prediction too, and a mapping of the index that the workers
+    share, 16 bytes a prediction in all); the counters, the record count
+    and the first error are the serial run's, and no worker outlives the
+    call. A worker that dies without a result raises ChildProcessError
+    naming its exit status. In both modes a blank line in either file is an
+    error, as in read_records. chunk_size only sets the reported chunk
+    count, ceil(records / chunk_size).
     """
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")

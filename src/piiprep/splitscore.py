@@ -16,19 +16,25 @@ find their record counts differ.
 
 Unordered scoring (score_unordered) starts its workers, then makes the
 checking pass over the predictions (predindex's idindex.LineIndex), so its
-errors come first as in one process, and writes the index's keys and
-offsets, 16 bytes a prediction, to each worker's stdin. Each process matches
-its gold lines against the whole index (predindex.gold_pairs), and a worker
-prints the rows it used after its JSON, a byte each. A row that two ranges
-used is a repeated gold id: the calling process runs the later range's gold
-loop again with the earlier ranges' rows flagged, which fails at its first
-line that repeats an earlier id, as one pass fails. Rows no range used are
-predictions with no gold record, reported last. Each process holds the
-index, about 17.5 bytes a prediction, and the state of one pair.
+errors come first as in one process. It writes the index's keys and
+offsets, 16 bytes a prediction, to an unlinked temporary file whose
+descriptor each worker inherited, then sends each worker the index's length
+on its stdin; the workers map the file read-only, so they share one copy of
+its pages. Each process matches its gold lines against the whole index
+(predindex.gold_pairs), and a worker prints the rows it used after its
+JSON, a bit each. A row that two ranges used is a repeated gold id: the
+calling process runs the later range's gold loop again with the earlier
+ranges' rows flagged, which fails at its first line that repeats an earlier
+id, as one pass fails. Rows no range used are predictions with no gold
+record, reported last. The calling process holds the index, about 17.5
+bytes a prediction; each worker holds a bit a prediction and the state of
+one pair; the mapped file, 16 bytes a prediction, is held once for all.
 
 Pipes, gold files under SPLIT_MIN_BYTES, one-CPU hosts, an ordered
-prediction file too short to hold a cut and a worker that cannot be started
-all leave the run in one process. stream_score imports this module.
+prediction file too short to hold a cut, unordered scoring where no file
+descriptor can be passed to a worker (not POSIX) and a worker that cannot
+be started all leave the run in one process. stream_score imports this
+module.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ import stat
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator
+from typing import BinaryIO, Iterator
 
 from piiprep import errors
 from piiprep.scorer import TypeCounters, _ordered_pairs, _score_pairs
@@ -121,11 +127,12 @@ def _ranges(gold_path: Path, pred_path: Path, cut_pred: bool = True) -> list[tup
     One range, the whole files, on one CPU, for a gold file under
     SPLIT_MIN_BYTES, for an input that is not a regular file (a pipe can be
     read only once) and for a prediction file too short to hold a cut.
-    Without cut_pred (unordered scoring) every prediction offset is 0.
+    Without cut_pred (unordered scoring) every prediction offset is 0, and
+    off POSIX, where a worker cannot inherit the index file, there is one range.
     """
     ranges = [(0, 0, 1)]
     n = _cpus()
-    if n < 2:
+    if n < 2 or not cut_pred and os.name != "posix":
         return ranges
     try:
         gstat, pstat = os.stat(gold_path), os.stat(pred_path)
@@ -151,32 +158,34 @@ def _line_counts(ranges: list) -> list[int | None]:
 
 
 def _worker_args(gold_path: Path, pred_path: Path, start: tuple, lines: int | None,
-                 unordered: bool = False) -> list[str]:
-    """The command line of a worker that scores lines gold lines from start (None: to the end)."""
-    return ["unordered" if unordered else "ordered", os.fspath(gold_path),
+                 index_fd: int | None = None) -> list[str]:
+    """The command line of a worker that scores lines gold lines from start (None: to
+    the end), unordered if it is given the descriptor of the index file."""
+    return ["-" if index_fd is None else str(index_fd), os.fspath(gold_path),
             os.fspath(pred_path), *map(str, start), "-" if lines is None else str(lines)]
 
 
 def _worker(argv: list[str], stdin=None) -> dict:
     """Score one range for a parent process: its counts and records, or its first error.
 
-    Unordered, the prediction index is read from stdin, and "used" holds a
-    byte for each of its rows, 1 for each row the range used.
+    Unordered, the worker reads the index's length from stdin once the
+    index file is written, maps the file, and "used" is the bitmap of the
+    rows the range used.
     """
-    mode, gold, pred, gold_start, pred_start, first_line, lines = argv
+    index_fd, gold, pred, gold_start, pred_start, first_line, lines = argv
     gold_path, pred_path = Path(gold), Path(pred)
     start, first, count = int(gold_start), int(first_line), None if lines == "-" else int(lines)
     used = bytearray()
     try:
-        if mode == "ordered":
+        if index_fd == "-":
             pairs = _ordered_pairs(gold_path, pred_path, start, int(pred_start), first, count)
             counters, records = _score_pairs(pairs, gold_path.name, pred_path.name)
         else:
-            from piiprep.predindex import gold_pairs, prediction_index
+            from piiprep.predindex import gold_pairs, no_rows_used, prediction_index
 
             index = prediction_index(pred_path)
-            index.load(stdin)
-            used = bytearray(len(index.keys))
+            index.map(int(index_fd), int.from_bytes(stdin.read(8), "little"))
+            used = no_rows_used(index)
             with index.open() as f:
                 counters, records = _score_pairs(
                     gold_pairs(index, f, gold_path, used, start, first, count),
@@ -189,7 +198,7 @@ def _worker(argv: list[str], stdin=None) -> dict:
 def _worker_result(proc, first_line: int, gname: str) -> dict:
     """A finished worker's result; ChildProcessError if it has none.
 
-    "used" holds the rows it used, a byte each, as one int (ordered: 0).
+    "used" is the bitmap of the rows it used as one int, row r bit r (ordered: 0).
     """
     out, err = proc.communicate()
     end = out.find(b"\n")
@@ -233,14 +242,19 @@ def _add(counters: TypeCounters, result: dict) -> int:
 
 
 @contextmanager
-def _started(gold_path: Path, pred_path: Path, ranges: list, unordered: bool) -> Iterator:
-    """A worker for each range but the first, or None if one cannot be started.
+def _started(gold_path: Path, pred_path: Path, ranges: list,
+             unordered: bool) -> Iterator[tuple[list, list, BinaryIO | None]]:
+    """(ranges, workers, index file): a worker for each range but the first.
 
-    No worker outlives the block: each still running is killed, and every
-    one is waited for. An unordered worker waits for the index on its stdin.
+    If one cannot be started, the run stays in one process: ranges is cut
+    to the first and workers is empty. An unordered worker inherits the
+    index file, an unlinked temporary file (None when there is no worker),
+    and waits on its stdin for the length of the index written there. No
+    worker outlives the block: each still running is killed, and every one
+    is waited for.
     """
     if len(ranges) == 1:
-        yield []
+        yield ranges, [], None
         return
     # Imported here: it costs start-up time that a serial run need not pay.
     import subprocess
@@ -252,25 +266,34 @@ def _started(gold_path: Path, pred_path: Path, ranges: list, unordered: bool) ->
     root = str(Path(__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=root)
     cwd = Path.cwd()
-    workers = []
+    workers: list = []
+    index_file = None
     try:
         try:
+            fds = ()
+            if unordered:
+                import tempfile
+
+                index_file = tempfile.TemporaryFile()
+                fds = (index_file.fileno(),)
             for start, lines in zip(ranges[1:], _line_counts(ranges)[1:]):
                 workers.append(subprocess.Popen(
                     [sys.executable, "-S", "-m", "piiprep.splitscore",
-                     *_worker_args(cwd / gold_path, cwd / pred_path, start, lines, unordered)],
-                    cwd=root, env=env,
+                     *_worker_args(cwd / gold_path, cwd / pred_path, start, lines, *fds)],
+                    cwd=root, env=env, pass_fds=fds,
                     stdin=subprocess.PIPE if unordered else subprocess.DEVNULL,
                     stdout=subprocess.PIPE, stderr=subprocess.PIPE))
         except OSError:
-            yield None
+            yield ranges[:1], [], None
         else:
-            yield workers
+            yield ranges, workers, index_file
     finally:
         for proc in workers:
             if proc.returncode is None:
                 proc.kill()
                 proc.communicate()
+        if index_file is not None:
+            index_file.close()
 
 
 def score_ordered(gold_path: Path, pred_path: Path) -> tuple[TypeCounters, int]:
@@ -282,9 +305,7 @@ def score_ordered(gold_path: Path, pred_path: Path) -> tuple[TypeCounters, int]:
     """
     gname, pname = gold_path.name, pred_path.name
     ranges = _ranges(gold_path, pred_path)
-    with _started(gold_path, pred_path, ranges, unordered=False) as workers:
-        if workers is None:  # scored in one process
-            ranges, workers = ranges[:1], []
+    with _started(gold_path, pred_path, ranges, unordered=False) as (ranges, workers, _):
         counters, records = _score_pairs(
             _ordered_pairs(gold_path, pred_path, pairs=_line_counts(ranges)[0]), gname, pname)
         for proc, start in zip(workers, ranges[1:]):
@@ -300,25 +321,26 @@ def score_unordered(gold_path: Path, pred_path: Path) -> tuple[TypeCounters, int
     No worker outlives the call; one that dies without a result raises
     ChildProcessError naming its exit status.
     """
-    from piiprep.predindex import check_all_used, gold_pairs, prediction_index
+    from piiprep.predindex import check_all_used, gold_pairs, no_rows_used, prediction_index
 
     gname, pname = gold_path.name, pred_path.name
     ranges = _ranges(gold_path, pred_path, cut_pred=False)
-    with _started(gold_path, pred_path, ranges, unordered=True) as workers:
-        if workers is None:  # scored in one process
-            ranges, workers = ranges[:1], []
+    with _started(gold_path, pred_path, ranges, unordered=True) as (ranges, workers, index_file):
         # The workers start up while the predictions are indexed.
         index = prediction_index(pred_path)
         for _ in index:
             pass
-        for proc in workers:
-            try:
-                index.write_to(proc.stdin)
-            except BrokenPipeError:
-                pass  # the worker has exited: _worker_result says how
-        n = len(index.keys)
+        if workers:
+            index.write_to(index_file)
+            for proc in workers:
+                try:
+                    proc.stdin.write(len(index.keys).to_bytes(8, "little"))
+                    proc.stdin.flush()
+                except BrokenPipeError:
+                    pass  # the worker has exited: _worker_result says how
         lines = _line_counts(ranges)
-        used = bytearray(n)
+        used = no_rows_used(index)
+        size = len(used)
         with index.open() as f:
             counters, records = _score_pairs(
                 gold_pairs(index, f, gold_path, used, lines=lines[0]), gname, pname)
@@ -330,12 +352,12 @@ def score_unordered(gold_path: Path, pred_path: Path) -> tuple[TypeCounters, int
                     # before its own error, so the repeated gold id comes
                     # first: the gold loop, run again with the earlier rows
                     # flagged, fails at the range's first line that repeats one.
-                    for _ in gold_pairs(index, f, gold_path, bytearray(used.to_bytes(n, "little")),
-                                        start[0], start[2], count):
+                    earlier = bytearray(used.to_bytes(size, "little"))
+                    for _ in gold_pairs(index, f, gold_path, earlier, start[0], start[2], count):
                         pass
                 records += _add(counters, result)
                 used |= result["used"]
-            check_all_used(index, f, used.to_bytes(n, "little"))
+            check_all_used(index, f, used)
     return counters, records
 
 

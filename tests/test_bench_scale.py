@@ -16,7 +16,8 @@ from conftest import REPO
 BENCH = REPO / "benchmarks" / "bench_scale.py"
 COMMANDS = ("prepare", "score", "score-unordered", "validate", "sample")
 RUN_FIELDS = {"wall_s", "peak_rss_mb", "workers", "workers_peak_mb", "total_peak_mb",
-              "children_maxrss_mb", "kernel", "checkout", "round"}
+              "workers_pss_mb", "total_pss_mb", "children_maxrss_mb", "kernel", "checkout",
+              "round"}
 
 
 def bench(tmp_path, *args: str) -> subprocess.CompletedProcess:
@@ -46,8 +47,8 @@ def test_every_command_runs_on_two_labels(tmp_path):
         assert [run["checkout"] for run in runs] == ["one", "two"]
         for run in runs:
             assert set(run) == RUN_FIELDS
-            assert run["workers"] == 0 and run["workers_peak_mb"] == 0
-            assert run["total_peak_mb"] == run["peak_rss_mb"] > 0
+            assert run["workers"] == 0 and run["workers_peak_mb"] == run["workers_pss_mb"] == 0
+            assert run["total_peak_mb"] == run["total_pss_mb"] == run["peak_rss_mb"] > 0
             assert run["kernel"].startswith("piiprep.")
         assert set(entry[command]["median"]) == {"one", "two"}
     assert set(entry["prepare"]["outputs"]) >= {"train.jsonl", "train.jsonl.manifest.json"}

@@ -106,20 +106,20 @@ _FAULTS = ["truncated", "dropped-field", "non-string-label", "bad-utf8", "blank-
 
 
 @st.composite
-def faulty_pairs(draw):
-    """A small gold/prediction pair of files with one fault, a gold cut and a mode.
+def faulty_pairs(draw, unordered: bool):
+    """A small gold/prediction pair of files with one fault, and a gold cut.
 
-    Unordered, the predictions are shuffled before the fault is made.
+    Unordered, the predictions are shuffled before the fault is made. The cut
+    is drawn after it, among every gold line the fault left, so it can fall
+    among added gold lines or past the end of an ordered prediction file.
     """
     n = draw(st.integers(2, 8))
     labels = [draw(st.lists(_LABELS, min_size=1, max_size=4)) for _ in range(n)]
     gold = [line(f"r{i}", lab) for i, lab in enumerate(labels)]
     pred = [line(f"r{i}", draw(st.lists(_LABELS, min_size=len(lab), max_size=len(lab))))
             for i, lab in enumerate(labels)]
-    unordered = draw(st.booleans())
     if unordered:
         pred = draw(st.permutations(pred))
-    cut_line = draw(st.integers(1, n - 1))
     fault = draw(st.sampled_from(_FAULTS))
     lines = draw(st.sampled_from([gold, pred]))
     i = draw(st.integers(0, n - 1))
@@ -153,30 +153,31 @@ def faulty_pairs(draw):
     elif fault == "repeated-gold-id":  # in the same range as the first one, or a later one
         j = draw(st.integers(1, n - 1))
         gold[j] = line(f"r{draw(st.integers(0, j - 1))}", json.loads(gold[j])["labels"])
-    elif fault == "swap-across-cut":
-        a, b = draw(st.integers(0, cut_line - 1)), draw(st.integers(cut_line, n - 1))
-        gold[a], gold[b] = gold[b], gold[a]
     elif fault == "missing-prediction":
         del pred[i]
-    else:
+    elif fault == "extra-prediction":
         pred.insert(draw(st.integers(0, n)), line(f"x{i}", ["O"]))
-    return b"".join(gold), b"".join(pred), len(b"".join(gold[:cut_line])), cut_line, unordered
+    cut_line = draw(st.integers(1, len(gold) - 1))
+    if fault == "swap-across-cut":
+        a, b = draw(st.integers(0, cut_line - 1)), draw(st.integers(cut_line, n - 1))
+        gold[a], gold[b] = gold[b], gold[a]
+    return b"".join(gold), b"".join(pred), len(b"".join(gold[:cut_line])), cut_line
 
 
-# About 150 examples of each mode.
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(faulty_pairs())
-def test_split_run_matches_serial_run(case):
-    gold_bytes, pred_bytes, cut, cut_line, unordered = case
-    with tempfile.TemporaryDirectory() as d:
-        g, p = Path(d) / "g.jsonl", Path(d) / "p.jsonl"
-        g.write_bytes(gold_bytes)
-        p.write_bytes(pred_bytes)
-        serial, split, started = serial_and_split(g, p, cut, unordered=unordered)
-    assert split == serial
-    # An ordered prediction file too short to hold the cut is scored in one
-    # process; unordered scoring cuts only the gold file.
-    assert len(started) == (unordered or pred_bytes.count(b"\n") >= cut_line)
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.data())
+def test_split_run_matches_serial_run(data):
+    for unordered in (False, True):  # a case of each mode in every example
+        gold_bytes, pred_bytes, cut, cut_line = data.draw(faulty_pairs(unordered))
+        with tempfile.TemporaryDirectory() as d:
+            g, p = Path(d) / "g.jsonl", Path(d) / "p.jsonl"
+            g.write_bytes(gold_bytes)
+            p.write_bytes(pred_bytes)
+            serial, split, started = serial_and_split(g, p, cut, unordered=unordered)
+        assert split == serial
+        # An ordered prediction file too short to hold the cut is scored in
+        # one process; unordered scoring cuts only the gold file.
+        assert len(started) == (unordered or pred_bytes.count(b"\n") >= cut_line)
 
 
 def corpus(n: int, seed: int = 7) -> list[tuple[str, list[str]]]:
@@ -240,6 +241,9 @@ def test_small_or_unsplittable_inputs_stay_in_one_process(tmp_path):
         short.write_bytes(p.read_bytes()[:100])
         assert len(splitscore._ranges(g, short)) == 1
         assert len(splitscore._ranges(g, short, cut_pred=False)) == 2  # only gold is cut
+        mp.setattr(os, "name", "nt")  # a worker could not inherit the index file
+        assert len(splitscore._ranges(g, p, cut_pred=False)) == 1
+        assert len(splitscore._ranges(g, p)) == 2
 
 
 def test_worker_that_cannot_start_leaves_the_run_serial(tmp_path, monkeypatch):
@@ -355,8 +359,9 @@ def test_tail_range_stays_under_the_criterion_12_ceiling(million_pairs, monkeypa
     5,000-line chunk) as criterion 12, which measures the calling process's
     range; here the tail range is run in this process under tracemalloc,
     through the worker's own entry point. An unordered worker also holds the
-    prediction index it reads from its stdin, documented as at most 20 bytes
-    a prediction.
+    bitmap of the rows it used, a bit a prediction; the prediction index
+    itself is mapped from the file the calling process writes, shared by
+    every worker, so it is not on the worker's heap.
     """
     n = 1_000_000
     chunk_size = 5000
@@ -371,27 +376,29 @@ def test_tail_range_stays_under_the_criterion_12_ceiling(million_pairs, monkeypa
     chunk_bytes = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     del chunk
-    ceiling = 10 * chunk_bytes + (20 * n if unordered else 0)
+    ceiling = 10 * chunk_bytes + (n // 8 if unordered else 0)
 
     monkeypatch.setattr(splitscore, "_cpus", lambda: 2)
     ranges = splitscore._ranges(gold_path, pred_path, cut_pred=not unordered)
     assert len(ranges) == 2
-    stdin = io.BytesIO()
-    if unordered:  # what the calling process writes to the worker
-        index = prediction_index(pred_path)
-        for _ in index:
-            pass
-        index.write_to(stdin)
-        stdin.seek(0)
-        del index
-    tracemalloc.start()
-    result = splitscore._worker(
-        splitscore._worker_args(gold_path, pred_path, ranges[1], None, unordered), stdin)
-    tail_peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
+    with tempfile.TemporaryFile() as index_file:
+        stdin, fds = io.BytesIO(), ()
+        if unordered:  # what the calling process writes to the worker
+            index = prediction_index(pred_path)
+            for _ in index:
+                pass
+            index.write_to(index_file)
+            stdin, fds = io.BytesIO(len(index.keys).to_bytes(8, "little")), (index_file.fileno(),)
+            del index
+        tracemalloc.start()
+        result = splitscore._worker(
+            splitscore._worker_args(gold_path, pred_path, ranges[1], None, *fds), stdin)
+        tail_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
     assert result["records"] == n - (ranges[1][2] - 1)
     assert 0.4 * n < result["records"] < 0.6 * n
-    assert result["used"].count(1) == (result["records"] if unordered else 0)
+    used = int.from_bytes(result["used"], "little")
+    assert bin(used).count("1") == (result["records"] if unordered else 0)
     assert tail_peak < ceiling, f"tail range peak {tail_peak} bytes, ceiling {ceiling}"
 
 
