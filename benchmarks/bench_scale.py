@@ -28,18 +28,21 @@ benchmark fails. Each run reports:
 - wall_s: the timed call above;
 - peak_rss_mb: the command's process's own VmHWM (unlike ru_maxrss it
   leaves out memory the benchmark held at fork);
-- workers, workers_peak_mb: the worker processes the command started and
-  the sum of each one's VmHWM, read from /proc/<pid>/status every 10 ms
-  while it runs (VmHWM only grows, so the last reading is its peak up to
-  10 ms before it exits); total_peak_mb is peak_rss_mb plus workers_peak_mb;
+- workers, workers_peak_mb: the worker processes the command started, found
+  as the children listed in /proc/self/task/*/children every 10 ms while it
+  runs, and the sum of each one's VmHWM, read from /proc/<pid>/status at the
+  same times (VmHWM only grows, so the last reading is its peak up to 10 ms
+  before it exits); total_peak_mb is peak_rss_mb plus workers_peak_mb. A
+  forked worker's VmHWM counts the pages it shares with the command's
+  process;
 - workers_pss_mb: the sum of each worker's highest Pss, read from
   /proc/<pid>/smaps_rollup with VmHWM. Pss counts a page that k processes
-  map as 1/k page in each, so pages the workers share (unordered scoring's
-  mapped prediction index) count once in the sum, where VmHWM counts them
-  in every worker; total_pss_mb is peak_rss_mb plus workers_pss_mb;
-- children_maxrss_mb: RUSAGE_CHILDREN's ru_maxrss, for comparison only. It
-  overstates a worker's peak: Linux carries the high-water mark of the
-  memory the worker shared with the command's process up to exec into it;
+  map as 1/k page in each, so a page a worker still shares with the
+  command's process counts half in the worker, where VmHWM counts it whole;
+  total_pss_mb is peak_rss_mb plus workers_pss_mb;
+- children_maxrss_mb: RUSAGE_CHILDREN's ru_maxrss, for comparison only. A
+  forked worker's ru_maxrss starts at the command process's resident size
+  when it forked;
 - kernel: the module of the ``biospan.extract_span_tuples`` it imported.
 
     git worktree add --detach /tmp/parent <commit>
@@ -61,6 +64,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import glob
 import hashlib
 import importlib.machinery
 import io
@@ -253,26 +257,32 @@ def proc_kb(pid: int | str, field: str = "VmHWM", file: str = "status") -> int |
 
 
 class WorkerPeaks:
-    """Every process started through subprocess.Popen, with its last VmHWM
-    reading and its highest Pss reading."""
+    """Every child process of this process seen while it runs, with its last
+    VmHWM reading and its highest Pss reading.
+
+    Children are found in /proc/self/task/*/children at every reading, so
+    forked workers are found whichever thread forks them; a child that lives
+    less than SAMPLE_S may be missed.
+    """
 
     def __init__(self) -> None:
         self.peaks: dict[int, int] = {}
         self.pss: dict[int, int] = {}
         self.stop = threading.Event()
-        peaks, pss = self.peaks, self.pss
-
-        class Watched(subprocess.Popen):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                peaks[self.pid] = pss[self.pid] = 0
-
-        subprocess.Popen = Watched
         self.thread = threading.Thread(target=self.sample, daemon=True)
         self.thread.start()
 
     def sample(self) -> None:
         while not self.stop.wait(SAMPLE_S):
+            for path in glob.glob("/proc/self/task/*/children"):
+                try:
+                    with open(path, encoding="ascii") as f:
+                        pids = f.read().split()
+                except OSError:
+                    continue
+                for pid in map(int, pids):
+                    self.peaks.setdefault(pid, 0)
+                    self.pss.setdefault(pid, 0)
             for pid in list(self.peaks):
                 kb = proc_kb(pid)
                 if kb is not None:
@@ -410,11 +420,12 @@ def main() -> int:
         "commands": {"validate": " ".join(VALIDATE), "sample": " ".join(SAMPLE)},
         "host": host_facts(),
         "memory": "peak_rss_mb is the command's process's VmHWM; workers_peak_mb sums each "
-                  "worker's VmHWM, sampled from /proc every 10 ms while it runs; "
+                  "worker's VmHWM, the workers found in /proc/self/task/*/children and "
+                  "sampled from /proc every 10 ms while they run; "
                   "workers_pss_mb sums each worker's highest Pss, sampled alike, which counts "
-                  "pages the workers share once; "
-                  "children_maxrss_mb is RUSAGE_CHILDREN, which overstates a worker's peak "
-                  "by the memory it shared with the command's process up to exec",
+                  "a page shared by k processes as 1/k in each; "
+                  "children_maxrss_mb is RUSAGE_CHILDREN, which for a forked worker starts "
+                  "at the command process's resident size when it forked",
         "checkouts": {label: checkout_facts(path) for label, path in checkouts.items()},
         "sizes": {},
     }

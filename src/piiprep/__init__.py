@@ -8,12 +8,14 @@ Submodules:
 - records: the record schema, its JSONL encoding, readers and writers
 - idindex: the id-uniqueness index of a line file
 - allocation: largest-remainder apportionment with exact fractions
-- pipeline: consolidation, rebalancing, capping, rare-label filtering and
-  splitting of record streams, and source-proportional sampling
-  (sample_groups)
+- pipeline: consolidation (by source line range), rebalancing, capping,
+  rare-label filtering and splitting of record streams, and
+  source-proportional sampling (sample_groups)
 - manifest: reproducibility manifests for written artifacts
 - scorer: streaming span-level exact-match evaluation
-- splitscore: ordered scoring by line range, in worker processes
+- workers: work cut into line ranges, one per CPU, each but the first in a
+  forked worker process
+- splitscore: scoring, ordered and unordered, by gold line range
 - predindex: the prediction index behind unordered scoring
 - analysis: entity-level comparison of two tagging systems
 - objective: class-weighted cross-entropy over label distributions

@@ -7,23 +7,12 @@ are read back to compare: the repeated ids and rare hash collisions.
 prepare's consolidate reads them back from its records in memory, and
 LineIndex, the reader behind validate, sample, read_records and score
 --unordered, from the file. Ordered scoring does not import this module.
-
-The hash is the CRC-32 of the id's UTF-8 bytes, not the built-in hash, which
-is salted per process: a worker process of split unordered scoring must find
-a gold id among keys that the calling process built (LineIndex.write_to and
-LineIndex.map). CRC-32 is not keyed, so ids can be built that all share one
-hash; their keys then make one run. duplicates reads each key of a run back
-once, but the gold loop of score --unordered reads back a run's unused rows
-for each gold id in it: k such ids cost it up to k * k / 2 line reads, so
-files built that way make unordered scoring quadratic.
 """
 
 from __future__ import annotations
 
-import mmap
 import os
 import stat
-import zlib
 from array import array
 from itertools import compress, count, islice, repeat
 from operator import lt, xor
@@ -35,16 +24,10 @@ from piiprep.jsonl import iter_lines
 
 __all__ = ["IdKeys", "LineIndex", "duplicates", "key_of"]
 
-
-def _id_hash(rid: str) -> int:
-    """rid's hash, the same in every process, in the 32 bits that a key keeps.
-
-    Every id is hashed through this one name, so a test can force hash
-    collisions by replacing it. surrogatepass: a JSON escape can spell an id
-    holding a lone UTF-16 surrogate, which plain UTF-8 cannot encode.
-    """
-    return zlib.crc32(rid.encode("utf-8", "surrogatepass")) << 32
-
+# Every id is hashed through this one name, so a test can force hash
+# collisions by replacing it. The built-in hash is salted per process, but
+# a forked worker keeps its caller's salt, so keys mean the same there.
+_id_hash = hash
 
 # A key is an id hash, taken modulo 2**64, with its low 32 bits replaced by
 # the row: _HIGH selects the hash bits and _ROW the row.
@@ -155,19 +138,6 @@ class LineIndex:
         if found:
             row, rid = found[0]
             raise RecordError(f"{self._name}:{row + 1}: {self._duplicate} {rid!r}")
-
-    def write_to(self, f) -> None:
-        """Write the keys and offsets of a finished pass to binary file f, for map."""
-        f.write(self.keys)
-        f.write(self._offsets)
-        f.flush()
-
-    def map(self, fd: int, n: int) -> None:
-        """Take the n keys and offsets that write_to wrote to file descriptor fd,
-        in place of a pass, from a read-only mapping: the processes that map
-        one file share its pages."""
-        words = memoryview(mmap.mmap(fd, 16 * n + 8, access=mmap.ACCESS_READ)).cast("Q")
-        self.keys, self._offsets = words[:n], words[n:]
 
     def open(self):
         """The file for read, unbuffered: a row is read back in one seek and one read."""

@@ -11,6 +11,13 @@ Every random choice derives from the single config seed through a
 per-(operation, source) sub-seed, so results do not depend on source
 ordering and re-runs are byte-identical.
 
+consolidate reads the sources, one after another, in line ranges, one per
+usable CPU (piiprep.workers): it reads the first range itself, and a forked
+worker reads each other range and sends back its records, counts and
+skipped errors as values. The calling process keeps the ids, applies
+on_error and logs the skipped lines in stream order, so every count,
+message and output byte is that of one pass.
+
 consolidate encodes each record it keeps once, into an EncodedRecord: its
 artifact line plus its source, stratum and label summary. The later steps
 choose among these, only records that lose a rare label are decoded and
@@ -27,13 +34,17 @@ import math
 import os
 import random
 import reprlib
+import stat
 import sys
 from array import array
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
+from functools import partial
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, TypeVar
+from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import yaml
 
@@ -325,13 +336,6 @@ def sub_rng(seed: int, operation: str, name: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def _iter_source_lines(spec: SourceSpec) -> Iterable[tuple[int, str]]:
-    for lineno, _, line in iter_lines(spec.path):
-        line = line.rstrip("\r\n")
-        if line.strip():
-            yield lineno, line
-
-
 def consolidate(
     config: PipelineConfig,
     space: LabelSpace,
@@ -354,7 +358,7 @@ def consolidate(
     warning comes after the warnings of the pass.
     """
     out: list[EncodedRecord] = []
-    report: dict[str, dict[str, int]] = {}
+    counts = [{"kept": 0, "dropped": 0, "errors": 0} for _ in config.sources]
     ids, linenos = IdKeys(), array("I")  # the id key and the line of each record in out
     files = {spec.name: spec.path.name for spec in config.sources}
 
@@ -366,35 +370,30 @@ def consolidate(
                                   f"duplicate record id {rid!r}")) for row, rid in found]
 
     try:
-        for spec in config.sources:
-            name = spec.path.name
-            kept = dropped = errors = 0
-            for lineno, line in _iter_source_lines(spec):
-                try:
-                    rec = _source_record(spec, name, line, lineno, config, space)
-                except ToolkitError as e:
-                    if config.on_error == "fail":
-                        raise
-                    errors += 1
-                    if config.on_error == "log":
+        with _stream(config, space) as chunks:
+            for k, encs, rids, lines, dropped, errors, fatal in chunks:
+                for rid in rids:
+                    ids.add(rid)
+                linenos.extend(lines)
+                out += encs
+                c = counts[k]
+                c["kept"] += len(encs)
+                c["dropped"] += dropped
+                c["errors"] += len(errors)
+                if config.on_error == "log":
+                    for e in errors:
                         logger.warning("skipping %s", e)
-                    continue
-                if rec is None:
-                    dropped += 1
-                else:
-                    ids.add(rec.id)
-                    linenos.append(lineno)
-                    if config.prepend_source_token:
-                        rec = prepend_source_token(rec)
-                    out.append(EncodedRecord(rec))
-                    kept += 1
-            report[spec.name] = {"kept": kept, "dropped": dropped, "errors": errors}
+                if fatal is not None:
+                    raise fatal
     except (ToolkitError, OSError):
         # A repeated id on an earlier line is the first error.
         found = repeated() if config.on_error == "fail" else []
         if found:
             raise found[0][1] from None
         raise
+    report = {}
+    for spec, c in zip(config.sources, counts):  # a later source of the same name wins
+        report[spec.name] = c
     found = repeated()
     if found and config.on_error == "fail":
         raise found[0][1]
@@ -408,6 +407,143 @@ def consolidate(
         rows = {row for row, _ in found}
         out = [rec for row, rec in enumerate(out) if row not in rows]
     return out, report
+
+
+def _iter_source_lines(spec: SourceSpec, start: int = 0, first_line: int = 1,
+                       stop: int | None = None) -> Iterable[tuple[int, str]]:
+    """The number and text of each line of spec's file that is not blank, its
+    ending stripped, from byte offset start (line first_line) to stop (None:
+    the end)."""
+    for lineno, offset, line in iter_lines(spec.path, start, first_line):
+        if stop is not None and offset >= stop:
+            return
+        line = line.rstrip("\r\n")
+        if line.strip():
+            yield lineno, line
+
+
+# A range of the stream of all sources is a list of parts, each the (source
+# index, byte offset, first line, stop offset or None for the end) of the
+# lines it reads from one source.
+_Part = tuple[int, int, int, "int | None"]
+_CHUNK = 1024  # the most records and errors in one chunk of a range
+
+
+def _ranges(config: PipelineConfig) -> list[list[_Part]]:
+    """The sources, read one after another, cut into one range per usable CPU.
+
+    One range (each whole source) where piiprep.workers.cpus() is 1, when
+    the sources hold fewer than its SPLIT_MIN_BYTES, or when one is not a
+    regular file: a pipe can be read only once. A source that cannot be
+    found counts as empty here; the range it falls in reports it.
+    """
+    from piiprep import workers
+
+    sources = config.sources
+    whole = [[(k, 0, 1, None) for k in range(len(sources))]]
+    n = workers.cpus()
+    if n < 2:
+        return whole
+    sizes = []
+    for spec in sources:
+        try:
+            st = os.stat(spec.path)
+        except OSError:
+            sizes.append(0)
+            continue
+        if not stat.S_ISREG(st.st_mode):
+            return whole
+        sizes.append(st.st_size)
+    if sum(sizes) < workers.SPLIT_MIN_BYTES:
+        return whole
+    try:
+        starts = workers.range_starts([spec.path for spec in sources], sizes, n)
+    except OSError:
+        return whole  # reported in stream order by the serial run
+    ranges = []
+    for (k, offset, line), (end, end_offset, _) in zip(starts, starts[1:] + [(len(sources), 0, 1)]):
+        parts = []
+        while (k, offset) < (end, end_offset):
+            parts.append((k, offset, line, end_offset if k == end else None))
+            k, offset, line = k + 1, 0, 1
+        ranges.append(parts)
+    return ranges
+
+
+def _consolidated(config: PipelineConfig, space: LabelSpace,
+                  parts: list[_Part]) -> Iterator[tuple]:
+    """The records of one range of the stream, in chunks, each of (source index,
+    encoded records, their ids, their line numbers, span-free lines, skipped
+    errors, the error that ends the range or None).
+
+    The range ends at a line that is not a record under on_error=fail, and at
+    an OSError or a line that is not UTF-8 under any policy. Nothing is logged.
+    """
+    fail = config.on_error == "fail"
+    for k, start, first_line, stop in parts:
+        spec = config.sources[k]
+        name = spec.path.name
+        encs, rids, linenos, dropped, errors = [], [], [], 0, []
+        try:
+            for lineno, line in _iter_source_lines(spec, start, first_line, stop):
+                try:
+                    rec = _source_record(spec, name, line, lineno, config, space)
+                except ToolkitError as e:
+                    if fail:
+                        raise
+                    errors.append(e.with_traceback(None))
+                    continue
+                if rec is None:
+                    dropped += 1
+                    continue
+                rids.append(rec.id)
+                linenos.append(lineno)
+                if config.prepend_source_token:
+                    rec = prepend_source_token(rec)
+                encs.append(EncodedRecord(rec))
+                if len(encs) + len(errors) >= _CHUNK:
+                    yield k, encs, rids, linenos, dropped, errors, None
+                    encs, rids, linenos, dropped, errors = [], [], [], 0, []
+        except (ToolkitError, OSError) as e:
+            yield k, encs, rids, linenos, dropped, errors, e
+            return
+        yield k, encs, rids, linenos, dropped, errors, None
+
+
+def _send_range(config: PipelineConfig, space: LabelSpace, parts: list[_Part], out) -> None:
+    """In a worker: send each chunk of one range, its records as (line, stratum, summary)."""
+    from piiprep import workers
+
+    try:
+        for k, encs, *rest in _consolidated(config, space, parts):
+            workers.send(out, (k, [(e.line, e.stratum, e.summary) for e in encs], *rest))
+    except Exception as e:  # raised by the calling process after the chunks before it
+        workers.send(out, (parts[0][0], [], [], [], 0, [], e))
+
+
+def _received(config: PipelineConfig, worker, parts: list[_Part]) -> Iterator[tuple]:
+    """The chunks a worker sent for parts, as _consolidated gives them."""
+    first, _, first_line, _ = parts[0]
+    for k, rows, *rest in worker.received(
+            f"{config.sources[first].path.name}: prepare worker for lines from {first_line}"):
+        source = config.sources[k].name
+        yield (k, [EncodedRecord.of(line, source, stratum, summary)
+                   for line, stratum, summary in rows], *rest)
+
+
+@contextmanager
+def _stream(config: PipelineConfig, space: LabelSpace) -> Iterator[Iterator[tuple]]:
+    """The chunks of every range of the stream, in stream order: the first
+    range's read here, each other's by a forked worker (piiprep.workers)."""
+    from piiprep import workers
+
+    ranges = _ranges(config)
+    with workers.forked([partial(_send_range, config, space, parts)
+                         for parts in ranges[1:]]) as started:
+        if not started:
+            ranges = [[part for parts in ranges for part in parts]]
+        yield chain(_consolidated(config, space, ranges[0]),
+                    *(_received(config, w, parts) for w, parts in zip(started, ranges[1:])))
 
 
 def _source_record(spec: SourceSpec, name: str, line: str, lineno: int,

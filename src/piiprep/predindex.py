@@ -3,9 +3,8 @@
 Predictions are indexed by piiprep.idindex.LineIndex, as validate indexes an
 artifact, and each line is read back from the file when its gold record
 arrives: about 17.5 bytes per prediction, not its labels. splitscore's
-score_unordered builds the index once, in the calling process, and writes
-its keys and offsets (16 bytes a prediction) to one unlinked temporary file
-that every worker maps, so the workers share one copy. Each process runs
+score_unordered builds the index once, in the calling process, and then
+forks its workers, which share the index's pages with it. Each process runs
 gold_pairs over its own range of gold lines, flagging the rows it used in a
 bitmap (a bit a prediction), and the calling process then checks that every
 prediction was used. Only unordered scoring imports this module.

@@ -123,13 +123,18 @@ class Record:
         counts: dict[str, int] = {}
         _count_elements(counts, self.labels)  # what Counter.update calls, minus its checks
         counts.pop("O", None)
-        summary = (count_orphan_continuations(self.labels), tuple(sorted(counts.items())))
-        shared = _SUMMARIES.get(summary)
-        if shared is None:
-            if len(_SUMMARIES) >= _CACHE_MAX:
-                _SUMMARIES.clear()
-            shared = _SUMMARIES[summary] = summary
-        return shared
+        return _shared(
+            (count_orphan_continuations(self.labels), tuple(sorted(counts.items()))))
+
+
+def _shared(summary: tuple) -> tuple:
+    """The one tuple kept for summaries equal to summary (summary itself, if it is new)."""
+    shared = _SUMMARIES.get(summary)
+    if shared is None:
+        if len(_SUMMARIES) >= _CACHE_MAX:
+            _SUMMARIES.clear()
+        shared = _SUMMARIES[summary] = summary
+    return shared
 
 
 class EncodedRecord:
@@ -147,6 +152,15 @@ class EncodedRecord:
         self.source = record.source
         self.stratum = record.stratum
         self.summary = record.summary
+
+    @classmethod
+    def of(cls, line: bytes, source: str, stratum: str, summary: tuple) -> EncodedRecord:
+        """An EncodedRecord of these values, which shares its stratum and summary
+        with equal ones as an EncodedRecord built from its Record does."""
+        enc = cls.__new__(cls)
+        enc.line, enc.source = line, source
+        enc.stratum, enc.summary = sys.intern(stratum), _shared(summary)
+        return enc
 
     def record(self) -> Record:
         """The Record this was built from, decoded from the line."""

@@ -12,6 +12,7 @@ import os
 import random
 import shlex
 import shutil
+import signal
 import subprocess
 import sys
 import sysconfig
@@ -19,6 +20,8 @@ import threading
 from pathlib import Path
 
 import pytest
+
+from piiprep import workers
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -195,3 +198,29 @@ def bounded(fn, seconds: float = 120):
         # Popped, so that no cycle keeps the traceback's open files alive.
         raise box.pop("error")
     return box["value"]
+
+
+class Workers:
+    """Records every worker piiprep.workers forks, optionally killing each as it starts.
+
+    Patch workers._fork with its fork.
+    """
+
+    def __init__(self, kill: bool = False):
+        self.started: list[workers.Worker] = []
+        real = workers._fork
+
+        def fork(task, file):
+            worker = real(task, file)
+            self.started.append(worker)
+            if kill:
+                os.kill(worker.pid, signal.SIGKILL)
+            return worker
+
+        self.fork = fork
+
+    def assert_reaped(self) -> None:
+        for worker in self.started:
+            assert worker.status is not None, f"worker {worker.pid} was not waited for"
+            with pytest.raises(ProcessLookupError):
+                os.kill(worker.pid, 0)

@@ -7,9 +7,12 @@ starts a worker, so both labels must report the same outputs.
 
 from __future__ import annotations
 
+import importlib.util
 import json
+import os
 import subprocess
 import sys
+import time
 
 from conftest import REPO
 
@@ -67,3 +70,23 @@ def test_checkout_without_package_is_named(tmp_path):
     assert proc.returncode == 2
     assert f"--checkout bare={empty}: no src/piiprep in {empty}" in proc.stderr
     assert not (tmp_path / "bench.json").exists()
+
+
+def test_worker_peaks_finds_forked_workers():
+    spec = importlib.util.spec_from_file_location("bench_scale", BENCH)
+    bench_scale = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_scale)
+    peaks = bench_scale.WorkerPeaks()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            held = bytearray(64 << 20)
+            held[::4096] = b"x" * len(held[::4096])
+            time.sleep(0.3)
+        finally:
+            os._exit(0)
+    time.sleep(0.4)
+    os.waitpid(pid, 0)
+    workers, peak_kb, pss_kb = peaks.close()
+    assert workers == 1
+    assert peak_kb >= 64 << 10 and pss_kb >= 64 << 10

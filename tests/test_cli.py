@@ -15,7 +15,7 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import REPO
-from piiprep import cli, idindex
+from piiprep import cli, idindex, workers
 from piiprep.cli import main
 from piiprep.fixtures import entity_results_path, system_results_path, taxonomy_path
 from piiprep.records import Record, record_to_line
@@ -776,6 +776,11 @@ def test_duplicate_is_reported_before_a_later_error(
     result = runner.invoke(main, argv)
     assert result.exit_code == 1
     assert result.output == "Error: a.jsonl:2: duplicate record id 'r0'\n"
+    if command == "prepare":  # and split after each line
+        monkeypatch.setattr(workers, "cpus", lambda: 4)
+        monkeypatch.setattr(workers, "SPLIT_MIN_BYTES", 0)
+        split = runner.invoke(main, argv)
+        assert (split.exit_code, split.output) == (result.exit_code, result.output)
 
 
 @pytest.mark.parametrize("argv, per_record", [

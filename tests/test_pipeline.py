@@ -14,7 +14,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from piiprep import idindex
+from piiprep import idindex, workers
 from piiprep.cli import main
 from piiprep.errors import AllocationError, ConfigError, RecordError
 from piiprep.fixtures import canonical_space, taxonomy_path
@@ -677,18 +677,26 @@ class TestConsolidateIdCollisions:
 
     @pytest.mark.parametrize("policy", ["fail", "skip", "log"])
     def test_outcomes_match_the_real_hash(self, tmp_path, monkeypatch, caplog, policy):
+        # Each outcome is taken serial and split into three ranges, which
+        # must agree.
         cfg = PipelineConfig(sources=self.sources(tmp_path), on_error=policy)
         outcomes = {}
         for name, id_hash in {"real": idindex._id_hash, **COLLIDING_HASHES}.items():
-            caplog.clear()
-            with monkeypatch.context() as m, caplog.at_level(logging.WARNING):
-                m.setattr(idindex, "_id_hash", id_hash)
-                try:
-                    records, report = consolidate(cfg, canonical_space())
-                    outcomes[name] = ([r.record().id for r in records], report,
-                                      caplog.messages)
-                except RecordError as e:
-                    outcomes[name] = str(e)
+            runs = []
+            for cpus in (1, 3):
+                caplog.clear()
+                with monkeypatch.context() as m, caplog.at_level(logging.WARNING):
+                    m.setattr(idindex, "_id_hash", id_hash)
+                    m.setattr(workers, "cpus", lambda: cpus)
+                    m.setattr(workers, "SPLIT_MIN_BYTES", 0)
+                    try:
+                        records, report = consolidate(cfg, canonical_space())
+                        runs.append(([r.record().id for r in records], report,
+                                     caplog.messages))
+                    except RecordError as e:
+                        runs.append(str(e))
+            assert runs[1] == runs[0], f"split run under the {name} hash"
+            outcomes[name] = runs[0]
         assert outcomes == dict.fromkeys(["real", *COLLIDING_HASHES], self.EXPECTED[policy])
 
     def test_duplicate_found_before_a_missing_source(self, tmp_path):

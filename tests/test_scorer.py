@@ -4,6 +4,7 @@ import random
 import re
 import tempfile
 import tracemalloc
+import zlib
 from collections import UserList
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import KERNELS, random_bio_labels, score_corpus_oracle
-from piiprep import idindex, scorer
+from piiprep import idindex, scorer, workers
 from piiprep.analysis import TYPE_COLUMNS, render_table
 from piiprep.cli import main
 from piiprep.errors import AlignmentError, RecordError
@@ -511,9 +512,9 @@ COLLIDING_HASHES = {
 class TestHashCollisions:
     """--unordered gives the same counters and errors however ids collide.
 
-    Every run here is serial (the files are far under the split floor): a
-    split run's workers would hash with the real idindex._id_hash, not with
-    the replacement patched into this process.
+    Each outcome is taken twice, serial and split into two ranges; the
+    forked worker of the split run hashes with the replacement patched into
+    this process, as the index it shares was built with it.
     """
 
     GOLD = [(f"r{i}", ["B-A", "O"]) for i in range(6)]
@@ -522,7 +523,8 @@ class TestHashCollisions:
 
     @staticmethod
     def outcomes(g: Path, p: Path, monkeypatch, before_pair=None, hashes=COLLIDING_HASHES) -> dict:
-        """The counters or error of --unordered scoring under the real hash and these."""
+        """The counters or error of --unordered scoring under the real hash and
+        these, the same serial and split."""
         real_add_pair = TypeCounters.add_pair
 
         def add_pair(counters, gold_labels, pred_labels):
@@ -534,13 +536,19 @@ class TestHashCollisions:
         data = p.read_bytes()
         results = {}
         for name, id_hash in {"real": idindex._id_hash, **hashes}.items():
-            p.write_bytes(data)
-            with monkeypatch.context() as m:
-                m.setattr(idindex, "_id_hash", id_hash)
-                try:
-                    results[name] = stream_score(g, p, unordered=True).counters
-                except (RecordError, AlignmentError) as e:
-                    results[name] = f"{type(e).__name__}: {e}"
+            runs = []
+            for cpus in (1, 2):
+                p.write_bytes(data)
+                with monkeypatch.context() as m:
+                    m.setattr(idindex, "_id_hash", id_hash)
+                    m.setattr(workers, "cpus", lambda: cpus)
+                    m.setattr(workers, "SPLIT_MIN_BYTES", 0)
+                    try:
+                        runs.append(stream_score(g, p, unordered=True).counters)
+                    except (RecordError, AlignmentError) as e:
+                        runs.append(f"{type(e).__name__}: {e}")
+            assert runs[1] == runs[0], f"split run under the {name} hash"
+            results[name] = runs[0]
         return results
 
     def test_counters_match_ordered_scoring(self, tmp_path, monkeypatch):
@@ -616,6 +624,62 @@ class TestHashCollisions:
         with pytest.raises(RecordError) as info:
             stream_score(g, p, unordered=True)
         assert str(info.value) == "p.jsonl:3: duplicate prediction id 'b'"
+
+
+def crc32_twins(n: int) -> list[str]:
+    """n distinct 48-character ids of 'a' and 'c' that share one CRC-32.
+
+    CRC-32 is affine over GF(2), so flipping a set of positions from 'a' to
+    'c' changes it by the XOR of each flip's change; the sets whose changes
+    XOR to 0 (at least 2**16 of them) keep it.
+    """
+    base = b"a" * 48
+    flips = [zlib.crc32(base[:i] + b"c" + base[i + 1:]) ^ zlib.crc32(base) for i in range(48)]
+    basis: list[tuple[int, int]] = []  # (change, positions), each change with its own top bit
+    kernel = []
+    for i, change in enumerate(flips):
+        positions = 1 << i
+        for b, bp in basis:
+            if change ^ b < change:
+                change, positions = change ^ b, positions ^ bp
+        if change:
+            basis.append((change, positions))
+            basis.sort(reverse=True)
+        else:
+            kernel.append(positions)
+    ids = []
+    for k in range(1, n + 1):
+        positions = 0
+        for j, vector in enumerate(kernel):
+            if k >> j & 1:
+                positions ^= vector
+        ids.append("".join("c" if positions >> i & 1 else "a" for i in range(48)))
+    assert len(set(ids)) == n and len({zlib.crc32(rid.encode()) for rid in ids}) == 1
+    return ids
+
+
+def test_ids_sharing_a_crc32_cost_one_read_back_each(tmp_path, monkeypatch):
+    """The id hash is salted, so ids built to share an unkeyed hash do not share it.
+
+    With the CRC-32 of the id as the hash, 2,000 such ids, gold in the
+    reverse of prediction order, took 2,003,000 prediction reads back.
+    """
+    n = 2000
+    ids = crc32_twins(n)
+    g, p = tmp_path / "g.jsonl", tmp_path / "p.jsonl"
+    write_scored(p, [(rid, ["O"]) for rid in ids])
+    write_scored(g, [(rid, ["O"]) for rid in reversed(ids)])
+    reads = 0
+    real_read = idindex.LineIndex.read
+
+    def counted(index, f, key):
+        nonlocal reads
+        reads += 1
+        return real_read(index, f, key)
+
+    monkeypatch.setattr(idindex.LineIndex, "read", counted)
+    assert stream_score(g, p, unordered=True).records == n
+    assert reads <= n + 10
 
 
 def test_unordered_memory_per_record(tmp_path):

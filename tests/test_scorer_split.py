@@ -1,22 +1,21 @@
-"""Scoring split into line ranges, each range but the first in a worker.
+"""Scoring split into line ranges, each range but the first in a forked worker.
 
 Every test forces the split on small files (patching the CPU count, the size
 floor and, where it matters, where the gold file is cut) and compares it with
 the serial run of the same files, ordered or --unordered: same counters in
 the same order, same record count, or the same exception type and message.
 Each call runs in a thread joined with a timeout, so a hung worker fails the
-test instead of stalling the suite, and every worker started must be reaped
+test instead of stalling the suite, and every worker forked must be reaped
 when the call returns.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import os
+import pickle
 import random
 import signal
-import subprocess
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -26,8 +25,8 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bounded
-from piiprep import splitscore
+from conftest import Workers, bounded
+from piiprep import splitscore, workers
 from piiprep.cli import main
 from piiprep.errors import AlignmentError, RecordError
 from piiprep.predindex import prediction_index
@@ -46,53 +45,29 @@ def outcome(gold: Path, pred: Path, unordered: bool = False):
     return list(r.counters.counts.items()), r.records, r.chunks
 
 
-class Workers:
-    """Records every worker started, optionally killing each as it starts."""
-
-    def __init__(self, kill: bool = False):
-        self.started: list[subprocess.Popen] = []
-        real = subprocess.Popen
-        workers = self
-
-        class Recording(real):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                workers.started.append(self)
-                if kill:
-                    os.kill(self.pid, signal.SIGKILL)
-
-        self.popen = Recording
-
-    def assert_reaped(self) -> None:
-        for proc in self.started:
-            assert proc.returncode is not None, f"worker {proc.pid} was not waited for"
-            with pytest.raises(ProcessLookupError):
-                os.kill(proc.pid, 0)
-
-
 def force_split(mp: pytest.MonkeyPatch, cut: int | None = None, cpus: int = 2,
                 kill: bool = False) -> Workers:
     """Split any run into cpus ranges, the first cut at byte cut if given."""
-    mp.setattr(splitscore, "_cpus", lambda: cpus)
-    mp.setattr(splitscore, "SPLIT_MIN_BYTES", 0)
+    mp.setattr(workers, "cpus", lambda: cpus)
+    mp.setattr(workers, "SPLIT_MIN_BYTES", 0)
     if cut is not None:
-        mp.setattr(splitscore, "_gold_cuts", lambda f, size, n: [cut])
-    workers = Workers(kill)
-    mp.setattr(subprocess, "Popen", workers.popen)
-    return workers
+        mp.setattr(workers, "_cuts", lambda paths, sizes, n: [(0, cut)])
+    started = Workers(kill)
+    mp.setattr(workers, "_fork", started.fork)
+    return started
 
 
 def serial_and_split(gold: Path, pred: Path, cut: int | None = None, cpus: int = 2,
                      unordered: bool = False):
-    """(serial outcome, split outcome, workers started by the split run)."""
+    """(serial outcome, split outcome, workers forked by the split run)."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(splitscore, "_cpus", lambda: 1)
+        mp.setattr(workers, "cpus", lambda: 1)
         serial = outcome(gold, pred, unordered)
     with pytest.MonkeyPatch.context() as mp:
-        workers = force_split(mp, cut, cpus)
+        started = force_split(mp, cut, cpus)
         split = outcome(gold, pred, unordered)
-    workers.assert_reaped()
-    return serial, split, workers.started
+    started.assert_reaped()
+    return serial, split, started.started
 
 
 def line(rid, labels) -> bytes:
@@ -174,10 +149,21 @@ def test_split_run_matches_serial_run(data):
             g.write_bytes(gold_bytes)
             p.write_bytes(pred_bytes)
             serial, split, started = serial_and_split(g, p, cut, unordered=unordered)
+            indexed = unordered and index_pass_succeeds(p)
         assert split == serial
         # An ordered prediction file too short to hold the cut is scored in
-        # one process; unordered scoring cuts only the gold file.
-        assert len(started) == (unordered or pred_bytes.count(b"\n") >= cut_line)
+        # one process; unordered scoring cuts only the gold file, and forks
+        # its worker once the predictions are indexed.
+        assert len(started) == (indexed if unordered else pred_bytes.count(b"\n") >= cut_line)
+
+
+def index_pass_succeeds(pred: Path) -> bool:
+    try:
+        for _ in prediction_index(pred):
+            pass
+    except RecordError:
+        return False
+    return True
 
 
 def corpus(n: int, seed: int = 7) -> list[tuple[str, list[str]]]:
@@ -208,8 +194,8 @@ def test_cuts_fall_after_even_byte_offsets(tmp_path, cpus):
     g, p = write_pair(tmp_path, corpus(300), pred_newline=b"\r\n")
     gold, pred = g.read_bytes(), p.read_bytes()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(splitscore, "_cpus", lambda: cpus)
-        mp.setattr(splitscore, "SPLIT_MIN_BYTES", 0)
+        mp.setattr(workers, "cpus", lambda: cpus)
+        mp.setattr(workers, "SPLIT_MIN_BYTES", 0)
         ranges = splitscore._ranges(g, p)
     assert len(ranges) == cpus
     assert ranges[0] == (0, 0, 1)
@@ -226,13 +212,13 @@ def test_cuts_fall_after_even_byte_offsets(tmp_path, cpus):
 def test_small_or_unsplittable_inputs_stay_in_one_process(tmp_path):
     g, p = write_pair(tmp_path, corpus(50))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(splitscore, "_cpus", lambda: 2)
+        mp.setattr(workers, "cpus", lambda: 2)
         assert len(splitscore._ranges(g, p)) == 1  # under SPLIT_MIN_BYTES
-        mp.setattr(splitscore, "SPLIT_MIN_BYTES", 0)
+        mp.setattr(workers, "SPLIT_MIN_BYTES", 0)
         assert len(splitscore._ranges(g, p)) == 2
-        mp.setattr(splitscore, "_cpus", lambda: 1)
+        mp.setattr(workers, "cpus", lambda: 1)
         assert len(splitscore._ranges(g, p)) == 1
-        mp.setattr(splitscore, "_cpus", lambda: 2)
+        mp.setattr(workers, "cpus", lambda: 2)
         fifo = tmp_path / "fifo"
         os.mkfifo(fifo)
         assert len(splitscore._ranges(g, fifo)) == 1  # never opened: a pipe is read once
@@ -241,23 +227,43 @@ def test_small_or_unsplittable_inputs_stay_in_one_process(tmp_path):
         short.write_bytes(p.read_bytes()[:100])
         assert len(splitscore._ranges(g, short)) == 1
         assert len(splitscore._ranges(g, short, cut_pred=False)) == 2  # only gold is cut
-        mp.setattr(os, "name", "nt")  # a worker could not inherit the index file
-        assert len(splitscore._ranges(g, p, cut_pred=False)) == 1
-        assert len(splitscore._ranges(g, p)) == 2
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(workers, "SPLIT_MIN_BYTES", 0)
+        mp.delattr(os, "fork")  # no worker can be forked: ordered scoring on Windows too
+        assert workers.cpus() == 1
+        assert len(splitscore._ranges(g, p)) == len(splitscore._ranges(g, p, cut_pred=False)) == 1
 
 
 def test_worker_that_cannot_start_leaves_the_run_serial(tmp_path, monkeypatch):
     g, p = write_pair(tmp_path, corpus(100))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(splitscore, "_cpus", lambda: 1)
+        mp.setattr(workers, "cpus", lambda: 1)
         serial = outcome(g, p), outcome(g, p, unordered=True)
-    force_split(monkeypatch, cut=g.read_bytes().index(b"\n") + 1)
+    started = force_split(monkeypatch, cut=g.read_bytes().index(b"\n") + 1, cpus=3)
 
     def refuse(*args, **kwargs):
         raise OSError("cannot start")
 
-    monkeypatch.setattr(subprocess, "Popen", refuse)
-    assert (outcome(g, p), outcome(g, p, unordered=True)) == serial
+    real_fork = os.fork
+    forks = []
+
+    def second_refused():  # the first worker starts, the second does not
+        if forks:
+            refuse()
+        forks.append(1)
+        return real_fork()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "fork", refuse)
+        assert (outcome(g, p), outcome(g, p, unordered=True)) == serial
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tempfile, "TemporaryFile", refuse)
+        assert (outcome(g, p), outcome(g, p, unordered=True)) == serial
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "fork", second_refused)
+        assert outcome(g, p) == serial[0]
+    assert len(started.started) == 1
+    started.assert_reaped()
 
 
 # The ids keep the names the ordered cases had before unordered ones joined.
@@ -273,12 +279,12 @@ def test_no_worker_left_after_an_error(tmp_path, monkeypatch, unordered, bad_lin
     lines = g.read_bytes().splitlines(keepends=True)
     lines[bad_line - 1] = b"oops\n"
     g.write_bytes(b"".join(lines))
-    workers = force_split(monkeypatch, cut=len(b"".join(lines[:40])))
+    started = force_split(monkeypatch, cut=len(b"".join(lines[:40])))
     with pytest.raises(RecordError) as info:
         bounded(lambda: stream_score(g, p, unordered=unordered))
     assert str(info.value) == message
-    assert len(workers.started) == 1
-    workers.assert_reaped()
+    assert len(started.started) == 1
+    started.assert_reaped()
 
 
 @MODES
@@ -289,24 +295,24 @@ def test_no_worker_left_after_an_error_with_a_worker_still_scoring(tmp_path, mon
     g, p = write_pair(tmp_path, rows, shuffled=unordered)
     gold = g.read_bytes()
     g.write_bytes(b"{oops" + gold[gold.index(b"\n"):])
-    workers = force_split(monkeypatch, cut=len(b"".join(gold.splitlines(True)[:10])))
+    started = force_split(monkeypatch, cut=len(b"".join(gold.splitlines(True)[:10])))
     with pytest.raises(RecordError, match=r"^g\.jsonl:1: malformed JSON"):
         bounded(lambda: stream_score(g, p, unordered=unordered))
-    workers.assert_reaped()
-    assert workers.started[0].returncode == -signal.SIGKILL
+    started.assert_reaped()
+    assert started.started[0].status == -signal.SIGKILL
 
 
 @MODES
 def test_killed_worker_fails_naming_its_exit_status(tmp_path, monkeypatch, unordered):
     g, p = write_pair(tmp_path, corpus(100), shuffled=unordered)
     gold = g.read_bytes()
-    workers = force_split(monkeypatch, cut=len(b"".join(gold.splitlines(True)[:40])), kill=True)
+    started = force_split(monkeypatch, cut=len(b"".join(gold.splitlines(True)[:40])), kill=True)
     with pytest.raises(ChildProcessError) as info:
         bounded(lambda: stream_score(g, p, unordered=unordered))
     assert str(info.value) == (
         "g.jsonl: scoring worker for lines from 41 exited with status -9 (killed by signal 9)"
     )
-    workers.assert_reaped()
+    started.assert_reaped()
 
 
 @MODES
@@ -323,12 +329,12 @@ def test_cli_report_and_csv_bytes_match_the_serial_run(tmp_path, monkeypatch, un
         return out.read_bytes(), csv.read_bytes()
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(splitscore, "_cpus", lambda: 1)
+        mp.setattr(workers, "cpus", lambda: 1)
         serial = run("serial")
-    workers = force_split(monkeypatch, cut=len(b"".join(g.read_bytes().splitlines(True)[:77])))
+    started = force_split(monkeypatch, cut=len(b"".join(g.read_bytes().splitlines(True)[:77])))
     assert run("split") == serial
-    assert len(workers.started) == 1
-    workers.assert_reaped()
+    assert len(started.started) == 1
+    started.assert_reaped()
     assert json.loads(serial[0])["records"] == 200
 
 
@@ -358,10 +364,11 @@ def test_tail_range_stays_under_the_criterion_12_ceiling(million_pairs, monkeypa
     Same 1,000,000-record input and ceiling (10x the traced heap of one parsed
     5,000-line chunk) as criterion 12, which measures the calling process's
     range; here the tail range is run in this process under tracemalloc,
-    through the worker's own entry point. An unordered worker also holds the
-    bitmap of the rows it used, a bit a prediction; the prediction index
-    itself is mapped from the file the calling process writes, shared by
-    every worker, so it is not on the worker's heap.
+    through the task a worker runs, writing its result to a temporary file
+    as a worker does. An unordered worker also holds the bitmap of the rows
+    it used, a bit a prediction; the prediction index itself is built before
+    the workers are forked, and shared with them, so it is not on the
+    worker's heap.
     """
     n = 1_000_000
     chunk_size = 5000
@@ -378,27 +385,27 @@ def test_tail_range_stays_under_the_criterion_12_ceiling(million_pairs, monkeypa
     del chunk
     ceiling = 10 * chunk_bytes + (n // 8 if unordered else 0)
 
-    monkeypatch.setattr(splitscore, "_cpus", lambda: 2)
+    monkeypatch.setattr(workers, "cpus", lambda: 2)
     ranges = splitscore._ranges(gold_path, pred_path, cut_pred=not unordered)
     assert len(ranges) == 2
-    with tempfile.TemporaryFile() as index_file:
-        stdin, fds = io.BytesIO(), ()
-        if unordered:  # what the calling process writes to the worker
-            index = prediction_index(pred_path)
-            for _ in index:
-                pass
-            index.write_to(index_file)
-            stdin, fds = io.BytesIO(len(index.keys).to_bytes(8, "little")), (index_file.fileno(),)
-            del index
+    if unordered:  # what the calling process builds before it forks
+        index = prediction_index(pred_path)
+        for _ in index:
+            pass
+        task = splitscore._unordered_task(index, gold_path, pred_path, ranges[1], None)
+    else:
+        task = splitscore._ordered_task(gold_path, pred_path, ranges[1], None)
+    with tempfile.TemporaryFile() as out:
         tracemalloc.start()
-        result = splitscore._worker(
-            splitscore._worker_args(gold_path, pred_path, ranges[1], None, *fds), stdin)
+        task(out)
         tail_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-    assert result["records"] == n - (ranges[1][2] - 1)
-    assert 0.4 * n < result["records"] < 0.6 * n
-    used = int.from_bytes(result["used"], "little")
-    assert bin(used).count("1") == (result["records"] if unordered else 0)
+        out.seek(0)
+        (counts, records), used = pickle.load(out)
+    assert records == n - (ranges[1][2] - 1)
+    assert 0.4 * n < records < 0.6 * n
+    used = int.from_bytes(used, "little")
+    assert bin(used).count("1") == (records if unordered else 0)
     assert tail_peak < ceiling, f"tail range peak {tail_peak} bytes, ceiling {ceiling}"
 
 
