@@ -34,7 +34,6 @@ import math
 import os
 import random
 import reprlib
-import stat
 import sys
 from array import array
 from collections import Counter
@@ -424,50 +423,9 @@ def _iter_source_lines(spec: SourceSpec, start: int = 0, first_line: int = 1,
 
 # A range of the stream of all sources is a list of parts, each the (source
 # index, byte offset, first line, stop offset or None for the end) of the
-# lines it reads from one source.
+# lines it reads from one source (piiprep.workers.line_ranges).
 _Part = tuple[int, int, int, "int | None"]
-_CHUNK = 1024  # the most records and errors in one chunk of a range
-
-
-def _ranges(config: PipelineConfig) -> list[list[_Part]]:
-    """The sources, read one after another, cut into one range per usable CPU.
-
-    One range (each whole source) where piiprep.workers.cpus() is 1, when
-    the sources hold fewer than its SPLIT_MIN_BYTES, or when one is not a
-    regular file: a pipe can be read only once. A source that cannot be
-    found counts as empty here; the range it falls in reports it.
-    """
-    from piiprep import workers
-
-    sources = config.sources
-    whole = [[(k, 0, 1, None) for k in range(len(sources))]]
-    n = workers.cpus()
-    if n < 2:
-        return whole
-    sizes = []
-    for spec in sources:
-        try:
-            st = os.stat(spec.path)
-        except OSError:
-            sizes.append(0)
-            continue
-        if not stat.S_ISREG(st.st_mode):
-            return whole
-        sizes.append(st.st_size)
-    if sum(sizes) < workers.SPLIT_MIN_BYTES:
-        return whole
-    try:
-        starts = workers.range_starts([spec.path for spec in sources], sizes, n)
-    except OSError:
-        return whole  # reported in stream order by the serial run
-    ranges = []
-    for (k, offset, line), (end, end_offset, _) in zip(starts, starts[1:] + [(len(sources), 0, 1)]):
-        parts = []
-        while (k, offset) < (end, end_offset):
-            parts.append((k, offset, line, end_offset if k == end else None))
-            k, offset, line = k + 1, 0, 1
-        ranges.append(parts)
-    return ranges
+_CHUNK = 256  # the most records and errors in one chunk of a range
 
 
 def _consolidated(config: PipelineConfig, space: LabelSpace,
@@ -512,23 +470,27 @@ def _consolidated(config: PipelineConfig, space: LabelSpace,
 
 def _send_range(config: PipelineConfig, space: LabelSpace, parts: list[_Part], out) -> None:
     """In a worker: send each chunk of one range, its records as (line, stratum, summary)."""
-    from piiprep import workers
+    from piiprep.workers import packed, send
 
     try:
-        for k, encs, *rest in _consolidated(config, space, parts):
-            workers.send(out, (k, [(e.line, e.stratum, e.summary) for e in encs], *rest))
+        for k, encs, rids, linenos, dropped, errors, fatal in _consolidated(config, space, parts):
+            send(out, (k, [(e.line, e.stratum, e.summary) for e in encs], rids, linenos, dropped,
+                       [packed(e) for e in errors], fatal and packed(fatal)))
     except Exception as e:  # raised by the calling process after the chunks before it
-        workers.send(out, (parts[0][0], [], [], [], 0, [], e))
+        send(out, (parts[0][0], [], [], [], 0, [], packed(e)))
 
 
 def _received(config: PipelineConfig, worker, parts: list[_Part]) -> Iterator[tuple]:
     """The chunks a worker sent for parts, as _consolidated gives them."""
+    from piiprep.workers import unpacked
+
     first, _, first_line, _ = parts[0]
-    for k, rows, *rest in worker.received(
+    for k, rows, rids, linenos, dropped, errors, fatal in worker.received(
             f"{config.sources[first].path.name}: prepare worker for lines from {first_line}"):
         source = config.sources[k].name
         yield (k, [EncodedRecord.of(line, source, stratum, summary)
-                   for line, stratum, summary in rows], *rest)
+                   for line, stratum, summary in rows], rids, linenos, dropped,
+               [unpacked(e) for e in errors], fatal and unpacked(fatal))
 
 
 @contextmanager
@@ -537,7 +499,7 @@ def _stream(config: PipelineConfig, space: LabelSpace) -> Iterator[Iterator[tupl
     range's read here, each other's by a forked worker (piiprep.workers)."""
     from piiprep import workers
 
-    ranges = _ranges(config)
+    ranges = workers.line_ranges([spec.path for spec in config.sources])
     with workers.forked([partial(_send_range, config, space, parts)
                          for parts in ranges[1:]]) as started:
         if not started:

@@ -73,29 +73,25 @@ def _line_ends(f, counts: list[int]) -> list[int]:
 def _ranges(gold_path: Path, pred_path: Path, cut_pred: bool = True) -> list[tuple[int, int, int]]:
     """(gold offset, prediction offset, first line) of each range to score.
 
-    One range, the whole files, where workers.cpus() is 1, for a gold file
-    under SPLIT_MIN_BYTES, for an input that is not a regular file (a pipe
-    can be read only once) and for a prediction file too short to hold a
-    cut. Without cut_pred (unordered scoring) every prediction offset is 0.
+    The gold file's workers.line_ranges. One range, the whole files, where
+    the prediction file is not a regular file (a pipe can be read only once)
+    and for an ordered prediction file too short to hold a cut. Without
+    cut_pred (unordered scoring) every prediction offset is 0.
     """
-    ranges = [(0, 0, 1)]
-    n = workers.cpus()
-    if n < 2:
-        return ranges
+    starts = [parts[0][1:3] for parts in workers.line_ranges([gold_path])][1:]
+    if not starts:
+        return [(0, 0, 1)]
     try:
-        gstat, pstat = os.stat(gold_path), os.stat(pred_path)
+        if not stat.S_ISREG(os.stat(pred_path).st_mode):
+            return [(0, 0, 1)]
     except OSError:
-        return ranges  # the serial reader reports it
-    if not (stat.S_ISREG(gstat.st_mode) and stat.S_ISREG(pstat.st_mode)) \
-            or gstat.st_size < workers.SPLIT_MIN_BYTES:
-        return ranges
-    starts = workers.range_starts([gold_path], [gstat.st_size], n)[1:]
+        return [(0, 0, 1)]  # the serial reader reports it
     if cut_pred:
         with pred_path.open("rb") as p:
-            pred_cuts = _line_ends(p, [line - 1 for _, _, line in starts])
+            pred_cuts = _line_ends(p, [line - 1 for _, line in starts])
     else:
         pred_cuts = [0] * len(starts)
-    return ranges + [(gc, pc, line) for (_, gc, line), pc in zip(starts, pred_cuts)]
+    return [(0, 0, 1)] + [(gc, pc, line) for (gc, line), pc in zip(starts, pred_cuts)]
 
 
 def _line_counts(ranges: list) -> list[int | None]:
@@ -104,16 +100,16 @@ def _line_counts(ranges: list) -> list[int | None]:
 
 
 def _send_scored(out: BinaryIO, pairs: _Pairs, gname: str, pname: str, used=b"") -> None:
-    """In a worker: score pairs and send ((counts, records) or the error, used).
+    """In a worker: score pairs and send (counts, records, None, used), or
+    (None, None, the error packed, used).
 
     used is the bitmap of the prediction rows the range used (ordered: empty).
     """
     try:
         counters, records = _score_pairs(pairs, gname, pname)
-        outcome = counters.counts, records
+        workers.send(out, (counters.counts, records, None, used))
     except Exception as e:  # raised again by the calling process
-        outcome = e
-    workers.send(out, (outcome, used))
+        workers.send(out, (None, None, workers.packed(e), used))
 
 
 def _ordered_task(gold_path: Path, pred_path: Path, start: tuple, lines: int | None
@@ -139,20 +135,20 @@ def _unordered_task(index, gold_path: Path, pred_path: Path, start: tuple, lines
 
 
 def _result(worker: workers.Worker, first_line: int, gname: str) -> tuple:
-    """A finished worker's (outcome, used); ChildProcessError if it has none."""
+    """A finished worker's (counts, records, error, used); ChildProcessError if it has none."""
     (result,) = worker.received(f"{gname}: scoring worker for lines from {first_line}")
     return result
 
 
-def _add(counters: TypeCounters, outcome) -> int:
+def _add(counters: TypeCounters, result: tuple) -> int:
     """Add a worker's counts to counters and return its records, or raise its error.
 
     The error is the one the serial run raises. Counts are added in range
     order, so types keep the serial run's first-seen order.
     """
-    if isinstance(outcome, BaseException):
-        raise outcome
-    parts, records = outcome
+    parts, records, error, _ = result
+    if error is not None:
+        raise workers.unpacked(error)
     counts = counters.counts
     for typ, part in parts.items():
         b = counts.get(typ)
@@ -183,7 +179,7 @@ def score_ordered(gold_path: Path, pred_path: Path) -> tuple[TypeCounters, int]:
         counters, records = _score_pairs(
             _ordered_pairs(gold_path, pred_path, pairs=lines[0]), gname, pname)
         for worker, start in zip(started, ranges[1:]):
-            records += _add(counters, _result(worker, start[2], gname)[0])
+            records += _add(counters, _result(worker, start[2], gname))
     return counters, records
 
 
@@ -215,8 +211,8 @@ def score_unordered(gold_path: Path, pred_path: Path) -> tuple[TypeCounters, int
                 gold_pairs(index, f, gold_path, used, lines=lines[0]), gname, pname)
             used = int.from_bytes(used, "little")
             for worker, start, count in zip(started, ranges[1:], lines[1:]):
-                outcome, rows = _result(worker, start[2], gname)
-                rows = int.from_bytes(rows, "little")
+                result = _result(worker, start[2], gname)
+                rows = int.from_bytes(result[3], "little")
                 if rows & used:
                     # The range used a row that an earlier one used, at or
                     # before its own error, so the repeated gold id comes
@@ -225,7 +221,7 @@ def score_unordered(gold_path: Path, pred_path: Path) -> tuple[TypeCounters, int
                     earlier = bytearray(used.to_bytes(size, "little"))
                     for _ in gold_pairs(index, f, gold_path, earlier, start[0], start[2], count):
                         pass
-                records += _add(counters, outcome)
+                records += _add(counters, result)
                 used |= rows
             check_all_used(index, f, used)
     return counters, records

@@ -1,7 +1,7 @@
 """Work in line ranges on every usable CPU, each range but the first in a forked worker.
 
 prepare's consolidate and score (splitscore) cut their input at line
-boundaries into one range per usable CPU (range_starts), run the first range
+boundaries into one range per usable CPU (line_ranges), run the first range
 in the calling process and give each other range to forked(), which forks a
 worker for it. A worker inherits the calling process's memory by
 copy-on-write: the config and taxonomy, or unordered scoring's finished
@@ -20,8 +20,11 @@ in one process.
 from __future__ import annotations
 
 import gc
+import marshal
 import os
 import signal
+import stat
+import sys
 from bisect import bisect_right
 from contextlib import contextmanager
 from itertools import accumulate, groupby
@@ -29,7 +32,8 @@ from operator import itemgetter
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterator, Sequence
 
-__all__ = ["SPLIT_MIN_BYTES", "Worker", "cpus", "forked", "range_starts", "send"]
+__all__ = ["SPLIT_MIN_BYTES", "Worker", "cpus", "forked", "line_ranges", "packed", "send",
+           "sent", "unpacked"]
 
 # Inputs smaller than this run in one process. A fork and reap took about
 # 3 ms here; see README.md for the measurement that set the floor.
@@ -85,28 +89,87 @@ def _cuts(paths: Sequence[Path], sizes: Sequence[int], n: int) -> list[tuple[int
     return cuts
 
 
-def range_starts(paths: Sequence[Path], sizes: Sequence[int], n: int) -> list[tuple[int, int, int]]:
-    """Where each of up to n ranges of the files, read one after another, starts:
-    (file index, byte offset, line number), the first at (0, 0, 1).
+def line_ranges(paths: Sequence[Path]) -> list[list[tuple[int, int, int, int | None]]]:
+    """The files, read one after another, cut at line boundaries into one range
+    per usable CPU: each range a list of parts, the (file index, start offset,
+    first line, stop offset or None for the file's end) of the lines it reads
+    from one file.
 
-    sizes[i] is the size of paths[i]; a range that starts a file does not open it.
+    One range, each file whole, where cpus() is 1, when the files hold fewer
+    than SPLIT_MIN_BYTES, or when one is not a regular file: a pipe can be
+    read only once. A file that cannot be found counts as empty here; the
+    range it falls in reports it.
     """
+    whole = [[(i, 0, 1, None) for i in range(len(paths))]]
+    n = cpus()
+    if n < 2:
+        return whole
+    sizes = []
+    for path in paths:
+        try:
+            st = os.stat(path)
+        except OSError:
+            sizes.append(0)
+            continue
+        if not stat.S_ISREG(st.st_mode):
+            return whole
+        sizes.append(st.st_size)
+    if sum(sizes) < SPLIT_MIN_BYTES:
+        return whole
     starts = [(0, 0, 1)]
-    for i, cuts in groupby(_cuts(paths, sizes, n), itemgetter(0)):
-        offsets = [offset for _, offset in cuts]
-        counts = [0] * len(offsets)
-        if offsets[-1]:
-            with open(paths[i], "rb") as f:
-                counts = newlines_before(f, offsets)
-        starts += [(i, offset, k + 1) for offset, k in zip(offsets, counts)]
-    return starts
+    try:
+        for i, cuts in groupby(_cuts(paths, sizes, n), itemgetter(0)):
+            offsets = [offset for _, offset in cuts]
+            counts = [0] * len(offsets)
+            if offsets[-1]:
+                with open(paths[i], "rb") as f:
+                    counts = newlines_before(f, offsets)
+            starts += [(i, offset, k + 1) for offset, k in zip(offsets, counts)]
+    except OSError:
+        return whole  # the serial run reports it in order
+    ranges = []
+    for (i, offset, line), (end, end_offset, _) in zip(starts, starts[1:] + [(len(paths), 0, 1)]):
+        parts = []
+        while (i, offset) < (end, end_offset):
+            parts.append((i, offset, line, end_offset if i == end else None))
+            i, offset, line = i + 1, 0, 1
+        ranges.append(parts)
+    return ranges
 
 
 def send(f: BinaryIO, obj) -> None:
-    """Write obj to a worker's result file f, to be read back by Worker.received."""
-    import pickle
+    """Write obj, of values marshal can write (an exception as packed() packs
+    it), to a worker's result file f, to be read back by sent()."""
+    data = marshal.dumps(obj)
+    f.write(len(data).to_bytes(8, "little"))
+    f.write(data)
 
-    pickle.dump(obj, f, pickle.HIGHEST_PROTOCOL)
+
+def sent(f: BinaryIO) -> Iterator:
+    """Each object that send() wrote to binary file f, from its start."""
+    f.seek(0)
+    while size := f.read(8):
+        yield marshal.loads(f.read(int.from_bytes(size, "little")))
+
+
+def packed(e: BaseException) -> tuple:
+    """Exception e as values send() can write; unpacked() makes it again."""
+    cls, args = e.__reduce__()[:2]
+    try:
+        marshal.dumps(args)
+    except ValueError:
+        args = None
+    return cls.__module__, cls.__qualname__, args, str(e)
+
+
+def unpacked(state: tuple) -> BaseException:
+    """The exception that packed() packed, or a ChildProcessError naming it
+    where its class or arguments cannot be had here."""
+    module, name, args, text = state
+    try:
+        return getattr(sys.modules[module], name)(*args)
+    except Exception:
+        return ChildProcessError(f"{name}: {text}")
 
 
 class Worker:
@@ -130,22 +193,13 @@ class Worker:
         A worker that did not exit 0 raises ChildProcessError naming what
         ("g.jsonl: scoring worker for lines from 41") and its exit status.
         """
-        import pickle
-
         code = self.reap()
         if code:
             how = f"exited with status {code}"
             if code < 0:
                 how += f" (killed by signal {-code})"
             raise ChildProcessError(f"{what} {how}")
-        f = self.file
-        f.seek(0)
-        while True:
-            try:
-                obj = pickle.load(f)
-            except EOFError:
-                return
-            yield obj
+        yield from sent(self.file)
 
 
 def _fork(task: Callable[[BinaryIO], None], file: BinaryIO) -> Worker:
@@ -191,10 +245,7 @@ def forked(tasks: Sequence[Callable[[BinaryIO], None]]) -> Iterator[list[Worker]
     if not tasks:
         yield []
         return
-    # Imported here, before any fork: a serial run need not pay for them,
-    # and a worker must not import while another thread may hold an import lock.
-    import pickle  # noqa: F401
-    import tempfile
+    import tempfile  # here: a serial run need not import it
 
     workers: list[Worker] = []
     try:

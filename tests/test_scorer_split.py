@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import os
-import pickle
 import random
 import signal
 import tempfile
@@ -400,9 +399,8 @@ def test_tail_range_stays_under_the_criterion_12_ceiling(million_pairs, monkeypa
         task(out)
         tail_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        out.seek(0)
-        (counts, records), used = pickle.load(out)
-    assert records == n - (ranges[1][2] - 1)
+        (counts, records, error, used), = workers.sent(out)
+    assert error is None and records == n - (ranges[1][2] - 1)
     assert 0.4 * n < records < 0.6 * n
     used = int.from_bytes(used, "little")
     assert bin(used).count("1") == (records if unordered else 0)
