@@ -354,7 +354,10 @@ def consolidate(
     once every source is read, or before any other error is raised under
     fail, so the error raised is the first in stream order. Under skip/log
     each repeat is then dropped and counted in its own source; under log its
-    warning comes after the warnings of the pass.
+    warning comes after the warnings of the pass. The sources are read in
+    line ranges, each but the first by a forked worker (_stream), and every
+    id, count and warning is taken here in stream order, so the result is
+    that of one pass.
     """
     out: list[EncodedRecord] = []
     counts = [{"kept": 0, "dropped": 0, "errors": 0} for _ in config.sources]

@@ -35,8 +35,12 @@ from typing import BinaryIO, Callable, Iterator, Sequence
 __all__ = ["SPLIT_MIN_BYTES", "Worker", "cpus", "forked", "line_ranges", "packed", "send",
            "sent", "unpacked"]
 
-# Inputs smaller than this run in one process. A fork and reap took about
-# 3 ms here; see README.md for the measurement that set the floor.
+# Inputs smaller than this run in one process. On a 2-vCPU host, where a fork
+# and reap took about 3 ms, two ranges against one on perfbench's inputs
+# (medians of 9 alternating fresh-process pairs) were slower at 0.25 MB
+# (score 25.7 ms against 24.4, prepare 54.2 against 48.6) and at 0.49 MB of
+# prepare sources (91.1 against 87.2), and faster from about 1 MB (score
+# 57.5 against 76.0 ms, prepare 143.0 against 164.3).
 SPLIT_MIN_BYTES = 1 << 20
 _BLOCK = 1 << 16  # read size when looking for cuts; small, so traced memory stays flat
 
@@ -61,7 +65,7 @@ def _line_end(f, pos: int) -> int:
     return pos
 
 
-def newlines_before(f, ends: list[int]) -> list[int]:
+def _newlines_before(f, ends: list[int]) -> list[int]:
     """The number of newline bytes before each of the ascending offsets ends."""
     f.seek(0)
     counts, seen, pos = [], 0, 0
@@ -123,7 +127,7 @@ def line_ranges(paths: Sequence[Path]) -> list[list[tuple[int, int, int, int | N
             counts = [0] * len(offsets)
             if offsets[-1]:
                 with open(paths[i], "rb") as f:
-                    counts = newlines_before(f, offsets)
+                    counts = _newlines_before(f, offsets)
             starts += [(i, offset, k + 1) for offset, k in zip(offsets, counts)]
     except OSError:
         return whole  # the serial run reports it in order
