@@ -44,9 +44,6 @@ from piiprep.scorer import TypeCounters, _ordered_pairs, _Pairs, _score_pairs
 
 __all__ = ["score_ordered", "score_unordered"]
 
-_BLOCK = workers._BLOCK
-
-
 def _line_ends(f, counts: list[int]) -> list[int]:
     """For each of the ascending counts k, the offset just past the k-th newline.
 
@@ -60,7 +57,7 @@ def _line_ends(f, counts: list[int]) -> list[int]:
             seen += m
             base += len(block)
             pos = base
-            if not (block := f.read(_BLOCK)):
+            if not (block := f.read(workers._BLOCK)):
                 return ends
         i = pos - base - 1
         for _ in range(k - seen):

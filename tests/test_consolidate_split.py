@@ -15,6 +15,8 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
+import signal
 import tempfile
 from pathlib import Path
 
@@ -23,7 +25,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import Workers, bounded
-from piiprep import workers
+from piiprep import pipeline, workers
 from piiprep.errors import ToolkitError
 from piiprep.fixtures import canonical_space
 from piiprep.pipeline import PipelineConfig, SourceSpec, consolidate, run_prepare
@@ -172,3 +174,31 @@ def test_killed_worker_fails_naming_its_exit_status(tmp_path, monkeypatch):
         "a.jsonl: prepare worker for lines from 4 exited with status -9 (killed by signal 9)")
     assert len(started.started) == 2
     started.assert_reaped()
+
+
+def test_no_worker_left_after_an_interrupt(tmp_path, monkeypatch):
+    # Ctrl-C in the calling process while the worker still has a long range to go.
+    a = tmp_path / "a.jsonl"
+    lines = [json.dumps({"id": f"r{i}", "tokens": ["t"], "labels": ["B-NAME"], "source": "a"})
+             + "\n" for i in range(40_000)]
+    a.write_text("".join(lines), encoding="utf-8")
+    caller = os.getpid()
+    real_source_record = pipeline._source_record
+
+    def source_record(*args):
+        if os.getpid() == caller and args[3] == 5:
+            raise KeyboardInterrupt
+        return real_source_record(*args)
+
+    monkeypatch.setattr(pipeline, "_source_record", source_record)
+    monkeypatch.setattr(workers, "cpus", lambda: 2)
+    monkeypatch.setattr(workers, "SPLIT_MIN_BYTES", 0)
+    monkeypatch.setattr(workers, "_cuts", lambda paths, sizes, n: [(0, len("".join(lines[:20])))])
+    started = Workers()
+    monkeypatch.setattr(workers, "_fork", started.fork)
+    with pytest.raises(KeyboardInterrupt):
+        bounded(lambda: consolidate(PipelineConfig(sources=[SourceSpec("a", a)]),
+                                    canonical_space()))
+    assert len(started.started) == 1
+    started.assert_reaped()
+    assert started.started[0].status == -signal.SIGKILL

@@ -29,7 +29,7 @@ from piiprep import splitscore, workers
 from piiprep.cli import main
 from piiprep.errors import AlignmentError, RecordError
 from piiprep.predindex import prediction_index
-from piiprep.scorer import stream_score
+from piiprep.scorer import TypeCounters, stream_score
 
 
 MODES = pytest.mark.parametrize("unordered", [False, True], ids=["ordered", "unordered"])
@@ -297,6 +297,27 @@ def test_no_worker_left_after_an_error_with_a_worker_still_scoring(tmp_path, mon
     started = force_split(monkeypatch, cut=len(b"".join(gold.splitlines(True)[:10])))
     with pytest.raises(RecordError, match=r"^g\.jsonl:1: malformed JSON"):
         bounded(lambda: stream_score(g, p, unordered=unordered))
+    started.assert_reaped()
+    assert started.started[0].status == -signal.SIGKILL
+
+
+@MODES
+def test_no_worker_left_after_an_interrupt(tmp_path, monkeypatch, unordered):
+    # Ctrl-C in the calling process while the worker still has a long range to go.
+    g, p = write_pair(tmp_path, corpus(20_000), shuffled=unordered)
+    caller = os.getpid()
+    real_add_pair = TypeCounters.add_pair
+
+    def add_pair(counters, gold_labels, pred_labels):
+        if os.getpid() == caller:
+            raise KeyboardInterrupt
+        real_add_pair(counters, gold_labels, pred_labels)
+
+    monkeypatch.setattr(TypeCounters, "add_pair", add_pair)
+    started = force_split(monkeypatch, cut=len(b"".join(g.read_bytes().splitlines(True)[:10])))
+    with pytest.raises(KeyboardInterrupt):
+        bounded(lambda: stream_score(g, p, unordered=unordered))
+    assert len(started.started) == 1
     started.assert_reaped()
     assert started.started[0].status == -signal.SIGKILL
 
