@@ -335,6 +335,19 @@ def sub_rng(seed: int, operation: str, name: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
+def _iter_source_lines(spec: SourceSpec, start: int = 0, first_line: int = 1,
+                       stop: int | None = None) -> Iterable[tuple[int, str]]:
+    """The number and text of each line of spec's file that is not blank, its
+    ending stripped, from byte offset start (line first_line) to stop (None:
+    the end)."""
+    for lineno, offset, line in iter_lines(spec.path, start, first_line):
+        if stop is not None and offset >= stop:
+            return
+        line = line.rstrip("\r\n")
+        if line.strip():
+            yield lineno, line
+
+
 def consolidate(
     config: PipelineConfig,
     space: LabelSpace,
@@ -393,9 +406,7 @@ def consolidate(
         if found:
             raise found[0][1] from None
         raise
-    report = {}
-    for spec, c in zip(config.sources, counts):  # a later source of the same name wins
-        report[spec.name] = c
+    report = {spec.name: c for spec, c in zip(config.sources, counts)}
     found = repeated()
     if found and config.on_error == "fail":
         raise found[0][1]
@@ -409,19 +420,6 @@ def consolidate(
         rows = {row for row, _ in found}
         out = [rec for row, rec in enumerate(out) if row not in rows]
     return out, report
-
-
-def _iter_source_lines(spec: SourceSpec, start: int = 0, first_line: int = 1,
-                       stop: int | None = None) -> Iterable[tuple[int, str]]:
-    """The number and text of each line of spec's file that is not blank, its
-    ending stripped, from byte offset start (line first_line) to stop (None:
-    the end)."""
-    for lineno, offset, line in iter_lines(spec.path, start, first_line):
-        if stop is not None and offset >= stop:
-            return
-        line = line.rstrip("\r\n")
-        if line.strip():
-            yield lineno, line
 
 
 # A range of the stream of all sources is a list of parts, each the (source
