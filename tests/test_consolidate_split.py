@@ -61,12 +61,13 @@ def source_lines(draw, fmt: str) -> list[str]:
 
 @st.composite
 def split_cases(draw):
-    """(sources as (name, format, bytes or None when missing), on_error, unknown_types, cuts)."""
+    """(sources as (name, format, bytes or None when missing), on_error, unknown_types,
+    prepend_source_token, cuts)."""
     sources = []
     for i in range(draw(st.integers(1, 3))):
         fmt = draw(st.sampled_from(["jsonl", "xml", "xml-jsonl"]))
         name = "x" if fmt != "jsonl" and all(n != "x" for n, _, _ in sources) else f"s{i}"
-        if draw(st.integers(0, 9)) == 0:
+        if draw(st.sampled_from([False] * 9 + [True])):  # a missing source
             sources.append((name, fmt, None))
             continue
         lines = draw(source_lines(fmt))
@@ -79,10 +80,10 @@ def split_cases(draw):
     points = sorted({(k, 0) for k in range(1, len(sources))} | {
         (k, i + 1) for k, (_, _, data) in enumerate(sources) if data
         for i in range(len(data) - 1) if data[i:i + 1] == b"\n"})
-    cuts = sorted(draw(st.lists(st.sampled_from(points), max_size=3, unique=True))
+    cuts = sorted(draw(st.lists(st.sampled_from(points), min_size=1, max_size=3, unique=True))
                   if points else [])
     return (sources, draw(st.sampled_from(["fail", "skip", "log"])),
-            draw(st.sampled_from(["error", "drop"])), cuts)
+            draw(st.sampled_from(["error", "drop"])), draw(st.booleans()), cuts)
 
 
 def outcome(config: PipelineConfig, caplog):
@@ -102,7 +103,7 @@ def outcome(config: PipelineConfig, caplog):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(split_cases())
 def test_split_prepare_matches_serial_prepare(caplog, case):
-    sources, on_error, unknown_types, cuts = case
+    sources, on_error, unknown_types, prepend, cuts = case
     with tempfile.TemporaryDirectory() as d:
         specs = []
         for name, fmt, data in sources:
@@ -113,7 +114,8 @@ def test_split_prepare_matches_serial_prepare(caplog, case):
 
         def config(out: str) -> PipelineConfig:
             return PipelineConfig(sources=specs, output_dir=Path(d) / out, on_error=on_error,
-                                  unknown_types=unknown_types, rare_label_threshold=0)
+                                  unknown_types=unknown_types, prepend_source_token=prepend,
+                                  rare_label_threshold=0)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(workers, "cpus", lambda: 1)
