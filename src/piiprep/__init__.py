@@ -13,8 +13,9 @@ Submodules:
   source-proportional sampling (sample_groups)
 - manifest: reproducibility manifests for written artifacts
 - scorer: streaming span-level exact-match evaluation
-- workers: work cut into line ranges, one per CPU, each but the first in a
-  forked worker process
+- workers: work cut into line ranges, one per CPU, and the one runner for
+  them (in_ranges): each range but the first in a forked worker process,
+  whose values and error come back in range order
 - splitscore: scoring, ordered and unordered, by gold line range
 - predindex: the prediction index behind unordered scoring
 - analysis: entity-level comparison of two tagging systems

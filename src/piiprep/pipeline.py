@@ -13,10 +13,11 @@ ordering and re-runs are byte-identical.
 
 consolidate reads the sources, one after another, in line ranges, one per
 usable CPU (piiprep.workers): it reads the first range itself, and a forked
-worker reads each other range and sends back its records, counts and
-skipped errors as values. The calling process keeps the ids, applies
-on_error and logs the skipped lines in stream order, so every count,
-message and output byte is that of one pass.
+worker reads each other range. Every range gives its records as (artifact
+line, stratum, summary), with their ids, line numbers and counts, and its
+skipped errors as their messages. The calling process builds the kept
+records, keeps the ids, applies on_error and logs the skipped lines in
+stream order, so every count, message and output byte is that of one pass.
 
 consolidate encodes each record it keeps once, into an EncodedRecord: its
 artifact line plus its source, stratum and label summary. The later steps
@@ -37,11 +38,10 @@ import reprlib
 import sys
 from array import array
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import closing
 from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 from functools import partial
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -368,9 +368,9 @@ def consolidate(
     fail, so the error raised is the first in stream order. Under skip/log
     each repeat is then dropped and counted in its own source; under log its
     warning comes after the warnings of the pass. The sources are read in
-    line ranges, each but the first by a forked worker (_stream), and every
-    id, count and warning is taken here in stream order, so the result is
-    that of one pass.
+    line ranges, each but the first by a forked worker (workers.in_ranges),
+    and every id, count and warning is taken here in stream order, so the
+    result is that of one pass.
     """
     out: list[EncodedRecord] = []
     counts = [{"kept": 0, "dropped": 0, "errors": 0} for _ in config.sources]
@@ -384,22 +384,30 @@ def consolidate(
         return [(row, RecordError(f"{files[out[row].source]}:{linenos[row]}: "
                                   f"duplicate record id {rid!r}")) for row, rid in found]
 
+    from piiprep import workers  # here: loading a config need not import it
+
+    def what(parts: list[_Part]) -> str:
+        k, _, first_line, _ = parts[0]
+        return f"{config.sources[k].path.name}: prepare worker for lines from {first_line}"
+
+    ranges = workers.line_ranges([spec.path for spec in config.sources])
     try:
-        with _stream(config, space) as chunks:
-            for k, encs, rids, lines, dropped, errors, fatal in chunks:
+        with closing(workers.in_ranges(ranges, partial(_consolidated, config, space),
+                                       what)) as chunks:
+            for k, recs, rids, lines, dropped, errors in chunks:
+                source = config.sources[k].name
                 for rid in rids:
                     ids.add(rid)
                 linenos.extend(lines)
-                out += encs
+                out += [EncodedRecord.of(line, source, stratum, summary)
+                        for line, stratum, summary in recs]
                 c = counts[k]
-                c["kept"] += len(encs)
+                c["kept"] += len(recs)
                 c["dropped"] += dropped
                 c["errors"] += len(errors)
                 if config.on_error == "log":
                     for e in errors:
                         logger.warning("skipping %s", e)
-                if fatal is not None:
-                    raise fatal
     except (ToolkitError, OSError):
         # A repeated id on an earlier line is the first error.
         found = repeated() if config.on_error == "fail" else []
@@ -432,17 +440,18 @@ _CHUNK = 256  # the most records and errors in one chunk of a range
 def _consolidated(config: PipelineConfig, space: LabelSpace,
                   parts: list[_Part]) -> Iterator[tuple]:
     """The records of one range of the stream, in chunks, each of (source index,
-    encoded records, their ids, their line numbers, span-free lines, skipped
-    errors, the error that ends the range or None).
+    records as (artifact line, stratum, summary), their ids, their line
+    numbers, span-free lines, the messages of skipped errors).
 
-    The range ends at a line that is not a record under on_error=fail, and at
-    an OSError or a line that is not UTF-8 under any policy. Nothing is logged.
+    The range ends, after a chunk of what came before it, with the error of
+    a line that is not a record under on_error=fail, and with an OSError or
+    a line that is not UTF-8 under any policy. Nothing is logged.
     """
     fail = config.on_error == "fail"
     for k, start, first_line, stop in parts:
         spec = config.sources[k]
         name = spec.path.name
-        encs, rids, linenos, dropped, errors = [], [], [], 0, []
+        rows, rids, linenos, dropped, errors = [], [], [], 0, []
         try:
             for lineno, line in _iter_source_lines(spec, start, first_line, stop):
                 try:
@@ -450,7 +459,7 @@ def _consolidated(config: PipelineConfig, space: LabelSpace,
                 except ToolkitError as e:
                     if fail:
                         raise
-                    errors.append(e.with_traceback(None))
+                    errors.append(str(e))
                     continue
                 if rec is None:
                     dropped += 1
@@ -459,54 +468,15 @@ def _consolidated(config: PipelineConfig, space: LabelSpace,
                 linenos.append(lineno)
                 if config.prepend_source_token:
                     rec = prepend_source_token(rec)
-                encs.append(EncodedRecord(rec))
-                if len(encs) + len(errors) >= _CHUNK:
-                    yield k, encs, rids, linenos, dropped, errors, None
-                    encs, rids, linenos, dropped, errors = [], [], [], 0, []
-        except (ToolkitError, OSError) as e:
-            yield k, encs, rids, linenos, dropped, errors, e
-            return
-        yield k, encs, rids, linenos, dropped, errors, None
-
-
-def _send_range(config: PipelineConfig, space: LabelSpace, parts: list[_Part], out) -> None:
-    """In a worker: send each chunk of one range, its records as (line, stratum, summary)."""
-    from piiprep.workers import packed, send
-
-    try:
-        for k, encs, rids, linenos, dropped, errors, fatal in _consolidated(config, space, parts):
-            send(out, (k, [(e.line, e.stratum, e.summary) for e in encs], rids, linenos, dropped,
-                       [packed(e) for e in errors], fatal and packed(fatal)))
-    except Exception as e:  # raised by the calling process after the chunks before it
-        send(out, (parts[0][0], [], [], [], 0, [], packed(e)))
-
-
-def _received(config: PipelineConfig, worker, parts: list[_Part]) -> Iterator[tuple]:
-    """The chunks a worker sent for parts, as _consolidated gives them."""
-    from piiprep.workers import unpacked
-
-    first, _, first_line, _ = parts[0]
-    for k, rows, rids, linenos, dropped, errors, fatal in worker.received(
-            f"{config.sources[first].path.name}: prepare worker for lines from {first_line}"):
-        source = config.sources[k].name
-        yield (k, [EncodedRecord.of(line, source, stratum, summary)
-                   for line, stratum, summary in rows], rids, linenos, dropped,
-               [unpacked(e) for e in errors], fatal and unpacked(fatal))
-
-
-@contextmanager
-def _stream(config: PipelineConfig, space: LabelSpace) -> Iterator[Iterator[tuple]]:
-    """The chunks of every range of the stream, in stream order: the first
-    range's read here, each other's by a forked worker (piiprep.workers)."""
-    from piiprep import workers
-
-    ranges = workers.line_ranges([spec.path for spec in config.sources])
-    with workers.forked([partial(_send_range, config, space, parts)
-                         for parts in ranges[1:]]) as started:
-        if not started:
-            ranges = [[part for parts in ranges for part in parts]]
-        yield chain(_consolidated(config, space, ranges[0]),
-                    *(_received(config, w, parts) for w, parts in zip(started, ranges[1:])))
+                enc = EncodedRecord(rec)
+                rows.append((enc.line, enc.stratum, enc.summary))
+                if len(rows) + len(errors) >= _CHUNK:
+                    yield k, rows, rids, linenos, dropped, errors
+                    rows, rids, linenos, dropped, errors = [], [], [], 0, []
+        except (ToolkitError, OSError):
+            yield k, rows, rids, linenos, dropped, errors
+            raise
+        yield k, rows, rids, linenos, dropped, errors
 
 
 def _source_record(spec: SourceSpec, name: str, line: str, lineno: int,

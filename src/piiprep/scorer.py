@@ -18,7 +18,6 @@ they share its pages, and each adds a bit a prediction for the rows it used.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import islice, zip_longest
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
@@ -98,26 +97,38 @@ def _prf(tp: int, pred: int, gold: int) -> tuple[float, float, float]:
     return p, r, f
 
 
-@dataclass
-class TypeMetrics:
-    precision: float
-    recall: float
-    f1: float
-    support: int
-    predicted: int
-    tp: int
+class _Fields:
+    """Equality and repr by attribute values, in the order __init__ sets them."""
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass
-class MetricsReport:
-    micro_precision: float
-    micro_recall: float
-    micro_f1: float
-    per_type: dict[str, TypeMetrics]
-    records: int = 0
-    chunks: int = 0
-    system: str | None = None
-    category: str | None = None
+class TypeMetrics(_Fields):
+    """Precision, recall and F1 of one type, with its gold spans, predictions and hits."""
+
+    def __init__(self, precision: float, recall: float, f1: float, support: int,
+                 predicted: int, tp: int) -> None:
+        self.precision, self.recall, self.f1 = precision, recall, f1
+        self.support, self.predicted, self.tp = support, predicted, tp
+
+
+class MetricsReport(_Fields):
+    """Micro and per-type scores, as `piiprep score` writes them."""
+
+    def __init__(self, micro_precision: float, micro_recall: float, micro_f1: float,
+                 per_type: dict[str, TypeMetrics], records: int = 0, chunks: int = 0,
+                 system: str | None = None, category: str | None = None) -> None:
+        self.micro_precision, self.micro_recall, self.micro_f1 = (
+            micro_precision, micro_recall, micro_f1)
+        self.per_type, self.records, self.chunks = per_type, records, chunks
+        self.system, self.category = system, category
 
     def to_dict(self) -> dict:
         return {
@@ -194,11 +205,11 @@ def finalize(
     )
 
 
-@dataclass
-class StreamResult:
-    counters: TypeCounters
-    records: int
-    chunks: int
+class StreamResult(_Fields):
+    """What stream_score returns: the counters, the record count and the chunk count."""
+
+    def __init__(self, counters: TypeCounters, records: int, chunks: int) -> None:
+        self.counters, self.records, self.chunks = counters, records, chunks
 
 
 def _parse_scored_line(line: str, lineno: int, path: str) -> tuple[str, list[str]]:

@@ -1,20 +1,21 @@
 """Work in line ranges on every usable CPU, each range but the first in a forked worker.
 
 prepare's consolidate and score (splitscore) cut their input at line
-boundaries into one range per usable CPU (line_ranges), run the first range
-in the calling process and give each other range to forked(), which forks a
-worker for it. A worker inherits the calling process's memory by
-copy-on-write: the config and taxonomy, or unordered scoring's finished
-prediction index. It opens every file it reads itself, since an inherited
-descriptor shares its offset with the caller. It writes its result with
-send() to an unlinked temporary file and leaves through os._exit, so it
-never runs the caller's exit handlers or flushes a buffer it inherited; it
-never logs. The caller reaps the workers in range order and reads each
-result back with Worker.received.
+boundaries into one range per usable CPU (line_ranges) and hand the ranges,
+with a generator function that runs one, to in_ranges. The calling process
+runs the first range; a forked worker runs each other one. A worker inherits
+the calling process's memory by copy-on-write: the config and taxonomy, or
+unordered scoring's finished prediction index. It opens every file it reads
+itself, since an inherited descriptor shares its offset with the caller. It
+writes each value its range yields, and then the exception that ended the
+range if one did, to an unlinked temporary file, and leaves through
+os._exit, so it never runs the caller's exit handlers or flushes a buffer it
+inherited; it never logs. The caller reaps the workers in range order and
+gives each one's values after the values before them, then its exception.
 
-Inputs under SPLIT_MIN_BYTES, a host with one usable CPU, a platform
-without os.fork, and a fork or temporary file that fails all leave the run
-in one process.
+Inputs under SPLIT_MIN_BYTES, a host with one usable CPU and a platform
+without os.fork leave the run in one range. A fork or temporary file that
+fails leaves every range to the calling process, run one after another.
 """
 
 from __future__ import annotations
@@ -26,14 +27,15 @@ import signal
 import stat
 import sys
 from bisect import bisect_right
-from contextlib import contextmanager
+from functools import partial
 from itertools import accumulate, groupby
 from operator import itemgetter
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, TypeVar
 
-__all__ = ["SPLIT_MIN_BYTES", "Worker", "cpus", "forked", "line_ranges", "packed", "send",
-           "sent", "unpacked"]
+__all__ = ["SPLIT_MIN_BYTES", "Worker", "cpus", "in_ranges", "line_ranges"]
+
+R = TypeVar("R")
 
 # Inputs smaller than this run in one process. On a 2-vCPU host, where a fork
 # and reap took about 3 ms, two ranges against one on perfbench's inputs
@@ -141,41 +143,6 @@ def line_ranges(paths: Sequence[Path]) -> list[list[tuple[int, int, int, int | N
     return ranges
 
 
-def send(f: BinaryIO, obj) -> None:
-    """Write obj, of values marshal can write (an exception as packed() packs
-    it), to a worker's result file f, to be read back by sent()."""
-    data = marshal.dumps(obj)
-    f.write(len(data).to_bytes(8, "little"))
-    f.write(data)
-
-
-def sent(f: BinaryIO) -> Iterator:
-    """Each object that send() wrote to binary file f, from its start."""
-    f.seek(0)
-    while size := f.read(8):
-        yield marshal.loads(f.read(int.from_bytes(size, "little")))
-
-
-def packed(e: BaseException) -> tuple:
-    """Exception e as values send() can write; unpacked() makes it again."""
-    cls, args = e.__reduce__()[:2]
-    try:
-        marshal.dumps(args)
-    except ValueError:
-        args = None
-    return cls.__module__, cls.__qualname__, args, str(e)
-
-
-def unpacked(state: tuple) -> BaseException:
-    """The exception that packed() packed, or a ChildProcessError naming it
-    where its class or arguments cannot be had here."""
-    module, name, args, text = state
-    try:
-        return getattr(sys.modules[module], name)(*args)
-    except Exception:
-        return ChildProcessError(f"{name}: {text}")
-
-
 class Worker:
     """A forked worker: its process id, its result file, and its exit status
     once it is reaped (None before): negative, the signal that killed it."""
@@ -192,7 +159,8 @@ class Worker:
         return self.status
 
     def received(self, what: str) -> Iterator:
-        """Each object the worker sent, in order, once it has exited.
+        """Each value the worker sent, in order, once it has exited, then the
+        exception its range raised, if it raised one (_values).
 
         A worker that did not exit 0 raises ChildProcessError naming what
         ("g.jsonl: scoring worker for lines from 41") and its exit status.
@@ -203,7 +171,46 @@ class Worker:
             if code < 0:
                 how += f" (killed by signal {-code})"
             raise ChildProcessError(f"{what} {how}")
-        yield from sent(self.file)
+        yield from _values(self.file)
+
+
+def _values(f: BinaryIO) -> Iterator:
+    """Each value _send wrote to binary file f, from its start, then the
+    exception it wrote, raised: as a ChildProcessError naming it where its
+    class or arguments cannot be had here."""
+    f.seek(0)
+    while size := f.read(8):
+        ok, value = marshal.loads(f.read(int.from_bytes(size, "little")))
+        if ok:
+            yield value
+            continue
+        module, name, args, text = value
+        try:
+            error = getattr(sys.modules[module], name)(*args)
+        except Exception:
+            error = ChildProcessError(f"{name}: {text}")
+        raise error
+
+
+def _send(run: Callable[[R], Iterable], r: R, out: BinaryIO) -> None:
+    """In a worker: write each value run(r) yields to its result file out as
+    (True, value), then, if run raised, (False, the exception's module, class
+    name, arguments and message), for _values to read back."""
+    def write(message: tuple) -> None:
+        data = marshal.dumps(message)
+        out.write(len(data).to_bytes(8, "little"))
+        out.write(data)
+
+    try:
+        for value in run(r):
+            write((True, value))
+    except Exception as e:  # raised again by the calling process, after the values before it
+        cls, args = e.__reduce__()[:2]
+        try:
+            marshal.dumps(args)
+        except ValueError:
+            args = None
+        write((False, (cls.__module__, cls.__qualname__, args, str(e))))
 
 
 def _fork(task: Callable[[BinaryIO], None], file: BinaryIO) -> Worker:
@@ -237,28 +244,38 @@ def _stop(workers: list[Worker]) -> None:
         worker.file.close()
 
 
-@contextmanager
-def forked(tasks: Sequence[Callable[[BinaryIO], None]]) -> Iterator[list[Worker]]:
-    """A worker for each task, in order; each runs task(result file) and exits 0.
+def in_ranges(ranges: Sequence[R], run: Callable[[R], Iterable],
+              what: Callable[[R], str]) -> Iterator:
+    """The values run(r) yields for each range r of ranges, in range order.
 
-    If a temporary file cannot be made or a fork fails, the workers already
-    started are stopped and the list is empty, so the caller runs in one
-    process. No worker outlives the block: each not yet reaped is killed,
-    then reaped, on an error and on KeyboardInterrupt too.
+    The calling process runs the first range, and a forked worker each other
+    one; their values follow the first range's. Each value must be one that
+    marshal writes and reads back unchanged. A range whose run raises gives
+    its values first, then its exception, and no range after it is read. A
+    worker that dies raises ChildProcessError naming what(r) and its exit
+    status. If a temporary file cannot be made or a fork fails, the workers
+    already started are stopped and the calling process runs every range
+    itself, in order.
+
+    No worker outlives the iterator: each not yet reaped is killed, then
+    reaped, when it is exhausted, raises or is closed. A caller that may stop
+    before the end closes it (contextlib.closing), on KeyboardInterrupt too.
     """
-    if not tasks:
-        yield []
-        return
-    import tempfile  # here: a serial run need not import it
-
-    workers: list[Worker] = []
+    started: list[Worker] = []
     try:
-        try:
-            for task in tasks:
-                workers.append(_fork(task, tempfile.TemporaryFile()))
-        except OSError:
-            _stop(workers)
-            workers = []
-        yield workers
+        if len(ranges) > 1:
+            import tempfile  # here: a serial run need not import it
+
+            try:
+                for r in ranges[1:]:
+                    started.append(_fork(partial(_send, run, r), tempfile.TemporaryFile()))
+            except OSError:
+                _stop(started)
+                started = []
+        yield from run(ranges[0])
+        for worker, r in zip(started, ranges[1:]):
+            yield from worker.received(what(r))
+        for r in ranges[1 + len(started):]:
+            yield from run(r)
     finally:
-        _stop(workers)
+        _stop(started)

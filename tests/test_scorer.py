@@ -2,6 +2,8 @@ import json
 import os
 import random
 import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import zlib
@@ -127,6 +129,20 @@ class TestFinalize:
         lines = text.strip().split("\n")
         assert lines[0] == "type,group,support,precision,recall,f1"
         assert lines[1].startswith("IBAN,FINANCIAL_ID,1,")
+
+
+def test_import_leaves_out_dataclasses():
+    # A fresh interpreter, so no test module has imported it before. score's
+    # set-up time is mostly this import, and dataclasses pulls in inspect.
+    code = "import sys, piiprep.scorer; print('dataclasses' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(Path(scorer.__file__).resolve().parent.parent)},
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 class TestStreamScore:
@@ -567,8 +583,10 @@ class TestHashCollisions:
 
     @staticmethod
     def truncate_in_line_3(p: Path) -> None:
+        # Shrunk in place, never emptied: the forked worker's add_pair runs
+        # this too, and the other process may be reading the file meanwhile.
         data = p.read_bytes()
-        p.write_bytes(data[: data.index(b"\n", data.index(b"\n") + 1) + 5])
+        os.truncate(p, data.index(b"\n", data.index(b"\n") + 1) + 5)
 
     # A rewritten id that hashes like the old one cannot be told from a
     # collision, so only changes that break the line are compared here.

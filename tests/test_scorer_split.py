@@ -17,6 +17,7 @@ import random
 import signal
 import tempfile
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -197,8 +198,10 @@ def test_cuts_fall_after_even_byte_offsets(tmp_path, cpus):
         mp.setattr(workers, "SPLIT_MIN_BYTES", 0)
         ranges = splitscore._ranges(g, p)
     assert len(ranges) == cpus
-    assert ranges[0] == (0, 0, 1)
-    for j, (gc, pc, first) in enumerate(ranges[1:], 1):
+    assert ranges[0][:3] == (0, 0, 1) and ranges[-1][3] is None
+    for (_, _, first, lines), after in zip(ranges, ranges[1:]):
+        assert lines == after[2] - first
+    for j, (gc, pc, first, _) in enumerate(ranges[1:], 1):
         assert gold[gc - 1:gc] == b"\n" and gc > len(gold) * j // cpus
         assert b"\n" not in gold[len(gold) * j // cpus:gc - 1]
         assert gold.count(b"\n", 0, gc) == pred.count(b"\n", 0, pc) == first - 1
@@ -384,8 +387,8 @@ def test_tail_range_stays_under_the_criterion_12_ceiling(million_pairs, monkeypa
     Same 1,000,000-record input and ceiling (10x the traced heap of one parsed
     5,000-line chunk) as criterion 12, which measures the calling process's
     range; here the tail range is run in this process under tracemalloc,
-    through the task a worker runs, writing its result to a temporary file
-    as a worker does. An unordered worker also holds the bitmap of the rows
+    through what a worker runs (workers._send), writing its values to a
+    temporary file as a worker does. An unordered worker also holds the bitmap of the rows
     it used, a bit a prediction; the prediction index itself is built before
     the workers are forked, and shared with them, so it is not on the
     worker's heap.
@@ -412,19 +415,20 @@ def test_tail_range_stays_under_the_criterion_12_ceiling(million_pairs, monkeypa
         index = prediction_index(pred_path)
         for _ in index:
             pass
-        task = splitscore._unordered_task(index, gold_path, pred_path, ranges[1], None)
+        run = partial(splitscore._unordered_range, index, gold_path, pred_path)
     else:
-        task = splitscore._ordered_task(gold_path, pred_path, ranges[1], None)
+        run = partial(splitscore._ordered_range, gold_path, pred_path)
     with tempfile.TemporaryFile() as out:
         tracemalloc.start()
-        task(out)
+        workers._send(run, ranges[1], out)
         tail_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        (counts, records, error, used), = workers.sent(out)
-    assert error is None and records == n - (ranges[1][2] - 1)
+        (result,) = workers._values(out)  # raises the range's error, if it sent one
+    records = result[1]
+    assert records == n - (ranges[1][2] - 1)
     assert 0.4 * n < records < 0.6 * n
-    used = int.from_bytes(used, "little")
-    assert bin(used).count("1") == (records if unordered else 0)
+    if unordered:
+        assert bin(int.from_bytes(result[2], "little")).count("1") == records
     assert tail_peak < ceiling, f"tail range peak {tail_peak} bytes, ceiling {ceiling}"
 
 
