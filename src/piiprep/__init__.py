@@ -12,12 +12,12 @@ Submodules:
   rare-label filtering and splitting of record streams, and
   source-proportional sampling (sample_groups)
 - manifest: reproducibility manifests for written artifacts
-- scorer: streaming span-level exact-match evaluation
+- scorer: span-level exact-match counters and the score report
 - workers: work cut into line ranges, one per CPU, and the one runner for
   them (in_ranges): each range but the first in a forked worker process,
   whose values and error come back in range order
-- splitscore: scoring, ordered and unordered, by gold line range
-- predindex: the prediction index behind unordered scoring
+- splitscore: gold and prediction files read into scored pairs, ordered or
+  matched by id through the prediction index, by gold line range
 - analysis: entity-level comparison of two tagging systems
 - objective: class-weighted cross-entropy over label distributions
 - errors: the exception types the CLI maps to its exit codes

@@ -90,13 +90,6 @@ class LabelSpace:
         object.__setattr__(self, "coarse_labels", tuple(coarse))
         object.__setattr__(self, "fine_label_set", frozenset(fine))
 
-    def coarse_of(self, entity_type: str) -> str:
-        """Coarse group of a fine type; raises LabelError for unknown types."""
-        try:
-            return self.coarse_map[entity_type]
-        except KeyError:
-            raise LabelError(f"entity type not in label space: {entity_type!r}") from None
-
     def __contains__(self, entity_type: str) -> bool:
         return entity_type in self.coarse_map
 

@@ -1,30 +1,21 @@
-"""Streaming span-level exact-match scoring.
+"""Span-level exact-match counting and its report.
 
 A predicted span counts as a true positive only when its token start, token
-end and entity type all match a gold span. Counters are integer sums per
-type, and both files are read one line at a time, so memory stays bounded
-by the label space plus one record pair, independent of corpus length.
-Unordered scoring adds an index of prediction byte offsets and id hashes,
-about 17.5 bytes per record.
-
-On a host with more than one usable CPU, splitscore cuts a large regular gold
-file into line ranges, one per CPU, and scores every range but the first in
-a worker process while the calling process scores the first. Ordered, each
-process holds the same bounded state as one serial run. Unordered, the
-calling process builds the prediction index before it forks the workers, so
-they share its pages, and each adds a bit a prediction for the rows it used.
+end and entity type all match a gold span. TypeCounters holds integer sums
+per type, so memory stays bounded by the label space, independent of corpus
+length, and finalize turns them into the MetricsReport that `piiprep score`
+writes. stream_score scores a gold and a prediction file: splitscore reads
+them into pairs, one at a time, and TypeCounters counts them.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import islice, zip_longest
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from piiprep.biospan import check_labels, extract_span_tuples
-from piiprep.errors import AlignmentError, LabelError, RecordError
-from piiprep.jsonl import check_encodable, decode_located_line, iter_lines
+from piiprep.biospan import extract_span_tuples
+from piiprep.errors import AlignmentError
 
 __all__ = [
     "TypeCounters",
@@ -212,96 +203,6 @@ class StreamResult(_Fields):
         self.counters, self.records, self.chunks = counters, records, chunks
 
 
-def _parse_scored_line(line: str, lineno: int, path: str) -> tuple[str, list[str]]:
-    obj = decode_located_line(line, lineno, path)
-    if not isinstance(obj, dict) or "id" not in obj or "labels" not in obj:
-        raise RecordError(f"{path}:{lineno}: expected an object with 'id' and 'labels'")
-    rid = obj["id"]
-    if type(rid) is not str or not rid:
-        raise RecordError(f"{path}:{lineno}: record id must be a non-empty string, got {rid!r}")
-    labels = obj["labels"]
-    if type(labels) is not list:
-        raise RecordError(f"{path}:{lineno}: labels must be a JSON array")
-    if "\\u" in line:  # a label the report could not be written with
-        check_encodable((f"{path}:{lineno}: record {rid}: label {i}", lab)
-                        for i, lab in enumerate(labels))
-    return rid, labels
-
-
-def _raise_label_error(path: str, lineno: int, rid: str, labels: list) -> None:
-    """Raise a located RecordError if labels hold a non-string or malformed label.
-
-    Called only after add_pair has raised, so well-formed input pays nothing
-    for it, and the message does not depend on which kernel raised.
-    """
-    try:
-        check_labels(labels)
-    except LabelError as e:
-        raise RecordError(f"{path}:{lineno}: record {rid}: {e}") from None
-
-
-# A pair source (_ordered_pairs or predindex.gold_pairs) yields (gold line,
-# id, gold labels, prediction labels, prediction line) one at a time.
-_Pairs = Iterator[tuple[int, str, list, list, int]]
-
-
-def _ordered_pairs(
-    gold_path: Path,
-    pred_path: Path,
-    gold_start: int = 0,
-    pred_start: int = 0,
-    first_line: int = 1,
-    pairs: int | None = None,
-) -> _Pairs:
-    """Pairs of two files that list the same ids in the same order.
-
-    Reading starts at byte offsets gold_start and pred_start, both at line
-    first_line, and stops after pairs pairs (None: at the end of both files).
-    Only a range that reaches the end can find the files' counts differ.
-    """
-    gname, pname = gold_path.name, pred_path.name
-    lines = zip_longest(iter_lines(gold_path, gold_start, first_line),
-                        iter_lines(pred_path, pred_start, first_line))
-    for g, p in lines if pairs is None else islice(lines, pairs):
-        if g is None or p is None:
-            # The longer file's next line: a blank one is reported as such
-            # (a trailing empty line, say), not as a count mismatch.
-            name, (lineno, _, line) = (gname, g) if p is None else (pname, p)
-            if not line.strip():
-                raise RecordError(f"{name}:{lineno}: blank line")
-            raise AlignmentError(
-                f"record count mismatch: {gname} has at least "
-                f"{lineno if g else lineno - 1} records, {pname} has at least "
-                f"{lineno if p else lineno - 1}"
-            )
-        lineno = g[0]
-        gid, gold_labels = _parse_scored_line(g[2], lineno, gname)
-        pid, pred_labels = _parse_scored_line(p[2], lineno, pname)
-        if gid != pid:
-            raise AlignmentError(
-                f"record order mismatch at line {lineno}: gold id {gid!r} "
-                f"vs prediction id {pid!r}"
-            )
-        yield lineno, gid, gold_labels, pred_labels, lineno
-
-
-def _score_pairs(pairs: _Pairs, gname: str, pname: str) -> tuple[TypeCounters, int]:
-    """Counters and record count of a pair source, or its first error, located."""
-    counters = TypeCounters()
-    records = 0
-    for lineno, rid, gold_labels, pred_labels, pred_lineno in pairs:
-        try:
-            counters.add_pair(gold_labels, pred_labels)
-        except AlignmentError as e:
-            raise AlignmentError(f"record {rid!r}: {e}") from None
-        except (LabelError, TypeError):
-            _raise_label_error(gname, lineno, rid, gold_labels)
-            _raise_label_error(pname, pred_lineno, rid, pred_labels)
-            raise
-        records += 1
-    return counters, records
-
-
 def stream_score(
     gold_path: str | Path,
     pred_path: str | Path,
@@ -313,24 +214,19 @@ def stream_score(
 
     By default the two files must list the same record ids in the same
     order; any divergence raises an alignment error naming the id. With
-    unordered=True predictions are indexed by id and read back as their gold
-    records arrive (predindex): memory grows by about 17.5 bytes per
-    prediction, 20 at the peak. In either mode a large regular gold file is
-    scored in line ranges, one per usable CPU, each range but the first in a
-    forked worker, which holds the same state as one serial run (unordered,
-    a bit a prediction too, beside the index it shares with the calling
-    process); the counters, the record count and the first error are the
-    serial run's, and no worker outlives the call. A worker that dies
-    without a result raises ChildProcessError naming its exit status. In
-    both modes a blank line in either file is an error, as in read_records.
+    unordered=True predictions are matched to gold records by id through an
+    index of the prediction file. In either mode a large regular gold file
+    is scored in line ranges, one per usable CPU (splitscore); the counters,
+    the record count and the first error are the serial run's, and no worker
+    outlives the call. A worker that dies without a result raises
+    ChildProcessError naming its exit status.
     chunk_size only sets the reported chunk count, ceil(records / chunk_size).
     """
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     gold_path = Path(gold_path)
     pred_path = Path(pred_path)
-    # Imported here, so that importing this module does not load splitscore,
-    # and ordered scoring does not load the prediction index either.
+    # Imported here, so that importing this module does not load splitscore.
     from piiprep.splitscore import score_ordered, score_unordered
 
     counters, records = (score_unordered if unordered else score_ordered)(gold_path, pred_path)

@@ -1,4 +1,20 @@
-"""Scoring on every usable CPU: the gold file cut into line ranges.
+"""Reading a gold and a prediction file into scored pairs, on every usable CPU.
+
+A pair is (gold line, id, gold labels, prediction labels, prediction line).
+Every line of either file is a JSON object with a non-empty string "id" and
+a "labels" array (_parse_scored_line); a blank line is an error, as in
+read_records. _score_pairs counts a pair source into scorer.TypeCounters,
+and names the file and line of a malformed label when the kernel raises.
+
+Ordered scoring (score_ordered) reads the two files side by side
+(_ordered_pairs): they list the same ids in the same order, and no state is
+kept across pairs. Unordered scoring (score_unordered) first makes the
+checking pass over the predictions (prediction_index, an idindex.LineIndex
+of each line's byte offset and id hash, about 17.5 bytes a prediction, 20
+at the peak), so its errors come first, and then reads each prediction back
+from the file when its gold record arrives (gold_pairs), flagging its row
+in a bitmap of the rows used, a bit a prediction. Ordered scoring does not
+import idindex.
 
 The gold file is cut at the line boundary after each even byte cut, one
 range per CPU the process may run on, and the ranges are run by
@@ -6,30 +22,20 @@ workers.in_ranges: the calling process scores the first range, and a forked
 worker each other one. Every range reads its gold lines through the serial
 loop from a start offset and line number, and gives its counters and record
 count, or its first error, so messages and line numbers are the serial
-run's, and the counters, added in range order, are too.
-
-Ordered scoring (score_ordered) keeps no state across pairs. It finds the
-line each range starts at in the prediction file by counting newline bytes,
-and only the last range, the one that reaches the end of both files, can
-find their record counts differ.
-
-Unordered scoring (score_unordered) first makes the checking pass over the
-predictions (predindex's idindex.LineIndex), so its errors come first as in
-one process, and then forks the workers, which inherit the finished index by
-copy-on-write. Each range matches its gold lines against the whole index
-(predindex.gold_pairs) and gives the rows it used with its result, a bit
-each, and before its error if it fails. A row that two ranges used is a
-repeated gold id: the calling process runs the later range's gold loop
-again with the earlier ranges' rows flagged, which fails at its first line
-that repeats an earlier id, as one pass fails. Rows no range used are
-predictions with no gold record, reported last. The calling process holds
-the index, about 17.5 bytes a prediction, whose pages the workers share with
-it; each worker adds a bit a prediction and the state of one pair.
+run's, and the counters, added in range order, are too. Ordered, a range
+finds the line it starts at in the prediction file by counting newline
+bytes, and only the last range, the one that reaches the end of both files,
+can find their record counts differ. Unordered, the workers are forked once
+the index is built, and share its pages by copy-on-write; each range gives
+the rows it used with its result, and before its error if it fails. A row
+that two ranges used is a repeated gold id: the calling process runs the
+later range's gold loop again with the earlier ranges' rows flagged, which
+fails at its first line that repeats an earlier id, as one pass fails. Rows
+no range used are predictions with no gold record, reported last.
 
 Pipes, gold files under workers.SPLIT_MIN_BYTES, one-CPU hosts, platforms
 without os.fork and an ordered prediction file too short to hold a cut
-leave the run in one range; if a worker cannot be forked, the calling
-process scores every range itself. stream_score imports this module.
+leave the run in one range. scorer.stream_score imports this module.
 """
 
 from __future__ import annotations
@@ -38,13 +44,187 @@ import os
 import stat
 from contextlib import closing
 from functools import partial
+from itertools import islice, zip_longest
 from pathlib import Path
 from typing import Iterator
 
 from piiprep import workers
-from piiprep.scorer import TypeCounters, _ordered_pairs, _score_pairs
+from piiprep.biospan import check_labels
+from piiprep.errors import AlignmentError, LabelError, RecordError
+from piiprep.jsonl import check_encodable, decode_located_line, iter_lines
+from piiprep.scorer import TypeCounters
 
-__all__ = ["score_ordered", "score_unordered"]
+__all__ = ["gold_pairs", "prediction_index", "score_ordered", "score_unordered"]
+
+
+def _parse_scored_line(line: str, lineno: int, path: str) -> tuple[str, list[str]]:
+    obj = decode_located_line(line, lineno, path)
+    if not isinstance(obj, dict) or "id" not in obj or "labels" not in obj:
+        raise RecordError(f"{path}:{lineno}: expected an object with 'id' and 'labels'")
+    rid = obj["id"]
+    if type(rid) is not str or not rid:
+        raise RecordError(f"{path}:{lineno}: record id must be a non-empty string, got {rid!r}")
+    labels = obj["labels"]
+    if type(labels) is not list:
+        raise RecordError(f"{path}:{lineno}: labels must be a JSON array")
+    if "\\u" in line:  # a label the report could not be written with
+        check_encodable((f"{path}:{lineno}: record {rid}: label {i}", lab)
+                        for i, lab in enumerate(labels))
+    return rid, labels
+
+
+def _raise_label_error(path: str, lineno: int, rid: str, labels: list) -> None:
+    """Raise a located RecordError if labels hold a non-string or malformed label.
+
+    Called only after add_pair has raised, so well-formed input pays nothing
+    for it, and the message does not depend on which kernel raised.
+    """
+    try:
+        check_labels(labels)
+    except LabelError as e:
+        raise RecordError(f"{path}:{lineno}: record {rid}: {e}") from None
+
+
+# A pair source (_ordered_pairs or gold_pairs) yields pairs one at a time.
+_Pairs = Iterator[tuple[int, str, list, list, int]]
+
+
+def _ordered_pairs(
+    gold_path: Path,
+    pred_path: Path,
+    gold_start: int = 0,
+    pred_start: int = 0,
+    first_line: int = 1,
+    pairs: int | None = None,
+) -> _Pairs:
+    """Pairs of two files that list the same ids in the same order.
+
+    Reading starts at byte offsets gold_start and pred_start, both at line
+    first_line, and stops after pairs pairs (None: at the end of both files).
+    Only a range that reaches the end can find the files' counts differ.
+    """
+    gname, pname = gold_path.name, pred_path.name
+    lines = zip_longest(iter_lines(gold_path, gold_start, first_line),
+                        iter_lines(pred_path, pred_start, first_line))
+    for g, p in lines if pairs is None else islice(lines, pairs):
+        if g is None or p is None:
+            # The longer file's next line: a blank one is reported as such
+            # (a trailing empty line, say), not as a count mismatch.
+            name, (lineno, _, line) = (gname, g) if p is None else (pname, p)
+            if not line.strip():
+                raise RecordError(f"{name}:{lineno}: blank line")
+            raise AlignmentError(
+                f"record count mismatch: {gname} has at least "
+                f"{lineno if g else lineno - 1} records, {pname} has at least "
+                f"{lineno if p else lineno - 1}"
+            )
+        lineno = g[0]
+        gid, gold_labels = _parse_scored_line(g[2], lineno, gname)
+        pid, pred_labels = _parse_scored_line(p[2], lineno, pname)
+        if gid != pid:
+            raise AlignmentError(
+                f"record order mismatch at line {lineno}: gold id {gid!r} "
+                f"vs prediction id {pid!r}"
+            )
+        yield lineno, gid, gold_labels, pred_labels, lineno
+
+
+def _score_pairs(pairs: _Pairs, gname: str, pname: str) -> tuple[TypeCounters, int]:
+    """Counters and record count of a pair source, or its first error, located."""
+    counters = TypeCounters()
+    records = 0
+    for lineno, rid, gold_labels, pred_labels, pred_lineno in pairs:
+        try:
+            counters.add_pair(gold_labels, pred_labels)
+        except AlignmentError as e:
+            raise AlignmentError(f"record {rid!r}: {e}") from None
+        except (LabelError, TypeError):
+            _raise_label_error(gname, lineno, rid, gold_labels)
+            _raise_label_error(pname, pred_lineno, rid, pred_labels)
+            raise
+        records += 1
+    return counters, records
+
+
+def prediction_index(pred_path: Path):
+    """The idindex.LineIndex of a prediction file, before its pass (or its load)."""
+    from piiprep.idindex import LineIndex
+
+    return LineIndex(pred_path, _parse_scored_line, None,
+                     not_regular="unordered scoring reads predictions twice, "
+                                 "so they must be in a regular file",
+                     duplicate="duplicate prediction id",
+                     changed="prediction file changed while scoring")
+
+
+def gold_pairs(index, f, gold_path: Path, used: bytearray, start: int = 0,
+               first_line: int = 1, lines: int | None = None) -> _Pairs:
+    """The pairs of gold lines from byte offset start, line first_line, matched by id.
+
+    index is a prediction_index after its pass, and f the prediction file as
+    index.open() opens it. Reading stops after lines gold lines (None: at
+    the end of the file). used is a bitmap of the rows already scored (row r
+    is bit r % 8 of byte r // 8), and each row scored here is flagged in it.
+    The index's keys are sorted, so the rows whose ids share a hash's high
+    bits are one run, in row order.
+    """
+    from array import array  # here, as idindex: ordered scoring needs neither
+    from bisect import bisect_left
+
+    from piiprep.idindex import _HIGH, _ROW, key_of
+
+    gname = gold_path.name
+    keys = index.keys
+    n = len(keys)
+    # starts[j] is the first key whose top bits are j or more, so a gold id's
+    # run is bisected from among about eight keys.
+    top = max(n.bit_length() - 3, 0)
+    shift = 64 - top
+    starts = array("I", (bisect_left(keys, j << shift) for j in range((1 << top) + 1)))
+    with memoryview(keys) as view:
+        for lineno, _, line in islice(iter_lines(gold_path, start, first_line), lines):
+            rid, gold_labels = _parse_scored_line(line, lineno, gname)
+            bits = key_of(rid, 0)
+            j = bits >> shift
+            # rid's row is in the run of keys with these high bits, with the
+            # rows of any other ids whose hashes collide with it there.
+            run = view[bisect_left(keys, bits, starts[j], starts[j + 1]):]
+            row = -1
+            for key in run:
+                if key & _HIGH != bits:
+                    break
+                r = key & _ROW
+                if not used[r >> 3] >> (r & 7) & 1:
+                    pid, pred_labels = index.read(f, key)
+                    if pid == rid:
+                        row = r
+                        break
+            if row < 0:
+                # Only a failure reads the run's used rows back: one with rid
+                # means an earlier gold record had it.
+                for key in run:
+                    if key & _HIGH != bits:
+                        break
+                    r = key & _ROW
+                    if used[r >> 3] >> (r & 7) & 1 and index.read(f, key)[0] == rid:
+                        raise RecordError(f"{gname}:{lineno}: duplicate gold id {rid!r}")
+                raise AlignmentError(f"no prediction for gold record {rid!r}")
+            used[row >> 3] |= 1 << (row & 7)
+            yield lineno, rid, gold_labels, pred_labels, row + 1
+
+
+def _check_all_used(index, f, used: int) -> None:
+    """Fail naming the first prediction, in file order, that no gold record used.
+
+    used is the bitmap of the rows used as one int: row r is bit r.
+    """
+    from piiprep.idindex import _ROW
+
+    unused = ~used & ((1 << len(index.keys)) - 1)
+    if unused:
+        row = (unused & -unused).bit_length() - 1
+        rid, _ = index.read(f, next(key for key in index.keys if key & _ROW == row))
+        raise AlignmentError(f"prediction id {rid!r} has no gold record")
 
 
 def _line_ends(f, counts: list[int]) -> list[int]:
@@ -128,12 +308,10 @@ def _unordered_range(index, gold_path: Path, pred_path: Path, r: tuple) -> Itera
     """The (counts, records, rows used) of an unordered range matched against
     the finished index; on an error, ({}, 0, the rows used before it), then the error.
 
-    The rows used are a bitmap, as predindex.no_rows_used makes it.
+    The rows used are a bitmap, as gold_pairs flags them.
     """
-    from piiprep.predindex import gold_pairs, no_rows_used
-
     gold_start, _, first, lines = r
-    used = no_rows_used(index)
+    used = bytearray((len(index.keys) + 7) // 8)
     with index.open() as f:  # its own: another process's shares the offset it seeks
         try:
             counters, records = _score_pairs(
@@ -170,8 +348,6 @@ def score_unordered(gold_path: Path, pred_path: Path) -> tuple[TypeCounters, int
     No worker outlives the call; one that dies without a result raises
     ChildProcessError naming its exit status.
     """
-    from piiprep.predindex import check_all_used, gold_pairs, prediction_index
-
     ranges = _ranges(gold_path, pred_path, cut_pred=False)
     index = prediction_index(pred_path)
     for _ in index:
@@ -195,5 +371,5 @@ def score_unordered(gold_path: Path, pred_path: Path) -> tuple[TypeCounters, int
             _add(counters, counts)
             records += n
             used |= rows
-        check_all_used(index, f, used)
+        _check_all_used(index, f, used)
     return counters, records

@@ -79,9 +79,7 @@ class TestBuildLabelSpace:
         space = canonical_space()
         assert "IBAN" in space
         assert "NOT_A_TYPE" not in space
-        assert space.coarse_of("IBAN") == "FINANCIAL_ID"
-        with pytest.raises(LabelError):
-            space.coarse_of("NOT_A_TYPE")
+        assert space.coarse_map["IBAN"] == "FINANCIAL_ID"
 
     @pytest.mark.parametrize("labels, unknown", [
         ([], None),
@@ -125,7 +123,7 @@ class TestLoadTaxonomy:
         p = write_taxonomy(tmp_path, "# comment\nname\tPERSON_GROUP\nemail\tcontact\n")
         space = load_taxonomy(p)
         assert space.types == ("NAME", "EMAIL")
-        assert space.coarse_of("EMAIL") == "CONTACT"
+        assert space.coarse_map["EMAIL"] == "CONTACT"
 
     def test_rejects_malformed_line(self, tmp_path):
         p = write_taxonomy(tmp_path, "NAME PERSON_GROUP\n")  # space, not tab

@@ -32,6 +32,7 @@ from piiprep.pipeline import (
     sub_rng,
 )
 from piiprep.records import EncodedRecord, Record, read_records, record_to_line
+from piiprep.scorer import finalize, stream_score
 from test_scorer import COLLIDING_HASHES
 
 REPO = Path(__file__).resolve().parent.parent
@@ -500,7 +501,8 @@ def _fuzzed_config(draw) -> tuple[dict, bool]:
 @given(_fuzzed_config())
 def test_config_fuzz_loads_only_what_prepare_can_write(case):
     """A config either fails as a located ConfigError before any source is read,
-    or loads, and then prepare writes only splits that validate accepts."""
+    or loads, and then prepare writes only splits that validate accepts and
+    that score, ordered and unordered, as a perfect prediction of themselves."""
     data, rejected = case
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -516,9 +518,16 @@ def test_config_fuzz_loads_only_what_prepare_can_write(case):
         assert not rejected, f"an invalid config loaded: {data!r}"
         result = run_prepare(config)
         assert sorted(result.split_paths) == sorted(config.split_fractions)
-        for path in result.split_paths.values():
+        for name, path in result.split_paths.items():
             check = CliRunner().invoke(main, ["validate", "--input", str(path)])
             assert check.exit_code == 0, check.output
+            manifest = result.manifests[name]
+            for unordered in (False, True):  # a split scored against itself
+                scored = stream_score(path, path, unordered=unordered)
+                report = finalize(scored.counters)
+                assert scored.records == manifest.records
+                assert sum(m.support for m in report.per_type.values()) == manifest.gold_spans
+                assert report.micro_f1 == 1.0 or not manifest.gold_spans
 
 
 class TestConsolidate:

@@ -131,10 +131,8 @@ class TestFinalize:
         assert lines[1].startswith("IBAN,FINANCIAL_ID,1,")
 
 
-def test_import_leaves_out_dataclasses():
-    # A fresh interpreter, so no test module has imported it before. score's
-    # set-up time is mostly this import, and dataclasses pulls in inspect.
-    code = "import sys, piiprep.scorer; print('dataclasses' in sys.modules)"
+def fresh_output(code: str) -> str:
+    """What code prints in a fresh interpreter, where no test module has imported anything."""
     out = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": str(Path(scorer.__file__).resolve().parent.parent)},
@@ -142,7 +140,29 @@ def test_import_leaves_out_dataclasses():
         text=True,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_import_leaves_out_dataclasses():
+    # score's set-up time is mostly this import, and dataclasses pulls in inspect.
+    code = "import sys, piiprep.scorer; print('dataclasses' in sys.modules)"
+    assert fresh_output(code) == "False"
+
+
+def test_import_layout(tmp_path):
+    # The scorer counts; splitscore, which reads the files, is loaded only to
+    # score, and the prediction index only to score unordered.
+    g = tmp_path / "g.jsonl"
+    write_scored(g, random_corpus(random.Random(2), 10))
+    code = (
+        "import sys, piiprep.scorer as s\n"
+        "print(sorted(m for m in ('piiprep.jsonl', 'piiprep.splitscore') if m in sys.modules))\n"
+        f"print(s.stream_score({str(g)!r}, {str(g)!r}).records)\n"
+        "print('piiprep.splitscore' in sys.modules, 'piiprep.idindex' in sys.modules)\n"
+        f"print(s.stream_score({str(g)!r}, {str(g)!r}, unordered=True).records)\n"
+        "print('piiprep.idindex' in sys.modules)"
+    )
+    assert fresh_output(code).splitlines() == ["[]", "10", "True False", "10", "True"]
 
 
 class TestStreamScore:

@@ -29,8 +29,8 @@ from conftest import Workers, bounded
 from piiprep import splitscore, workers
 from piiprep.cli import main
 from piiprep.errors import AlignmentError, RecordError
-from piiprep.predindex import prediction_index
 from piiprep.scorer import TypeCounters, stream_score
+from piiprep.splitscore import prediction_index
 
 
 MODES = pytest.mark.parametrize("unordered", [False, True], ids=["ordered", "unordered"])

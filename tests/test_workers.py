@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import signal
+import tempfile
 import time
 from contextlib import closing
 
@@ -107,6 +108,25 @@ def test_a_refused_fork_runs_the_remaining_ranges_here(started, monkeypatch):
     assert [(r, i) for r, i, _ in got] == [(r, i) for r in range(4) for i in range(3)]
     assert {pid for _, _, pid in got} == {os.getpid()}
     assert len(started.started) == 1
+    started.assert_reaped()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("size", [1, 1 << 16], ids=["fails-at-close", "fails-at-a-value"])
+def test_a_worker_that_cannot_write_leaves_its_range_here(started, monkeypatch, size):
+    # Every write to /dev/full fails with ENOSPC; only the workers write.
+    monkeypatch.setattr(tempfile, "TemporaryFile", lambda: open("/dev/full", "r+b"))
+
+    def run(r: int):
+        for r, i, pid in values(r):
+            yield r, i, pid, "x" * size
+
+    got, error = collect(list(range(4)), run)
+    assert error is None
+    assert [(r, i) for r, i, _, _ in got] == [(r, i) for r in range(4) for i in range(3)]
+    assert {pid for _, _, pid, _ in got} == {os.getpid()}
+    assert len(started.started) == 3
+    assert [w.status for w in started.started] == [workers._UNWRITTEN] * 3
     started.assert_reaped()
 
 
