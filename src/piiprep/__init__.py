@@ -2,7 +2,8 @@
 
 Submodules:
 - labelspace: fine/coarse BIO label inventories from a taxonomy
-- biospan: span extraction and orphan counting (compiled kernel + fallback)
+- biospan: span extraction, orphan counting and the BIO label form check
+  (compiled kernel + fallback)
 - ingest: inline-tagged text to tokenised BIO records
 - jsonl: the one line reader and JSON line decoder
 - records: the record schema, its JSONL encoding, readers and writers

@@ -209,32 +209,27 @@ def winner_counts(rows: list[EntityRow], system_a: str, system_b: str) -> Winner
 
 
 def group_table(rows: list[EntityRow], system_a: str, system_b: str) -> list[GroupRow]:
-    """Per-group summary in one pass, ordered by support descending then group name.
+    """Per-group summary, ordered by support descending then group name.
 
-    F1s are support-weighted means; wins are strict, as in winner_counts.
+    F1s are support-weighted means; wins and ties are winner_counts' per group.
     """
     groups: dict[str, GroupRow] = {}
     for row in rows:
-        fa, fb = row.score(system_a), row.score(system_b)
         g = groups.get(row.group)
         if g is None:
             g = groups[row.group] = GroupRow(row.group, 0, 0.0, 0.0, 0.0, 0, 0, 0, 0)
         g.support += row.support
-        g.f1_a += row.support * fa  # support-weighted sums until divided below
-        g.f1_b += row.support * fb
-        if fa > fb:
-            g.wins_a += 1
-        elif fb > fa:
-            g.wins_b += 1
-        else:
-            g.ties += 1
-        g.entities += 1
+        g.f1_a += row.support * row.score(system_a)  # support-weighted sums until divided below
+        g.f1_b += row.support * row.score(system_b)
+    wins = winner_counts(rows, system_a, system_b).per_group
     for g in groups.values():
         if g.support == 0:
             raise AnalysisError(f"group {g.group}: zero total support, weighted mean undefined")
         g.f1_a /= g.support
         g.f1_b /= g.support
         g.delta = g.f1_a - g.f1_b
+        g.wins_a, g.wins_b, g.ties = wins[g.group]
+        g.entities = sum(wins[g.group])
     return sorted(groups.values(), key=lambda g: (-g.support, g.group))
 
 

@@ -14,7 +14,9 @@ here:
   intervals [start, end).
 
 check_labels names the first bad entry of a label list with the same message
-whichever kernel is active; callers use it when a kernel has raised.
+whichever kernel is active; it is the one rule for a label's form (O, B-<type>
+or I-<type>). The scorer uses it when a kernel has raised, and
+Record.validate on a record whose labels it has not all seen before.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ scorer does not build the Record dataclass.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -25,7 +26,7 @@ _SCAN_ONCE = json.JSONDecoder().scan_once
 
 
 def iter_lines(
-    path: str | Path, start: int = 0, first_line: int = 1
+    path: str | Path, start: int = 0, first_line: int = 1, stop: int | None = None
 ) -> Iterator[tuple[int, int, str]]:
     """Yield (line number, byte offset, text) for each line of a file.
 
@@ -33,15 +34,19 @@ def iter_lines(
     "\\r\\n" ending stays on the line). Each line, newline included, is
     decoded as UTF-8 on its own, so an undecodable line fails with its
     location instead of with the block it was read in. Reading starts at byte
-    offset start, which must begin line first_line; offsets and line numbers
-    count from the start of the file.
+    offset start, which must begin line first_line, and ends before the first
+    line that starts at or after byte offset stop (None: at the end of the
+    file); offsets and line numbers count from the start of the file.
     """
     path = Path(path)
     offset = start
+    end = sys.maxsize if stop is None else stop
     with path.open("rb") as f:
         if start:
             f.seek(start)
         for lineno, raw in enumerate(f, first_line):
+            if offset >= end:
+                return
             try:
                 text = raw.decode("utf-8")
             except UnicodeDecodeError:

@@ -1,9 +1,11 @@
-"""The taxonomy and its fine and coarse BIO label spaces, the one home of their rules.
+"""The taxonomy and its fine and coarse BIO label spaces.
 
 load_taxonomy reads and checks a taxonomy: each type mapped onto one of ten
 fixed coarse groups. The fine tag set is O plus a B-/I- pair per type (2n+1
 labels); the coarse tag set is O plus a B-/I- pair per group that occurs in
-the mapping. LabelSpace.unknown_type is validate's and prepare's label check.
+the mapping. LabelSpace.unknown_type is validate's and prepare's check that a
+label's type is in the space; the form of a label (O, B-<type> or I-<type>)
+is the span kernel's rule, biospan.check_labels.
 
 Label order is part of the contract: O sits at index 0 and the B-/I- pairs
 follow in taxonomy order, so downstream consumers can rely on stable indices.
@@ -14,18 +16,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
-from piiprep.errors import LabelError, TaxonomyError
+from piiprep.errors import TaxonomyError
 from piiprep.jsonl import iter_lines
 
-__all__ = [
-    "CANONICAL_GROUPS",
-    "BioLabel",
-    "LabelSpace",
-    "parse_bio_label",
-    "load_taxonomy",
-]
+__all__ = ["CANONICAL_GROUPS", "LabelSpace", "load_taxonomy"]
 
 # The ten coarse groups, in declaration order. Coarse label order follows
 # this order, filtered to the groups a given taxonomy actually uses.
@@ -43,26 +39,6 @@ CANONICAL_GROUPS = (
 )
 
 _TYPE_RE = re.compile(r"^[A-Z][A-Z0-9_]*$")
-
-
-class BioLabel(NamedTuple):
-    """A parsed BIO label: prefix is 'O', 'B' or 'I'; entity is None for O."""
-
-    prefix: str
-    entity: str | None
-
-
-def parse_bio_label(text: str) -> BioLabel:
-    """Parse a label string such as 'B-IBAN' into its parts.
-
-    >>> parse_bio_label("B-IBAN")
-    BioLabel(prefix='B', entity='IBAN')
-    """
-    if text == "O":
-        return BioLabel("O", None)
-    if len(text) > 2 and text[1] == "-" and text[0] in ("B", "I"):
-        return BioLabel(text[0], text[2:])
-    raise LabelError(f"malformed BIO label: {text!r}")
 
 
 @dataclass(frozen=True)

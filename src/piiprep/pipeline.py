@@ -43,7 +43,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Iterator, Mapping, Sequence, TypeVar
 
 import yaml
 
@@ -335,19 +335,6 @@ def sub_rng(seed: int, operation: str, name: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def _iter_source_lines(spec: SourceSpec, start: int = 0, first_line: int = 1,
-                       stop: int | None = None) -> Iterable[tuple[int, str]]:
-    """The number and text of each line of spec's file that is not blank, its
-    ending stripped, from byte offset start (line first_line) to stop (None:
-    the end)."""
-    for lineno, offset, line in iter_lines(spec.path, start, first_line):
-        if stop is not None and offset >= stop:
-            return
-        line = line.rstrip("\r\n")
-        if line.strip():
-            yield lineno, line
-
-
 def consolidate(
     config: PipelineConfig,
     space: LabelSpace,
@@ -453,7 +440,10 @@ def _consolidated(config: PipelineConfig, space: LabelSpace,
         name = spec.path.name
         rows, rids, linenos, dropped, errors = [], [], [], 0, []
         try:
-            for lineno, line in _iter_source_lines(spec, start, first_line, stop):
+            for lineno, _, line in iter_lines(spec.path, start, first_line, stop):
+                line = line.rstrip("\r\n")
+                if not line.strip():
+                    continue
                 try:
                     rec = _source_record(spec, name, line, lineno, config, space)
                 except ToolkitError as e:

@@ -21,11 +21,11 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from piiprep._purespans import _CACHE_MAX
-from piiprep.biospan import count_orphan_continuations
+from piiprep.biospan import check_labels, count_orphan_continuations
 from piiprep.errors import LabelError, RecordError
 from piiprep.idindex import LineIndex
 from piiprep.jsonl import check_encodable, decode_json_line, decode_located_line
-from piiprep.labelspace import LabelSpace, parse_bio_label
+from piiprep.labelspace import LabelSpace
 
 __all__ = [
     "Record",
@@ -42,10 +42,10 @@ __all__ = [
 # Labels Record.validate has already found well-formed (O included). A corpus
 # has at most 2n+1 distinct labels, so nearly every record passes the check
 # with three C-level set calls instead of a parse per token. Only labels that
-# passed the per-token loop are added, and the set is emptied when it reaches
-# _CACHE_MAX, so it stays bounded whatever the input. The span kernel's label
-# dict is not reused: it holds only non-O labels, so testing a whole record
-# against it would mean building a set per record.
+# passed the slow path's checks are added, and the set is emptied when it
+# reaches _CACHE_MAX, so it stays bounded whatever the input. The span
+# kernel's label dict is not reused: it holds only non-O labels, so testing a
+# whole record against it would mean building a set per record.
 _VALID_LABELS: set[str] = set()
 _STR = frozenset((str,))
 _ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
@@ -84,22 +84,26 @@ class Record:
         if not self.tokens:
             raise RecordError(f"record {self.id}: empty token sequence")
         # Fast path: every entry exactly a str (a str subclass fails the
-        # per-token check below) and every label already known to be valid.
+        # type check below) and every label already known to be valid.
         if (
             _STR.issuperset(map(type, self.tokens))
             and _STR.issuperset(map(type, self.labels))
             and _VALID_LABELS.issuperset(self.labels)
         ):
             return
-        for i, (tok, lab) in enumerate(zip(self.tokens, self.labels)):
-            if type(tok) is not str:
-                raise RecordError(f"record {self.id}: token {i} is not a string: {tok!r}")
-            if type(lab) is not str:
-                raise RecordError(f"record {self.id}: label {i} is not a string: {lab!r}")
-            try:
-                parse_bio_label(lab)
-            except LabelError as e:
-                raise RecordError(f"record {self.id}: {e}") from None
+        # The first entry that is not exactly a str, then the labels before it
+        # through check_labels (which takes anything equal to "O" for O), so
+        # the earliest bad position fails.
+        i = next((i for i, (tok, lab) in enumerate(zip(self.tokens, self.labels))
+                  if type(tok) is not str or type(lab) is not str), len(self.tokens))
+        try:
+            check_labels(self.labels[:i])
+        except LabelError as e:
+            raise RecordError(f"record {self.id}: {e}") from None
+        if i < len(self.tokens):
+            tok, lab = self.tokens[i], self.labels[i]
+            what, value = ("token", tok) if type(tok) is not str else ("label", lab)
+            raise RecordError(f"record {self.id}: {what} {i} is not a string: {value!r}")
         for lab in set(self.labels).difference(_VALID_LABELS):
             if len(_VALID_LABELS) >= _CACHE_MAX:
                 _VALID_LABELS.clear()

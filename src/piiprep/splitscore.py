@@ -20,22 +20,26 @@ The gold file is cut at the line boundary after each even byte cut, one
 range per CPU the process may run on, and the ranges are run by
 workers.in_ranges: the calling process scores the first range, and a forked
 worker each other one. Every range reads its gold lines through the serial
-loop from a start offset and line number, and gives its counters and record
-count, or its first error, so messages and line numbers are the serial
-run's, and the counters, added in range order, are too. Ordered, a range
-finds the line it starts at in the prediction file by counting newline
-bytes, and only the last range, the one that reaches the end of both files,
-can find their record counts differ. Unordered, the workers are forked once
-the index is built, and share its pages by copy-on-write; each range gives
-the rows it used with its result, and before its error if it fails. A row
-that two ranges used is a repeated gold id: the calling process runs the
-later range's gold loop again with the earlier ranges' rows flagged, which
-fails at its first line that repeats an earlier id, as one pass fails. Rows
-no range used are predictions with no gold record, reported last.
+loop from a start offset and line number to a stop offset, and gives its
+counters and record count, or its first error, so messages and line numbers
+are the serial run's, and the counters, added in range order, are too.
+Ordered, each range finds where its first line starts in the prediction file
+itself (workers.line_start), so the calling process reads no prediction
+before it forks; a range ends with its gold lines, and only the last one, the
+one that reaches the end of both files, can find their record counts differ.
+A range that runs out of predictions fails as one pass fails there, so a
+later range that starts past the end of a short prediction file is never
+read. Unordered, the workers are forked once the index is built, and share
+its pages by copy-on-write; each range gives the rows it used with its
+result, and before its error if it fails. A row that two ranges used is a
+repeated gold id: the calling process runs the later range's gold loop
+again with the earlier ranges' rows flagged, which fails at its first line
+that repeats an earlier id, as one pass fails. Rows no range used are
+predictions with no gold record, reported last.
 
-Pipes, gold files under workers.SPLIT_MIN_BYTES, one-CPU hosts, platforms
-without os.fork and an ordered prediction file too short to hold a cut
-leave the run in one range. scorer.stream_score imports this module.
+Pipes, gold files under workers.SPLIT_MIN_BYTES, one-CPU hosts and platforms
+without os.fork leave the run in one range. scorer.stream_score imports this
+module.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ import os
 import stat
 from contextlib import closing
 from functools import partial
-from itertools import islice, zip_longest
+from itertools import chain, repeat, zip_longest
 from pathlib import Path
 from typing import Iterator
 
@@ -89,24 +93,21 @@ def _raise_label_error(path: str, lineno: int, rid: str, labels: list) -> None:
 _Pairs = Iterator[tuple[int, str, list, list, int]]
 
 
-def _ordered_pairs(
-    gold_path: Path,
-    pred_path: Path,
-    gold_start: int = 0,
-    pred_start: int = 0,
-    first_line: int = 1,
-    pairs: int | None = None,
-) -> _Pairs:
+def _ordered_pairs(gold_path: Path, pred_path: Path, start: int = 0,
+                   first_line: int = 1, stop: int | None = None) -> _Pairs:
     """Pairs of two files that list the same ids in the same order.
 
-    Reading starts at byte offsets gold_start and pred_start, both at line
-    first_line, and stops after pairs pairs (None: at the end of both files).
-    Only a range that reaches the end can find the files' counts differ.
+    Gold lines are read from byte offset start, line first_line, up to byte
+    offset stop (None: the end), and prediction lines from where line
+    first_line starts in the prediction file. A range that stops before the
+    end ends with its gold lines; only the last one can find that the files'
+    record counts differ.
     """
     gname, pname = gold_path.name, pred_path.name
-    lines = zip_longest(iter_lines(gold_path, gold_start, first_line),
-                        iter_lines(pred_path, pred_start, first_line))
-    for g, p in lines if pairs is None else islice(lines, pairs):
+    gold = iter_lines(gold_path, start, first_line, stop)
+    pred = iter_lines(pred_path, workers.line_start(pred_path, first_line), first_line)
+    # zip asks gold first, so a range that stops reads no prediction past it.
+    for g, p in zip_longest(gold, pred) if stop is None else zip(gold, chain(pred, repeat(None))):
         if g is None or p is None:
             # The longer file's next line: a blank one is reported as such
             # (a trailing empty line, say), not as a count mismatch.
@@ -158,12 +159,12 @@ def prediction_index(pred_path: Path):
 
 
 def gold_pairs(index, f, gold_path: Path, used: bytearray, start: int = 0,
-               first_line: int = 1, lines: int | None = None) -> _Pairs:
+               first_line: int = 1, stop: int | None = None) -> _Pairs:
     """The pairs of gold lines from byte offset start, line first_line, matched by id.
 
     index is a prediction_index after its pass, and f the prediction file as
-    index.open() opens it. Reading stops after lines gold lines (None: at
-    the end of the file). used is a bitmap of the rows already scored (row r
+    index.open() opens it. Reading stops at byte offset stop (None: at the
+    end of the file). used is a bitmap of the rows already scored (row r
     is bit r % 8 of byte r // 8), and each row scored here is flagged in it.
     The index's keys are sorted, so the rows whose ids share a hash's high
     bits are one run, in row order.
@@ -182,7 +183,7 @@ def gold_pairs(index, f, gold_path: Path, used: bytearray, start: int = 0,
     shift = 64 - top
     starts = array("I", (bisect_left(keys, j << shift) for j in range((1 << top) + 1)))
     with memoryview(keys) as view:
-        for lineno, _, line in islice(iter_lines(gold_path, start, first_line), lines):
+        for lineno, _, line in iter_lines(gold_path, start, first_line, stop):
             rid, gold_labels = _parse_scored_line(line, lineno, gname)
             bits = key_of(rid, 0)
             j = bits >> shift
@@ -227,61 +228,25 @@ def _check_all_used(index, f, used: int) -> None:
         raise AlignmentError(f"prediction id {rid!r} has no gold record")
 
 
-def _line_ends(f, counts: list[int]) -> list[int]:
-    """For each of the ascending counts k, the offset just past the k-th newline.
+def _ranges(gold_path: Path, pred_path: Path) -> list[tuple[int, int, int | None]]:
+    """(start offset, first line, stop offset or None for the end) of each
+    range of the gold file to score: its workers.line_ranges.
 
-    Stops at the first k the file has fewer newlines than.
+    One range, the whole file, where the prediction file is not a regular
+    file: a pipe can be read only once.
     """
-    f.seek(0)
-    ends: list[int] = []
-    block, base, pos, seen = b"", 0, 0, 0  # seen: newlines before pos
-    for k in counts:
-        while seen + (m := block.count(b"\n", pos - base)) < k:
-            seen += m
-            base += len(block)
-            pos = base
-            if not (block := f.read(workers._BLOCK)):
-                return ends
-        i = pos - base - 1
-        for _ in range(k - seen):
-            i = block.find(b"\n", i + 1)
-        pos, seen = base + i + 1, k
-        ends.append(pos)
-    return ends
-
-
-def _ranges(gold_path: Path, pred_path: Path, cut_pred: bool = True
-            ) -> list[tuple[int, int, int, int | None]]:
-    """(gold offset, prediction offset, first line, line count or None for the
-    rest) of each range to score.
-
-    The gold file's workers.line_ranges. One range, the whole files, where
-    the prediction file is not a regular file (a pipe can be read only once)
-    and for an ordered prediction file too short to hold a cut. Without
-    cut_pred (unordered scoring) every prediction offset is 0.
-    """
-    starts = [parts[0][1:3] for parts in workers.line_ranges([gold_path])][1:]
-    whole = [(0, 0, 1, None)]
-    if not starts:
-        return whole
+    ranges = [parts[0][1:] for parts in workers.line_ranges([gold_path])]
     try:
-        if not stat.S_ISREG(os.stat(pred_path).st_mode):
-            return whole
+        if len(ranges) == 1 or stat.S_ISREG(os.stat(pred_path).st_mode):
+            return ranges
     except OSError:
-        return whole  # the serial reader reports it
-    if cut_pred:
-        with pred_path.open("rb") as p:
-            pred_cuts = _line_ends(p, [line - 1 for _, line in starts])
-    else:
-        pred_cuts = [0] * len(starts)
-    starts = [(0, 0, 1)] + [(gc, pc, line) for (gc, line), pc in zip(starts, pred_cuts)]
-    ends = [line for _, _, line in starts[1:]] + [None]
-    return [(gc, pc, line, end and end - line) for (gc, pc, line), end in zip(starts, ends)]
+        pass  # the serial reader reports it
+    return [(0, 1, None)]
 
 
 def _what(gname: str, r: tuple) -> str:
     """The worker of range r, as a ChildProcessError names it."""
-    return f"{gname}: scoring worker for lines from {r[2]}"
+    return f"{gname}: scoring worker for lines from {r[1]}"
 
 
 def _add(counters: TypeCounters, counts: dict) -> None:
@@ -297,10 +262,8 @@ def _add(counters: TypeCounters, counts: dict) -> None:
 
 def _ordered_range(gold_path: Path, pred_path: Path, r: tuple) -> Iterator[tuple]:
     """The (counts, records) of an ordered range, or its first error."""
-    gold_start, pred_start, first, lines = r
-    counters, records = _score_pairs(
-        _ordered_pairs(gold_path, pred_path, gold_start, pred_start, first, lines),
-        gold_path.name, pred_path.name)
+    counters, records = _score_pairs(_ordered_pairs(gold_path, pred_path, *r),
+                                     gold_path.name, pred_path.name)
     yield counters.counts, records
 
 
@@ -310,12 +273,11 @@ def _unordered_range(index, gold_path: Path, pred_path: Path, r: tuple) -> Itera
 
     The rows used are a bitmap, as gold_pairs flags them.
     """
-    gold_start, _, first, lines = r
     used = bytearray((len(index.keys) + 7) // 8)
     with index.open() as f:  # its own: another process's shares the offset it seeks
         try:
             counters, records = _score_pairs(
-                gold_pairs(index, f, gold_path, used, gold_start, first, lines),
+                gold_pairs(index, f, gold_path, used, *r),
                 gold_path.name, pred_path.name)
         except Exception:
             yield {}, 0, bytes(used)
@@ -348,7 +310,7 @@ def score_unordered(gold_path: Path, pred_path: Path) -> tuple[TypeCounters, int
     No worker outlives the call; one that dies without a result raises
     ChildProcessError naming its exit status.
     """
-    ranges = _ranges(gold_path, pred_path, cut_pred=False)
+    ranges = _ranges(gold_path, pred_path)
     index = prediction_index(pred_path)
     for _ in index:
         pass
@@ -358,7 +320,7 @@ def score_unordered(gold_path: Path, pred_path: Path) -> tuple[TypeCounters, int
             partial(_what, gold_path.name))) as results:
         # results before ranges: zip asks results for the error that follows
         # a failed range's rows only if it asks results first.
-        for (counts, n, bits), (start, _, first, lines) in zip(results, ranges):
+        for (counts, n, bits), r in zip(results, ranges):
             rows = int.from_bytes(bits, "little")
             if rows & used:
                 # The range used a row that an earlier one used, at or before
@@ -366,7 +328,7 @@ def score_unordered(gold_path: Path, pred_path: Path) -> tuple[TypeCounters, int
                 # loop, run again with the earlier rows flagged, fails at the
                 # range's first line that repeats one.
                 earlier = bytearray(used.to_bytes(len(bits), "little"))
-                for _ in gold_pairs(index, f, gold_path, earlier, start, first, lines):
+                for _ in gold_pairs(index, f, gold_path, earlier, *r):
                     pass
             _add(counters, counts)
             records += n

@@ -2,16 +2,18 @@
 
 prepare's consolidate and score (splitscore) cut their input at line
 boundaries into one range per usable CPU (line_ranges) and hand the ranges,
-with a generator function that runs one, to in_ranges. The calling process
-runs the first range; a forked worker runs each other one. A worker inherits
-the calling process's memory by copy-on-write: the config and taxonomy, or
-unordered scoring's finished prediction index. It opens every file it reads
-itself, since an inherited descriptor shares its offset with the caller. It
-writes each value its range yields, and then the exception that ended the
-range if one did, to an unlinked temporary file, and leaves through
-os._exit, so it never runs the caller's exit handlers or flushes a buffer it
-inherited; it never logs. The caller reaps the workers in range order and
-gives each one's values after the values before them, then its exception.
+with a generator function that runs one, to in_ranges; an ordered score
+range finds where its first line starts in the prediction file with
+line_start. The calling process runs the first range; a forked worker runs
+each other one. A worker inherits the calling process's memory by
+copy-on-write: the config and taxonomy, or unordered scoring's finished
+prediction index. It opens every file it reads itself, since an inherited
+descriptor shares its offset with the caller. It writes each value its
+range yields, and then the exception that ended the range if one did, to an
+unlinked temporary file, and leaves through os._exit, so it never runs the
+caller's exit handlers or flushes a buffer it inherited; it never logs. The
+caller reaps the workers in range order and gives each one's values after
+the values before them, then its exception.
 
 Inputs under SPLIT_MIN_BYTES, a host with one usable CPU and a platform
 without os.fork leave the run in one range. A fork or temporary file that
@@ -34,7 +36,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, TypeVar
 
-__all__ = ["SPLIT_MIN_BYTES", "Worker", "cpus", "in_ranges", "line_ranges"]
+__all__ = ["SPLIT_MIN_BYTES", "Worker", "cpus", "in_ranges", "line_ranges", "line_start"]
 
 R = TypeVar("R")
 
@@ -45,7 +47,7 @@ R = TypeVar("R")
 # prepare sources (91.1 against 87.2), and faster from about 1 MB (score
 # 57.5 against 76.0 ms, prepare 143.0 against 164.3).
 SPLIT_MIN_BYTES = 1 << 20
-_BLOCK = 1 << 16  # read size when looking for cuts; small, so traced memory stays flat
+_BLOCK = 1 << 16  # read size when looking for cuts and line starts; small: flat traced memory
 _UNWRITTEN = 74  # the exit status of a worker whose result file failed (EX_IOERR)
 
 
@@ -79,6 +81,26 @@ def _newlines_before(f, ends: list[int]) -> list[int]:
             pos += len(block)
         counts.append(seen)
     return counts
+
+
+def line_start(path: str | Path, line: int) -> int:
+    """The byte offset at which line number line of a file starts: just past
+    its (line - 1)th newline, or the file's end if it has fewer. Line 1 starts
+    at 0, and the file is not opened for it."""
+    if line == 1:
+        return 0
+    pos, left = 0, line - 1  # left: the newlines still to pass
+    with open(path, "rb") as f:
+        while block := f.read(_BLOCK):
+            if (m := block.count(b"\n")) < left:
+                left -= m
+                pos += len(block)
+                continue
+            i = -1
+            for _ in range(left):
+                i = block.find(b"\n", i + 1)
+            return pos + i + 1
+    return pos
 
 
 def _cuts(paths: Sequence[Path], sizes: Sequence[int], n: int) -> list[tuple[int, int]]:

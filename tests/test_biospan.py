@@ -157,9 +157,17 @@ class TestLabelCache:
                 fn(["B-NAME", "O", bad, "B-NAME"])
 
     def test_check_labels_names_the_first_bad_entry(self):
-        check_labels(["O", "B-NAME", "I-NAME"])
+        check_labels(["O", "B-NAME", "I-NAME", "I-CREDIT_CARD_NUMBER"])
         with pytest.raises(LabelError, match=r"^malformed BIO label at position 1: 'Z-A'$"):
             check_labels(["O", "Z-A", 5])
+
+    @pytest.mark.parametrize(
+        "bad", ["", "B", "I", "B-", "I-", "X-NAME", "b-NAME", "BNAME", "O-NAME", " B-NAME"]
+    )
+    def test_check_labels_rejects_malformed(self, bad):
+        message = f"^malformed BIO label at position 1: {re.escape(repr(bad))}$"
+        with pytest.raises(LabelError, match=message):
+            check_labels(["B-NAME", bad, 5])
 
 
 @needs_c_build

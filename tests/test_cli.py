@@ -1199,6 +1199,23 @@ def test_too_deeply_nested_json_is_located_data_error(runner, tmp_path, argv, te
     assert result.output == "Error: in.txt:2: malformed JSON: nested too deeply\n"
 
 
+@pytest.mark.parametrize("bad", ["X-A", "B-", "b-NAME"])
+def test_malformed_label_reads_the_same_in_every_reader(runner, tmp_path, bad):
+    art, cfg = tmp_path / "a.jsonl", tmp_path / "cfg.yaml"
+    write_artifact(art, [("r1", ["O", "B-NAME"], "a")])
+    art.write_text(art.read_text(encoding="utf-8").replace("B-NAME", bad), encoding="utf-8")
+    cfg.write_text("sources:\n  - {name: a, path: a.jsonl}\n", encoding="utf-8")
+    for argv in (["validate", "--input", art], ["sample", "--input", art, "--n", "1",
+                                                "--out", tmp_path / "s.jsonl"],
+                 ["prepare", "--config", cfg, "--out-dir", tmp_path / "out"],
+                 ["score", "--gold", art, "--pred", art],
+                 ["score", "--gold", art, "--pred", art, "--unordered"]):
+        result = runner.invoke(main, [str(a) for a in argv])
+        assert result.exit_code == 1
+        assert result.output == (
+            f"Error: a.jsonl:1: record r1: malformed BIO label at position 1: {bad!r}\n")
+
+
 def write_csv(path: Path, rows) -> None:
     with path.open("w", encoding="utf-8", newline="") as f:
         csv.writer(f).writerows(rows)

@@ -99,6 +99,16 @@ class TestIterLines:
         for i, (lineno, offset, _) in enumerate(whole):
             assert list(iter_lines(p, offset, lineno)) == whole[i:]
 
+    def test_stops_before_the_line_at_stop(self, tmp_path):
+        p = tmp_path / "a.jsonl"
+        p.write_bytes(b'{"a":1}\r\n\n\xc3\xa9\r\n{"b":2}\n{"z":3}')
+        whole = list(iter_lines(p))
+        offsets = [offset for _, offset, _ in whole] + [p.stat().st_size]
+        for i, (lineno, start, _) in enumerate(whole):
+            assert list(iter_lines(p, start, lineno, None)) == whole[i:]
+            for j, stop in enumerate(offsets[i:], i):  # stop at start, a line start, the end
+                assert list(iter_lines(p, start, lineno, stop)) == whole[i:j]
+
     def test_offset_reads_the_line_back(self, tmp_path):
         p = tmp_path / "a.jsonl"
         lines = [json.dumps({"id": f"r{i}", "t": "\u00e9" * i}, ensure_ascii=False)

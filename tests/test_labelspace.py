@@ -1,30 +1,8 @@
 import pytest
 
-from piiprep.errors import LabelError, TaxonomyError
+from piiprep.errors import TaxonomyError
 from piiprep.fixtures import canonical_space, taxonomy_path
-from piiprep.labelspace import (
-    CANONICAL_GROUPS,
-    BioLabel,
-    LabelSpace,
-    load_taxonomy,
-    parse_bio_label,
-)
-
-
-class TestParseBioLabel:
-    def test_outside(self):
-        assert parse_bio_label("O") == BioLabel("O", None)
-
-    def test_begin_and_inside(self):
-        assert parse_bio_label("B-NAME") == BioLabel("B", "NAME")
-        assert parse_bio_label("I-CREDIT_CARD_NUMBER") == BioLabel("I", "CREDIT_CARD_NUMBER")
-
-    @pytest.mark.parametrize(
-        "bad", ["", "B", "I", "B-", "I-", "X-NAME", "b-NAME", "BNAME", "O-NAME", " B-NAME"]
-    )
-    def test_rejects_malformed(self, bad):
-        with pytest.raises(LabelError):
-            parse_bio_label(bad)
+from piiprep.labelspace import CANONICAL_GROUPS, LabelSpace, load_taxonomy
 
 
 def write_taxonomy(tmp_path, text):

@@ -501,8 +501,9 @@ def _fuzzed_config(draw) -> tuple[dict, bool]:
 @given(_fuzzed_config())
 def test_config_fuzz_loads_only_what_prepare_can_write(case):
     """A config either fails as a located ConfigError before any source is read,
-    or loads, and then prepare writes only splits that validate accepts and
-    that score, ordered and unordered, as a perfect prediction of themselves."""
+    or loads, and then prepare writes only splits that validate accepts, that
+    score, ordered and unordered, as a perfect prediction of themselves, and
+    whose samples validate accepts; a second run writes the same bytes."""
     data, rejected = case
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -522,12 +523,27 @@ def test_config_fuzz_loads_only_what_prepare_can_write(case):
             check = CliRunner().invoke(main, ["validate", "--input", str(path)])
             assert check.exit_code == 0, check.output
             manifest = result.manifests[name]
+            if manifest.records:
+                subset = root / "subset.jsonl"
+                drawn = CliRunner().invoke(main, [
+                    "sample", "--input", str(path), "--n", str(min(3, manifest.records)),
+                    "--out", str(subset)])
+                assert drawn.exit_code == 0, drawn.output
+                check = CliRunner().invoke(main, ["validate", "--input", str(subset)])
+                assert check.exit_code == 0, check.output
             for unordered in (False, True):  # a split scored against itself
                 scored = stream_score(path, path, unordered=unordered)
                 report = finalize(scored.counters)
                 assert scored.records == manifest.records
                 assert sum(m.support for m in report.per_type.values()) == manifest.gold_spans
                 assert report.micro_f1 == 1.0 or not manifest.gold_spans
+
+        def written(result) -> list[bytes]:
+            return [p.with_name(p.name + suffix).read_bytes()
+                    for p in result.split_paths.values() for suffix in ("", ".manifest.json")]
+
+        config.output_dir = root / "again"
+        assert written(run_prepare(config)) == written(result)
 
 
 class TestConsolidate:

@@ -151,10 +151,9 @@ def test_split_run_matches_serial_run(data):
             serial, split, started = serial_and_split(g, p, cut, unordered=unordered)
             indexed = unordered and index_pass_succeeds(p)
         assert split == serial
-        # An ordered prediction file too short to hold the cut is scored in
-        # one process; unordered scoring cuts only the gold file, and forks
-        # its worker once the predictions are indexed.
-        assert len(started) == (indexed if unordered else pred_bytes.count(b"\n") >= cut_line)
+        # Every ordered run is split, however short its prediction file;
+        # unordered scoring forks its worker once the predictions are indexed.
+        assert len(started) == (indexed if unordered else 1)
 
 
 def index_pass_succeeds(pred: Path) -> bool:
@@ -198,12 +197,13 @@ def test_cuts_fall_after_even_byte_offsets(tmp_path, cpus):
         mp.setattr(workers, "SPLIT_MIN_BYTES", 0)
         ranges = splitscore._ranges(g, p)
     assert len(ranges) == cpus
-    assert ranges[0][:3] == (0, 0, 1) and ranges[-1][3] is None
-    for (_, _, first, lines), after in zip(ranges, ranges[1:]):
-        assert lines == after[2] - first
-    for j, (gc, pc, first, _) in enumerate(ranges[1:], 1):
+    assert ranges[0][:2] == (0, 1) and ranges[-1][2] is None
+    for (_, _, stop), after in zip(ranges, ranges[1:]):
+        assert stop == after[0]
+    for j, (gc, first, _) in enumerate(ranges[1:], 1):
         assert gold[gc - 1:gc] == b"\n" and gc > len(gold) * j // cpus
         assert b"\n" not in gold[len(gold) * j // cpus:gc - 1]
+        pc = workers.line_start(p, first)
         assert gold.count(b"\n", 0, gc) == pred.count(b"\n", 0, pc) == first - 1
         assert pred[pc - 1:pc] == b"\n"
     serial, split, started = serial_and_split(g, p, cpus=cpus)
@@ -227,13 +227,35 @@ def test_small_or_unsplittable_inputs_stay_in_one_process(tmp_path):
         assert len(splitscore._ranges(tmp_path / "missing.jsonl", p)) == 1
         short = tmp_path / "short.jsonl"
         short.write_bytes(p.read_bytes()[:100])
-        assert len(splitscore._ranges(g, short)) == 1
-        assert len(splitscore._ranges(g, short, cut_pred=False)) == 2  # only gold is cut
+        assert len(splitscore._ranges(g, short)) == 2  # only gold is cut
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(workers, "SPLIT_MIN_BYTES", 0)
         mp.delattr(os, "fork")  # no worker can be forked: ordered scoring on Windows too
         assert workers.cpus() == 1
-        assert len(splitscore._ranges(g, p)) == len(splitscore._ranges(g, p, cut_pred=False)) == 1
+        assert len(splitscore._ranges(g, p)) == 1
+
+
+@pytest.mark.parametrize("cut_line", [3, 5, 6, 7])
+def test_prediction_file_that_ends_before_the_cut(tmp_path, cut_line):
+    # Four predictions for seven gold records: a range that runs out of
+    # predictions fails as the serial run does, and a later range that starts
+    # past their end is never read.
+    g, p = write_pair(tmp_path, corpus(7))
+    gold = g.read_bytes().splitlines(keepends=True)
+    p.write_bytes(b"".join(p.read_bytes().splitlines(keepends=True)[:4]))
+    serial, split, started = serial_and_split(g, p, cut=len(b"".join(gold[:cut_line - 1])))
+    assert split == serial == (
+        AlignmentError, "record count mismatch: g.jsonl has at least 5 records, "
+                        "p.jsonl has at least 4")
+    assert len(started) == 1
+
+
+def test_two_missing_files_name_the_gold_file(tmp_path, monkeypatch):
+    g, p = tmp_path / "g.jsonl", tmp_path / "p.jsonl"
+    force_split(monkeypatch)
+    with pytest.raises(FileNotFoundError) as info:
+        bounded(lambda: stream_score(g, p))
+    assert info.value.filename == str(g)
 
 
 def test_worker_that_cannot_start_leaves_the_run_serial(tmp_path, monkeypatch):
@@ -409,7 +431,7 @@ def test_tail_range_stays_under_the_criterion_12_ceiling(million_pairs, monkeypa
     ceiling = 10 * chunk_bytes + (n // 8 if unordered else 0)
 
     monkeypatch.setattr(workers, "cpus", lambda: 2)
-    ranges = splitscore._ranges(gold_path, pred_path, cut_pred=not unordered)
+    ranges = splitscore._ranges(gold_path, pred_path)
     assert len(ranges) == 2
     if unordered:  # what the calling process builds before it forks
         index = prediction_index(pred_path)
@@ -425,7 +447,7 @@ def test_tail_range_stays_under_the_criterion_12_ceiling(million_pairs, monkeypa
         tracemalloc.stop()
         (result,) = workers._values(out)  # raises the range's error, if it sent one
     records = result[1]
-    assert records == n - (ranges[1][2] - 1)
+    assert records == n - (ranges[1][1] - 1)
     assert 0.4 * n < records < 0.6 * n
     if unordered:
         assert bin(int.from_bytes(result[2], "little")).count("1") == records
