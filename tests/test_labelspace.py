@@ -1,8 +1,25 @@
 import pytest
 
+from piiprep.biospan import check_labels, extract_span_tuples
 from piiprep.errors import TaxonomyError
 from piiprep.fixtures import canonical_space, taxonomy_path
 from piiprep.labelspace import CANONICAL_GROUPS, LabelSpace, load_taxonomy
+
+
+class TestParseBioLabel:
+    """How a label is read: O carries no type, B-<type> and I-<type> carry theirs."""
+
+    def test_outside(self):
+        check_labels(["O"])
+        assert extract_span_tuples(["O"]) == []
+        assert LabelSpace(("NAME",), {"NAME": "PERSON_GROUP"}).unknown_type(["O"]) is None
+
+    def test_begin_and_inside(self):
+        labels = ["B-NAME", "I-CREDIT_CARD_NUMBER"]
+        check_labels(labels)
+        assert extract_span_tuples(labels) == [(0, 1, "NAME"), (1, 2, "CREDIT_CARD_NUMBER")]
+        space = LabelSpace(("NAME",), {"NAME": "PERSON_GROUP"})
+        assert space.unknown_type(labels) == "CREDIT_CARD_NUMBER"
 
 
 def write_taxonomy(tmp_path, text):
