@@ -7,7 +7,7 @@ Submodules:
 - ingest: inline-tagged text to tokenised BIO records
 - jsonl: the one line reader and JSON line decoder
 - records: the record schema, its JSONL encoding, readers and writers
-- idindex: the id-uniqueness index of a line file
+- idindex: id keys, the id-uniqueness index of a line file, lookup by id
 - allocation: largest-remainder apportionment with exact fractions
 - pipeline: consolidation (by source line range), rebalancing, capping,
   rare-label filtering and splitting of record streams, and

@@ -4,9 +4,10 @@ A key is an id's hash with the row in its low bits, about 8 bytes a row
 where a set of the ids took about 120. The keys are sorted once, so the rows
 of one id are neighbours, and only the ids of neighbours whose hashes agree
 are read back to compare: the repeated ids and rare hash collisions.
-prepare's consolidate reads them back from its records in memory, and
-LineIndex, the reader behind validate, sample, read_records and score
---unordered, from the file. Ordered scoring does not import this module.
+prepare's consolidate reads them back by row from its records in memory,
+and LineIndex, the reader behind validate, sample, read_records and score
+--unordered (which looks ids up in it), from the file. No other module
+reads a key. Ordered scoring does not import this module.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import os
 import stat
 from array import array
+from bisect import bisect_left
 from itertools import compress, count, islice, repeat
 from operator import lt, xor
 from pathlib import Path
@@ -22,7 +24,7 @@ from typing import Callable, Iterator
 from piiprep.errors import RecordError, ToolkitError
 from piiprep.jsonl import iter_lines
 
-__all__ = ["IdKeys", "LineIndex", "duplicates", "key_of"]
+__all__ = ["IdKeys", "LineIndex", "key_of"]
 
 # Every id is hashed through this one name, so a test can force hash
 # collisions by replacing it. The built-in hash is salted per process, but
@@ -66,6 +68,11 @@ class IdKeys:
             self._parts[i] = array("Q")
         return keys
 
+    def repeated(self, read_id: Callable[[int], str]) -> list[tuple[int, str]]:
+        """Each row whose id an earlier row also has, with that id, in row order,
+        leaving the index empty; read_id(row) reads a row's id back."""
+        return duplicates(self.sorted(), lambda key: read_id(key & _ROW))
+
 
 def duplicates(keys: array, read_id: Callable[[int], str]) -> list[tuple[int, str]]:
     """Each row whose id an earlier row also has, with that id, in row order.
@@ -99,8 +106,9 @@ class LineIndex:
     the value is yielded. Row n - 1 is line n. Repeated ids are looked for at
     the end of the pass and before any other error is raised, so the error
     raised is the first in file order. Then keys holds the keys sorted, and
-    read(f, key) reads a row back from f, the file as open() opens it. The
-    file must be a regular file: a named pipe would hang when opened again.
+    read(f, key) reads a row back from f, the file as open() opens it. A
+    bitmap of rows has row r in bit r % 8 of byte r // 8. The file must be a
+    regular file: a named pipe would hang when opened again.
     """
 
     def __init__(self, path: str | Path, parse: Callable, check: Callable | None, *,
@@ -112,6 +120,7 @@ class LineIndex:
         self._parse, self._check = parse, check
         self._duplicate, self._changed = duplicate, changed
         self._offsets = array("Q")  # each row's start, then the end of the last line read
+        self._table = None  # take's lookup table, built on its first call
 
     def __iter__(self) -> Iterator:
         name, parse, check, ids = self._name, self._parse, self._check, IdKeys()
@@ -157,3 +166,43 @@ class LineIndex:
             raise RecordError(f"{self._name}:{row + 1}: {self._changed}")
         return parsed
 
+    def bitmap(self) -> bytearray:
+        """A bitmap of the rows with none flagged."""
+        return bytearray((len(self.keys) + 7) // 8)
+
+    def take(self, f, rid: str, used: bytearray) -> tuple:
+        """(row, value) of the first row, in file order, whose id is rid and that
+        used does not flag, which is then flagged; where there is none, (-1,
+        whether a flagged row has rid). Only rows whose keys have rid's hash
+        bits are read back, through read(f, key); their run of keys is found
+        by bisecting among about eight.
+        """
+        if self._table is None:  # starts[j]: the first key whose top bits are j or more
+            keys = self.keys
+            top = max(len(keys).bit_length() - 3, 0)
+            starts = array("I", (bisect_left(keys, j << 64 - top) for j in range((1 << top) + 1)))
+            self._table = starts, 64 - top, memoryview(keys)
+        starts, shift, view = self._table
+        bits = _id_hash(rid) & _HIGH
+        j = bits >> shift
+        flagged = []
+        for key in view[bisect_left(view, bits, starts[j], starts[j + 1]):]:
+            if key & _HIGH != bits:
+                break
+            row = key & _ROW
+            if used[row >> 3] >> (row & 7) & 1:
+                flagged.append(key)
+                continue
+            pid, value = self.read(f, key)
+            if pid == rid:
+                used[row >> 3] |= 1 << (row & 7)
+                return row, value
+        return -1, any(self.read(f, key)[0] == rid for key in flagged)
+
+    def first_unused(self, f, used: bytes) -> tuple | None:
+        """read's (id, value) of the first row, in file order, that used does not flag, or None."""
+        unused = ~int.from_bytes(used, "little") & ((1 << len(self.keys)) - 1)
+        if not unused:
+            return None
+        row = (unused & -unused).bit_length() - 1
+        return self.read(f, next(key for key in self.keys if key & _ROW == row))

@@ -5,8 +5,8 @@ through iter_lines, and their JSON lines decoded through decode_located_line.
 Files parsed whole (a config, a taxonomy, a results table, a score report)
 are read through iter_lines too, so a byte that is not UTF-8 is reported the
 same way everywhere. check_encodable rejects a decoded string that UTF-8
-cannot encode. The module is kept apart from records so that importing the
-scorer does not build the Record dataclass.
+cannot encode. The module is kept apart from records so that scoring, which
+reads its two files through it, does not load records.
 """
 
 from __future__ import annotations

@@ -49,9 +49,9 @@ import yaml
 
 from piiprep.allocation import allocate_fractions, largest_remainder_allocate
 from piiprep.errors import ConfigError, RecordError, ToolkitError
-from piiprep.idindex import _ROW, IdKeys, duplicates
+from piiprep.idindex import IdKeys
 from piiprep.ingest import ingest_record
-from piiprep.jsonl import check_encodable, decode_json_line, decode_located_line, iter_lines
+from piiprep.jsonl import check_encodable, decode_located_line, iter_lines
 from piiprep.jsonl import read_text
 from piiprep.labelspace import LabelSpace, load_taxonomy
 from piiprep.manifest import Manifest, tally, write_manifest
@@ -366,8 +366,7 @@ def consolidate(
 
     def repeated() -> list[tuple[int, RecordError]]:
         """Each record of out whose id an earlier one has, with its located error."""
-        found = duplicates(ids.sorted(), lambda key: decode_json_line(
-            out[key & _ROW].line.decode("utf-8"))["id"])
+        found = ids.repeated(lambda row: out[row].record().id)
         return [(row, RecordError(f"{files[out[row].source]}:{linenos[row]}: "
                                   f"duplicate record id {rid!r}")) for row, rid in found]
 

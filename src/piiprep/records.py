@@ -5,9 +5,9 @@ source, written UTF-8 with one trailing newline. Key order and separators are
 fixed so that equal record streams always produce byte-identical artifacts.
 An EncodedRecord holds one record as those bytes, plus the few values that
 planning and manifests read, so a corpus can be planned and written without
-keeping a Record per line. An artifact is read through index_artifact: the
-line index (piiprep.idindex.LineIndex) behind validate, sample and
-read_records, which unordered scoring uses for its predictions too.
+keeping a Record per line; prepare reads a repeated id back through its
+record(). An artifact is read through index_artifact: the line index
+(piiprep.idindex.LineIndex) behind validate, sample and read_records.
 """
 
 from __future__ import annotations

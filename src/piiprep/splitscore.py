@@ -11,10 +11,10 @@ Ordered scoring (score_ordered) reads the two files side by side
 kept across pairs. Unordered scoring (score_unordered) first makes the
 checking pass over the predictions (prediction_index, an idindex.LineIndex
 of each line's byte offset and id hash, about 17.5 bytes a prediction, 20
-at the peak), so its errors come first, and then reads each prediction back
-from the file when its gold record arrives (gold_pairs), flagging its row
-in a bitmap of the rows used, a bit a prediction. Ordered scoring does not
-import idindex.
+at the peak), so its errors come first. Then gold_pairs looks each gold id
+up in it (LineIndex.take), which reads the prediction back from the file
+and flags its row in a bitmap of the rows used, a bit a prediction. Ordered
+scoring does not import idindex.
 
 The gold file is cut at the line boundary after each even byte cut, one
 range per CPU the process may run on, and the ranges are run by
@@ -34,8 +34,8 @@ its pages by copy-on-write; each range gives the rows it used with its
 result, and before its error if it fails. A row that two ranges used is a
 repeated gold id: the calling process runs the later range's gold loop
 again with the earlier ranges' rows flagged, which fails at its first line
-that repeats an earlier id, as one pass fails. Rows no range used are
-predictions with no gold record, reported last.
+that repeats an earlier id, as one pass fails. The first row no range used
+(LineIndex.first_unused) is a prediction with no gold record, reported last.
 
 Pipes, gold files under workers.SPLIT_MIN_BYTES, one-CPU hosts and platforms
 without os.fork leave the run in one range. scorer.stream_score imports this
@@ -93,8 +93,8 @@ def _raise_label_error(path: str, lineno: int, rid: str, labels: list) -> None:
 _Pairs = Iterator[tuple[int, str, list, list, int]]
 
 
-def _ordered_pairs(gold_path: Path, pred_path: Path, start: int = 0,
-                   first_line: int = 1, stop: int | None = None) -> _Pairs:
+def _ordered_pairs(gold_path: Path, pred_path: Path, start: int,
+                   first_line: int, stop: int | None) -> _Pairs:
     """Pairs of two files that list the same ids in the same order.
 
     Gold lines are read from byte offset start, line first_line, up to byte
@@ -158,74 +158,24 @@ def prediction_index(pred_path: Path):
                      changed="prediction file changed while scoring")
 
 
-def gold_pairs(index, f, gold_path: Path, used: bytearray, start: int = 0,
-               first_line: int = 1, stop: int | None = None) -> _Pairs:
-    """The pairs of gold lines from byte offset start, line first_line, matched by id.
+def gold_pairs(index, f, gold_path: Path, used: bytearray, start: int,
+               first_line: int, stop: int | None) -> _Pairs:
+    """The pairs of gold lines from byte offset start, line first_line, up to
+    byte offset stop (None: the end), each matched to a prediction by id.
 
-    index is a prediction_index after its pass, and f the prediction file as
-    index.open() opens it. Reading stops at byte offset stop (None: at the
-    end of the file). used is a bitmap of the rows already scored (row r
-    is bit r % 8 of byte r // 8), and each row scored here is flagged in it.
-    The index's keys are sorted, so the rows whose ids share a hash's high
-    bits are one run, in row order.
+    index is a prediction_index after its pass, f the prediction file as
+    index.open() opens it, and used the bitmap of the rows already scored,
+    which LineIndex.take flags the row of each pair in.
     """
-    from array import array  # here, as idindex: ordered scoring needs neither
-    from bisect import bisect_left
-
-    from piiprep.idindex import _HIGH, _ROW, key_of
-
     gname = gold_path.name
-    keys = index.keys
-    n = len(keys)
-    # starts[j] is the first key whose top bits are j or more, so a gold id's
-    # run is bisected from among about eight keys.
-    top = max(n.bit_length() - 3, 0)
-    shift = 64 - top
-    starts = array("I", (bisect_left(keys, j << shift) for j in range((1 << top) + 1)))
-    with memoryview(keys) as view:
-        for lineno, _, line in iter_lines(gold_path, start, first_line, stop):
-            rid, gold_labels = _parse_scored_line(line, lineno, gname)
-            bits = key_of(rid, 0)
-            j = bits >> shift
-            # rid's row is in the run of keys with these high bits, with the
-            # rows of any other ids whose hashes collide with it there.
-            run = view[bisect_left(keys, bits, starts[j], starts[j + 1]):]
-            row = -1
-            for key in run:
-                if key & _HIGH != bits:
-                    break
-                r = key & _ROW
-                if not used[r >> 3] >> (r & 7) & 1:
-                    pid, pred_labels = index.read(f, key)
-                    if pid == rid:
-                        row = r
-                        break
-            if row < 0:
-                # Only a failure reads the run's used rows back: one with rid
-                # means an earlier gold record had it.
-                for key in run:
-                    if key & _HIGH != bits:
-                        break
-                    r = key & _ROW
-                    if used[r >> 3] >> (r & 7) & 1 and index.read(f, key)[0] == rid:
-                        raise RecordError(f"{gname}:{lineno}: duplicate gold id {rid!r}")
-                raise AlignmentError(f"no prediction for gold record {rid!r}")
-            used[row >> 3] |= 1 << (row & 7)
-            yield lineno, rid, gold_labels, pred_labels, row + 1
-
-
-def _check_all_used(index, f, used: int) -> None:
-    """Fail naming the first prediction, in file order, that no gold record used.
-
-    used is the bitmap of the rows used as one int: row r is bit r.
-    """
-    from piiprep.idindex import _ROW
-
-    unused = ~used & ((1 << len(index.keys)) - 1)
-    if unused:
-        row = (unused & -unused).bit_length() - 1
-        rid, _ = index.read(f, next(key for key in index.keys if key & _ROW == row))
-        raise AlignmentError(f"prediction id {rid!r} has no gold record")
+    for lineno, _, line in iter_lines(gold_path, start, first_line, stop):
+        rid, gold_labels = _parse_scored_line(line, lineno, gname)
+        row, pred_labels = index.take(f, rid, used)
+        if row < 0:
+            if pred_labels:  # a used row has rid: an earlier gold record took it
+                raise RecordError(f"{gname}:{lineno}: duplicate gold id {rid!r}")
+            raise AlignmentError(f"no prediction for gold record {rid!r}")
+        yield lineno, rid, gold_labels, pred_labels, row + 1
 
 
 def _ranges(gold_path: Path, pred_path: Path) -> list[tuple[int, int, int | None]]:
@@ -268,12 +218,9 @@ def _ordered_range(gold_path: Path, pred_path: Path, r: tuple) -> Iterator[tuple
 
 
 def _unordered_range(index, gold_path: Path, pred_path: Path, r: tuple) -> Iterator[tuple]:
-    """The (counts, records, rows used) of an unordered range matched against
-    the finished index; on an error, ({}, 0, the rows used before it), then the error.
-
-    The rows used are a bitmap, as gold_pairs flags them.
-    """
-    used = bytearray((len(index.keys) + 7) // 8)
+    """The (counts, records, bitmap of the rows used) of an unordered range matched
+    against the finished index; on an error, ({}, 0, the rows used before it), then it."""
+    used = index.bitmap()
     with index.open() as f:  # its own: another process's shares the offset it seeks
         try:
             counters, records = _score_pairs(
@@ -314,7 +261,7 @@ def score_unordered(gold_path: Path, pred_path: Path) -> tuple[TypeCounters, int
     index = prediction_index(pred_path)
     for _ in index:
         pass
-    counters, records, used = TypeCounters(), 0, 0
+    counters, records, used = TypeCounters(), 0, 0  # used: the ranges' bitmaps as one int
     with index.open() as f, closing(workers.in_ranges(
             ranges, partial(_unordered_range, index, gold_path, pred_path),
             partial(_what, gold_path.name))) as results:
@@ -333,5 +280,7 @@ def score_unordered(gold_path: Path, pred_path: Path) -> tuple[TypeCounters, int
             _add(counters, counts)
             records += n
             used |= rows
-        _check_all_used(index, f, used)
+        unused = index.first_unused(f, used.to_bytes(len(bits), "little"))
+        if unused is not None:
+            raise AlignmentError(f"prediction id {unused[0]!r} has no gold record")
     return counters, records

@@ -151,18 +151,20 @@ def test_import_leaves_out_dataclasses():
 
 def test_import_layout(tmp_path):
     # The scorer counts; splitscore, which reads the files, is loaded only to
-    # score, and the prediction index only to score unordered.
+    # score, and the prediction index only to score unordered. Ordered scoring
+    # does not load the record schema either.
     g = tmp_path / "g.jsonl"
     write_scored(g, random_corpus(random.Random(2), 10))
     code = (
         "import sys, piiprep.scorer as s\n"
         "print(sorted(m for m in ('piiprep.jsonl', 'piiprep.splitscore') if m in sys.modules))\n"
         f"print(s.stream_score({str(g)!r}, {str(g)!r}).records)\n"
-        "print('piiprep.splitscore' in sys.modules, 'piiprep.idindex' in sys.modules)\n"
+        "print('piiprep.splitscore' in sys.modules, 'piiprep.idindex' in sys.modules,\n"
+        "      'piiprep.records' in sys.modules)\n"
         f"print(s.stream_score({str(g)!r}, {str(g)!r}, unordered=True).records)\n"
         "print('piiprep.idindex' in sys.modules)"
     )
-    assert fresh_output(code).splitlines() == ["[]", "10", "True False", "10", "True"]
+    assert fresh_output(code).splitlines() == ["[]", "10", "True False False", "10", "True"]
 
 
 class TestStreamScore:

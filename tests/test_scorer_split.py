@@ -45,19 +45,21 @@ def outcome(gold: Path, pred: Path, unordered: bool = False):
     return list(r.counters.counts.items()), r.records, r.chunks
 
 
-def force_split(mp: pytest.MonkeyPatch, cut: int | None = None, cpus: int = 2,
+def force_split(mp: pytest.MonkeyPatch, cut: int | list[int] | None = None, cpus: int = 2,
                 kill: bool = False) -> Workers:
-    """Split any run into cpus ranges, the first cut at byte cut if given."""
+    """Split any run into cpus ranges, the first cut at byte cut if given, or
+    at each of the byte cuts of a list."""
     mp.setattr(workers, "cpus", lambda: cpus)
     mp.setattr(workers, "SPLIT_MIN_BYTES", 0)
     if cut is not None:
-        mp.setattr(workers, "_cuts", lambda paths, sizes, n: [(0, cut)])
+        cuts = [(0, c) for c in ([cut] if isinstance(cut, int) else cut)]
+        mp.setattr(workers, "_cuts", lambda paths, sizes, n: cuts)
     started = Workers(kill)
     mp.setattr(workers, "_fork", started.fork)
     return started
 
 
-def serial_and_split(gold: Path, pred: Path, cut: int | None = None, cpus: int = 2,
+def serial_and_split(gold: Path, pred: Path, cut: int | list[int] | None = None, cpus: int = 2,
                      unordered: bool = False):
     """(serial outcome, split outcome, workers forked by the split run)."""
     with pytest.MonkeyPatch.context() as mp:
@@ -82,11 +84,14 @@ _FAULTS = ["truncated", "dropped-field", "non-string-label", "bad-utf8", "blank-
 
 @st.composite
 def faulty_pairs(draw, unordered: bool):
-    """A small gold/prediction pair of files with one fault, and a gold cut.
+    """A small gold/prediction pair of files with one fault, and one to three
+    gold cuts, as byte offsets.
 
-    Unordered, the predictions are shuffled before the fault is made. The cut
-    is drawn after it, among every gold line the fault left, so it can fall
-    among added gold lines or past the end of an ordered prediction file.
+    Unordered, the predictions are shuffled before the fault is made. The
+    cuts are drawn after it, among every gold line the fault left, so one can
+    fall among added gold lines or past the end of an ordered prediction
+    file, and a repeated gold id can be one, two or more ranges after its
+    first occurrence.
     """
     n = draw(st.integers(2, 8))
     labels = [draw(st.lists(_LABELS, min_size=1, max_size=4)) for _ in range(n)]
@@ -132,28 +137,30 @@ def faulty_pairs(draw, unordered: bool):
         del pred[i]
     elif fault == "extra-prediction":
         pred.insert(draw(st.integers(0, n)), line(f"x{i}", ["O"]))
-    cut_line = draw(st.integers(1, len(gold) - 1))
+    cut_lines = sorted(draw(st.lists(st.integers(1, len(gold) - 1),
+                                     min_size=1, max_size=3, unique=True)))
     if fault == "swap-across-cut":
+        cut_line = draw(st.sampled_from(cut_lines))
         a, b = draw(st.integers(0, cut_line - 1)), draw(st.integers(cut_line, n - 1))
         gold[a], gold[b] = gold[b], gold[a]
-    return b"".join(gold), b"".join(pred), len(b"".join(gold[:cut_line])), cut_line
+    return b"".join(gold), b"".join(pred), [len(b"".join(gold[:k])) for k in cut_lines]
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(st.data())
 def test_split_run_matches_serial_run(data):
     for unordered in (False, True):  # a case of each mode in every example
-        gold_bytes, pred_bytes, cut, cut_line = data.draw(faulty_pairs(unordered))
+        gold_bytes, pred_bytes, cuts = data.draw(faulty_pairs(unordered))
         with tempfile.TemporaryDirectory() as d:
             g, p = Path(d) / "g.jsonl", Path(d) / "p.jsonl"
             g.write_bytes(gold_bytes)
             p.write_bytes(pred_bytes)
-            serial, split, started = serial_and_split(g, p, cut, unordered=unordered)
+            serial, split, started = serial_and_split(g, p, cuts, unordered=unordered)
             indexed = unordered and index_pass_succeeds(p)
         assert split == serial
         # Every ordered run is split, however short its prediction file;
-        # unordered scoring forks its worker once the predictions are indexed.
-        assert len(started) == (indexed if unordered else 1)
+        # unordered scoring forks its workers once the predictions are indexed.
+        assert len(started) == (indexed if unordered else 1) * len(cuts)
 
 
 def index_pass_succeeds(pred: Path) -> bool:
