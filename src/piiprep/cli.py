@@ -34,7 +34,7 @@ from piiprep.jsonl import check_encodable, read_text
 from piiprep.labelspace import load_taxonomy
 from piiprep.manifest import sha256_file, tally
 from piiprep.pipeline import PipelineConfig, run_prepare, sample_groups, write_artifact
-from piiprep.records import EncodedRecord, check_types, index_artifact
+from piiprep.records import EncodedRecord, MemorySpill, check_types, index_artifact
 from piiprep.scorer import MetricsReport, finalize, stream_score
 
 
@@ -109,8 +109,10 @@ def sample(input_path: str, n: int, seed: int, out_path: str) -> None:
     total = sum(map(len, keys.values()))
     if n > total:
         raise AllocationError(f"{Path(input_path).name}: --n {n} exceeds its {total} records")
+    spill = MemorySpill()
     with artifact.open() as f:
-        subset = [EncodedRecord(artifact.read(f, key)[1]) for key in sample_groups(keys, n, seed)]
+        subset = [EncodedRecord(artifact.read(f, key)[1], spill)
+                  for key in sample_groups(keys, n, seed)]
     manifest = write_artifact(out_path, subset, seed=seed)
     click.echo(f"[sample] wrote {out_path} ({manifest.records} records, sha256 {manifest.sha256[:12]}...)")
 

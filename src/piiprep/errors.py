@@ -43,3 +43,12 @@ class ConfigError(ToolkitError):
 
 class AnalysisError(ToolkitError):
     """Bad comparative-analysis input (missing system, zero support, dupes)."""
+
+
+class UnwrittenError(OSError):
+    """A temporary file that a range's results go to could not be made or written.
+
+    An I/O error like any other OSError, except in a forked worker
+    (piiprep.workers): there it ends the worker as if its result file had
+    failed, and the calling process runs the range itself.
+    """

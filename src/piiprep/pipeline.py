@@ -13,17 +13,22 @@ ordering and re-runs are byte-identical.
 
 consolidate reads the sources, one after another, in line ranges, one per
 usable CPU (piiprep.workers): it reads the first range itself, and a forked
-worker reads each other range. Every range gives its records as (artifact
-line, stratum, summary), with their ids, line numbers and counts, and its
-skipped errors as their messages. The calling process builds the kept
-records, keeps the ids, applies on_error and logs the skipped lines in
-stream order, so every count, message and output byte is that of one pass.
+worker reads each other range. Each range encodes every record it keeps once
+and writes the artifact lines, 256 records at a time, to its own spill file
+(records.Spill), which the calling process makes before it forks. It gives
+its records as (line length, stratum, summary), with where their chunk of
+lines landed, their ids, line numbers and counts, and its skipped errors as
+their messages. The calling process builds the kept records, keeps the ids,
+applies on_error and logs the skipped lines in stream order, so every count,
+message and output byte is that of one pass.
 
-consolidate encodes each record it keeps once, into an EncodedRecord: its
-artifact line plus its source, stratum and label summary. The later steps
-choose among these, only records that lose a rare label are decoded and
-encoded again, and each split is written from the encoded lines, hashed as
-it is written.
+A kept record is an EncodedRecord: its source, stratum and label summary,
+and its line's spill file, offset and length; no line is held in memory.
+The later steps choose among these, only records that lose a rare label are
+decoded and encoded again (into the same spill), and each split is written
+from the lines read back by offset, hashed as it is written. The spill files
+need about the artifacts' encoded size in tempfile's directory, and are
+closed, and their space freed, once no record refers to them.
 """
 
 from __future__ import annotations
@@ -42,21 +47,22 @@ from contextlib import closing
 from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 from functools import partial
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence, TypeVar
 
 import yaml
 
 from piiprep.allocation import allocate_fractions, largest_remainder_allocate
-from piiprep.errors import ConfigError, RecordError, ToolkitError
+from piiprep.errors import ConfigError, RecordError, ToolkitError, UnwrittenError
 from piiprep.idindex import IdKeys
 from piiprep.ingest import ingest_record
 from piiprep.jsonl import check_encodable, decode_located_line, iter_lines
 from piiprep.jsonl import read_text
 from piiprep.labelspace import LabelSpace, load_taxonomy
 from piiprep.manifest import Manifest, tally, write_manifest
-from piiprep.records import EncodedRecord, Record, check_types, check_utf8
-from piiprep.records import parse_record_line, write_records
+from piiprep.records import EncodedRecord, Record, Spill, check_types, check_utf8
+from piiprep.records import encode_record, parse_record_line, write_records
 # Not called here; perfbench/spans.py's tracer wraps it by this name.
 from piiprep.biospan import extract_span_tuples  # noqa: F401
 
@@ -372,21 +378,24 @@ def consolidate(
 
     from piiprep import workers  # here: loading a config need not import it
 
-    def what(parts: list[_Part]) -> str:
-        k, _, first_line, _ = parts[0]
+    def what(r: tuple[int, list[_Part]]) -> str:
+        k, _, first_line, _ = r[1][0]
         return f"{config.sources[k].path.name}: prepare worker for lines from {first_line}"
 
     ranges = workers.line_ranges([spec.path for spec in config.sources])
+    spills = [Spill.temporary() for _ in ranges]  # before the fork: each worker writes its own
     try:
-        with closing(workers.in_ranges(ranges, partial(_consolidated, config, space),
+        with closing(workers.in_ranges(list(enumerate(ranges)),
+                                       partial(_consolidated, config, space, spills),
                                        what)) as chunks:
-            for k, recs, rids, lines, dropped, errors in chunks:
-                source = config.sources[k].name
+            for k, s, pos, recs, rids, lines, dropped, errors in chunks:
+                source, spill = config.sources[k].name, spills[s]
                 for rid in rids:
                     ids.add(rid)
                 linenos.extend(lines)
-                out += [EncodedRecord.of(line, source, stratum, summary)
-                        for line, stratum, summary in recs]
+                offsets = accumulate((length for length, _, _ in recs), initial=pos)
+                out += [EncodedRecord.of(spill, offset, length, source, stratum, summary)
+                        for offset, (length, stratum, summary) in zip(offsets, recs)]
                 c = counts[k]
                 c["kept"] += len(recs)
                 c["dropped"] += dropped
@@ -423,21 +432,28 @@ _Part = tuple[int, int, int, "int | None"]
 _CHUNK = 256  # the most records and errors in one chunk of a range
 
 
-def _consolidated(config: PipelineConfig, space: LabelSpace,
-                  parts: list[_Part]) -> Iterator[tuple]:
-    """The records of one range of the stream, in chunks, each of (source index,
-    records as (artifact line, stratum, summary), their ids, their line
-    numbers, span-free lines, the messages of skipped errors).
+def _consolidated(config: PipelineConfig, space: LabelSpace, spills: list[Spill],
+                  r: tuple[int, list[_Part]]) -> Iterator[tuple]:
+    """The records of range r, (s, parts), of the stream, in chunks, each of
+    (source index, s, the offset in spills[s] of the chunk's artifact lines,
+    records as (line length, stratum, summary), their ids, their line numbers,
+    span-free lines, the messages of skipped errors).
 
-    The range ends, after a chunk of what came before it, with the error of
-    a line that is not a record under on_error=fail, and with an OSError or
-    a line that is not UTF-8 under any policy. Nothing is logged.
+    Each chunk's lines are written to spills[s] in one append, at its end, so
+    a range run again after a worker that failed to write leaves that
+    worker's bytes unread. The range ends, after a chunk of what came before
+    it, with the error of a line that is not a record under on_error=fail,
+    and with an OSError or a line that is not UTF-8 under any policy; it
+    ends at once with an UnwrittenError when the spill cannot be written.
+    Nothing is logged.
     """
+    s, parts = r
+    spill = spills[s]
     fail = config.on_error == "fail"
     for k, start, first_line, stop in parts:
         spec = config.sources[k]
         name = spec.path.name
-        rows, rids, linenos, dropped, errors = [], [], [], 0, []
+        lines, rows, rids, linenos, dropped, errors = [], [], [], [], 0, []
         try:
             for lineno, _, line in iter_lines(spec.path, start, first_line, stop):
                 line = line.rstrip("\r\n")
@@ -457,15 +473,18 @@ def _consolidated(config: PipelineConfig, space: LabelSpace,
                 linenos.append(lineno)
                 if config.prepend_source_token:
                     rec = prepend_source_token(rec)
-                enc = EncodedRecord(rec)
-                rows.append((enc.line, enc.stratum, enc.summary))
+                encoded, stratum, summary = encode_record(rec)
+                lines.append(encoded)
+                rows.append((len(encoded), stratum, summary))
                 if len(rows) + len(errors) >= _CHUNK:
-                    yield k, rows, rids, linenos, dropped, errors
-                    rows, rids, linenos, dropped, errors = [], [], [], 0, []
-        except (ToolkitError, OSError):
-            yield k, rows, rids, linenos, dropped, errors
+                    yield k, s, spill.append(b"".join(lines)), rows, rids, linenos, dropped, errors
+                    lines, rows, rids, linenos, dropped, errors = [], [], [], [], 0, []
+        except UnwrittenError:
             raise
-        yield k, rows, rids, linenos, dropped, errors
+        except (ToolkitError, OSError):
+            yield k, s, spill.append(b"".join(lines)), rows, rids, linenos, dropped, errors
+            raise
+        yield k, s, spill.append(b"".join(lines)), rows, rids, linenos, dropped, errors
 
 
 def _source_record(spec: SourceSpec, name: str, line: str, lineno: int,
@@ -581,7 +600,7 @@ def filter_rare_labels(
             continue
         rec = enc.record()
         rec.labels = ["O" if lab in rare_labels else lab for lab in rec.labels]
-        out.append(EncodedRecord(rec))
+        out.append(EncodedRecord(rec, enc.spill))
     return out, sorted(rare)
 
 

@@ -3,33 +3,41 @@
 A record line is a JSON object with exactly the keys id, tokens, labels and
 source, written UTF-8 with one trailing newline. Key order and separators are
 fixed so that equal record streams always produce byte-identical artifacts.
-An EncodedRecord holds one record as those bytes, plus the few values that
-planning and manifests read, so a corpus can be planned and written without
-keeping a Record per line; prepare reads a repeated id back through its
-record(). An artifact is read through index_artifact: the line index
+An EncodedRecord holds the few values of one record that planning and
+manifests read, and where its line lies in a Spill: an unlinked temporary
+file, or an io.BytesIO. A corpus is planned and written without keeping a
+Record or a line in memory per record; each line is read back by its offset
+when it is written, and prepare reads a repeated id back through record().
+An artifact is read through index_artifact: the line index
 (piiprep.idindex.LineIndex) behind validate, sample and read_records.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import os
 import sys
 from collections import _count_elements
 from dataclasses import dataclass
+from itertools import islice
 from json.encoder import c_make_encoder, encode_basestring
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from piiprep._purespans import _CACHE_MAX
 from piiprep.biospan import check_labels, count_orphan_continuations
-from piiprep.errors import LabelError, RecordError
+from piiprep.errors import LabelError, RecordError, UnwrittenError
 from piiprep.idindex import LineIndex
 from piiprep.jsonl import check_encodable, decode_json_line, decode_located_line
 from piiprep.labelspace import LabelSpace
 
 __all__ = [
     "Record",
+    "Spill",
+    "MemorySpill",
     "EncodedRecord",
+    "encode_record",
     "record_to_line",
     "parse_record_line",
     "check_utf8",
@@ -61,6 +69,7 @@ _ENCODE = c_make_encoder and c_make_encoder(
 # equal summaries share one tuple. Emptied when it reaches _CACHE_MAX, which
 # only costs sharing: an equal summary built later is a new, equal tuple.
 _SUMMARIES: dict[tuple, tuple] = {}
+_WRITE_BLOCK = 256  # the most lines write_records joins into one write
 
 
 @dataclass
@@ -141,34 +150,128 @@ def _shared(summary: tuple) -> tuple:
     return shared
 
 
+class Spill:
+    """Encoded lines kept out of memory in a file, appended and read back by offset.
+
+    Spill.temporary() is an unlinked temporary file. It is written with
+    unbuffered os.write calls, so a forked worker that leaves through
+    os._exit loses nothing, and read with os.pread. Each append lands at the
+    file's current end, wherever a process that shares the file left it.
+    The file is closed, and its space freed, when the spill is: once nothing
+    refers to it.
+    """
+
+    __slots__ = ("fd",)
+
+    def __init__(self, fd: int) -> None:
+        self.fd = fd
+
+    @classmethod
+    def temporary(cls) -> Spill:
+        """A spill in an unlinked file in tempfile's directory (UnwrittenError if none can be)."""
+        import tempfile  # here: a command that never spills need not import it
+
+        try:
+            # A descriptor of its own: a file object freed in a reference cycle
+            # could be finalized before the spill, and warn that it was left open.
+            with tempfile.TemporaryFile() as f:
+                return cls(os.dup(f.fileno()))
+        except OSError as e:
+            raise _unwritten(e) from None
+
+    def append(self, data: bytes) -> int:
+        """Write data at the end (UnwrittenError if it cannot be); returns its offset."""
+        try:
+            pos = os.lseek(self.fd, 0, os.SEEK_END)
+            view = memoryview(data)
+            while view:
+                view = view[os.write(self.fd, view):]
+        except OSError as e:
+            raise _unwritten(e) from None
+        return pos
+
+    def read(self, offset: int, length: int) -> bytes:
+        """The length bytes at offset."""
+        return os.pread(self.fd, length, offset)
+
+    def __del__(self) -> None:
+        os.close(self.fd)
+
+
+class MemorySpill(Spill):
+    """A Spill whose lines are kept in memory, in an io.BytesIO, behind the same offsets."""
+
+    __slots__ = ("buffer",)
+
+    def __init__(self) -> None:
+        self.buffer = io.BytesIO()
+
+    def append(self, data: bytes) -> int:
+        pos = self.buffer.seek(0, io.SEEK_END)
+        self.buffer.write(data)
+        return pos
+
+    def read(self, offset: int, length: int) -> bytes:
+        self.buffer.seek(offset)
+        return self.buffer.read(length)
+
+    def __del__(self) -> None:
+        pass  # no descriptor to close
+
+
+def _unwritten(e: OSError) -> UnwrittenError:
+    """e as an UnwrittenError that names the temporary directory."""
+    import tempfile
+
+    return UnwrittenError(e.errno, f"{e.strerror}: cannot write encoded records to "
+                                   f"a temporary file in {tempfile.gettempdir()}")
+
+
 class EncodedRecord:
-    """A record as its canonical line in UTF-8, with its source, stratum and summary.
+    """A record as its source, stratum and summary, and where its canonical
+    line (UTF-8) lies in a spill.
 
     This is what prepare keeps per record between reading its sources and
     writing the splits, and what write_records and the manifest read: about
-    a third of the memory of the Record it was built from.
+    a tenth of the memory of the Record it was built from. The line is read
+    back from the spill each time line or record() is asked for. Built from
+    a Record, it appends the line to spill, or to a spill of its own in
+    memory.
     """
 
-    __slots__ = ("line", "source", "stratum", "summary")
+    __slots__ = ("spill", "ref", "source", "stratum", "summary")
 
-    def __init__(self, record: Record) -> None:
-        self.line = record_to_line(record).encode("utf-8")
-        self.source = record.source
-        self.stratum = record.stratum
-        self.summary = record.summary
+    def __init__(self, record: Record, spill: Spill | None = None) -> None:
+        line, stratum, summary = encode_record(record)
+        spill = spill if spill is not None else MemorySpill()
+        self.spill, self.ref = spill, spill.append(line) << 32 | len(line)
+        self.source, self.stratum, self.summary = record.source, stratum, summary
 
     @classmethod
-    def of(cls, line: bytes, source: str, stratum: str, summary: tuple) -> EncodedRecord:
-        """An EncodedRecord of these values, which shares its stratum and summary
-        with equal ones as an EncodedRecord built from its Record does."""
+    def of(cls, spill: Spill, offset: int, length: int, source: str, stratum: str,
+           summary: tuple) -> EncodedRecord:
+        """An EncodedRecord of the line of length bytes (under 4 GiB) at offset in
+        spill and these values. It shares its stratum and summary with equal
+        ones as an EncodedRecord built from its Record does."""
         enc = cls.__new__(cls)
-        enc.line, enc.source = line, source
+        enc.spill, enc.ref, enc.source = spill, offset << 32 | length, source
         enc.stratum, enc.summary = sys.intern(stratum), _shared(summary)
         return enc
+
+    @property
+    def line(self) -> bytes:
+        """The canonical line, read back from the spill."""
+        ref = self.ref
+        return self.spill.read(ref >> 32, ref & 0xFFFFFFFF)
 
     def record(self) -> Record:
         """The Record this was built from, decoded from the line."""
         return Record(**decode_json_line(self.line.decode("utf-8")))
+
+
+def encode_record(record: Record) -> tuple[bytes, str, tuple]:
+    """(canonical line in UTF-8, stratum, summary) of a record: what an EncodedRecord keeps."""
+    return record_to_line(record).encode("utf-8"), record.stratum, record.summary
 
 
 def record_to_line(record: Record) -> str:
@@ -250,12 +353,15 @@ def write_records(path: str | Path, records: Iterable[EncodedRecord], sha256) ->
     """Write the records' lines to path in one pass; returns the number written.
 
     sha256 (a hashlib object) is fed the same bytes as the file, so the
-    artifact's hash needs no second read of it.
+    artifact's hash needs no second read of it. Lines are joined into blocks
+    of up to _WRITE_BLOCK, one write and one hash update each.
     """
     n = 0
+    records = iter(records)
     with Path(path).open("wb") as f:
-        for rec in records:
-            f.write(rec.line)
-            sha256.update(rec.line)
-            n += 1
+        while lines := [rec.line for rec in islice(records, _WRITE_BLOCK)]:
+            block = b"".join(lines)
+            f.write(block)
+            sha256.update(block)
+            n += len(lines)
     return n

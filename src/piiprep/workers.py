@@ -13,7 +13,9 @@ range yields, and then the exception that ended the range if one did, to an
 unlinked temporary file, and leaves through os._exit, so it never runs the
 caller's exit handlers or flushes a buffer it inherited; it never logs. The
 caller reaps the workers in range order and gives each one's values after
-the values before them, then its exception.
+the values before them, then its exception. A range that raises
+UnwrittenError, because it could not write a file it keeps its results in
+(prepare's spill files), ends its worker as a failed result file does.
 
 Inputs under SPLIT_MIN_BYTES, a host with one usable CPU and a platform
 without os.fork leave the run in one range. A fork or temporary file that
@@ -36,6 +38,8 @@ from operator import itemgetter
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, TypeVar
 
+from piiprep.errors import UnwrittenError
+
 __all__ = ["SPLIT_MIN_BYTES", "Worker", "cpus", "in_ranges", "line_ranges", "line_start"]
 
 R = TypeVar("R")
@@ -48,7 +52,7 @@ R = TypeVar("R")
 # 57.5 against 76.0 ms, prepare 143.0 against 164.3).
 SPLIT_MIN_BYTES = 1 << 20
 _BLOCK = 1 << 16  # read size when looking for cuts and line starts; small: flat traced memory
-_UNWRITTEN = 74  # the exit status of a worker whose result file failed (EX_IOERR)
+_UNWRITTEN = 74  # the exit status of a worker whose results could not be written (EX_IOERR)
 
 
 def cpus() -> int:
@@ -219,7 +223,8 @@ def _values(f: BinaryIO) -> Iterator:
 def _send(run: Callable[[R], Iterable], r: R, out: BinaryIO) -> None:
     """In a worker: write each value run(r) yields to its result file out as
     (True, value), then, if run raised, (False, the exception's module, class
-    name, arguments and message), for _values to read back."""
+    name, arguments and message), for _values to read back. An UnwrittenError
+    is raised here instead, as a failed write to out is."""
     def write(message: tuple) -> None:
         data = marshal.dumps(message)
         out.write(len(data).to_bytes(8, "little"))
@@ -228,6 +233,8 @@ def _send(run: Callable[[R], Iterable], r: R, out: BinaryIO) -> None:
     try:
         for value in run(r):
             write((True, value))
+    except UnwrittenError:
+        raise
     except Exception as e:  # raised again by the calling process, after the values before it
         cls, args = e.__reduce__()[:2]
         try:
@@ -253,7 +260,7 @@ def _fork(task: Callable[[BinaryIO], None], file: BinaryIO) -> Worker:
             with open(file.fileno(), "wb", closefd=False) as out:
                 task(out)
             code = 0
-        except OSError:  # _send writes the range's own errors, so this is the file's
+        except OSError:  # _send writes the range's own errors, so this is a result file's
             code = _UNWRITTEN
         finally:
             os._exit(code)

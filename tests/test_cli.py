@@ -1,4 +1,5 @@
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -8,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -87,6 +89,29 @@ class TestExitCodes:
 
     def test_success_is_0(self, runner):
         assert runner.invoke(main, ["--version"]).exit_code == 0
+
+
+def _no_space(*args, **kwargs):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("temporary_file", [
+    lambda *args, **kwargs: open("/dev/full", "r+b"),  # made, but every write fails
+    _no_space,
+], ids=["write-fails", "cannot-make"])
+def test_prepare_without_temporary_space_is_io_error(runner, tmp_path, monkeypatch,
+                                                     temporary_file):
+    # prepare keeps its encoded records in temporary files until it writes the splits.
+    monkeypatch.setattr(tempfile, "TemporaryFile", temporary_file)
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["prepare", "--config", str(REPO / "demo" / "config.yaml"),
+                                  "--out-dir", str(out)])
+    assert result.exit_code == 3
+    assert result.output == (
+        f"Error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: cannot write encoded "
+        f"records to a temporary file in {tempfile.gettempdir()}\n")
+    assert not out.exists()
 
 
 _SOURCE = "sources:\n  - {name: a, path: a.jsonl}\n"

@@ -12,6 +12,7 @@ them reaped when it returns.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import logging
@@ -24,7 +25,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import Workers, bounded
+from conftest import REPO, Workers, bounded
 from piiprep import pipeline, workers
 from piiprep.errors import ToolkitError
 from piiprep.fixtures import canonical_space
@@ -204,3 +205,32 @@ def test_no_worker_left_after_an_interrupt(tmp_path, monkeypatch):
     assert len(started.started) == 1
     started.assert_reaped()
     assert started.started[0].status == -signal.SIGKILL
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_a_worker_that_cannot_spill_leaves_its_range_here(tmp_path, monkeypatch, n):
+    # Each worker's first write to its spill file lands half its bytes and its
+    # next fails with ENOSPC, so the worker exits 74 and the calling process
+    # runs the range again, after those bytes, into the same file.
+    caller, real_write, wrote = os.getpid(), os.write, []
+
+    def write(fd, data):
+        if os.getpid() == caller:
+            return real_write(fd, data)
+        if wrote:  # this worker's own copy of the list
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        wrote.append(fd)
+        return real_write(fd, data[:max(1, len(data) // 2)])
+
+    monkeypatch.setattr(os, "write", write)
+    monkeypatch.setattr(workers, "cpus", lambda: n)
+    monkeypatch.setattr(workers, "SPLIT_MIN_BYTES", 0)
+    started = Workers()
+    monkeypatch.setattr(workers, "_fork", started.fork)
+    config = PipelineConfig.from_file(REPO / "demo" / "config.yaml")
+    config.output_dir = tmp_path
+    bounded(lambda: run_prepare(config))
+    assert [w.status for w in started.started] == [workers._UNWRITTEN] * (n - 1)
+    started.assert_reaped()
+    committed = {p.name: p.read_bytes() for p in (REPO / "demo" / "out").iterdir()}
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == committed

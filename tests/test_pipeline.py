@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import json
 import logging
+import os
 import random
 import tempfile
 import tracemalloc
@@ -888,18 +889,22 @@ def test_prepare_bytes_are_pinned(tmp_path, variant):
 
 
 def test_prepare_memory_per_record(tmp_path):
-    """prepare keeps an encoded line per record, not the Record, and no id strings.
+    """prepare keeps where each encoded line lies in a spill file, not the line,
+    the Record or the id, and no file stays open once it returns.
 
     10,000 generated lines (9,850 kept): the traced peak of run_prepare stays
-    at or under 430 bytes per consolidated record (about 395 here: the line,
-    its slotted entry, and its id key and line number for the duplicate-id
-    check), and under the older bound of 700. A set of the ids made it about
-    500, and keeping a Record per line until the write about 1,550.
+    at or under 170 bytes per consolidated record (about 150 here: its slotted
+    entry, the packed offset and length of its line, and its id key and line
+    number for the duplicate-id check), and under the older bounds of 700 and
+    430. Holding each line made it about 400, a set of the ids about 500, and
+    keeping a Record per line until the write about 1,550.
     """
-    per_record, tight_per_record = 700, 430
+    per_record, tight_per_record, spilled_per_record = 700, 430, 170
     _generated_inputs(tmp_path, 10_000)
     cfg = PipelineConfig.from_file(tmp_path / "config.yaml")
     cfg.load_space()
+    fds = "/proc/self/fd"
+    open_before = len(os.listdir(fds)) if os.path.isdir(fds) else None
     tracemalloc.start()
     try:
         result = run_prepare(cfg)
@@ -910,3 +915,7 @@ def test_prepare_memory_per_record(tmp_path):
     assert n == 9_850
     assert peak <= per_record * n, f"peak {peak} bytes is {peak / n:.0f} bytes per record"
     assert peak <= tight_per_record * n, f"peak {peak} bytes is {peak / n:.0f} bytes per record"
+    assert peak <= spilled_per_record * n, f"peak {peak} bytes is {peak / n:.0f} bytes per record"
+    if open_before is None:
+        pytest.skip("no /proc/self/fd to count open files in")
+    assert len(os.listdir(fds)) == open_before
