@@ -16,7 +16,8 @@ Submodules:
 - scorer: span-level exact-match counters and the score report
 - workers: work cut into line ranges, one per CPU, and the one runner for
   them (in_ranges): each range but the first in a forked worker process,
-  whose values and error come back in range order
+  whose values and error come back in range order; Spill, the one
+  temporary file, which worker results and encoded lines go to
 - splitscore: gold and prediction files read into scored pairs, ordered or
   matched by id through the prediction index, by gold line range
 - analysis: entity-level comparison of two tagging systems

@@ -34,8 +34,9 @@ from piiprep.jsonl import check_encodable, read_text
 from piiprep.labelspace import load_taxonomy
 from piiprep.manifest import sha256_file, tally
 from piiprep.pipeline import PipelineConfig, run_prepare, sample_groups, write_artifact
-from piiprep.records import EncodedRecord, MemorySpill, check_types, index_artifact
+from piiprep.records import EncodedRecord, check_types, index_artifact
 from piiprep.scorer import MetricsReport, finalize, stream_score
+from piiprep.workers import Spill
 
 
 def guarded(fn):
@@ -109,7 +110,7 @@ def sample(input_path: str, n: int, seed: int, out_path: str) -> None:
     total = sum(map(len, keys.values()))
     if n > total:
         raise AllocationError(f"{Path(input_path).name}: --n {n} exceeds its {total} records")
-    spill = MemorySpill()
+    spill = Spill.temporary()
     with artifact.open() as f:
         subset = [EncodedRecord(artifact.read(f, key)[1], spill)
                   for key in sample_groups(keys, n, seed)]

@@ -46,9 +46,9 @@ class AnalysisError(ToolkitError):
 
 
 class UnwrittenError(OSError):
-    """A temporary file that a range's results go to could not be made or written.
+    """A workers.Spill could not be made or written.
 
     An I/O error like any other OSError, except in a forked worker
-    (piiprep.workers): there it ends the worker as if its result file had
-    failed, and the calling process runs the range itself.
+    (piiprep.workers): there it ends the worker, and the calling process
+    runs the range itself.
     """

@@ -15,7 +15,7 @@ consolidate reads the sources, one after another, in line ranges, one per
 usable CPU (piiprep.workers): it reads the first range itself, and a forked
 worker reads each other range. Each range encodes every record it keeps once
 and writes the artifact lines, 256 records at a time, to its own spill file
-(records.Spill), which the calling process makes before it forks. It gives
+(workers.Spill), which the calling process makes before it forks. It gives
 its records as (line length, stratum, summary), with where their chunk of
 lines landed, their ids, line numbers and counts, and its skipped errors as
 their messages. The calling process builds the kept records, keeps the ids,
@@ -53,6 +53,7 @@ from typing import Iterator, Mapping, Sequence, TypeVar
 
 import yaml
 
+from piiprep import workers
 from piiprep.allocation import allocate_fractions, largest_remainder_allocate
 from piiprep.errors import ConfigError, RecordError, ToolkitError, UnwrittenError
 from piiprep.idindex import IdKeys
@@ -61,7 +62,7 @@ from piiprep.jsonl import check_encodable, decode_located_line, iter_lines
 from piiprep.jsonl import read_text
 from piiprep.labelspace import LabelSpace, load_taxonomy
 from piiprep.manifest import Manifest, tally, write_manifest
-from piiprep.records import EncodedRecord, Record, Spill, check_types, check_utf8
+from piiprep.records import EncodedRecord, Record, check_types, check_utf8
 from piiprep.records import encode_record, parse_record_line, write_records
 # Not called here; perfbench/spans.py's tracer wraps it by this name.
 from piiprep.biospan import extract_span_tuples  # noqa: F401
@@ -376,14 +377,12 @@ def consolidate(
         return [(row, RecordError(f"{files[out[row].source]}:{linenos[row]}: "
                                   f"duplicate record id {rid!r}")) for row, rid in found]
 
-    from piiprep import workers  # here: loading a config need not import it
-
     def what(r: tuple[int, list[_Part]]) -> str:
         k, _, first_line, _ = r[1][0]
         return f"{config.sources[k].path.name}: prepare worker for lines from {first_line}"
 
     ranges = workers.line_ranges([spec.path for spec in config.sources])
-    spills = [Spill.temporary() for _ in ranges]  # before the fork: each worker writes its own
+    spills = [workers.Spill.temporary() for _ in ranges]  # before the fork: one per range
     try:
         with closing(workers.in_ranges(list(enumerate(ranges)),
                                        partial(_consolidated, config, space, spills),
@@ -432,7 +431,7 @@ _Part = tuple[int, int, int, "int | None"]
 _CHUNK = 256  # the most records and errors in one chunk of a range
 
 
-def _consolidated(config: PipelineConfig, space: LabelSpace, spills: list[Spill],
+def _consolidated(config: PipelineConfig, space: LabelSpace, spills: list[workers.Spill],
                   r: tuple[int, list[_Part]]) -> Iterator[tuple]:
     """The records of range r, (s, parts), of the stream, in chunks, each of
     (source index, s, the offset in spills[s] of the chunk's artifact lines,

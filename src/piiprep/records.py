@@ -4,8 +4,8 @@ A record line is a JSON object with exactly the keys id, tokens, labels and
 source, written UTF-8 with one trailing newline. Key order and separators are
 fixed so that equal record streams always produce byte-identical artifacts.
 An EncodedRecord holds the few values of one record that planning and
-manifests read, and where its line lies in a Spill: an unlinked temporary
-file, or an io.BytesIO. A corpus is planned and written without keeping a
+manifests read, and where its line lies in a piiprep.workers.Spill, an
+unlinked temporary file. A corpus is planned and written without keeping a
 Record or a line in memory per record; each line is read back by its offset
 when it is written, and prepare reads a repeated id back through record().
 An artifact is read through index_artifact: the line index
@@ -14,9 +14,7 @@ An artifact is read through index_artifact: the line index
 
 from __future__ import annotations
 
-import io
 import json
-import os
 import sys
 from collections import _count_elements
 from dataclasses import dataclass
@@ -27,15 +25,14 @@ from typing import Iterable, Iterator
 
 from piiprep._purespans import _CACHE_MAX
 from piiprep.biospan import check_labels, count_orphan_continuations
-from piiprep.errors import LabelError, RecordError, UnwrittenError
+from piiprep.errors import LabelError, RecordError
 from piiprep.idindex import LineIndex
 from piiprep.jsonl import check_encodable, decode_json_line, decode_located_line
 from piiprep.labelspace import LabelSpace
+from piiprep.workers import Spill
 
 __all__ = [
     "Record",
-    "Spill",
-    "MemorySpill",
     "EncodedRecord",
     "encode_record",
     "record_to_line",
@@ -150,83 +147,6 @@ def _shared(summary: tuple) -> tuple:
     return shared
 
 
-class Spill:
-    """Encoded lines kept out of memory in a file, appended and read back by offset.
-
-    Spill.temporary() is an unlinked temporary file. It is written with
-    unbuffered os.write calls, so a forked worker that leaves through
-    os._exit loses nothing, and read with os.pread. Each append lands at the
-    file's current end, wherever a process that shares the file left it.
-    The file is closed, and its space freed, when the spill is: once nothing
-    refers to it.
-    """
-
-    __slots__ = ("fd",)
-
-    def __init__(self, fd: int) -> None:
-        self.fd = fd
-
-    @classmethod
-    def temporary(cls) -> Spill:
-        """A spill in an unlinked file in tempfile's directory (UnwrittenError if none can be)."""
-        import tempfile  # here: a command that never spills need not import it
-
-        try:
-            # A descriptor of its own: a file object freed in a reference cycle
-            # could be finalized before the spill, and warn that it was left open.
-            with tempfile.TemporaryFile() as f:
-                return cls(os.dup(f.fileno()))
-        except OSError as e:
-            raise _unwritten(e) from None
-
-    def append(self, data: bytes) -> int:
-        """Write data at the end (UnwrittenError if it cannot be); returns its offset."""
-        try:
-            pos = os.lseek(self.fd, 0, os.SEEK_END)
-            view = memoryview(data)
-            while view:
-                view = view[os.write(self.fd, view):]
-        except OSError as e:
-            raise _unwritten(e) from None
-        return pos
-
-    def read(self, offset: int, length: int) -> bytes:
-        """The length bytes at offset."""
-        return os.pread(self.fd, length, offset)
-
-    def __del__(self) -> None:
-        os.close(self.fd)
-
-
-class MemorySpill(Spill):
-    """A Spill whose lines are kept in memory, in an io.BytesIO, behind the same offsets."""
-
-    __slots__ = ("buffer",)
-
-    def __init__(self) -> None:
-        self.buffer = io.BytesIO()
-
-    def append(self, data: bytes) -> int:
-        pos = self.buffer.seek(0, io.SEEK_END)
-        self.buffer.write(data)
-        return pos
-
-    def read(self, offset: int, length: int) -> bytes:
-        self.buffer.seek(offset)
-        return self.buffer.read(length)
-
-    def __del__(self) -> None:
-        pass  # no descriptor to close
-
-
-def _unwritten(e: OSError) -> UnwrittenError:
-    """e as an UnwrittenError that names the temporary directory."""
-    import tempfile
-
-    return UnwrittenError(e.errno, f"{e.strerror}: cannot write encoded records to "
-                                   f"a temporary file in {tempfile.gettempdir()}")
-
-
 class EncodedRecord:
     """A record as its source, stratum and summary, and where its canonical
     line (UTF-8) lies in a spill.
@@ -235,15 +155,13 @@ class EncodedRecord:
     writing the splits, and what write_records and the manifest read: about
     a tenth of the memory of the Record it was built from. The line is read
     back from the spill each time line or record() is asked for. Built from
-    a Record, it appends the line to spill, or to a spill of its own in
-    memory.
+    a Record, it appends the line to spill.
     """
 
     __slots__ = ("spill", "ref", "source", "stratum", "summary")
 
-    def __init__(self, record: Record, spill: Spill | None = None) -> None:
+    def __init__(self, record: Record, spill: Spill) -> None:
         line, stratum, summary = encode_record(record)
-        spill = spill if spill is not None else MemorySpill()
         self.spill, self.ref = spill, spill.append(line) << 32 | len(line)
         self.source, self.stratum, self.summary = record.source, stratum, summary
 

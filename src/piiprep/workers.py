@@ -8,19 +8,24 @@ line_start. The calling process runs the first range; a forked worker runs
 each other one. A worker inherits the calling process's memory by
 copy-on-write: the config and taxonomy, or unordered scoring's finished
 prediction index. It opens every file it reads itself, since an inherited
-descriptor shares its offset with the caller. It writes each value its
-range yields, and then the exception that ended the range if one did, to an
-unlinked temporary file, and leaves through os._exit, so it never runs the
-caller's exit handlers or flushes a buffer it inherited; it never logs. The
-caller reaps the workers in range order and gives each one's values after
-the values before them, then its exception. A range that raises
-UnwrittenError, because it could not write a file it keeps its results in
-(prepare's spill files), ends its worker as a failed result file does.
+descriptor shares its offset with the caller. It appends each value its
+range yields, and then the exception that ended the range if one did, to a
+Spill, and leaves through os._exit, so it never runs the caller's exit
+handlers or flushes a buffer it inherited; it never logs. The caller reaps
+the workers in range order and gives each one's values after the values
+before them, then its exception.
+
+A Spill is the one temporary file of the package: an unlinked file,
+appended to with unbuffered writes and read back by offset. A worker's
+results go to one, prepare keeps its encoded lines in one per range, and
+sample its subset's lines. One that cannot be made or written raises
+UnwrittenError. In a worker that error, from its result spill or from a
+spill its range writes, ends the worker with status 74, and the calling
+process runs the range itself.
 
 Inputs under SPLIT_MIN_BYTES, a host with one usable CPU and a platform
-without os.fork leave the run in one range. A fork or temporary file that
-fails leaves every range to the calling process, run one after another, and
-a worker that cannot write its results (a full disk) leaves its range to it.
+without os.fork leave the run in one range. A fork or result spill that
+fails leaves every range to the calling process, run one after another.
 """
 
 from __future__ import annotations
@@ -36,11 +41,11 @@ from functools import partial
 from itertools import accumulate, groupby
 from operator import itemgetter
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from piiprep.errors import UnwrittenError
 
-__all__ = ["SPLIT_MIN_BYTES", "Worker", "cpus", "in_ranges", "line_ranges", "line_start"]
+__all__ = ["SPLIT_MIN_BYTES", "Spill", "Worker", "cpus", "in_ranges", "line_ranges", "line_start"]
 
 R = TypeVar("R")
 
@@ -171,11 +176,74 @@ def line_ranges(paths: Sequence[Path]) -> list[list[tuple[int, int, int, int | N
     return ranges
 
 
-class Worker:
-    """A forked worker: its process id, its result file, and its exit status
-    once it is reaped (None before): negative, the signal that killed it."""
+class Spill:
+    """Bytes kept out of memory in a file, appended and read back by offset.
 
-    def __init__(self, pid: int, file: BinaryIO) -> None:
+    Spill.temporary() is an unlinked temporary file. It is written with
+    unbuffered os.write calls, so a forked worker that leaves through
+    os._exit loses nothing, and read with os.pread. Each append lands at the
+    file's current end, wherever a process that shares the file left it.
+    The file is closed by close(), or once nothing refers to the spill, and
+    its space is freed when no process holds it open.
+    """
+
+    __slots__ = ("fd",)
+
+    def __init__(self, fd: int) -> None:
+        self.fd = fd
+
+    @classmethod
+    def temporary(cls) -> Spill:
+        """A spill in an unlinked file in tempfile's directory (UnwrittenError if none can be)."""
+        import tempfile  # here: a command that never spills need not import it
+
+        try:
+            # A descriptor of its own: a file object freed in a reference cycle
+            # could be finalized before the spill, and warn that it was left open.
+            with tempfile.TemporaryFile() as f:
+                return cls(os.dup(f.fileno()))
+        except OSError as e:
+            raise _unwritten(e) from None
+
+    def append(self, data: bytes) -> int:
+        """Write data at the end (UnwrittenError if it cannot be); returns its offset."""
+        try:
+            pos = os.lseek(self.fd, 0, os.SEEK_END)
+            view = memoryview(data)
+            while view:
+                view = view[os.write(self.fd, view):]
+        except OSError as e:
+            raise _unwritten(e) from None
+        return pos
+
+    def read(self, offset: int, length: int) -> bytes:
+        """The length bytes at offset (fewer past the end)."""
+        return os.pread(self.fd, length, offset)
+
+    def close(self) -> None:
+        """Close the file, once: by a second os.close its number may name another file."""
+        if self.fd >= 0:
+            fd, self.fd = self.fd, -1
+            os.close(fd)
+
+    def __del__(self) -> None:
+        self.close()
+
+
+def _unwritten(e: OSError) -> UnwrittenError:
+    """e as an UnwrittenError that names the temporary directory."""
+    import tempfile
+
+    return UnwrittenError(e.errno, f"{e.strerror}: cannot write encoded records to "
+                                   f"a temporary file in {tempfile.gettempdir()}")
+
+
+class Worker:
+    """A forked worker: its process id, the spill it sends its results in,
+    and its exit status once it is reaped (None before): negative, the
+    signal that killed it."""
+
+    def __init__(self, pid: int, file: Spill) -> None:
         self.pid = pid
         self.file = file
         self.status: int | None = None
@@ -202,13 +270,15 @@ class Worker:
         yield from _values(self.file)
 
 
-def _values(f: BinaryIO) -> Iterator:
-    """Each value _send wrote to binary file f, from its start, then the
-    exception it wrote, raised: as a ChildProcessError naming it where its
-    class or arguments cannot be had here."""
-    f.seek(0)
-    while size := f.read(8):
-        ok, value = marshal.loads(f.read(int.from_bytes(size, "little")))
+def _values(spill: Spill) -> Iterator:
+    """Each value _send appended to spill, from its start, then the exception
+    it appended, raised: as a ChildProcessError naming it where its class or
+    arguments cannot be had here."""
+    pos = 0
+    while size := spill.read(pos, 8):
+        size = int.from_bytes(size, "little")
+        ok, value = marshal.loads(spill.read(pos + 8, size))
+        pos += 8 + size
         if ok:
             yield value
             continue
@@ -220,19 +290,19 @@ def _values(f: BinaryIO) -> Iterator:
         raise error
 
 
-def _send(run: Callable[[R], Iterable], r: R, out: BinaryIO) -> None:
-    """In a worker: write each value run(r) yields to its result file out as
-    (True, value), then, if run raised, (False, the exception's module, class
-    name, arguments and message), for _values to read back. An UnwrittenError
-    is raised here instead, as a failed write to out is."""
-    def write(message: tuple) -> None:
+def _send(run: Callable[[R], Iterable], r: R, out: Spill) -> None:
+    """In a worker: append each value run(r) yields to its result spill out
+    as (True, value), then, if run raised, (False, the exception's module,
+    class name, arguments and message), for _values to read back; one
+    length-prefixed marshal frame each. An UnwrittenError is raised here
+    instead, as a failed append to out is."""
+    def send(message: tuple) -> None:
         data = marshal.dumps(message)
-        out.write(len(data).to_bytes(8, "little"))
-        out.write(data)
+        out.append(len(data).to_bytes(8, "little") + data)
 
     try:
         for value in run(r):
-            write((True, value))
+            send((True, value))
     except UnwrittenError:
         raise
     except Exception as e:  # raised again by the calling process, after the values before it
@@ -241,11 +311,12 @@ def _send(run: Callable[[R], Iterable], r: R, out: BinaryIO) -> None:
             marshal.dumps(args)
         except ValueError:
             args = None
-        write((False, (cls.__module__, cls.__qualname__, args, str(e))))
+        send((False, (cls.__module__, cls.__qualname__, args, str(e))))
 
 
-def _fork(task: Callable[[BinaryIO], None], file: BinaryIO) -> Worker:
-    """Start a worker that runs task on its own file object for file, then exits."""
+def _fork(task: Callable[[Spill], None], file: Spill) -> Worker:
+    """Start a worker that runs task on the result spill file, then exits:
+    with status 74 if a spill could not be written (UnwrittenError)."""
     try:
         pid = os.fork()
     except OSError:
@@ -255,12 +326,11 @@ def _fork(task: Callable[[BinaryIO], None], file: BinaryIO) -> Worker:
         code = 1
         try:
             # Objects inherited from the caller are never collected here, so
-            # no finalizer of theirs (a file's flush) runs in the worker.
+            # no finalizer of theirs (a spill's close) runs in the worker.
             gc.freeze()
-            with open(file.fileno(), "wb", closefd=False) as out:
-                task(out)
+            task(file)
             code = 0
-        except OSError:  # _send writes the range's own errors, so this is a result file's
+        except UnwrittenError:  # _send sends the range's other errors
             code = _UNWRITTEN
         finally:
             os._exit(code)
@@ -268,7 +338,7 @@ def _fork(task: Callable[[BinaryIO], None], file: BinaryIO) -> Worker:
 
 
 def _stop(workers: list[Worker]) -> None:
-    """Kill each worker not yet reaped, reap it, and close every result file."""
+    """Kill each worker not yet reaped, reap it, and close every result spill."""
     for worker in workers:
         if worker.status is None:
             os.kill(worker.pid, signal.SIGKILL)  # one that has exited waits, a zombie, until reaped
@@ -286,10 +356,10 @@ def in_ranges(ranges: Sequence[R], run: Callable[[R], Iterable],
     marshal writes and reads back unchanged. A range whose run raises gives
     its values first, then its exception, and no range after it is read. A
     worker that dies raises ChildProcessError naming what(r) and its exit
-    status. If a temporary file cannot be made or a fork fails, the workers
+    status. If a result spill cannot be made or a fork fails, the workers
     already started are stopped and the calling process runs every range
-    itself, in order; it runs the range of a worker that could not write
-    its results itself too, in its place.
+    itself, in order; it runs the range of a worker that could not write a
+    spill itself too, in its place.
 
     No worker outlives the iterator: each not yet reaped is killed, then
     reaped, when it is exhausted, raises or is closed. A caller that may stop
@@ -297,15 +367,12 @@ def in_ranges(ranges: Sequence[R], run: Callable[[R], Iterable],
     """
     started: list[Worker] = []
     try:
-        if len(ranges) > 1:
-            import tempfile  # here: a serial run need not import it
-
-            try:
-                for r in ranges[1:]:
-                    started.append(_fork(partial(_send, run, r), tempfile.TemporaryFile()))
-            except OSError:
-                _stop(started)
-                started = []
+        try:
+            for r in ranges[1:]:
+                started.append(_fork(partial(_send, run, r), Spill.temporary()))
+        except OSError:
+            _stop(started)
+            started = []
         yield from run(ranges[0])
         for worker, r in zip(started, ranges[1:]):
             if worker.reap() == _UNWRITTEN:

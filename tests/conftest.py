@@ -17,6 +17,7 @@ import subprocess
 import sys
 import sysconfig
 import threading
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -203,18 +204,21 @@ def bounded(fn, seconds: float = 120):
 class Workers:
     """Records every worker piiprep.workers forks, optionally killing each as it starts.
 
-    Patch workers._fork with its fork.
+    Patch workers._fork with its fork. A worker to be killed sends itself
+    SIGKILL before its task runs, so it can never finish first.
     """
 
     def __init__(self, kill: bool = False):
         self.started: list[workers.Worker] = []
         real = workers._fork
 
+        def killed(task, file):
+            os.kill(os.getpid(), signal.SIGKILL)
+            task(file)
+
         def fork(task, file):
-            worker = real(task, file)
+            worker = real(partial(killed, task) if kill else task, file)
             self.started.append(worker)
-            if kill:
-                os.kill(worker.pid, signal.SIGKILL)
             return worker
 
         self.fork = fork

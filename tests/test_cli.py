@@ -95,23 +95,51 @@ def _no_space(*args, **kwargs):
     raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
+def _full(*args, **kwargs):
+    return open("/dev/full", "r+b")  # made, but every write fails
+
+
+_PREPARE = ["prepare", "--config", str(REPO / "demo" / "config.yaml"), "--out-dir"]
+_SAMPLE = ["sample", "--input", str(REPO / "demo" / "out" / "train.jsonl"), "--n", "5", "--out"]
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-@pytest.mark.parametrize("temporary_file", [
-    lambda *args, **kwargs: open("/dev/full", "r+b"),  # made, but every write fails
-    _no_space,
-], ids=["write-fails", "cannot-make"])
+@pytest.mark.parametrize("command, temporary_file", [
+    (_PREPARE, _full), (_PREPARE, _no_space), (_SAMPLE, _full), (_SAMPLE, _no_space),
+], ids=["write-fails", "cannot-make", "sample-write-fails", "sample-cannot-make"])
 def test_prepare_without_temporary_space_is_io_error(runner, tmp_path, monkeypatch,
-                                                     temporary_file):
-    # prepare keeps its encoded records in temporary files until it writes the splits.
+                                                     command, temporary_file):
+    # prepare keeps its encoded records in temporary files until it writes the
+    # splits, and sample its subset's until it writes it.
     monkeypatch.setattr(tempfile, "TemporaryFile", temporary_file)
     out = tmp_path / "out"
-    result = runner.invoke(main, ["prepare", "--config", str(REPO / "demo" / "config.yaml"),
-                                  "--out-dir", str(out)])
+    result = runner.invoke(main, [*command, str(out)])
     assert result.exit_code == 3
     assert result.output == (
         f"Error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: cannot write encoded "
         f"records to a temporary file in {tempfile.gettempdir()}\n")
     assert not out.exists()
+
+
+# Each command run with two ranges and forked workers, every warning an error.
+_FORCED_SPLIT = ("import sys\nfrom piiprep import workers\nworkers.cpus = lambda: 2\n"
+                 "workers.SPLIT_MIN_BYTES = 0\nfrom piiprep.cli import main\nmain(sys.argv[1:])\n")
+
+
+def test_commands_leave_no_file_unclosed(tmp_path):
+    out = tmp_path / "out"
+    train = str(out / "train.jsonl")
+    for args in (["prepare", "--config", str(REPO / "demo" / "config.yaml"), "--out-dir", str(out)],
+                 ["sample", "--input", train, "--n", "5", "--out", str(tmp_path / "sub.jsonl")],
+                 ["validate", "--input", train],
+                 ["score", "--gold", train, "--pred", train],
+                 ["score", "--gold", train, "--pred", train, "--unordered"]):
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", _FORCED_SPLIT,
+             *args], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")})
+        assert proc.returncode == 0, (args, proc.stderr)
+        assert "ResourceWarning" not in proc.stderr, (args, proc.stderr)
 
 
 _SOURCE = "sources:\n  - {name: a, path: a.jsonl}\n"
@@ -547,7 +575,8 @@ class TestSample:
             "--out", str(out),
         ])
         assert result.exit_code == 0, result.output
-        assert sum(1 for _ in out.open()) == 5
+        with out.open() as f:
+            assert sum(1 for _ in f) == 5
         assert (tmp_path / "sub.jsonl.manifest.json").exists()
 
     def test_non_positive_n_is_usage_error(self, runner, artifact, tmp_path):

@@ -34,6 +34,7 @@ from piiprep.pipeline import (
 )
 from piiprep.records import EncodedRecord, Record, read_records, record_to_line
 from piiprep.scorer import finalize, stream_score
+from piiprep.workers import Spill
 from test_scorer import COLLIDING_HASHES
 
 REPO = Path(__file__).resolve().parent.parent
@@ -45,8 +46,11 @@ def mk(i: int, source: str, typ: str | None = "NAME") -> Record:
     return Record(id=f"{source}-{i:05d}", tokens=["a", "b", "c"], labels=labels, source=source)
 
 
+SPILL = Spill.temporary()  # where every EncodedRecord built here keeps its line
+
+
 def encoded(records: list[Record]) -> list[EncodedRecord]:
-    return [EncodedRecord(r) for r in records]
+    return [EncodedRecord(r, SPILL) for r in records]
 
 
 def corpus(spec: dict[str, int], types: list[str] | None = None) -> list[Record]:
@@ -191,7 +195,7 @@ class TestFilterRareLabels:
         assert out[0].record().labels == ["O", "O", "O"]
 
     def test_inputs_not_mutated(self):
-        enc = EncodedRecord(mk(0, "s", "IBAN"))
+        enc = EncodedRecord(mk(0, "s", "IBAN"), SPILL)
         before = (enc.line, enc.stratum, enc.summary)
         filter_rare_labels([enc], 10)
         assert (enc.line, enc.stratum, enc.summary) == before
@@ -203,7 +207,7 @@ class TestFilterRareLabels:
         assert all(o is r for o, r in zip(out[:3], records[:3]))
         assert out[3] is not records[3]
         assert out[3].record().labels == ["O", "O", "O"]
-        assert out[3].line == EncodedRecord(mk(9, "s", None)).line
+        assert out[3].line == EncodedRecord(mk(9, "s", None), SPILL).line
 
     def test_zero_threshold_is_a_no_op(self):
         records = encoded([mk(0, "s", "IBAN")])

@@ -28,6 +28,9 @@ from piiprep.records import (
     record_to_line,
     write_records,
 )
+from piiprep.workers import Spill
+
+SPILL = Spill.temporary()  # where every EncodedRecord built here keeps its line
 
 
 # Strings that JSON must escape or that ensure_ascii=False keeps as they are:
@@ -263,7 +266,7 @@ class TestFileIo:
         records = [rec(i) for i in range(5)]
         p = tmp_path / "a.jsonl"
         sha256 = hashlib.sha256()
-        assert write_records(p, [EncodedRecord(r) for r in records], sha256) == 5
+        assert write_records(p, [EncodedRecord(r, SPILL) for r in records], sha256) == 5
         assert list(read_records(p)) == records
         assert sha256.hexdigest() == hashlib.sha256(p.read_bytes()).hexdigest()
 
@@ -361,7 +364,7 @@ _records = st.lists(
 
 def write_artifact(path, records) -> tuple[list[EncodedRecord], str]:
     """Write records to path; returns them encoded and the SHA-256 the writer took."""
-    encoded = [EncodedRecord(r) for r in records]
+    encoded = [EncodedRecord(r, SPILL) for r in records]
     sha256 = hashlib.sha256()
     write_records(path, encoded, sha256)
     return encoded, sha256.hexdigest()

@@ -416,8 +416,8 @@ def test_tail_range_stays_under_the_criterion_12_ceiling(million_pairs, monkeypa
     Same 1,000,000-record input and ceiling (10x the traced heap of one parsed
     5,000-line chunk) as criterion 12, which measures the calling process's
     range; here the tail range is run in this process under tracemalloc,
-    through what a worker runs (workers._send), writing its values to a
-    temporary file as a worker does. An unordered worker also holds the bitmap of the rows
+    through what a worker runs (workers._send), appending its values to a
+    spill as a worker does. An unordered worker also holds the bitmap of the rows
     it used, a bit a prediction; the prediction index itself is built before
     the workers are forked, and shared with them, so it is not on the
     worker's heap.
@@ -447,12 +447,13 @@ def test_tail_range_stays_under_the_criterion_12_ceiling(million_pairs, monkeypa
         run = partial(splitscore._unordered_range, index, gold_path, pred_path)
     else:
         run = partial(splitscore._ordered_range, gold_path, pred_path)
-    with tempfile.TemporaryFile() as out:
-        tracemalloc.start()
-        workers._send(run, ranges[1], out)
-        tail_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        (result,) = workers._values(out)  # raises the range's error, if it sent one
+    out = workers.Spill.temporary()
+    tracemalloc.start()
+    workers._send(run, ranges[1], out)
+    tail_peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    (result,) = workers._values(out)  # raises the range's error, if it sent one
+    out.close()
     records = result[1]
     assert records == n - (ranges[1][1] - 1)
     assert 0.4 * n < records < 0.6 * n

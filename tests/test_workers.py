@@ -130,6 +130,33 @@ def test_a_worker_that_cannot_write_leaves_its_range_here(started, monkeypatch, 
     started.assert_reaped()
 
 
+@pytest.mark.skipif(not (os.path.isdir("/proc/self/fd") and os.path.exists("/dev/full")),
+                    reason="needs /proc/self/fd and /dev/full")
+@pytest.mark.parametrize("path", ["plain", "refused-fork", "unwritten", "killed"])
+def test_no_descriptor_outlives_in_ranges(monkeypatch, path):
+    # Counted while the recorder still holds every Worker and its result
+    # spill, so a spill that in_ranges left open would still be open here.
+    recorded = Workers(kill=path == "killed")
+    monkeypatch.setattr(workers, "_fork", recorded.fork)
+    if path == "refused-fork":
+        real_fork = os.fork
+
+        def second_refused():
+            if recorded.started:
+                raise OSError("cannot start")
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", second_refused)
+    if path == "unwritten":
+        monkeypatch.setattr(tempfile, "TemporaryFile", lambda: open("/dev/full", "r+b"))
+    before = len(os.listdir("/proc/self/fd"))
+    got, error = collect(list(range(4)), values)
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert type(error) is (ChildProcessError if path == "killed" else type(None))
+    assert len(recorded.started) == (1 if path == "refused-fork" else 3)
+    recorded.assert_reaped()
+
+
 def test_a_killed_worker_is_named(monkeypatch):
     killed = Workers(kill=True)
     monkeypatch.setattr(workers, "_fork", killed.fork)
