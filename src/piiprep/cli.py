@@ -111,9 +111,7 @@ def sample(input_path: str, n: int, seed: int, out_path: str) -> None:
     if n > total:
         raise AllocationError(f"{Path(input_path).name}: --n {n} exceeds its {total} records")
     spill = Spill.temporary()
-    with artifact.open() as f:
-        subset = [EncodedRecord(artifact.read(f, key)[1], spill)
-                  for key in sample_groups(keys, n, seed)]
+    subset = [EncodedRecord(artifact.read(key)[1], spill) for key in sample_groups(keys, n, seed)]
     manifest = write_artifact(out_path, subset, seed=seed)
     click.echo(f"[sample] wrote {out_path} ({manifest.records} records, sha256 {manifest.sha256[:12]}...)")
 

@@ -6,8 +6,8 @@ of one id are neighbours, and only the ids of neighbours whose hashes agree
 are read back to compare: the repeated ids and rare hash collisions.
 prepare's consolidate reads them back by row from its records in memory,
 and LineIndex, the reader behind validate, sample, read_records and score
---unordered (which looks ids up in it), from the file. No other module
-reads a key. Ordered scoring does not import this module.
+--unordered (which looks ids up in it), from the file it holds open. No
+other module reads a key. Ordered scoring does not import this module.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from typing import Callable, Iterator
 
 from piiprep.errors import RecordError, ToolkitError
 from piiprep.jsonl import iter_lines
+from piiprep.workers import Spill
 
 __all__ = ["IdKeys", "LineIndex", "key_of"]
 
@@ -106,9 +107,10 @@ class LineIndex:
     the value is yielded. Row n - 1 is line n. Repeated ids are looked for at
     the end of the pass and before any other error is raised, so the error
     raised is the first in file order. Then keys holds the keys sorted, and
-    read(f, key) reads a row back from f, the file as open() opens it. A
-    bitmap of rows has row r in bit r % 8 of byte r // 8. The file must be a
-    regular file: a named pipe would hang when opened again.
+    read(key) reads a row back through a workers.Spill of the file, opened
+    once the pass ends and shared with forked workers. A bitmap of rows has
+    row r in bit r % 8 of byte r // 8. The file must be a regular file: a
+    named pipe would hang when opened again.
     """
 
     def __init__(self, path: str | Path, parse: Callable, check: Callable | None, *,
@@ -142,23 +144,20 @@ class LineIndex:
         """Sort the keys and fail on the first repeated id; end ends the last line read."""
         self._offsets.append(end)
         self.keys = ids.sorted()
-        with self.open() as f:
-            found = duplicates(self.keys, lambda key: self.read(f, key)[0])
+        # O_BINARY: Windows would otherwise open it in text mode, and offsets drift.
+        self._file = Spill(os.open(self.path, os.O_RDONLY | getattr(os, "O_BINARY", 0)))
+        found = duplicates(self.keys, lambda key: self.read(key)[0])
         if found:
             row, rid = found[0]
             raise RecordError(f"{self._name}:{row + 1}: {self._duplicate} {rid!r}")
 
-    def open(self):
-        """The file for read, unbuffered: a row is read back in one seek and one read."""
-        return self.path.open("rb", buffering=0)
-
-    def read(self, f, key: int) -> tuple:
+    def read(self, key: int) -> tuple:
         """parse's (id, value) of the row in key's low bits, as the file now has it:
         a line that no longer parses to an id with this key has changed."""
         row = key & _ROW
-        start = f.seek(self._offsets[row])
+        start = self._offsets[row]
         try:
-            line = f.read(self._offsets[row + 1] - start).decode("utf-8")
+            line = self._file.read(start, self._offsets[row + 1] - start).decode("utf-8")
             parsed = self._parse(line, row + 1, self._name)
         except (UnicodeDecodeError, RecordError):
             parsed = None
@@ -170,11 +169,11 @@ class LineIndex:
         """A bitmap of the rows with none flagged."""
         return bytearray((len(self.keys) + 7) // 8)
 
-    def take(self, f, rid: str, used: bytearray) -> tuple:
+    def take(self, rid: str, used: bytearray) -> tuple:
         """(row, value) of the first row, in file order, whose id is rid and that
         used does not flag, which is then flagged; where there is none, (-1,
         whether a flagged row has rid). Only rows whose keys have rid's hash
-        bits are read back, through read(f, key); their run of keys is found
+        bits are read back, through read(key); their run of keys is found
         by bisecting among about eight.
         """
         if self._table is None:  # starts[j]: the first key whose top bits are j or more
@@ -193,16 +192,16 @@ class LineIndex:
             if used[row >> 3] >> (row & 7) & 1:
                 flagged.append(key)
                 continue
-            pid, value = self.read(f, key)
+            pid, value = self.read(key)
             if pid == rid:
                 used[row >> 3] |= 1 << (row & 7)
                 return row, value
-        return -1, any(self.read(f, key)[0] == rid for key in flagged)
+        return -1, any(self.read(key)[0] == rid for key in flagged)
 
-    def first_unused(self, f, used: bytes) -> tuple | None:
+    def first_unused(self, used: bytes) -> tuple | None:
         """read's (id, value) of the first row, in file order, that used does not flag, or None."""
         unused = ~int.from_bytes(used, "little") & ((1 << len(self.keys)) - 1)
         if not unused:
             return None
         row = (unused & -unused).bit_length() - 1
-        return self.read(f, next(key for key in self.keys if key & _ROW == row))
+        return self.read(next(key for key in self.keys if key & _ROW == row))

@@ -30,12 +30,13 @@ one that reaches the end of both files, can find their record counts differ.
 A range that runs out of predictions fails as one pass fails there, so a
 later range that starts past the end of a short prediction file is never
 read. Unordered, the workers are forked once the index is built, and share
-its pages by copy-on-write; each range gives the rows it used with its
-result, and before its error if it fails. A row that two ranges used is a
-repeated gold id: the calling process runs the later range's gold loop
-again with the earlier ranges' rows flagged, which fails at its first line
-that repeats an earlier id, as one pass fails. The first row no range used
-(LineIndex.first_unused) is a prediction with no gold record, reported last.
+its pages by copy-on-write and its descriptor of the prediction file, read
+by pread; each range gives the rows it used with its result, and before its
+error if it fails. A row that two ranges used is a repeated gold id: the
+calling process runs the later range's gold loop again with the earlier
+ranges' rows flagged, which fails at its first line that repeats an earlier
+id, as one pass fails. The first row no range used (LineIndex.first_unused)
+is a prediction with no gold record, reported last.
 
 Pipes, gold files under workers.SPLIT_MIN_BYTES, one-CPU hosts and platforms
 without os.fork leave the run in one range. scorer.stream_score imports this
@@ -158,19 +159,18 @@ def prediction_index(pred_path: Path):
                      changed="prediction file changed while scoring")
 
 
-def gold_pairs(index, f, gold_path: Path, used: bytearray, start: int,
+def gold_pairs(index, gold_path: Path, used: bytearray, start: int,
                first_line: int, stop: int | None) -> _Pairs:
     """The pairs of gold lines from byte offset start, line first_line, up to
     byte offset stop (None: the end), each matched to a prediction by id.
 
-    index is a prediction_index after its pass, f the prediction file as
-    index.open() opens it, and used the bitmap of the rows already scored,
-    which LineIndex.take flags the row of each pair in.
+    index is a prediction_index after its pass, and used the bitmap of the
+    rows already scored, which LineIndex.take flags the row of each pair in.
     """
     gname = gold_path.name
     for lineno, _, line in iter_lines(gold_path, start, first_line, stop):
         rid, gold_labels = _parse_scored_line(line, lineno, gname)
-        row, pred_labels = index.take(f, rid, used)
+        row, pred_labels = index.take(rid, used)
         if row < 0:
             if pred_labels:  # a used row has rid: an earlier gold record took it
                 raise RecordError(f"{gname}:{lineno}: duplicate gold id {rid!r}")
@@ -221,14 +221,12 @@ def _unordered_range(index, gold_path: Path, pred_path: Path, r: tuple) -> Itera
     """The (counts, records, bitmap of the rows used) of an unordered range matched
     against the finished index; on an error, ({}, 0, the rows used before it), then it."""
     used = index.bitmap()
-    with index.open() as f:  # its own: another process's shares the offset it seeks
-        try:
-            counters, records = _score_pairs(
-                gold_pairs(index, f, gold_path, used, *r),
-                gold_path.name, pred_path.name)
-        except Exception:
-            yield {}, 0, bytes(used)
-            raise
+    try:
+        counters, records = _score_pairs(gold_pairs(index, gold_path, used, *r),
+                                         gold_path.name, pred_path.name)
+    except Exception:
+        yield {}, 0, bytes(used)
+        raise
     yield counters.counts, records, bytes(used)
 
 
@@ -262,9 +260,8 @@ def score_unordered(gold_path: Path, pred_path: Path) -> tuple[TypeCounters, int
     for _ in index:
         pass
     counters, records, used = TypeCounters(), 0, 0  # used: the ranges' bitmaps as one int
-    with index.open() as f, closing(workers.in_ranges(
-            ranges, partial(_unordered_range, index, gold_path, pred_path),
-            partial(_what, gold_path.name))) as results:
+    with closing(workers.in_ranges(ranges, partial(_unordered_range, index, gold_path, pred_path),
+                                   partial(_what, gold_path.name))) as results:
         # results before ranges: zip asks results for the error that follows
         # a failed range's rows only if it asks results first.
         for (counts, n, bits), r in zip(results, ranges):
@@ -275,12 +272,12 @@ def score_unordered(gold_path: Path, pred_path: Path) -> tuple[TypeCounters, int
                 # loop, run again with the earlier rows flagged, fails at the
                 # range's first line that repeats one.
                 earlier = bytearray(used.to_bytes(len(bits), "little"))
-                for _ in gold_pairs(index, f, gold_path, earlier, *r):
+                for _ in gold_pairs(index, gold_path, earlier, *r):
                     pass
             _add(counters, counts)
             records += n
             used |= rows
-        unused = index.first_unused(f, used.to_bytes(len(bits), "little"))
+        unused = index.first_unused(used.to_bytes(len(bits), "little"))
         if unused is not None:
             raise AlignmentError(f"prediction id {unused[0]!r} has no gold record")
     return counters, records

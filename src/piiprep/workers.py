@@ -7,7 +7,8 @@ range finds where its first line starts in the prediction file with
 line_start. The calling process runs the first range; a forked worker runs
 each other one. A worker inherits the calling process's memory by
 copy-on-write: the config and taxonomy, or unordered scoring's finished
-prediction index. It opens every file it reads itself, since an inherited
+prediction index, whose file it reads by pread through the caller's
+descriptor; a file it reads in order it opens itself, since an inherited
 descriptor shares its offset with the caller. It appends each value its
 range yields, and then the exception that ended the range if one did, to a
 Spill, and leaves through os._exit, so it never runs the caller's exit
@@ -15,13 +16,13 @@ handlers or flushes a buffer it inherited; it never logs. The caller reaps
 the workers in range order and gives each one's values after the values
 before them, then its exception.
 
-A Spill is the one temporary file of the package: an unlinked file,
-appended to with unbuffered writes and read back by offset. A worker's
-results go to one, prepare keeps its encoded lines in one per range, and
-sample its subset's lines. One that cannot be made or written raises
-UnwrittenError. In a worker that error, from its result spill or from a
-spill its range writes, ends the worker with status 74, and the calling
-process runs the range itself.
+A Spill is the one file the package reads back by offset; a temporary one
+is unlinked and appended to with unbuffered writes. A worker's results go
+to one, prepare keeps its encoded lines in one per range, sample its
+subset's lines, and an idindex.LineIndex its file. A temporary one that
+cannot be made or written raises UnwrittenError. In a worker that error,
+from its result spill or from a spill its range writes, ends the worker
+with status 74, and the calling process runs the range itself.
 
 Inputs under SPLIT_MIN_BYTES, a host with one usable CPU and a platform
 without os.fork leave the run in one range. A fork or result spill that
@@ -177,14 +178,14 @@ def line_ranges(paths: Sequence[Path]) -> list[list[tuple[int, int, int, int | N
 
 
 class Spill:
-    """Bytes kept out of memory in a file, appended and read back by offset.
+    """An open file, fd, read back by offset: the package's one such reader.
 
     Spill.temporary() is an unlinked temporary file. It is written with
     unbuffered os.write calls, so a forked worker that leaves through
-    os._exit loses nothing, and read with os.pread. Each append lands at the
-    file's current end, wherever a process that shares the file left it.
-    The file is closed by close(), or once nothing refers to the spill, and
-    its space is freed when no process holds it open.
+    os._exit loses nothing, and read with os.pread, which moves no offset.
+    Each append lands at the file's current end, wherever a process that
+    shares the file left it. The file is closed by close(), or once nothing
+    refers to the spill, and its space is freed when no process holds it.
     """
 
     __slots__ = ("fd",)
@@ -218,7 +219,10 @@ class Spill:
 
     def read(self, offset: int, length: int) -> bytes:
         """The length bytes at offset (fewer past the end)."""
-        return os.pread(self.fd, length, offset)
+        if hasattr(os, "pread"):
+            return os.pread(self.fd, length, offset)
+        os.lseek(self.fd, offset, os.SEEK_SET)  # Windows: no fork to share the offset with
+        return os.read(self.fd, length)
 
     def close(self) -> None:
         """Close the file, once: by a second os.close its number may name another file."""

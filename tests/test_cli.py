@@ -1,5 +1,6 @@
 import csv
 import errno
+import gc
 import hashlib
 import io
 import json
@@ -7,6 +8,7 @@ import logging
 import os
 import random
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -140,6 +142,60 @@ def test_commands_leave_no_file_unclosed(tmp_path):
             env={**os.environ, "PYTHONPATH": str(REPO / "src")})
         assert proc.returncode == 0, (args, proc.stderr)
         assert "ResourceWarning" not in proc.stderr, (args, proc.stderr)
+
+
+# Each command run as where os.pread and os.fork are missing (Windows): in
+# one range, each read by offset a seek and a read.
+_NO_PREAD = ("import os, sys\ndel os.pread, os.fork\nfrom piiprep.cli import main\n"
+             "main(sys.argv[1:])\n")
+
+
+def test_commands_run_without_pread(tmp_path):
+    out, own = tmp_path / "out", tmp_path / "own.jsonl"
+    demo = REPO / "demo" / "out"
+    train = str(out / "train.jsonl")
+    shutil.copy(demo / "train.jsonl", own)
+    for args in (["prepare", "--config", str(REPO / "demo" / "config.yaml"), "--out-dir", str(out)],
+                 ["validate", "--input", train],
+                 ["sample", "--input", str(own), "--n", "5", "--out", str(own)],
+                 ["score", "--gold", train, "--pred", train],
+                 ["score", "--gold", train, "--pred", train, "--unordered"]):
+        proc = subprocess.run([sys.executable, "-c", _NO_PREAD, *args], capture_output=True,
+                              text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(REPO / "src")})
+        assert proc.returncode == 0, (args, proc.stderr)
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in demo.iterdir())
+    for p in demo.iterdir():
+        assert (out / p.name).read_bytes() == p.read_bytes(), p.name
+    assert len(own.read_text(encoding="utf-8").splitlines()) == 5
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_no_descriptor_outlives_a_read_back_command(runner, tmp_path, monkeypatch):
+    # Two ranges, so the --unordered worker forks and reads through the
+    # prediction index's descriptor; the index closes it once it is dropped.
+    monkeypatch.setattr(workers, "cpus", lambda: 2)
+    monkeypatch.setattr(workers, "SPLIT_MIN_BYTES", 0)
+    train = str(REPO / "demo" / "out" / "train.jsonl")
+    extra = tmp_path / "extra.jsonl"
+    extra.write_bytes(Path(train).read_bytes() + b'{"id": "extra", "labels": ["O"]}\n')
+    for args in (["validate", "--input", train],
+                 ["sample", "--input", train, "--n", "5", "--out", str(tmp_path / "sub.jsonl")],
+                 ["score", "--gold", train, "--pred", train, "--unordered"]):
+        gc.collect()  # earlier tests' garbage could close descriptors mid-command
+        before = len(os.listdir("/proc/self/fd"))
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert len(os.listdir("/proc/self/fd")) == before, args
+    gc.collect()
+    before = len(os.listdir("/proc/self/fd"))
+    result = runner.invoke(main, ["score", "--gold", train, "--pred", str(extra), "--unordered"])
+    assert result.output == "Error: prediction id 'extra' has no gold record\n"
+    # The error's traceback holds the index, in a cycle of exceptions and
+    # frames that only the cycle collector frees.
+    del result
+    gc.collect()
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 _SOURCE = "sources:\n  - {name: a, path: a.jsonl}\n"

@@ -712,10 +712,10 @@ def test_ids_sharing_a_crc32_cost_one_read_back_each(tmp_path, monkeypatch):
     reads = 0
     real_read = idindex.LineIndex.read
 
-    def counted(index, f, key):
+    def counted(index, key):
         nonlocal reads
         reads += 1
-        return real_read(index, f, key)
+        return real_read(index, key)
 
     monkeypatch.setattr(idindex.LineIndex, "read", counted)
     assert stream_score(g, p, unordered=True).records == n
