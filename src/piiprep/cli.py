@@ -46,14 +46,24 @@ def guarded(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except ToolkitError as e:
-            raise click.ClickException(str(e)) from None
-        except OSError as e:
-            exc = click.ClickException(str(e))
-            exc.exit_code = 3
-            raise exc from None
+        except (ToolkitError, OSError) as e:
+            error = click.ClickException(str(e))
+            if isinstance(e, OSError):
+                error.exit_code = 3
+        # Raised here, not in the handler, so that it holds no reference to e,
+        # whose traceback holds the failed command's objects and open files.
+        raise error
 
     return wrapper
+
+
+def _emit(text: str, out_path: str | None, note: str) -> None:
+    """Write text to out_path and echo note, or echo text when out_path is empty."""
+    if out_path:
+        Path(out_path).write_text(text, encoding="utf-8")
+        click.echo(note)
+    else:
+        click.echo(text, nl=False)
 
 
 @click.group()
@@ -183,14 +193,8 @@ def score(
         system=system,
         category=category,
     )
-    text = report.to_json()
-    if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
-        click.echo(
-            f"[score] {report.records} records, micro F1 {report.micro_f1:.4f} -> {out_path}"
-        )
-    else:
-        click.echo(text, nl=False)
+    _emit(report.to_json(), out_path,
+          f"[score] {report.records} records, micro F1 {report.micro_f1:.4f} -> {out_path}")
     if csv_path:
         rows = (
             {"type": t, "group": space.coarse_map.get(t, ""), **vars(m)}
@@ -255,12 +259,7 @@ def compare(table_path: str | None, report_paths: tuple[str, ...], fmt: str, out
         )
     if not entries:
         raise click.UsageError("nothing to compare: pass --table and/or --reports")
-    text = emit_comparison(compare_systems(entries), fmt)
-    if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
-        click.echo(f"[compare] wrote {out_path}")
-    else:
-        click.echo(text, nl=False)
+    _emit(emit_comparison(compare_systems(entries), fmt), out_path, f"[compare] wrote {out_path}")
 
 
 @main.command()
@@ -287,12 +286,7 @@ def analyze(
         raise click.UsageError(f"--top must be >= 1, got {top_n}")
     rows = load_entity_rows(rows_path)
     report = analyze_rows(rows, system_a, system_b, top_n=top_n)
-    text = emit_report(report, fmt)
-    if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
-        click.echo(f"[analyze] wrote {out_path}")
-    else:
-        click.echo(text, nl=False)
+    _emit(emit_report(report, fmt), out_path, f"[analyze] wrote {out_path}")
 
 
 @main.command(name="hash")

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import gc
 import marshal
+import math
 import os
 import signal
 import stat
@@ -57,7 +58,7 @@ R = TypeVar("R")
 # prepare sources (91.1 against 87.2), and faster from about 1 MB (score
 # 57.5 against 76.0 ms, prepare 143.0 against 164.3).
 SPLIT_MIN_BYTES = 1 << 20
-_BLOCK = 1 << 16  # read size when looking for cuts and line starts; small: flat traced memory
+_BLOCK = 1 << 16  # _scan's read size; small: flat traced memory
 _UNWRITTEN = 74  # the exit status of a worker whose results could not be written (EX_IOERR)
 
 
@@ -70,27 +71,22 @@ def cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _line_end(f, pos: int) -> int:
-    """The offset just past the first newline at or after pos in binary file f, or its end."""
+def _scan(f, pos: int, count: float, stop: float) -> tuple[int, int]:
+    """Read binary file f forward from byte pos in _BLOCK reads until it has
+    passed count newlines or reached byte stop, or to its end; either limit
+    may be math.inf. Returns the offset where it stopped (just past the
+    count-th newline, if it got that far) and the newlines it passed."""
     f.seek(pos)
-    while block := f.read(_BLOCK):
-        i = block.find(b"\n")
-        if i >= 0:
-            return pos + i + 1
+    passed = 0
+    while pos < stop and (block := f.read(min(_BLOCK, stop - pos))):
+        if (m := block.count(b"\n")) >= count - passed:
+            i = -1
+            for _ in range(count - passed):
+                i = block.find(b"\n", i + 1)
+            return pos + i + 1, count
+        passed += m
         pos += len(block)
-    return pos
-
-
-def _newlines_before(f, ends: list[int]) -> list[int]:
-    """The number of newline bytes before each of the ascending offsets ends."""
-    f.seek(0)
-    counts, seen, pos = [], 0, 0
-    for end in ends:
-        while pos < end and (block := f.read(min(_BLOCK, end - pos))):
-            seen += block.count(b"\n")
-            pos += len(block)
-        counts.append(seen)
-    return counts
+    return pos, passed
 
 
 def line_start(path: str | Path, line: int) -> int:
@@ -99,18 +95,8 @@ def line_start(path: str | Path, line: int) -> int:
     at 0, and the file is not opened for it."""
     if line == 1:
         return 0
-    pos, left = 0, line - 1  # left: the newlines still to pass
     with open(path, "rb") as f:
-        while block := f.read(_BLOCK):
-            if (m := block.count(b"\n")) < left:
-                left -= m
-                pos += len(block)
-                continue
-            i = -1
-            for _ in range(left):
-                i = block.find(b"\n", i + 1)
-            return pos + i + 1
-    return pos
+        return _scan(f, 0, line - 1, math.inf)[0]
 
 
 def _cuts(paths: Sequence[Path], sizes: Sequence[int], n: int) -> list[tuple[int, int]]:
@@ -122,7 +108,7 @@ def _cuts(paths: Sequence[Path], sizes: Sequence[int], n: int) -> list[tuple[int
         pos = ends[-1] * j // n
         i = bisect_right(ends, pos)  # the file that holds byte pos
         with open(paths[i], "rb") as f:
-            offset = _line_end(f, pos - (ends[i] - sizes[i]))
+            offset = _scan(f, pos - (ends[i] - sizes[i]), 1, math.inf)[0]
         cut = (i, offset) if offset < sizes[i] else (i + 1, 0)
         if cut[0] < len(sizes) and (not cuts or cut > cuts[-1]):
             cuts.append(cut)
@@ -160,11 +146,12 @@ def line_ranges(paths: Sequence[Path]) -> list[list[tuple[int, int, int, int | N
     try:
         for i, cuts in groupby(_cuts(paths, sizes, n), itemgetter(0)):
             offsets = [offset for _, offset in cuts]
-            counts = [0] * len(offsets)
+            passed = [0]  # a lone cut at the file's start: line 1 of a file that may be missing
             if offsets[-1]:
-                with open(paths[i], "rb") as f:
-                    counts = _newlines_before(f, offsets)
-            starts += [(i, offset, k + 1) for offset, k in zip(offsets, counts)]
+                with open(paths[i], "rb") as f:  # one forward read, from each cut to the next
+                    passed = [_scan(f, pos, math.inf, end)[1]
+                              for pos, end in zip([0, *offsets], offsets)]
+            starts += [(i, offset, k + 1) for offset, k in zip(offsets, accumulate(passed))]
     except OSError:
         return whole  # the serial run reports it in order
     ranges = []

@@ -191,11 +191,39 @@ def test_no_descriptor_outlives_a_read_back_command(runner, tmp_path, monkeypatc
     before = len(os.listdir("/proc/self/fd"))
     result = runner.invoke(main, ["score", "--gold", train, "--pred", str(extra), "--unordered"])
     assert result.output == "Error: prediction id 'extra' has no gold record\n"
-    # The error's traceback holds the index, in a cycle of exceptions and
-    # frames that only the cycle collector frees.
+    # The error's traceback holds the index, but the message raised in its
+    # place does not refer to it: the index closes its descriptor when the
+    # command ends (test_a_failed_command_frees_its_files_without_the_collector).
     del result
     gc.collect()
     assert len(os.listdir("/proc/self/fd")) == before
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_a_failed_command_frees_its_files_without_the_collector(runner, tmp_path, monkeypatch):
+    # The message a failed command raises must not refer to the error it
+    # replaces: that error's traceback holds the index and its descriptor.
+    monkeypatch.setattr(workers, "cpus", lambda: 2)
+    monkeypatch.setattr(workers, "SPLIT_MIN_BYTES", 0)
+    train = REPO / "demo" / "out" / "train.jsonl"
+    extra = tmp_path / "extra.jsonl"
+    extra.write_bytes(train.read_bytes() + b'{"id": "extra", "labels": ["O"]}\n')
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(train.read_bytes() + b"not json\n")
+    failing = [["validate", "--input", str(bad)],
+               ["sample", "--input", str(train), "--n", "100000", "--out", str(tmp_path / "s.jsonl")],
+               ["score", "--gold", str(train), "--pred", str(extra), "--unordered"]]
+    gc.collect()
+    gc.disable()
+    try:
+        for args in failing:
+            before = len(os.listdir("/proc/self/fd"))
+            result = runner.invoke(main, args)
+            assert result.exit_code == 1 and result.output.startswith("Error: "), result.output
+            del result
+            assert len(os.listdir("/proc/self/fd")) == before, args
+    finally:
+        gc.enable()
 
 
 _SOURCE = "sources:\n  - {name: a, path: a.jsonl}\n"

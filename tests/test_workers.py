@@ -1,14 +1,15 @@
-"""workers.in_ranges on its own: toy ranges, no piiprep pipeline.
+"""workers on its own: toy ranges and generated files, no piiprep pipeline.
 
-A range here is an int; its run yields (range, value index, process id)
-tuples, so each test sees which process ran which range, and in what order
-the values arrived. Every worker forked is recorded (conftest.Workers) and
-must be reaped when the iterator is done.
+A range given to in_ranges here is an int; its run yields (range, value
+index, process id) tuples, so each test sees which process ran which range,
+and in what order the values arrived. Every worker forked is recorded
+(conftest.Workers) and must be reaped when the iterator is done.
 """
 
 from __future__ import annotations
 
 import os
+import random
 import signal
 import tempfile
 import time
@@ -183,3 +184,39 @@ def test_an_interrupt_in_the_caller_kills_and_reaps_every_worker(started):
     assert len(started.started) == 2
     started.assert_reaped()
     assert [w.status for w in started.started] == [-signal.SIGKILL] * 2
+
+
+def line_file(rng: random.Random) -> bytes:
+    """Up to 15 lines: LF or CRLF endings, blank lines, lines longer than a
+    small read block, and at times no final newline."""
+    lines = [rng.choice([b"", b"a", b"bc" * rng.randrange(1, 20)]) + rng.choice([b"\n", b"\r\n"])
+             for _ in range(rng.randrange(16))]
+    return b"".join(lines) + rng.choice([b"", b"no final newline"])
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 1 << 16])
+def test_line_starts_and_cuts_match_bytes_across_block_edges(tmp_path, monkeypatch, block):
+    # Small blocks put newlines on block edges and lines across several blocks.
+    monkeypatch.setattr(workers, "_BLOCK", block)
+    monkeypatch.setattr(workers, "SPLIT_MIN_BYTES", 0)
+    rng = random.Random(block)
+    for trial in range(20):
+        datas = [line_file(rng) for _ in range(rng.randint(1, 3))]
+        paths = [tmp_path / f"{trial}-{i}.txt" for i in range(len(datas))]
+        for path, data in zip(paths, datas):
+            path.write_bytes(data)
+            heads = data.split(b"\n")
+            for line in range(1, len(heads) + 2):
+                want = min(len(data), sum(len(h) + 1 for h in heads[:line - 1]))
+                assert workers.line_start(path, line) == want, (data, line)
+        cpus = rng.randint(2, 5)
+        monkeypatch.setattr(workers, "cpus", lambda: cpus)
+        parts = [part for r in workers.line_ranges(paths) for part in r]
+        for i, start, first, stop in parts:
+            assert start == 0 or datas[i][start - 1:start] == b"\n", (datas, parts)
+            assert first == 1 + datas[i].count(b"\n", 0, start), (datas, parts)
+        # The parts read every file once, in order.
+        ends = [(i, len(datas[i]) if stop is None else stop) for i, _, _, stop in parts]
+        assert [(i, start) for i, start, _, _ in parts] == [(0, 0)] + [
+            (i, end) if end < len(datas[i]) else (i + 1, 0) for i, end in ends[:-1]]
+        assert ends[-1] == (len(datas) - 1, len(datas[-1]))
